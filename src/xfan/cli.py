@@ -5,8 +5,8 @@ for standard input), compute, print a single JSON document on standard
 output. Exit codes: 0 success, 1 malformed input, 2 domain errors (the
 document then describes the error), 3 when --exhaustive gives up at the
 node cap. Directions in --seq and all row/column indices in reports are
-1-based. XFAN_THREADS sets the worker count for pattern enumeration and
-never changes the output bytes.
+1-based. Enumeration is single-threaded; XFAN_THREADS is still validated
+(a value that is not a positive integer exits 1) but changes nothing.
 """
 
 import argparse
@@ -61,16 +61,16 @@ def _parse_json_vector(text, flag):
 
 
 def _thread_count():
+    """Validate XFAN_THREADS; enumeration is single-threaded, so it sets nothing."""
     raw = os.environ.get("XFAN_THREADS")
     if raw is None:
-        return 1
+        return
     try:
         value = int(raw, 10)
     except ValueError:
         value = 0
     if value < 1:
         raise ValueError(f"XFAN_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _load_exchange(path):
@@ -93,24 +93,18 @@ def _walk(em, seq, with_polynomials):
     return node
 
 
-def _enumerate(em, args, threads, with_polynomials):
+def _enumerate(em, args, with_polynomials):
     if getattr(args, "exhaustive", False):
         return enumerate_pattern(
             em,
             max_depth=None,
             with_polynomials=with_polynomials,
-            threads=threads,
             node_cap=EXHAUSTIVE_CAP,
         )
-    return enumerate_pattern(
-        em,
-        max_depth=args.depth,
-        with_polynomials=with_polynomials,
-        threads=threads,
-    )
+    return enumerate_pattern(em, max_depth=args.depth, with_polynomials=with_polynomials)
 
 
-def _cmd_validate(em, args, threads):
+def _cmd_validate(em, args):
     return {
         "ok": True,
         "n": em.n,
@@ -119,7 +113,7 @@ def _cmd_validate(em, args, threads):
     }
 
 
-def _cmd_mutate(em, args, threads):
+def _cmd_mutate(em, args):
     current = em
     for k in args.seq:
         current = mutate(current, k)
@@ -130,7 +124,7 @@ def _cmd_mutate(em, args, threads):
     }
 
 
-def _cmd_cmatrix(em, args, threads):
+def _cmd_cmatrix(em, args):
     node = _walk(em, args.seq, with_polynomials=False)
     return {
         "history": list(node.history),
@@ -139,7 +133,7 @@ def _cmd_cmatrix(em, args, threads):
     }
 
 
-def _cmd_gmatrix(em, args, threads):
+def _cmd_gmatrix(em, args):
     node = _walk(em, args.seq, with_polynomials=False)
     return {
         "history": list(node.history),
@@ -148,7 +142,7 @@ def _cmd_gmatrix(em, args, threads):
     }
 
 
-def _cmd_fpoly(em, args, threads):
+def _cmd_fpoly(em, args):
     node = _walk(em, args.seq, with_polynomials=True)
     return {
         "history": list(node.history),
@@ -156,7 +150,7 @@ def _cmd_fpoly(em, args, threads):
     }
 
 
-def _cmd_cone(em, args, threads):
+def _cmd_cone(em, args):
     node = _walk(em, args.seq, with_polynomials=False)
     description = classify(build_system(node, em))
     doc = encode_cone(description)
@@ -164,8 +158,8 @@ def _cmd_cone(em, args, threads):
     return doc
 
 
-def _cmd_fan(em, args, threads):
-    catalog = _enumerate(em, args, threads, with_polynomials=False)
+def _cmd_fan(em, args):
+    catalog = _enumerate(em, args, with_polynomials=False)
     report = assemble_fan(catalog)
     cones = []
     for cone in report.cones:
@@ -184,9 +178,9 @@ def _cmd_fan(em, args, threads):
     }
 
 
-def _cmd_theta(em, args, threads):
+def _cmd_theta(em, args):
     beta = _parse_json_vector(args.beta, "--beta")
-    catalog = _enumerate(em, args, threads, with_polynomials=True)
+    catalog = _enumerate(em, args, with_polynomials=True)
     result = theta(beta, catalog)
     return {
         "beta": encode_vector(result.beta),
@@ -196,7 +190,7 @@ def _cmd_theta(em, args, threads):
     }
 
 
-def _cmd_ar(em, args, threads):
+def _cmd_ar(em, args):
     data = path_algebra_data(quiver_of(em))
     slice_data = knit(data, window=args.window)
     positions = [
@@ -223,7 +217,7 @@ def _cmd_ar(em, args, threads):
     }
 
 
-def _cmd_normals(em, args, threads):
+def _cmd_normals(em, args):
     cvec = _parse_json_vector(args.cvec, "--cvec")
     data = path_algebra_data(quiver_of(em))
     if args.window is not None:
@@ -243,7 +237,7 @@ def _cmd_normals(em, args, threads):
     }
 
 
-def _cmd_certify(em, args, threads):
+def _cmd_certify(em, args):
     data = path_algebra_data(quiver_of(em))
     node = _walk(em, args.seq, with_polynomials=False)
     cvectors = [node.C_t.col(j) for j in range(em.n)]
@@ -339,9 +333,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _thread_count()
+        _thread_count()
         em = _load_exchange(args.B)
-        doc = args.handler(em, args, threads)
+        doc = args.handler(em, args)
     except ExhaustionCapExceeded as exc:
         print(dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 3

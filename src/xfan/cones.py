@@ -113,9 +113,11 @@ def conic_membership(v, generators):
     unused ones), or None when v is outside the cone. Decision is exact:
     by Caratheodory it suffices to scan linearly independent subsets, in
     ascending size and lexicographic order, solving each square-ish system
-    over the rationals. Sizes here are tiny (at most n generators of length
-    n), so exhaustive enumeration is cheap and certificate choice is
-    deterministic.
+    over the rationals. Certificate choice is deterministic. The scan visits
+    every subset of at most n generators, and the generator count is not
+    bounded by n: classify passes all m rows to each implicit-row check, and
+    up to m - 1 + |implicit| to each facet check (the other strict rows, and
+    the implicit rows with both signs).
     """
     v = tuple(int(x) for x in v)
     gens = [tuple(int(x) for x in g) for g in generators]

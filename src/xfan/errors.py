@@ -10,10 +10,6 @@ class XfanError(Exception):
     """Base class for all domain errors."""
 
 
-class SingularMatrix(XfanError):
-    """Square matrix with determinant zero passed to inverse()."""
-
-
 class ExponentNegative(XfanError):
     """Negative power requested of a polynomial that is not an invertible monomial."""
 
@@ -39,7 +35,7 @@ class NotAcyclic(XfanError):
 
 
 class DualityViolation(XfanError):
-    """G_t . C_t^T != I at some node; indicates an implementation bug."""
+    """C_t^T . G_t != I at some node; indicates an implementation bug."""
 
 
 class SignCoherenceViolation(XfanError):

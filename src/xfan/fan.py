@@ -66,13 +66,21 @@ class ThetaFunction:
 
 
 def assemble_fan(catalog):
-    """Classify every node and merge equal cones, first-seen order."""
+    """Merge the nodes' cones in first-seen order, classifying once per seed.
+
+    A cone depends only on the set of c-vectors, so nodes sharing a seed key
+    share a cone and only the first of them is classified. The first node of
+    every cone is therefore classified, and its description is the one kept.
+    """
     merged = {}
     order = []
+    cone_of_seed = {}
     for node in catalog.nodes:
-        system = build_system(node, catalog.root)
-        desc = classify(system)
-        key = canonical_key(desc)
+        seed = node.seed_key()
+        key = cone_of_seed.get(seed)
+        if key is None:
+            desc = classify(build_system(node, catalog.root))
+            key = cone_of_seed[seed] = canonical_key(desc)
         slot = merged.get(key)
         if slot is None:
             merged[key] = (desc, [node.history])

@@ -1,16 +1,12 @@
-"""Exact integer and rational matrices.
+"""Exact integer matrices and lattice helpers.
 
-Everything in this module is immutable and arbitrary precision. Rank and
-determinant run fraction-free (Bareiss); inverses do a fraction-free forward
-sweep followed by exact rational back-substitution. Lattice-level helpers
-(Hermite normal form, saturated integer kernels) provide the canonical forms
-that cone deduplication relies on.
+Everything in this module is immutable and arbitrary precision. Rank runs
+fraction-free (Bareiss). Lattice-level helpers (Hermite normal form,
+saturated integer kernels) provide the canonical forms that cone
+deduplication relies on.
 """
 
-from fractions import Fraction
 from math import gcd
-
-from .errors import SingularMatrix
 
 
 class IntMatrix:
@@ -19,16 +15,14 @@ class IntMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, rows):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(row) for row in rows)
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])
         if width == 0 or any(len(r) != width for r in data):
             raise ValueError("matrix rows must be nonempty and equal length")
-        for row in data:
-            for x in row:
-                if not isinstance(x, int):
-                    raise ValueError("integer entries required")
+        if not all(type(x) is int for row in data for x in row):
+            data = tuple(tuple(_exact_int(x) for x in row) for row in data)
         object.__setattr__(self, "entries", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
@@ -92,100 +86,28 @@ class IntMatrix:
         integer minor of the input, so no rationals appear and growth stays
         polynomial in the entry sizes.
         """
-        _, rank, _, _ = _bareiss(self.entries)
-        return rank
-
-    def det(self):
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        echelon, rank, sign, _ = _bareiss(self.entries)
-        if rank < self.rows:
-            return 0
-        return sign * echelon[self.rows - 1][self.rows - 1]
-
-    def inverse(self):
-        """Exact inverse as a RationalMatrix.
-
-        Raises SingularMatrix when det = 0. The forward sweep is the same
-        fraction-free elimination used by rank(); back-substitution runs over
-        exact rationals on the integer echelon.
-        """
-        if not self.is_square():
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(self.entries[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-        echelon, rank, _, _ = _bareiss(aug, pivot_cols=n)
-        if rank < n:
-            raise SingularMatrix(f"matrix of rank {rank} < {n} has no inverse")
-        # back-substitute: echelon rows i solve sum_j U[i][j] X[j] = V[i]
-        inv = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n - 1, -1, -1):
-            piv = echelon[i][i]
-            for c in range(n):
-                acc = Fraction(echelon[i][n + c])
-                for j in range(i + 1, n):
-                    acc -= echelon[i][j] * inv[j][c]
-                inv[i][c] = acc / piv
-        return RationalMatrix(inv)
+        return _bareiss_rank(self.entries)
 
 
-class RationalMatrix:
-    """Dense matrix over exact rationals (Fraction entries)."""
-
-    __slots__ = ("entries", "rows", "cols")
-
-    def __init__(self, rows):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not data or any(len(r) != len(data[0]) for r in data):
-            raise ValueError("rectangular nonempty rows required")
-        object.__setattr__(self, "entries", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"
-
-    def is_integral(self):
-        return all(x.denominator == 1 for r in self.entries for x in r)
-
-    def to_int_matrix(self):
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in r] for r in self.entries])
-
-    def mul(self, other):
-        cols = list(zip(*other.entries))
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.entries]
-        )
+def _exact_int(x):
+    value = int(x)
+    if value != x:
+        raise ValueError(f"integer entries required, got {x!r}")
+    return value
 
 
-def _bareiss(rows, pivot_cols=None):
-    """Fraction-free row echelon reduction.
+def _bareiss_rank(rows):
+    """Rank by fraction-free row echelon reduction.
 
-    Returns (echelon, rank, sign, last_pivot). Pivots are searched in the
-    first ``pivot_cols`` columns only (all columns by default); trailing
-    columns ride along, which is how inverse() carries its augmented block.
-    The division by the previous pivot is exact by the Bareiss identity;
-    a nonzero remainder would mean corrupted arithmetic and raises.
+    The division by the previous pivot is exact by the Bareiss identity; a
+    nonzero remainder would mean corrupted arithmetic and raises.
     """
     M = [list(r) for r in rows]
     m = len(M)
     n = len(M[0]) if m else 0
-    limit = n if pivot_cols is None else pivot_cols
     prev = 1
-    sign = 1
     rank = 0
-    for c in range(limit):
+    for c in range(n):
         if rank >= m:
             break
         piv = None
@@ -197,7 +119,6 @@ def _bareiss(rows, pivot_cols=None):
             continue
         if piv != rank:
             M[rank], M[piv] = M[piv], M[rank]
-            sign = -sign
         p = M[rank][c]
         for i in range(rank + 1, m):
             mic = M[i][c]
@@ -209,7 +130,7 @@ def _bareiss(rows, pivot_cols=None):
                 M[i][j] = q
         prev = p
         rank += 1
-    return M, rank, sign, prev
+    return rank
 
 
 def hnf_rows(vectors):

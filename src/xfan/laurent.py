@@ -151,18 +151,6 @@ class LaurentPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_add(a, b):
-    return a + b
-
-
-def poly_mul(a, b):
-    return a * b
-
-
-def poly_pow(a, k):
-    return a ** k
-
-
 def divide_exact(numerator, denominator):
     """Exact quotient in the Laurent ring, or ArithmeticError.
 

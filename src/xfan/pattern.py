@@ -8,14 +8,12 @@ patterns: mutation commutes with (B -> -B^T), so the companion c-matrix
 for B (which drives the polynomial and g recurrences) rides along in the
 same node.
 
-Two independent routes compute every G_t: the inverse transpose of C_t,
-and a direct column recurrence. They must agree, and every c-matrix column
-must be sign coherent; violations raise immediately since the supporting
-theory guarantees both.
+G_t comes from a direct column recurrence and is checked against tropical
+duality, C_t^T.G_t = I, over the integers; every c-matrix column must be
+sign coherent. Violations raise immediately since the supporting theory
+guarantees both. A c-matrix determines its whole seed (Nakanishi-Zelevinsky),
+so the set of columns of C_t is the key of the unlabelled seed.
 """
-
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (
     DualityViolation,
@@ -57,6 +55,15 @@ class PatternNode:
         """Dedup key: the pair (B_t, C_t) verbatim."""
         return (self.B_t.B.entries, self.C_t.entries)
 
+    def seed_key(self):
+        """Key of the unlabelled seed: the sorted tuple of the columns of C_t.
+
+        Relabelling the directions permutes the columns of C_t, and C_t
+        determines B_t, so two nodes carry the same seed up to relabelling
+        exactly when their keys agree.
+        """
+        return tuple(sorted(zip(*self.C_t.entries)))
+
     def __repr__(self):
         return f"PatternNode(history={self.history})"
 
@@ -84,30 +91,8 @@ class PatternCatalog:
         return None if i is None else self.nodes[i]
 
     def seed_class_count(self):
-        """Seeds up to simultaneous relabeling.
-
-        Two nodes describe the same unlabelled seed when a permutation P of
-        the directions turns one into the other: B -> P^T.B.P together with
-        C -> C.P (columns are attached to directions, rows live in the fixed
-        root basis). Counts orbits of the visited node set.
-        """
-        n = self.root.n
-        perms = list(itertools.permutations(range(n)))
-        all_keys = set(self._index)
-        seen = set()
-        count = 0
-        for node in self.nodes:
-            if node.key() in seen:
-                continue
-            count += 1
-            b = node.B_t.B.entries
-            c = node.C_t.entries
-            for p in perms:
-                bp = tuple(tuple(b[p[i]][p[j]] for j in range(n)) for i in range(n))
-                cp = tuple(tuple(c[i][p[j]] for j in range(n)) for i in range(n))
-                if (bp, cp) in all_keys:
-                    seen.add((bp, cp))
-        return count
+        """Seeds up to simultaneous relabeling: the number of distinct seed keys."""
+        return len({node.seed_key() for node in self.nodes})
 
 
 def initial_node(em, with_polynomials=True):
@@ -139,8 +124,7 @@ def mutate_node(node, k):
     _check_coherent(new_c)
     _check_coherent(new_cb)
     new_g = _mutate_g(node.G_t, b, node.companion_c, kk, n)
-    dual = new_c.transpose().inverse()
-    if not dual.is_integral() or dual.to_int_matrix() != new_g:
+    if new_c.transpose().mul(new_g) != IntMatrix.identity(n):
         raise DualityViolation(
             f"g-matrix disagrees with the inverse transposed c-matrix at history {node.history + (k,)}"
         )
@@ -168,12 +152,12 @@ def _column_sign(cmat, kk, n):
     pos = any(cmat.entries[i][kk] > 0 for i in range(n))
     neg = any(cmat.entries[i][kk] < 0 for i in range(n))
     if pos and neg or not (pos or neg):
-        raise SignCoherenceViolation(f"column {kk + 1} has mixed signs")
+        raise SignCoherenceViolation(f"c-matrix column {kk + 1} has mixed signs")
     return 1 if pos else -1
 
 
 def _mutate_g(gmat, b, companion_c, kk, n):
-    # independent route: right-multiply by the elementary matrix whose k-th
+    # column recurrence: right-multiply by the elementary matrix whose k-th
     # column rectifies -eps * B column k, eps being the sign of the
     # companion c-matrix column k
     eps = _column_sign(companion_c, kk, n)
@@ -211,18 +195,13 @@ def _mutate_f(polys, b, companion_c, kk, n):
 
 def _check_coherent(cmat):
     for j in range(cmat.cols):
-        col = cmat.col(j)
-        pos = any(x > 0 for x in col)
-        neg = any(x < 0 for x in col)
-        if (pos and neg) or not (pos or neg):
-            raise SignCoherenceViolation(f"c-matrix column {j + 1} has mixed signs")
+        _column_sign(cmat, j, cmat.rows)
 
 
 def enumerate_pattern(
     em,
     max_depth=DEFAULT_DEPTH,
     with_polynomials=True,
-    threads=1,
     node_cap=None,
 ):
     """BFS over the mutation tree with verbatim (B_t, C_t) deduplication.
@@ -231,9 +210,7 @@ def enumerate_pattern(
     ascending index, so the catalog order is deterministic. ``max_depth``
     of None removes the depth bound (pair it with ``node_cap``; the cap
     raises ExhaustionCapExceeded if the frontier is still alive when it
-    trips). ``threads`` > 1 expands each BFS round in a thread pool; rounds
-    are merged in frontier order, so the catalog does not depend on the
-    thread count.
+    trips).
 
     Returns a PatternCatalog whose ``complete`` flag is set only when a
     frontier emptied before the depth bound, meaning every seed was seen.
@@ -249,45 +226,30 @@ def enumerate_pattern(
     depth = 0
     complete = False
     n = em.n
-    pool = ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
-    try:
-        while frontier:
-            if max_depth is not None and depth >= max_depth:
-                break
-            depth += 1
-
-            def expand(parent):
-                children = []
-                last = parent.history[-1] if parent.history else 0
-                for k in range(1, n + 1):
-                    if k == last:
-                        continue
-                    children.append(mutate_node(parent, k))
-                return children
-
-            if pool is not None:
-                batches = list(pool.map(expand, frontier))
-            else:
-                batches = [expand(parent) for parent in frontier]
-            next_frontier = []
-            for batch in batches:
-                for child in batch:
-                    key = child.key()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nodes.append(child)
-                    next_frontier.append(child)
-            if node_cap is not None and len(nodes) > node_cap:
-                raise ExhaustionCapExceeded(
-                    f"more than {node_cap} seeds before the frontier emptied"
-                )
-            frontier = next_frontier
-            if not frontier:
-                complete = True
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while frontier:
+        if max_depth is not None and depth >= max_depth:
+            break
+        depth += 1
+        next_frontier = []
+        for parent in frontier:
+            last = parent.history[-1] if parent.history else 0
+            for k in range(1, n + 1):
+                if k == last:
+                    continue
+                child = mutate_node(parent, k)
+                key = child.key()
+                if key in seen:
+                    continue
+                seen.add(key)
+                nodes.append(child)
+                next_frontier.append(child)
+        if node_cap is not None and len(nodes) > node_cap:
+            raise ExhaustionCapExceeded(
+                f"more than {node_cap} seeds before the frontier emptied"
+            )
+        frontier = next_frontier
+        if not frontier:
+            complete = True
     return PatternCatalog(em, nodes, depth, complete)
 
 

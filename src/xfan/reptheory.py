@@ -1,12 +1,12 @@
 """Path-algebra data, AR-quiver knitting, and hyperplane normals.
 
 Everything here assumes an acyclic skew-symmetric seed. The Cartan matrix
-counts paths, with the orientation convention fixed by an oracle at
-construction time: the skew difference of the inverse Cartan and its
-transpose must reproduce the exchange matrix exactly, otherwise the
-constructor refuses. Inverse AR translation acts K-theoretically on
-dimension vectors through the inverse Coxeter matrix; shifted objects are
-plain sign flips of dimension vectors.
+counts paths, so its inverse is I minus the arrow matrix. The orientation
+convention is fixed by an oracle at construction time: the skew difference
+of the inverse Cartan and its transpose must reproduce the exchange matrix
+exactly, otherwise the constructor refuses. Inverse AR translation acts
+K-theoretically on dimension vectors through the inverse Coxeter matrix;
+shifted objects are plain sign flips of dimension vectors.
 """
 
 from itertools import combinations
@@ -122,13 +122,15 @@ class ARQuiverSlice:
 
 
 def path_algebra_data(quiver):
-    """Count paths, invert, and validate the orientation convention.
+    """Count paths and validate the orientation convention.
 
     The Cartan matrix has entry (j, i) = number of paths from j to i, so its
-    columns are the dimension vectors of the indecomposable projectives.
-    Construction fails with ConventionViolation if the inverse-transpose
-    minus inverse identity does not reproduce the quiver's exchange matrix;
-    that identity is the convention oracle, not an assumption.
+    columns are the dimension vectors of the indecomposable projectives. It
+    is the geometric series of the nilpotent arrow matrix, so its inverse is
+    I minus the arrow matrix; the product is checked to be I. Construction
+    fails with ConventionViolation if the inverse-transpose minus inverse
+    identity does not reproduce the quiver's exchange matrix; that identity
+    is the convention oracle, not an assumption.
     """
     order = topological_order(quiver)
     if order is None:
@@ -146,7 +148,9 @@ def path_algebra_data(quiver):
             for j in range(n):
                 totals[i][j] += power.at(i, j)
     cartan = IntMatrix(totals)
-    cartan_inv = cartan.inverse().to_int_matrix()
+    cartan_inv = IntMatrix([[int(i == j) - arrow.at(i, j) for j in range(n)] for i in range(n)])
+    if cartan.mul(cartan_inv) != IntMatrix.identity(n):
+        raise ConventionViolation("path counts are not inverse to I minus the arrow matrix")
     exchange = IntMatrix(
         [
             [cartan_inv.at(j, i) - cartan_inv.at(i, j) for j in range(n)]

@@ -7,6 +7,7 @@ signature and in the CLI; index arithmetic inside the package is 0-based.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DimensionMismatch,
@@ -163,12 +164,12 @@ def validate(B, d=None):
         lcm = 1
         for v in component:
             den = ratios[v].denominator
-            g = _gcd(lcm, den)
+            g = gcd(lcm, den)
             lcm = lcm // g * den
         values = [int(ratios[v] * lcm) for v in component]
         g = 0
         for x in values:
-            g = _gcd(g, x)
+            g = gcd(g, x)
         for v, x in zip(component, values):
             ratios[v] = x // g
     dvec = tuple(int(r) for r in ratios)
@@ -179,12 +180,6 @@ def validate(B, d=None):
                     "no positive integer symmetrizer exists"
                 )
     return ExchangeMatrix(B, dvec)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def mutate(em, k):

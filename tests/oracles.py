@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 import sympy
@@ -207,6 +207,54 @@ def arrows_to_b(n, arrows):
     return rows
 
 
+def seed_orbit_count(pairs):
+    """Number of seeds up to relabelling among raw (B_t, C_t) matrix pairs.
+
+    Two pairs describe the same unlabelled seed when a permutation P of the
+    directions turns one into the other: B -> P^T.B.P together with
+    C -> C.P (columns follow directions, rows stay in the root basis).
+    Counts the orbits that meet the given set, by trying all n! permutations.
+    """
+    pairs = [(tuple(map(tuple, b)), tuple(map(tuple, c))) for b, c in pairs]
+    present = set(pairs)
+    seen = set()
+    count = 0
+    for b, c in pairs:
+        if (b, c) in seen:
+            continue
+        count += 1
+        n = len(b)
+        for p in permutations(range(n)):
+            bp = tuple(tuple(b[p[i]][p[j]] for j in range(n)) for i in range(n))
+            cp = tuple(tuple(c[i][p[j]] for j in range(n)) for i in range(n))
+            if (bp, cp) in present:
+                seen.add((bp, cp))
+    return count
+
+
+def path_counts(n, arrows):
+    """Entry (i, j) = number of paths from i to j, arrows counted with multiplicity.
+
+    Recursion over first arrows; only terminates on acyclic arrow sets.
+    """
+    out = {}
+    for s, t, m in arrows:
+        out.setdefault(s, []).append((t, m))
+
+    def count(i, j):
+        return int(i == j) + sum(m * count(t, j) for t, m in out.get(i, ()))
+
+    return [[count(i, j) for j in range(n)] for i in range(n)]
+
+
+def sympy_inverse(rows):
+    """Inverse of an integer matrix by sympy, as rows of Fractions."""
+    inv = sympy.Matrix(rows).inv()
+    return [
+        [Fraction(int(x.p), int(x.q)) for x in inv.row(i)] for i in range(inv.rows)
+    ]
+
+
 def _self_check():
     rng = random.Random(7)
     assert fraction_rank([[0, 1, 0], [0, -1, 0]]) == 1
@@ -214,6 +262,9 @@ def _self_check():
     assert len(polygon_triangulations(6)) == 14
     assert len(positive_roots({0: [1], 1: [0]})) == 3
     assert len(positive_roots({0: [1], 1: [0, 2], 2: [1]})) == 6
+    assert seed_orbit_count([([[0, 1], [-1, 0]], [[1, 0], [0, 1]]), ([[0, -1], [1, 0]], [[0, 1], [1, 0]])]) == 1
+    assert path_counts(3, [(0, 1, 2), (1, 2, 1)]) == [[1, 2, 2], [0, 1, 1], [0, 0, 1]]
+    assert sympy_inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
     b, d = random_skew_symmetrizable(rng, 3)
     for i in range(3):
         for j in range(3):

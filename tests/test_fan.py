@@ -22,9 +22,14 @@ from xfan import (
     validate,
 )
 
+from oracles import random_skew_symmetrizable
+
 B_A2 = [[0, 1], [-1, 0]]
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 B_KRONECKER = [[0, 2], [-2, 0]]
+B_B3 = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
+B_A4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 
 
 def _a3_catalog():
@@ -60,6 +65,51 @@ def test_witnesses_actually_witness_their_cone():
         for h in cone.witnesses[:3]:
             desc = classify(build_system(by_history[h], em))
             assert canonical_key(desc) == cone.key
+
+
+def _per_node_fan(catalog):
+    """The direct route: classify every node, merge by canonical key."""
+    merged = {}
+    for node in catalog.nodes:
+        desc = classify(build_system(node, catalog.root))
+        key = canonical_key(desc)
+        merged.setdefault(key, (desc, []))[1].append(node.history)
+    return [(key, desc, witnesses) for key, (desc, witnesses) in merged.items()]
+
+
+def _fields(desc):
+    return (
+        desc.system.A,
+        desc.system.history,
+        desc.implicit,
+        desc.strict,
+        desc.facets,
+        desc.dim,
+        desc.lineality_basis,
+        desc.implicit_certificates,
+    )
+
+
+def _assert_same_fan(catalog):
+    report = assemble_fan(catalog)
+    expected = _per_node_fan(catalog)
+    assert [c.key for c in report.cones] == [key for key, _, _ in expected]
+    assert [_fields(c.description) for c in report.cones] == [_fields(d) for _, d, _ in expected]
+    assert [list(c.witnesses) for c in report.cones] == [w for _, _, w in expected]
+
+
+@pytest.mark.parametrize("rows", [B_A3, B_B3, B_A4, B_D4], ids=["A3", "B3", "A4", "D4"])
+def test_assemble_fan_matches_per_node_classification(rows):
+    cat = enumerate_pattern(validate(rows), max_depth=None, with_polynomials=False)
+    assert cat.complete
+    _assert_same_fan(cat)
+
+
+def test_assemble_fan_matches_per_node_classification_random():
+    rng = random.Random(4455)
+    for _ in range(15):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        _assert_same_fan(enumerate_pattern(validate(rows), max_depth=3, with_polynomials=False))
 
 
 def test_locate_frozen_example():

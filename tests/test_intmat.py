@@ -1,4 +1,4 @@
-"""Exact integer / rational matrix layer."""
+"""Exact integer matrix layer."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from xfan import IntMatrix, RationalMatrix, SingularMatrix, hnf_rows, integer_kernel_basis, primitive_vector
+from xfan import IntMatrix, hnf_rows, integer_kernel_basis, primitive_vector, validate
 from xfan.intmat import clear_multipliers
 
 from oracles import fraction_rank
@@ -27,35 +27,15 @@ def test_rank_matches_fraction_elimination():
         assert IntMatrix(rows).rank() == fraction_rank(rows)
 
 
-def test_det_small():
-    assert IntMatrix([[1, 2], [3, 4]]).det() == -2
-    assert IntMatrix([[2]]).det() == 2
-    assert IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).det() == 1
-
-
-def test_inverse_roundtrip():
-    rng = random.Random(99)
-    found = 0
-    while found < 25:
-        n = rng.randint(1, 4)
-        m = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if m.det() == 0:
-            continue
-        found += 1
-        inv = m.inverse()
-        prod = RationalMatrix([[Fraction(x) for x in row] for row in m.entries]).mul(inv)
-        ident = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        assert prod.entries == tuple(tuple(r) for r in ident)
-
-
-def test_inverse_involution_example():
-    g = IntMatrix([[-1, 0, 0], [1, 1, 1], [0, 0, -1]])
-    assert g.inverse().to_int_matrix() == g
-
-
-def test_inverse_singular_raises():
-    with pytest.raises(SingularMatrix):
-        IntMatrix([[1, 2], [2, 4]]).inverse()
+def test_non_integer_entries_rejected():
+    with pytest.raises(ValueError, match="integer entries required"):
+        IntMatrix([[1.5]])
+    with pytest.raises(ValueError, match="integer entries required"):
+        validate([[0, 1.7], [-1, 0]])
+    # integral values of other numeric types are accepted and stored as int
+    m = IntMatrix([[Fraction(2), 3.0, True]])
+    assert m.entries == ((2, 3, 1),)
+    assert all(type(x) is int for x in m.entries[0])
 
 
 def test_mul_vec_and_transpose():

@@ -1,4 +1,4 @@
-"""Pattern traversal: dedup, duality, sign coherence, polynomials, threading."""
+"""Pattern traversal: dedup, duality, sign coherence, polynomials, seed classes."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 
 from xfan import (
     DEFAULT_DEPTH,
+    DualityViolation,
     ExhaustionCapExceeded,
     IntMatrix,
     enumerate_pattern,
@@ -17,11 +18,16 @@ from xfan import (
     validate,
 )
 
-from oracles import principal_seed_walk, random_skew_symmetrizable
+from xfan import pattern
+
+from oracles import principal_seed_walk, random_skew_symmetrizable, seed_orbit_count
 
 B_A2 = [[0, 1], [-1, 0]]
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 B_MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+B_B3 = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
+B_A4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 
 
 def _walk(em, history, with_polynomials=True):
@@ -133,12 +139,47 @@ def test_with_polynomials_flag():
     assert all(node.F_t is None for node in cat.nodes)
 
 
-def test_thread_count_does_not_change_catalog():
-    one = enumerate_pattern(validate(B_A3), threads=1)
-    four = enumerate_pattern(validate(B_A3), threads=4)
-    assert [n.key() for n in one.nodes] == [n.key() for n in four.nodes]
-    assert [n.history for n in one.nodes] == [n.history for n in four.nodes]
-    assert (one.depth, one.complete) == (four.depth, four.complete)
+def test_duality_violation_fires(monkeypatch):
+    good = pattern._mutate_g
+
+    def corrupted(*args):
+        g = good(*args)
+        return IntMatrix([[g.at(0, 0) + 1] + list(g.row(0)[1:])] + list(g.entries[1:]))
+
+    monkeypatch.setattr(pattern, "_mutate_g", corrupted)
+    with pytest.raises(DualityViolation):
+        mutate_node(initial_node(validate(B_A3), with_polynomials=False), 2)
+
+
+def _orbit_count(catalog):
+    return seed_orbit_count((n.B_t.B.entries, n.C_t.entries) for n in catalog.nodes)
+
+
+@pytest.mark.parametrize(
+    "rows, seeds",
+    [
+        (B_A2, 5),
+        ([[0, 1], [-2, 0]], 6),
+        ([[0, 1], [-3, 0]], 8),
+        (B_A3, 14),
+        (B_B3, 20),
+        (B_A4, 42),
+        (B_D4, 50),
+    ],
+    ids=["A2", "B2", "G2", "A3", "B3", "A4", "D4"],
+)
+def test_seed_class_count_matches_permutation_orbits(rows, seeds):
+    cat = enumerate_pattern(validate(rows), max_depth=None, with_polynomials=False)
+    assert cat.complete
+    assert cat.seed_class_count() == _orbit_count(cat) == seeds
+
+
+def test_seed_class_count_matches_permutation_orbits_random():
+    rng = random.Random(1101)
+    for _ in range(40):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        cat = enumerate_pattern(validate(rows), max_depth=4, with_polynomials=False)
+        assert cat.seed_class_count() == _orbit_count(cat)
 
 
 def test_node_cap_exhaustion():

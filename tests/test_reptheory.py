@@ -24,7 +24,13 @@ from xfan import (
 )
 from xfan.reptheory import tau_inverse_dim
 
-from oracles import arrows_to_b, positive_roots, random_acyclic_arrows
+from oracles import (
+    arrows_to_b,
+    path_counts,
+    positive_roots,
+    random_acyclic_arrows,
+    sympy_inverse,
+)
 
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 B_KRONECKER = [[0, -2], [2, 0]]
@@ -67,6 +73,17 @@ def test_exchange_identity_on_random_acyclic_quivers():
         ct = data.cartan_inv
         rebuilt = [[ct.at(j, i) - ct.at(i, j) for j in range(n)] for i in range(n)]
         assert IntMatrix(rebuilt).entries == tuple(tuple(r) for r in rows)
+
+
+def test_cartan_inverse_matches_sympy_on_random_acyclic_quivers():
+    rng = random.Random(1312)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        arrows = random_acyclic_arrows(rng, n, max_mult=3)
+        data = _data(arrows_to_b(n, arrows))
+        counts = path_counts(n, arrows)
+        assert data.cartan.entries == tuple(tuple(r) for r in counts)
+        assert [list(r) for r in data.cartan_inv.entries] == sympy_inverse(counts)
 
 
 def test_cyclic_quiver_rejected():
