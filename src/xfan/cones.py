@@ -14,6 +14,7 @@ from itertools import combinations
 
 from .intmat import (
     IntMatrix,
+    _exact_int,
     clear_multipliers,
     hnf_rows,
     integer_kernel_basis,
@@ -119,8 +120,8 @@ def conic_membership(v, generators):
     up to m - 1 + |implicit| to each facet check (the other strict rows, and
     the implicit rows with both signs).
     """
-    v = tuple(int(x) for x in v)
-    gens = [tuple(int(x) for x in g) for g in generators]
+    v = tuple(_exact_int(x) for x in v)
+    gens = [tuple(_exact_int(x) for x in g) for g in generators]
     length = len(v)
     if any(len(g) != length for g in gens):
         raise ValueError("generators and target must share a length")
@@ -225,7 +226,7 @@ def classify(system):
 
 def contains(system, beta):
     """True iff A.beta >= 0 componentwise."""
-    beta = tuple(int(x) for x in beta)
+    beta = tuple(_exact_int(x) for x in beta)
     if len(beta) != system.A.cols:
         raise ValueError("beta length mismatch")
     return all(x >= 0 for x in system.A.mul_vec(beta))

@@ -9,10 +9,11 @@ polynomials raised to the tropical exponents.
 """
 
 from itertools import combinations
+from operator import mul
 
 from .cones import build_system, canonical_key, classify
 from .errors import NotInVisitedComplex
-from .intmat import IntMatrix, integer_kernel_basis, primitive_vector
+from .intmat import _exact_int, integer_kernel_basis, primitive_vector
 from .laurent import LaurentPolynomial
 from .seed import p_star
 
@@ -97,11 +98,10 @@ def locate(beta, catalog):
     Returns (node, alpha) where alpha = C_t^T.B.beta, or None when no
     visited cone contains beta.
     """
-    beta = tuple(int(x) for x in beta)
     image = p_star(catalog.root, beta)
     for node in catalog.nodes:
-        alpha = node.C_t.transpose().mul_vec(image)
-        if all(x >= 0 for x in alpha):
+        alpha = tuple(sum(map(mul, col, image)) for col in zip(*node.C_t.entries))
+        if min(alpha) >= 0:
             return node, alpha
     return None
 
@@ -114,7 +114,7 @@ def theta(beta, catalog):
     the reason distinguishes a complete catalog (the point is genuinely
     outside the complex's support) from a truncated one.
     """
-    beta = tuple(int(x) for x in beta)
+    beta = tuple(_exact_int(x) for x in beta)
     hit = locate(beta, catalog)
     if hit is None:
         if catalog.complete:

@@ -6,7 +6,9 @@ saturated integer kernels) provide the canonical forms that cone
 deduplication relies on.
 """
 
+from functools import lru_cache
 from math import gcd
+from operator import mul
 
 
 class IntMatrix:
@@ -27,6 +29,19 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
 
+    @classmethod
+    def _trusted(cls, entries):
+        """Wrap a matrix built inside the package without checking it.
+
+        ``entries`` must be a nonempty tuple of equal-length, nonempty
+        tuples of ints.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rows", len(entries))
+        object.__setattr__(self, "cols", len(entries[0]))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -41,7 +56,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix needs at least one row")
+        return cls._trusted(identity_rows(n))
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -57,24 +74,24 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self):
-        return IntMatrix([self.col(j) for j in range(self.cols)])
+        return IntMatrix._trusted(tuple(zip(*self.entries)))
 
     def neg(self):
-        return IntMatrix([[-x for x in r] for r in self.entries])
+        return IntMatrix._trusted(tuple(tuple(-x for x in r) for r in self.entries))
 
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = list(zip(*other.entries))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.entries]
+        cols = tuple(zip(*other.entries))
+        return IntMatrix._trusted(
+            tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries)
         )
 
     def mul_vec(self, vec):
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
+        return tuple(sum(map(mul, r, vec)) for r in self.entries)
 
     def is_square(self):
         return self.rows == self.cols
@@ -87,6 +104,12 @@ class IntMatrix:
         polynomial in the entry sizes.
         """
         return _bareiss_rank(self.entries)
+
+
+@lru_cache(maxsize=None)
+def identity_rows(n):
+    """The n x n identity as a tuple of row tuples."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _exact_int(x):

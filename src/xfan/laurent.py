@@ -4,29 +4,55 @@ Terms are a map from dense exponent vectors (length n, entries may be
 negative) to nonzero integers. The representation is canonical: zero
 coefficients are dropped at construction, so equality of polynomials is
 equality of term maps.
+
+Public construction checks every exponent and coefficient; polynomials
+built inside the package are wrapped as they are, since their terms are
+already clean. Products visit each pair of terms once (a square visits
+each unordered pair once). Exact division takes the lex-largest remainder
+term from a heap: O(T log T) comparisons for the T terms that ever enter
+the remainder, on top of the term products, where a scan for the largest
+term would cost O(T) per quotient term.
 """
 
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from operator import add, neg, sub
+
 from .errors import ExponentNegative
+from .intmat import _exact_int
 
 
 class LaurentPolynomial:
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars, terms=None):
-        object.__setattr__(self, "nvars", int(nvars))
+        nvars = _exact_int(nvars)
+        object.__setattr__(self, "nvars", nvars)
         clean = {}
         if terms:
             for exps, coeff in terms.items() if isinstance(terms, dict) else terms:
-                c = int(coeff)
+                c = _exact_int(coeff)
                 if c == 0:
                     continue
-                key = tuple(int(e) for e in exps)
+                key = tuple(_exact_int(e) for e in exps)
                 if len(key) != nvars:
                     raise ValueError("exponent vector of wrong length")
                 c += clean.pop(key, 0)
                 if c:
                     clean[key] = c
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """Wrap a term map built inside the package without checking it.
+
+        ``terms`` must map int tuples of length ``nvars`` to nonzero ints;
+        the polynomial takes ownership of the dict.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -83,46 +109,64 @@ class LaurentPolynomial:
             s = terms.pop(e, 0) + c
             if s:
                 terms[e] = s
-        return LaurentPolynomial(self.nvars, terms)
+        return LaurentPolynomial._trusted(self.nvars, terms)
 
     def __neg__(self):
-        return LaurentPolynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return LaurentPolynomial._trusted(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
+        if other is self:
+            return self._square()
         terms = {}
+        get = terms.get
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.pop(key, 0) + c1 * c2
-                if s:
-                    terms[key] = s
-        return LaurentPolynomial(self.nvars, terms)
+                key = tuple(map(add, e1, e2))
+                terms[key] = get(key, 0) + c1 * c2
+        return LaurentPolynomial._trusted(self.nvars, _nonzero(terms))
+
+    def _square(self):
+        """self * self, visiting each unordered pair of terms once."""
+        items = list(self._terms.items())
+        terms = {}
+        get = terms.get
+        for i, (e1, c1) in enumerate(items):
+            key = tuple(map(add, e1, e1))
+            terms[key] = get(key, 0) + c1 * c1
+            twice = 2 * c1
+            for e2, c2 in islice(items, i + 1, None):
+                key = tuple(map(add, e1, e2))
+                terms[key] = get(key, 0) + twice * c2
+        return LaurentPolynomial._trusted(self.nvars, _nonzero(terms))
 
     def __pow__(self, exponent):
-        exponent = int(exponent)
+        exponent = _exact_int(exponent)
         if exponent < 0:
             if len(self._terms) == 1:
                 ((exps, coeff),) = self._terms.items()
                 if coeff in (1, -1):
                     inv_exps = tuple(-e for e in exps)
-                    base = LaurentPolynomial(self.nvars, {inv_exps: coeff})
+                    base = LaurentPolynomial._trusted(self.nvars, {inv_exps: coeff})
                     return base ** (-exponent)
             raise ExponentNegative(
                 "negative power is only defined for monomials with coefficient +-1"
             )
-        result = LaurentPolynomial.one(self.nvars)
+        # square-and-multiply from the low bit; the result is empty until the
+        # first set bit, so one is never multiplied in
+        result = None
         base = self
         k = exponent
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return LaurentPolynomial.one(self.nvars) if result is None else result
 
     def _check(self, other):
         if not isinstance(other, LaurentPolynomial) or other.nvars != self.nvars:
@@ -151,6 +195,13 @@ class LaurentPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _nonzero(terms):
+    """The term map without its zero coefficients (the same dict if it has none)."""
+    if 0 in terms.values():
+        return {e: c for e, c in terms.items() if c}
+    return terms
+
+
 def divide_exact(numerator, denominator):
     """Exact quotient in the Laurent ring, or ArithmeticError.
 
@@ -159,32 +210,48 @@ def divide_exact(numerator, denominator):
     the true quotient and all coefficient divisions are integral, so a
     failed coefficient division (or runaway descent) means the inputs were
     not exactly divisible.
+
+    The remainder is kept with negated exponents, so its lex-largest term
+    is the smallest key of a min-heap. A key that cancels stays in the heap
+    and is skipped when popped. Lex order is a monomial order, so every
+    term a step adds is lex-smaller than the term it took, and a popped key
+    never comes back.
     """
     if denominator.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if numerator.is_zero():
         return numerator
-    n = numerator.nvars
-    den_terms = denominator._terms
-    lead = max(den_terms)
-    lead_coeff = den_terms[lead]
-    remainder = dict(numerator._terms)
+    den = sorted((tuple(map(neg, e)), c) for e, c in denominator._terms.items())
+    (lead, lead_coeff), rest = den[0], den[1:]
+    remainder = {tuple(map(neg, e)): c for e, c in numerator._terms.items()}
+    heap = list(remainder)
+    heapify(heap)
     quotient = {}
-    max_steps = 4 * (len(remainder) + 1) * (len(den_terms) + 1) + 1000
+    max_steps = 4 * (len(remainder) + 1) * (len(den) + 1) + 1000
     steps = 0
-    while remainder:
+    while heap:
+        top = heappop(heap)
+        coeff = remainder.pop(top, 0)
+        if not coeff:
+            continue
         steps += 1
         if steps > max_steps:
             raise ArithmeticError("polynomials do not divide exactly")
-        top = max(remainder)
-        q_coeff, rem = divmod(remainder[top], lead_coeff)
+        q_coeff, rem = divmod(coeff, lead_coeff)
         if rem:
             raise ArithmeticError("polynomials do not divide exactly")
-        q_exps = tuple(a - b for a, b in zip(top, lead))
-        quotient[q_exps] = q_coeff
-        for e, c in den_terms.items():
-            key = tuple(a + b for a, b in zip(q_exps, e))
-            s = remainder.pop(key, 0) - q_coeff * c
-            if s:
-                remainder[key] = s
-    return LaurentPolynomial(n, quotient)
+        q_exps = tuple(map(sub, top, lead))
+        quotient[tuple(map(neg, q_exps))] = q_coeff
+        for e, c in rest:
+            key = tuple(map(add, q_exps, e))
+            s = remainder.get(key)
+            if s is None:
+                remainder[key] = -q_coeff * c
+                heappush(heap, key)
+            else:
+                s -= q_coeff * c
+                if s:
+                    remainder[key] = s
+                else:
+                    del remainder[key]
+    return LaurentPolynomial._trusted(numerator.nvars, quotient)

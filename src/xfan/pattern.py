@@ -15,15 +15,17 @@ guarantees both. A c-matrix determines its whole seed (Nakanishi-Zelevinsky),
 so the set of columns of C_t is the key of the unlabelled seed.
 """
 
+from operator import mul
+
 from .errors import (
     DualityViolation,
     ExhaustionCapExceeded,
     IndexOutOfRange,
     SignCoherenceViolation,
 )
-from .intmat import IntMatrix
+from .intmat import IntMatrix, identity_rows
 from .laurent import LaurentPolynomial, divide_exact
-from .seed import ExchangeMatrix, mutate
+from .seed import ExchangeMatrix, mutate, mutate_rows
 
 DEFAULT_DEPTH = 12
 
@@ -117,14 +119,19 @@ def mutate_node(node, k):
     new_em = mutate(node.B_t, k)
     # c-matrix recurrence: the coefficient column k flips, every other
     # column picks up a rectified multiple of column k. The exchange entries
-    # belong to the same pattern as the c-matrix, so C_t (initial -B^T) uses
-    # the entries of -B_t^T and the companion (initial B) uses B_t itself.
-    new_c = _mutate_c(node.C_t, lambda r, c_: -b[c_][r], kk, n)
-    new_cb = _mutate_c(node.companion_c, lambda r, c_: b[r][c_], kk, n)
+    # belong to the same pattern as the c-matrix, so C_t (initial -B^T)
+    # pivots on row k of -B_t^T and the companion (initial B) on row k of B_t.
+    new_c = _mutate_c(node.C_t, kk, tuple(-row[kk] for row in b))
+    new_cb = _mutate_c(node.companion_c, kk, b[kk])
     _check_coherent(new_c)
     _check_coherent(new_cb)
-    new_g = _mutate_g(node.G_t, b, node.companion_c, kk, n)
-    if new_c.transpose().mul(new_g) != IntMatrix.identity(n):
+    new_g = _mutate_g(node.G_t, b, node.companion_c, kk)
+    g_cols = tuple(zip(*new_g.entries))
+    duality = tuple(
+        tuple(sum(map(mul, c_col, g_col)) for g_col in g_cols)
+        for c_col in zip(*new_c.entries)
+    )
+    if duality != identity_rows(n):
         raise DualityViolation(
             f"g-matrix disagrees with the inverse transposed c-matrix at history {node.history + (k,)}"
         )
@@ -134,51 +141,36 @@ def mutate_node(node, k):
     return PatternNode(new_em, new_c, new_g, new_f, node.history + (k,), new_cb)
 
 
-def _mutate_c(cmat, exchange_entry, kk, n):
-    e = cmat.entries
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        cik = e[i][kk]
-        s = 1 if cik > 0 else (-1 if cik < 0 else 0)
-        for j in range(n):
-            if j == kk:
-                out[i][j] = -cik
-            else:
-                out[i][j] = e[i][j] + s * max(cik * exchange_entry(kk, j), 0)
-    return IntMatrix(out)
+def _mutate_c(cmat, kk, pivot):
+    return IntMatrix._trusted(tuple(mutate_rows(cmat.entries, kk, pivot)))
 
 
-def _column_sign(cmat, kk, n):
-    pos = any(cmat.entries[i][kk] > 0 for i in range(n))
-    neg = any(cmat.entries[i][kk] < 0 for i in range(n))
+def _column_sign(col, kk):
+    pos = max(col) > 0
+    neg = min(col) < 0
     if pos and neg or not (pos or neg):
         raise SignCoherenceViolation(f"c-matrix column {kk + 1} has mixed signs")
     return 1 if pos else -1
 
 
-def _mutate_g(gmat, b, companion_c, kk, n):
+def _mutate_g(gmat, b, companion_c, kk):
     # column recurrence: right-multiply by the elementary matrix whose k-th
     # column rectifies -eps * B column k, eps being the sign of the
-    # companion c-matrix column k
-    eps = _column_sign(companion_c, kk, n)
-    g = gmat.entries
-    out = [list(row) for row in g]
-    for i in range(n):
-        acc = -g[i][kk]
-        for j in range(n):
-            if j != kk:
-                acc += g[i][j] * max(0, -eps * b[j][kk])
-        out[i][kk] = acc
-    return IntMatrix(out)
+    # companion c-matrix column k (b_kk = 0 keeps column k out of the sum)
+    eps = _column_sign(tuple(row[kk] for row in companion_c.entries), kk)
+    weights = tuple(max(0, -eps * row[kk]) for row in b)
+    out = []
+    for row in gmat.entries:
+        new = list(row)
+        new[kk] = sum(map(mul, row, weights)) - row[kk]
+        out.append(tuple(new))
+    return IntMatrix._trusted(tuple(out))
 
 
 def _mutate_f(polys, b, companion_c, kk, n):
-    pos = LaurentPolynomial.monomial(
-        n, tuple(max(companion_c.entries[i][kk], 0) for i in range(n))
-    )
-    neg = LaurentPolynomial.monomial(
-        n, tuple(max(-companion_c.entries[i][kk], 0) for i in range(n))
-    )
+    column = tuple(row[kk] for row in companion_c.entries)
+    pos = LaurentPolynomial._trusted(n, {tuple(max(c, 0) for c in column): 1})
+    neg = LaurentPolynomial._trusted(n, {tuple(max(-c, 0) for c in column): 1})
     for i in range(n):
         bik = b[i][kk]
         if bik > 0:
@@ -194,8 +186,8 @@ def _mutate_f(polys, b, companion_c, kk, n):
 
 
 def _check_coherent(cmat):
-    for j in range(cmat.cols):
-        _column_sign(cmat, j, cmat.rows)
+    for j, col in enumerate(zip(*cmat.entries)):
+        _column_sign(col, j)
 
 
 def enumerate_pattern(

@@ -16,7 +16,7 @@ from .errors import (
     NotSkewSymmetric,
     NotSkewSymmetrizable,
 )
-from .intmat import IntMatrix, integer_kernel_basis
+from .intmat import IntMatrix, _exact_int, integer_kernel_basis
 
 
 class ExchangeMatrix:
@@ -31,7 +31,7 @@ class ExchangeMatrix:
 
     def __init__(self, B, d):
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "d", tuple(int(x) for x in d))
+        object.__setattr__(self, "d", tuple(d))
         object.__setattr__(self, "n", B.rows)
 
     def __setattr__(self, name, value):
@@ -130,7 +130,7 @@ def validate(B, d=None):
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) have the same sign"
                 )
     if d is not None:
-        given = tuple(int(x) for x in d)
+        given = tuple(_exact_int(x) for x in d)
         if len(given) != n or any(x <= 0 for x in given):
             raise NotSkewSymmetrizable("supplied d must be n positive integers")
         for i in range(n):
@@ -189,20 +189,35 @@ def mutate(em, k):
         raise IndexOutOfRange(f"direction {k} outside 1..{n}")
     kk = k - 1
     e = em.B.entries
-    new = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == kk or j == kk:
-                new[i][j] = -e[i][j]
-            else:
-                s = 1 if e[i][kk] > 0 else (-1 if e[i][kk] < 0 else 0)
-                new[i][j] = e[i][j] + s * max(e[i][kk] * e[kk][j], 0)
-    return ExchangeMatrix(IntMatrix(new), em.d)
+    rows = mutate_rows(e, kk, e[kk])
+    rows[kk] = tuple(-x for x in e[kk])
+    return ExchangeMatrix(IntMatrix._trusted(tuple(rows)), em.d)
+
+
+def mutate_rows(rows, kk, pivot):
+    """Rows of a matrix mutated in column kk (0-based) against a pivot row.
+
+    Row i becomes r_ij + sgn(r_ik) [r_ik pivot_j]_+ off column kk, and -r_ik
+    in it: the rule for every row of an extended exchange matrix other than
+    row kk itself, with ``pivot`` the exchange row b_k. Returns a list of
+    tuples; a row with r_ik = 0 is returned unchanged.
+    """
+    out = []
+    for row in rows:
+        r_ik = row[kk]
+        if r_ik == 0:
+            out.append(row)
+            continue
+        s = 1 if r_ik > 0 else -1
+        new = [x + s * max(r_ik * y, 0) for x, y in zip(row, pivot)]
+        new[kk] = -r_ik
+        out.append(tuple(new))
+    return out
 
 
 def p_star(em, beta):
     """The lattice map beta -> B.beta (column convention)."""
-    beta = tuple(int(x) for x in beta)
+    beta = tuple(_exact_int(x) for x in beta)
     if len(beta) != em.n:
         raise DimensionMismatch(f"beta has length {len(beta)}, expected {em.n}")
     return em.B.mul_vec(beta)

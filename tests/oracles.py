@@ -255,6 +255,91 @@ def sympy_inverse(rows):
     ]
 
 
+def laurent_mul(a, b):
+    """Product of two Laurent polynomials given as {exponent tuple: int} dicts.
+
+    Plain double loop over term pairs; zero coefficients are dropped as
+    they appear.
+    """
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            s = terms.pop(key, 0) + c1 * c2
+            if s:
+                terms[key] = s
+    return terms
+
+
+def laurent_pow(a, exponent, nvars):
+    """a ** exponent by repeated multiplication, starting from one."""
+    out = {(0,) * nvars: 1}
+    for _ in range(exponent):
+        out = laurent_mul(out, a)
+    return out
+
+
+def laurent_divide_exact(numerator, denominator):
+    """Exact quotient of term dicts, or ArithmeticError.
+
+    Term-order division against the lex-largest denominator term, taking
+    the lex-largest remainder term by a full scan at every step. Raises
+    ArithmeticError on a nonintegral coefficient quotient or after more
+    steps than an exact quotient can take.
+    """
+    if not numerator:
+        return {}
+    lead = max(denominator)
+    lead_coeff = denominator[lead]
+    remainder = dict(numerator)
+    quotient = {}
+    max_steps = 4 * (len(remainder) + 1) * (len(denominator) + 1) + 1000
+    steps = 0
+    while remainder:
+        steps += 1
+        if steps > max_steps:
+            raise ArithmeticError("polynomials do not divide exactly")
+        top = max(remainder)
+        q_coeff, rem = divmod(remainder[top], lead_coeff)
+        if rem:
+            raise ArithmeticError("polynomials do not divide exactly")
+        q_exps = tuple(a - b for a, b in zip(top, lead))
+        quotient[q_exps] = q_coeff
+        for e, c in denominator.items():
+            key = tuple(a + b for a, b in zip(q_exps, e))
+            s = remainder.pop(key, 0) - q_coeff * c
+            if s:
+                remainder[key] = s
+    return quotient
+
+
+def f_polynomial_step(fpolys, b_rows, c_column, k):
+    """F-polynomials after mutation in direction k (0-based), as term dicts.
+
+    Fomin-Zelevinsky recurrence with principal coefficients:
+    F_k' = (y^[c_k]+ prod F_i^[b_ik]+ + y^[-c_k]+ prod F_i^[-b_ik]+) / F_k,
+    where c_k is column k of the c-matrix of the initial-B pattern and
+    b_ik are entries of the current exchange matrix. Other F_i stay.
+    """
+    n = len(b_rows)
+    pos = {tuple(max(c, 0) for c in c_column): 1}
+    neg = {tuple(max(-c, 0) for c in c_column): 1}
+    for i in range(n):
+        e = b_rows[i][k]
+        if e > 0:
+            pos = laurent_mul(pos, laurent_pow(fpolys[i], e, n))
+        elif e < 0:
+            neg = laurent_mul(neg, laurent_pow(fpolys[i], -e, n))
+    total = dict(pos)
+    for key, c in neg.items():
+        s = total.pop(key, 0) + c
+        if s:
+            total[key] = s
+    out = list(fpolys)
+    out[k] = laurent_divide_exact(total, fpolys[k])
+    return out
+
+
 def _self_check():
     rng = random.Random(7)
     assert fraction_rank([[0, 1, 0], [0, -1, 0]]) == 1
@@ -265,6 +350,10 @@ def _self_check():
     assert seed_orbit_count([([[0, 1], [-1, 0]], [[1, 0], [0, 1]]), ([[0, -1], [1, 0]], [[0, 1], [1, 0]])]) == 1
     assert path_counts(3, [(0, 1, 2), (1, 2, 1)]) == [[1, 2, 2], [0, 1, 1], [0, 0, 1]]
     assert sympy_inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
+    y_plus_one = {(1,): 1, (0,): 1}
+    assert laurent_pow(y_plus_one, 2, 1) == {(2,): 1, (1,): 2, (0,): 1}
+    assert laurent_divide_exact(laurent_mul(y_plus_one, y_plus_one), y_plus_one) == y_plus_one
+    assert f_polynomial_step([{(0, 0): 1}] * 2, [[0, 1], [-1, 0]], (1, 0), 0)[0] == {(1, 0): 1, (0, 0): 1}
     b, d = random_skew_symmetrizable(rng, 3)
     for i in range(3):
         for j in range(3):

@@ -7,7 +7,21 @@ from fractions import Fraction
 
 import pytest
 
-from xfan import IntMatrix, hnf_rows, integer_kernel_basis, primitive_vector, validate
+from xfan import (
+    IntMatrix,
+    LaurentPolynomial,
+    build_system,
+    conic_membership,
+    contains,
+    enumerate_pattern,
+    hnf_rows,
+    integer_kernel_basis,
+    locate,
+    p_star,
+    primitive_vector,
+    theta,
+    validate,
+)
 from xfan.intmat import clear_multipliers
 
 from oracles import fraction_rank
@@ -36,6 +50,41 @@ def test_non_integer_entries_rejected():
     m = IntMatrix([[Fraction(2), 3.0, True]])
     assert m.entries == ((2, 3, 1),)
     assert all(type(x) is int for x in m.entries[0])
+
+
+B_A2 = [[0, 1], [-1, 0]]
+BETA = (1.7, 0)
+
+
+def _a2_catalog():
+    return enumerate_pattern(validate(B_A2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: IntMatrix([[1.5]]),
+        lambda: validate(B_A2, d=[1.5, 1.9]),
+        lambda: p_star(validate(B_A2), BETA),
+        lambda: locate(BETA, _a2_catalog()),
+        lambda: theta(BETA, _a2_catalog()),
+        lambda: contains(build_system(_a2_catalog().nodes[0], validate(B_A2)), BETA),
+        lambda: conic_membership(BETA, [(1, 0), (0, 1)]),
+        lambda: conic_membership((1, 0), [(1.5, 0)]),
+        lambda: LaurentPolynomial(1, {(1.5,): 2}),
+        lambda: LaurentPolynomial(1, {(1,): 2.5}),
+        lambda: LaurentPolynomial.monomial(2, BETA),
+        lambda: LaurentPolynomial.one(1) ** 1.5,
+    ],
+    ids=[
+        "IntMatrix", "validate-d", "p_star", "locate", "theta", "contains",
+        "conic_membership-target", "conic_membership-generator",
+        "laurent-exponent", "laurent-coefficient", "laurent-monomial", "laurent-pow",
+    ],
+)
+def test_non_integral_input_raises(call):
+    with pytest.raises(ValueError, match="integer entries required"):
+        call()
 
 
 def test_mul_vec_and_transpose():

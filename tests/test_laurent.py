@@ -8,6 +8,8 @@ import pytest
 
 from xfan import ExponentNegative, LaurentPolynomial, divide_exact
 
+from oracles import laurent_divide_exact, laurent_mul, laurent_pow
+
 
 def _poly(nvars, terms):
     return LaurentPolynomial(nvars, terms)
@@ -117,3 +119,44 @@ def test_hash_consistent_with_eq():
     a = _poly(2, {(1, 1): 2})
     b = _poly(2, [((1, 1), 1), ((1, 1), 1)])
     assert a == b and hash(a) == hash(b)
+
+
+def _assert_clean(p):
+    # the term map holds exactly the nonzero terms (trace counters read it)
+    assert isinstance(p._terms, dict)
+    assert len(p._terms) == len(p.sorted_terms())
+    assert 0 not in p._terms.values()
+
+
+def test_kernel_matches_dict_oracle():
+    rng = random.Random(31337)
+    inexact = 0
+    for _ in range(80):
+        nvars = rng.randint(1, 4)
+        a = _random_poly(rng, nvars, allow_negative=True)
+        b = _random_poly(rng, nvars, allow_negative=True)
+        ta, tb = dict(a.sorted_terms()), dict(b.sorted_terms())
+        prod = a * b
+        assert dict(prod.sorted_terms()) == laurent_mul(ta, tb)
+        assert a * a == _poly(nvars, laurent_mul(ta, ta))
+        total = a + b
+        for p in (prod, a * a, total):
+            _assert_clean(p)
+        for k in range(6):
+            power = a ** k
+            assert dict(power.sorted_terms()) == laurent_pow(ta, k, nvars)
+            _assert_clean(power)
+        if not tb:
+            continue
+        q = divide_exact(prod, b)
+        assert q == a and dict(q.sorted_terms()) == laurent_divide_exact(dict(prod._terms), tb)
+        _assert_clean(q)
+        try:
+            expected = laurent_divide_exact(dict(total._terms), tb)
+        except ArithmeticError:
+            inexact += 1
+            with pytest.raises(ArithmeticError):
+                divide_exact(total, b)
+        else:
+            assert dict(divide_exact(total, b).sorted_terms()) == expected
+    assert inexact > 30

@@ -11,6 +11,7 @@ from xfan import (
     DualityViolation,
     ExhaustionCapExceeded,
     IntMatrix,
+    LaurentPolynomial,
     enumerate_pattern,
     initial_node,
     mutate_node,
@@ -20,7 +21,12 @@ from xfan import (
 
 from xfan import pattern
 
-from oracles import principal_seed_walk, random_skew_symmetrizable, seed_orbit_count
+from oracles import (
+    f_polynomial_step,
+    principal_seed_walk,
+    random_skew_symmetrizable,
+    seed_orbit_count,
+)
 
 B_A2 = [[0, 1], [-1, 0]]
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
@@ -200,3 +206,37 @@ def test_positive_c_vectors_a2():
     cat = enumerate_pattern(validate(B_A2))
     pos = positive_c_vectors(cat)
     assert pos == ((0, 1), (1, 0), (1, 1))
+
+
+def test_exchange_losing_constant_term_fires(monkeypatch):
+    good = pattern.divide_exact
+
+    def lossy(numerator, denominator):
+        q = good(numerator, denominator)
+        terms = dict(q.sorted_terms())
+        terms.pop((0,) * q.nvars, None)
+        return LaurentPolynomial(q.nvars, terms)
+
+    monkeypatch.setattr(pattern, "divide_exact", lossy)
+    with pytest.raises(DualityViolation):
+        mutate_node(initial_node(validate(B_A3)), 2)
+
+
+def _plain(polys):
+    return [dict(p.sorted_terms()) for p in polys]
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [(B_A3, None), (B_B3, None), (B_A4, None), (B_D4, None), (B_MARKOV, 5)],
+    ids=["A3", "B3", "A4", "D4", "Markov"],
+)
+def test_f_polynomials_match_dict_oracle(rows, depth):
+    cat = enumerate_pattern(validate(rows), max_depth=depth)
+    by_history = {node.history: node for node in cat.nodes}
+    for node in cat.nodes[1:]:
+        parent = by_history[node.history[:-1]]
+        k = node.history[-1] - 1
+        column = [row[k] for row in parent.companion_c.entries]
+        expected = f_polynomial_step(_plain(parent.F_t), parent.B_t.B.entries, column, k)
+        assert _plain(node.F_t) == expected
