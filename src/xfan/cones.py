@@ -25,18 +25,14 @@ from .intmat import (
 class InequalitySystem:
     """The system A.beta >= 0 attached to one pattern node."""
 
-    __slots__ = ("A", "history", "c_matrix")
+    __slots__ = ("A", "history")
 
-    def __init__(self, A, history=(), c_matrix=None):
+    def __init__(self, A, history=()):
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "history", tuple(history))
-        object.__setattr__(self, "c_matrix", c_matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("InequalitySystem is immutable")
-
-    def rows(self):
-        return self.A.entries
 
     def __repr__(self):
         return f"InequalitySystem(rows={[list(r) for r in self.A.entries]}, history={self.history})"
@@ -97,14 +93,11 @@ class ConeDescription:
     def __setattr__(self, name, value):
         raise AttributeError("ConeDescription is immutable")
 
-    def facet_indices(self):
-        return tuple(f.representative for f in self.facets)
-
 
 def build_system(node, root_em):
     """A = C_t^T . B for the root exchange matrix B."""
     A = node.C_t.transpose().mul(root_em.B)
-    return InequalitySystem(A, node.history, node.C_t)
+    return InequalitySystem(A, node.history)
 
 
 def conic_membership(v, generators):

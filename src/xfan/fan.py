@@ -1,11 +1,11 @@
 """Assembly of the cone complex and theta functions on its integral points.
 
-Every catalog node contributes one inequality system; systems describing
-the same point set merge under the canonical key, and each merged cone
-remembers every witnessing seed history. Theta evaluation picks the first
-BFS witness containing the point (any witness gives the same value, which
-the tests check) and expands y^beta times the product of coefficient
-polynomials raised to the tropical exponents.
+The first node of every seed contributes one inequality system; systems
+describing the same point set merge under the canonical key, and each
+merged cone remembers every witnessing node history. Theta evaluation
+picks the first BFS witness containing the point (any witness gives the
+same value, which the tests check) and expands y^beta times the product
+of coefficient polynomials raised to the tropical exponents.
 """
 
 from itertools import combinations
@@ -70,25 +70,19 @@ def assemble_fan(catalog):
     """Merge the nodes' cones in first-seen order, classifying once per seed.
 
     A cone depends only on the set of c-vectors, so nodes sharing a seed key
-    share a cone and only the first of them is classified. The first node of
-    every cone is therefore classified, and its description is the one kept.
+    share a cone and only ``catalog.seeds`` are classified. The first node
+    of every cone is the first node of its seed, so its description is the
+    one kept.
     """
     merged = {}
-    order = []
     cone_of_seed = {}
+    for node in catalog.seeds:
+        desc = classify(build_system(node, catalog.root))
+        key = cone_of_seed[node.seed_key()] = canonical_key(desc)
+        merged.setdefault(key, (desc, []))
     for node in catalog.nodes:
-        seed = node.seed_key()
-        key = cone_of_seed.get(seed)
-        if key is None:
-            desc = classify(build_system(node, catalog.root))
-            key = cone_of_seed[seed] = canonical_key(desc)
-        slot = merged.get(key)
-        if slot is None:
-            merged[key] = (desc, [node.history])
-            order.append(key)
-        else:
-            slot[1].append(node.history)
-    cones = [XCone(key, merged[key][0], merged[key][1]) for key in order]
+        merged[cone_of_seed[node.seed_key()]][1].append(node.history)
+    cones = [XCone(key, desc, witnesses) for key, (desc, witnesses) in merged.items()]
     return XFanReport(cones, catalog.complete)
 
 
@@ -96,10 +90,12 @@ def locate(beta, catalog):
     """First BFS node whose cone contains beta, with the exponent vector.
 
     Returns (node, alpha) where alpha = C_t^T.B.beta, or None when no
-    visited cone contains beta.
+    visited cone contains beta. Nodes sharing a seed key share a cone, and
+    the first hit is the first node of its seed, so only ``catalog.seeds``
+    are tested.
     """
     image = p_star(catalog.root, beta)
-    for node in catalog.nodes:
+    for node in catalog.seeds:
         alpha = tuple(sum(map(mul, col, image)) for col in zip(*node.C_t.entries))
         if min(alpha) >= 0:
             return node, alpha

@@ -60,10 +60,6 @@ class IntMatrix:
             raise ValueError("matrix needs at least one row")
         return cls._trusted(identity_rows(n))
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
     def at(self, i, j):
         return self.entries[i][j]
 

@@ -207,9 +207,10 @@ def divide_exact(numerator, denominator):
 
     Classic term-order division against the lex-maximal term of the
     denominator. When the division is exact every greedy step is a term of
-    the true quotient and all coefficient divisions are integral, so a
-    failed coefficient division (or runaway descent) means the inputs were
-    not exactly divisible.
+    the true quotient, whose lex-smallest term is lexmin(N) - lexmin(D), and
+    all coefficient divisions are integral. So a failed coefficient
+    division or a quotient term below that bound means the inputs were not
+    exactly divisible; a step limit backs this up.
 
     The remainder is kept with negated exponents, so its lex-largest term
     is the smallest key of a min-heap. A key that cancels stays in the heap
@@ -226,6 +227,8 @@ def divide_exact(numerator, denominator):
     remainder = {tuple(map(neg, e)): c for e, c in numerator._terms.items()}
     heap = list(remainder)
     heapify(heap)
+    # lexmin(N) - lexmin(D), negated like the remainder keys
+    bound = tuple(map(sub, max(heap), den[-1][0]))
     quotient = {}
     max_steps = 4 * (len(remainder) + 1) * (len(den) + 1) + 1000
     steps = 0
@@ -237,10 +240,10 @@ def divide_exact(numerator, denominator):
         steps += 1
         if steps > max_steps:
             raise ArithmeticError("polynomials do not divide exactly")
-        q_coeff, rem = divmod(coeff, lead_coeff)
-        if rem:
-            raise ArithmeticError("polynomials do not divide exactly")
         q_exps = tuple(map(sub, top, lead))
+        q_coeff, rem = divmod(coeff, lead_coeff)
+        if rem or q_exps > bound:
+            raise ArithmeticError("polynomials do not divide exactly")
         quotient[tuple(map(neg, q_exps))] = q_coeff
         for e, c in rest:
             key = tuple(map(add, q_exps, e))

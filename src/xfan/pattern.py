@@ -3,16 +3,21 @@
 Each node of the n-regular tree holds the mutated exchange matrix B_t, the
 c-matrix C_t of the pattern whose initial matrix is -B^T (the one whose rows
 cut out the cones downstream), the g-matrix G_t of the pattern for B itself,
-and the coefficient polynomials F_t. One traversal carries both dual
-patterns: mutation commutes with (B -> -B^T), so the companion c-matrix
-for B (which drives the polynomial and g recurrences) rides along in the
-same node.
+and the coefficient polynomials F_t.
+
+The g and F recurrences read the c-matrix of the pattern for B, which is
+D^-1.C_t.D for the skew-symmetrizer D = diag(d). Both c-matrices start at I
+and mutate row by row against a pivot row: C_t against row k of -B_t^T,
+with entries -b_jk, and the other against row k of B_t, with entries b_kj.
+Since d_k.b_kj = -d_j.b_jk for every B_t, row i of the second recurrence is
+d_j/d_i times row i of the first, entry by entry, at every step.
 
 G_t comes from a direct column recurrence and is checked against tropical
 duality, C_t^T.G_t = I, over the integers; every c-matrix column must be
 sign coherent. Violations raise immediately since the supporting theory
-guarantees both. A c-matrix determines its whole seed (Nakanishi-Zelevinsky),
-so the set of columns of C_t is the key of the unlabelled seed.
+guarantees both. A c-matrix determines its whole seed, B_t and G_t
+included (Nakanishi-Zelevinsky), so the traversal deduplicates on C_t
+alone and the set of columns of C_t is the key of the unlabelled seed.
 """
 
 from operator import mul
@@ -35,27 +40,22 @@ class PatternNode:
 
     Fields: ``B_t`` (ExchangeMatrix), ``C_t`` (c-matrix, initial -B^T
     pattern), ``G_t`` (g-matrix, initial B pattern), ``F_t`` (tuple of
-    LaurentPolynomials, or None when polynomial tracking was disabled),
-    ``history`` (1-based directions from the root), and ``companion_c``
-    (c-matrix of the B pattern; equals C_t when B is skew-symmetric).
+    LaurentPolynomials, or None when polynomial tracking was disabled) and
+    ``history`` (1-based directions from the root). C_t determines the
+    rest of the seed; the c-matrix of the B pattern is D^-1.C_t.D.
     """
 
-    __slots__ = ("B_t", "C_t", "G_t", "F_t", "history", "companion_c")
+    __slots__ = ("B_t", "C_t", "G_t", "F_t", "history")
 
-    def __init__(self, B_t, C_t, G_t, F_t, history, companion_c):
+    def __init__(self, B_t, C_t, G_t, F_t, history):
         object.__setattr__(self, "B_t", B_t)
         object.__setattr__(self, "C_t", C_t)
         object.__setattr__(self, "G_t", G_t)
         object.__setattr__(self, "F_t", F_t)
         object.__setattr__(self, "history", tuple(history))
-        object.__setattr__(self, "companion_c", companion_c)
 
     def __setattr__(self, name, value):
         raise AttributeError("PatternNode is immutable")
-
-    def key(self):
-        """Dedup key: the pair (B_t, C_t) verbatim."""
-        return (self.B_t.B.entries, self.C_t.entries)
 
     def seed_key(self):
         """Key of the unlabelled seed: the sorted tuple of the columns of C_t.
@@ -71,16 +71,24 @@ class PatternNode:
 
 
 class PatternCatalog:
-    """All visited nodes of one bounded traversal, in BFS order."""
+    """All visited nodes of one bounded traversal, in BFS order.
 
-    __slots__ = ("root", "nodes", "depth", "complete", "_index")
+    ``seeds`` holds the first node of each seed key, in BFS order: the one
+    node per unlabelled seed that cone classification and point location
+    look at.
+    """
+
+    __slots__ = ("root", "nodes", "depth", "complete", "seeds")
 
     def __init__(self, root, nodes, depth, complete):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "_index", {n.key(): i for i, n in enumerate(nodes)})
+        first = {}
+        for node in self.nodes:
+            first.setdefault(node.seed_key(), node)
+        object.__setattr__(self, "seeds", tuple(first.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("PatternCatalog is immutable")
@@ -88,13 +96,9 @@ class PatternCatalog:
     def __len__(self):
         return len(self.nodes)
 
-    def find(self, key):
-        i = self._index.get(key)
-        return None if i is None else self.nodes[i]
-
     def seed_class_count(self):
         """Seeds up to simultaneous relabeling: the number of distinct seed keys."""
-        return len({node.seed_key() for node in self.nodes})
+        return len(self.seeds)
 
 
 def initial_node(em, with_polynomials=True):
@@ -102,7 +106,7 @@ def initial_node(em, with_polynomials=True):
     n = em.n
     ident = IntMatrix.identity(n)
     polys = tuple(LaurentPolynomial.one(n) for _ in range(n)) if with_polynomials else None
-    return PatternNode(em, ident, ident, polys, (), ident)
+    return PatternNode(em, ident, ident, polys, ())
 
 
 def mutate_node(node, k):
@@ -116,16 +120,18 @@ def mutate_node(node, k):
         raise IndexOutOfRange(f"direction {k} outside 1..{n}")
     kk = k - 1
     b = node.B_t.B.entries
+    d = node.B_t.d
     new_em = mutate(node.B_t, k)
     # c-matrix recurrence: the coefficient column k flips, every other
     # column picks up a rectified multiple of column k. The exchange entries
     # belong to the same pattern as the c-matrix, so C_t (initial -B^T)
-    # pivots on row k of -B_t^T and the companion (initial B) on row k of B_t.
-    new_c = _mutate_c(node.C_t, kk, tuple(-row[kk] for row in b))
-    new_cb = _mutate_c(node.companion_c, kk, b[kk])
+    # pivots on row k of -B_t^T.
+    pivot = tuple(-row[kk] for row in b)
+    new_c = IntMatrix._trusted(tuple(mutate_rows(node.C_t.entries, kk, pivot)))
     _check_coherent(new_c)
-    _check_coherent(new_cb)
-    new_g = _mutate_g(node.G_t, b, node.companion_c, kk)
+    # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
+    column = tuple(row[kk] * d[kk] // di for row, di in zip(node.C_t.entries, d))
+    new_g = _mutate_g(node.G_t, b, column, kk)
     g_cols = tuple(zip(*new_g.entries))
     duality = tuple(
         tuple(sum(map(mul, c_col, g_col)) for g_col in g_cols)
@@ -137,12 +143,8 @@ def mutate_node(node, k):
         )
     new_f = None
     if node.F_t is not None:
-        new_f = _mutate_f(node.F_t, b, node.companion_c, kk, n)
-    return PatternNode(new_em, new_c, new_g, new_f, node.history + (k,), new_cb)
-
-
-def _mutate_c(cmat, kk, pivot):
-    return IntMatrix._trusted(tuple(mutate_rows(cmat.entries, kk, pivot)))
+        new_f = _mutate_f(node.F_t, b, column, kk, n)
+    return PatternNode(new_em, new_c, new_g, new_f, node.history + (k,))
 
 
 def _column_sign(col, kk):
@@ -153,11 +155,11 @@ def _column_sign(col, kk):
     return 1 if pos else -1
 
 
-def _mutate_g(gmat, b, companion_c, kk):
+def _mutate_g(gmat, b, column, kk):
     # column recurrence: right-multiply by the elementary matrix whose k-th
-    # column rectifies -eps * B column k, eps being the sign of the
-    # companion c-matrix column k (b_kk = 0 keeps column k out of the sum)
-    eps = _column_sign(tuple(row[kk] for row in companion_c.entries), kk)
+    # column rectifies -eps * B column k, eps being the sign of column k of
+    # the B-pattern c-matrix (b_kk = 0 keeps column k out of the sum)
+    eps = _column_sign(column, kk)
     weights = tuple(max(0, -eps * row[kk]) for row in b)
     out = []
     for row in gmat.entries:
@@ -167,8 +169,7 @@ def _mutate_g(gmat, b, companion_c, kk):
     return IntMatrix._trusted(tuple(out))
 
 
-def _mutate_f(polys, b, companion_c, kk, n):
-    column = tuple(row[kk] for row in companion_c.entries)
+def _mutate_f(polys, b, column, kk, n):
     pos = LaurentPolynomial._trusted(n, {tuple(max(c, 0) for c in column): 1})
     neg = LaurentPolynomial._trusted(n, {tuple(max(-c, 0) for c in column): 1})
     for i in range(n):
@@ -196,7 +197,7 @@ def enumerate_pattern(
     with_polynomials=True,
     node_cap=None,
 ):
-    """BFS over the mutation tree with verbatim (B_t, C_t) deduplication.
+    """BFS over the mutation tree, deduplicating nodes on C_t.
 
     Immediate back-mutation is skipped; ties among directions break by
     ascending index, so the catalog order is deterministic. ``max_depth``
@@ -213,7 +214,7 @@ def enumerate_pattern(
         raise ValueError("max_depth must be nonnegative or None")
     root = initial_node(em, with_polynomials=with_polynomials)
     nodes = [root]
-    seen = {root.key()}
+    seen = {root.C_t.entries}
     frontier = [root]
     depth = 0
     complete = False
@@ -229,7 +230,7 @@ def enumerate_pattern(
                 if k == last:
                     continue
                 child = mutate_node(parent, k)
-                key = child.key()
+                key = child.C_t.entries
                 if key in seen:
                     continue
                 seen.add(key)

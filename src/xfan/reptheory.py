@@ -19,7 +19,7 @@ from .errors import (
     NotPositive,
     NotRepresentationFinite,
 )
-from .intmat import IntMatrix, clear_multipliers
+from .intmat import IntMatrix, _exact_int, clear_multipliers
 from .seed import topological_order
 
 
@@ -49,7 +49,7 @@ class DerivedObject:
     __slots__ = ("dim", "label")
 
     def __init__(self, dim, label=None):
-        vec = tuple(int(x) for x in dim)
+        vec = tuple(_exact_int(x) for x in dim)
         if not any(vec):
             raise ValueError("the zero dimension vector is not an object")
         object.__setattr__(self, "dim", vec)
@@ -114,7 +114,7 @@ class ARQuiverSlice:
 
     def mesh_at(self, dim):
         """The recorded mesh whose source has the given dimension vector."""
-        target = tuple(int(x) for x in dim)
+        target = tuple(_exact_int(x) for x in dim)
         for mesh in self.meshes:
             if self.objects[mesh.source].dim == target:
                 return mesh
@@ -171,13 +171,13 @@ def path_algebra_data(quiver):
 
 def g_vector(data, obj):
     """g = inverse Cartan times the dimension vector (as a column)."""
-    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(int(x) for x in obj)
+    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(_exact_int(x) for x in obj)
     return data.cartan_inv.mul_vec(dim)
 
 
 def tau_inverse_dim(data, obj):
     """Inverse AR translate on classes: inverse Coxeter times the dim column."""
-    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(int(x) for x in obj)
+    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(_exact_int(x) for x in obj)
     label = obj.label if isinstance(obj, DerivedObject) else None
     moved = data.coxeter_inv.mul_vec(dim)
     return DerivedObject(moved, label=None if label is None else f"tau^-1 {label}")
@@ -188,7 +188,7 @@ def verify_dv_gv(data, obj):
 
     Returns (lhs, rhs, equal): lhs = B.dim^T, rhs = -(g(X) + g(tau^-1 X)).
     """
-    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(int(x) for x in obj)
+    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(_exact_int(x) for x in obj)
     lhs = data.exchange.mul_vec(dim)
     g_here = g_vector(data, dim)
     g_next = g_vector(data, tau_inverse_dim(data, DerivedObject(dim)))
@@ -332,7 +332,7 @@ def normal_vector(data, cvec, slice_data=None):
     over the middles of the mesh at that module; a mismatch raises
     ConventionViolation since the two routes agree by theory.
     """
-    c = tuple(int(x) for x in cvec)
+    c = tuple(_exact_int(x) for x in cvec)
     if len(c) != data.quiver.n:
         raise ValueError("c-vector length mismatch")
     if not any(c) or any(x < 0 for x in c):
@@ -369,7 +369,7 @@ def kernel_certificates(data, cvectors):
     decided exactly: lambda > 0 exists iff minus the plain sum of the w_k
     lies back in their conic hull, and then lambda = 1 + mu.
     """
-    vectors = [tuple(int(x) for x in c) for c in cvectors]
+    vectors = [tuple(_exact_int(x) for x in c) for c in cvectors]
     positive = [
         i for i, c in enumerate(vectors) if any(c) and all(x >= 0 for x in c)
     ]

@@ -64,7 +64,7 @@ class Quiver:
     __slots__ = ("n", "arrows")
 
     def __init__(self, n, arrows):
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", _exact_int(n))
         object.__setattr__(self, "arrows", tuple(sorted(tuple(a) for a in arrows)))
         for s, t, m in self.arrows:
             if s == t:

@@ -340,6 +340,24 @@ def f_polynomial_step(fpolys, b_rows, c_column, k):
     return out
 
 
+def locate_labelled(beta, catalog):
+    """First BFS node whose cone contains beta, testing every labelled node.
+
+    Returns (node, alpha) with alpha = C_t^T.B.beta, or None. This is the
+    scan over all n! labellings of each seed that the library replaced by a
+    scan over the first node of each seed.
+    """
+    b = catalog.root.B.entries
+    n = len(b)
+    image = [sum(b[i][j] * beta[j] for j in range(n)) for i in range(n)]
+    for node in catalog.nodes:
+        c = node.C_t.entries
+        alpha = tuple(sum(c[i][j] * image[i] for i in range(n)) for j in range(n))
+        if all(a >= 0 for a in alpha):
+            return node, alpha
+    return None
+
+
 def _self_check():
     rng = random.Random(7)
     assert fraction_rank([[0, 1, 0], [0, -1, 0]]) == 1

@@ -230,7 +230,7 @@ def test_lineality_contains_fiber_direction_everywhere():
 
 
 def test_zero_system_is_everything():
-    zero = InequalitySystem(IntMatrix([[0, 0], [0, 0]]), (), IntMatrix([[1, 0], [0, 1]]))
+    zero = InequalitySystem(IntMatrix([[0, 0], [0, 0]]), ())
     desc = classify(zero)
     assert desc.dim == 2
     assert desc.implicit == (0, 1)
@@ -251,8 +251,8 @@ def test_contains():
 
 
 def test_canonical_key_separates_rays():
-    e1 = InequalitySystem(IntMatrix([[1, 0], [0, 1], [0, -1]]), (), IntMatrix([[1, 0], [0, 1]]))
-    e2 = InequalitySystem(IntMatrix([[1, 0], [-1, 0], [0, 1]]), (), IntMatrix([[1, 0], [0, 1]]))
+    e1 = InequalitySystem(IntMatrix([[1, 0], [0, 1], [0, -1]]), ())
+    e2 = InequalitySystem(IntMatrix([[1, 0], [-1, 0], [0, 1]]), ())
     k1 = classify(e1)
     k2 = classify(e2)
     assert k1.dim == 1 and k2.dim == 1
@@ -260,7 +260,7 @@ def test_canonical_key_separates_rays():
 
 
 def test_canonical_key_ignores_row_presentation():
-    base = InequalitySystem(IntMatrix([[1, 0], [0, 1]]), (), IntMatrix([[1, 0], [0, 1]]))
-    doubled = InequalitySystem(IntMatrix([[2, 0], [0, 3], [1, 1]]), (), IntMatrix([[1, 0], [0, 1]]))
+    base = InequalitySystem(IntMatrix([[1, 0], [0, 1]]), ())
+    doubled = InequalitySystem(IntMatrix([[2, 0], [0, 3], [1, 1]]), ())
     # same point set: the doubled rows rescale and (1,1) is implied
     assert canonical_key(classify(base)) == canonical_key(classify(doubled))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from xfan import (
+    LaurentPolynomial,
     NotInVisitedComplex,
     PatternCatalog,
     assemble_fan,
@@ -22,7 +24,7 @@ from xfan import (
     validate,
 )
 
-from oracles import random_skew_symmetrizable
+from oracles import locate_labelled, random_skew_symmetrizable
 
 B_A2 = [[0, 1], [-1, 0]]
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
@@ -30,6 +32,7 @@ B_KRONECKER = [[0, 2], [-2, 0]]
 B_B3 = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
 B_A4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
+B_MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 
 
 def _a3_catalog():
@@ -141,6 +144,36 @@ def _beta_beyond(shallow, deep):
             if locate(beta, deep) is not None and locate(beta, shallow) is None:
                 return beta
     raise AssertionError("expected the deeper truncation to cover more points")
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [(B_A3, None), (B_B3, None), (B_A4, None), (B_D4, None), (B_MARKOV, 6)],
+    ids=["A3", "B3", "A4", "D4", "Markov"],
+)
+def test_locate_and_theta_match_labelled_scan(rows, depth):
+    cat = enumerate_pattern(validate(rows), max_depth=depth)
+    assert cat.complete == (depth is None)
+    n = len(rows)
+    misses = 0
+    for beta in product(range(-2, 3), repeat=n):
+        hit = locate(beta, cat)
+        expected = locate_labelled(beta, cat)
+        if expected is None:
+            misses += 1
+            assert hit is None
+            with pytest.raises(NotInVisitedComplex) as exc:
+                theta(beta, cat)
+            assert exc.value.reason == "beyond_depth"
+            continue
+        node, alpha = expected
+        assert hit[0] is node and hit[1] == alpha
+        value = LaurentPolynomial.monomial(n, beta)
+        for poly, a in zip(node.F_t, alpha):
+            value = value * poly ** a
+        t = theta(beta, cat)
+        assert (t.witness, t.alpha, t.value) == (node.history, alpha, value)
+    assert misses > 0 if depth else misses == 0
 
 
 def test_theta_frozen_example():

@@ -8,19 +8,29 @@ from fractions import Fraction
 import pytest
 
 from xfan import (
+    DerivedObject,
     IntMatrix,
     LaurentPolynomial,
+    Quiver,
     build_system,
     conic_membership,
     contains,
     enumerate_pattern,
+    g_vector,
     hnf_rows,
     integer_kernel_basis,
+    kernel_certificates,
+    knit,
     locate,
+    normal_vector,
     p_star,
+    path_algebra_data,
     primitive_vector,
+    quiver_of,
+    tau_inverse_dim,
     theta,
     validate,
+    verify_dv_gv,
 )
 from xfan.intmat import clear_multipliers
 
@@ -60,6 +70,10 @@ def _a2_catalog():
     return enumerate_pattern(validate(B_A2))
 
 
+def _a3_data():
+    return path_algebra_data(quiver_of(validate([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -75,11 +89,21 @@ def _a2_catalog():
         lambda: LaurentPolynomial(1, {(1,): 2.5}),
         lambda: LaurentPolynomial.monomial(2, BETA),
         lambda: LaurentPolynomial.one(1) ** 1.5,
+        lambda: DerivedObject((0.5, 1, 0)),
+        lambda: g_vector(_a3_data(), (1.5, 0.2, 0)),
+        lambda: tau_inverse_dim(_a3_data(), (1.5, 0, 0)),
+        lambda: verify_dv_gv(_a3_data(), (1.5, 0, 0)),
+        lambda: normal_vector(_a3_data(), (1.7, 0, 0)),
+        lambda: kernel_certificates(_a3_data(), [(1.5, 0, 0)]),
+        lambda: knit(_a3_data()).mesh_at((0.5, 1, 0)),
+        lambda: Quiver(1.5, []),
     ],
     ids=[
         "IntMatrix", "validate-d", "p_star", "locate", "theta", "contains",
         "conic_membership-target", "conic_membership-generator",
         "laurent-exponent", "laurent-coefficient", "laurent-monomial", "laurent-pow",
+        "DerivedObject", "g_vector", "tau_inverse_dim", "verify_dv_gv",
+        "normal_vector", "kernel_certificates", "mesh_at", "Quiver",
     ],
 )
 def test_non_integral_input_raises(call):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from xfan import ExponentNegative, LaurentPolynomial, divide_exact
+from xfan import laurent
 
 from oracles import laurent_divide_exact, laurent_mul, laurent_pow
 
@@ -100,6 +101,30 @@ def test_divide_exact_rejects_inexact():
         divide_exact(y + one, y - one)
     with pytest.raises(ZeroDivisionError):
         divide_exact(y, LaurentPolynomial.zero(1))
+
+
+def test_divide_exact_stops_at_lex_bound(monkeypatch):
+    # leading coefficients +-1 keep every coefficient division integral, so
+    # only the lex lower bound of the quotient stops these descents early
+    pops = []
+    real_pop = laurent.heappop
+
+    def counted(heap):
+        pops.append(1)
+        return real_pop(heap)
+
+    monkeypatch.setattr(laurent, "heappop", counted)
+    cases = [
+        ({(0,): 1}, {(0,): 1, (1,): 1}),
+        ({(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}),
+        ({(0, 0): 1, (2, 1): -1}, {(0, 0): 1, (1, 1): -1}),
+    ]
+    for num, den in cases:
+        del pops[:]
+        nvars = len(next(iter(num)))
+        with pytest.raises(ArithmeticError):
+            divide_exact(_poly(nvars, num), _poly(nvars, den))
+        assert 0 < len(pops) <= 5
 
 
 def test_divide_exact_laurent_monomial_shift():

@@ -49,7 +49,6 @@ def test_initial_node_identities():
     ident = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
     assert root.C_t.entries == ident
     assert root.G_t.entries == ident
-    assert root.companion_c.entries == ident
     assert all(p.is_one() for p in root.F_t)
     assert root.history == ()
 
@@ -93,24 +92,17 @@ def test_bfs_order_and_dedup():
     for n in cat.nodes:
         h = n.history
         assert all(h[i] != h[i + 1] for i in range(len(h) - 1))
-    # keys are unique
-    keys = [n.key() for n in cat.nodes]
+    # c-matrices are unique
+    keys = [n.C_t.entries for n in cat.nodes]
     assert len(keys) == len(set(keys))
 
 
-def test_find_by_key():
-    cat = enumerate_pattern(validate(B_A2))
-    node = _walk(validate(B_A2), (1, 2))
-    hit = cat.find(node.key())
-    assert hit is not None
-    assert hit.C_t == node.C_t
-    assert cat.find(((0,), (0,))) is None
-
-
-def test_companion_equals_c_for_skew_symmetric():
-    cat = enumerate_pattern(validate(B_A3))
-    for node in cat.nodes:
-        assert node.companion_c == node.C_t
+def _companion(node):
+    """D^-1.C_t.D: the c-matrix of the pattern whose initial matrix is B."""
+    d = node.B_t.d
+    return tuple(
+        tuple(c * dj // di for c, dj in zip(row, d)) for row, di in zip(node.C_t.entries, d)
+    )
 
 
 def test_c_matrix_matches_symbolic_oracle():
@@ -119,11 +111,71 @@ def test_c_matrix_matches_symbolic_oracle():
         em = validate(rows)
         history = tuple(rng.randint(1, em.n) for _ in range(4))
         node = _walk(em, history, with_polynomials=False)
-        _, companion = principal_seed_walk(rows, history)
-        assert node.companion_c.entries == tuple(tuple(r) for r in companion)
         neg_bt = [[-rows[j][i] for j in range(em.n)] for i in range(em.n)]
         _, cmat = principal_seed_walk(neg_bt, history)
         assert node.C_t.entries == tuple(tuple(r) for r in cmat)
+
+
+def _not_skew_symmetric(rng, count):
+    found = []
+    while len(found) < count:
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        n = len(rows)
+        if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(n)):
+            found.append(rows)
+    return found
+
+
+def test_d_conjugate_is_the_b_pattern_c_matrix():
+    rng = random.Random(4096)
+    walks = [(rows, 3) for rows in ([[0, 1], [-2, 0]], [[0, 1], [-3, 0]], B_B3)]
+    walks += [(rows, 1) for rows in _not_skew_symmetric(rng, 20)]
+    for rows, count in walks:
+        em = validate(rows)
+        assert any(x != 1 for x in em.d)
+        for _ in range(count):
+            history = tuple(rng.randint(1, em.n) for _ in range(4))
+            node = _walk(em, history, with_polynomials=False)
+            _, cmat = principal_seed_walk(rows, history)
+            assert _companion(node) == tuple(tuple(r) for r in cmat)
+
+
+def _assert_c_determines_b(catalog):
+    """Every one-step mutation that lands on a catalog c-matrix lands on its B_t too."""
+    b_of = {node.C_t.entries: node.B_t for node in catalog.nodes}
+    assert len(b_of) == len(catalog)
+    for node in catalog.nodes:
+        for k in range(1, node.B_t.n + 1):
+            child = mutate_node(node, k)
+            b = b_of.get(child.C_t.entries)
+            assert b == child.B_t or (b is None and not catalog.complete)
+
+
+@pytest.mark.parametrize(
+    "rows, nodes",
+    [
+        (B_A2, 10),
+        ([[0, 1], [-2, 0]], 6),
+        ([[0, 1], [-3, 0]], 8),
+        (B_A3, 84),
+        (B_B3, 40),
+        (B_A4, 1008),
+        (B_D4, 1200),
+    ],
+    ids=["A2", "B2", "G2", "A3", "B3", "A4", "D4"],
+)
+def test_c_matrix_determines_seed(rows, nodes):
+    cat = enumerate_pattern(validate(rows), max_depth=None, with_polynomials=False)
+    assert cat.complete and len(cat) == nodes
+    _assert_c_determines_b(cat)
+
+
+def test_c_matrix_determines_seed_truncated():
+    _assert_c_determines_b(enumerate_pattern(validate(B_MARKOV), max_depth=6, with_polynomials=False))
+    rng = random.Random(777)
+    for _ in range(20):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        _assert_c_determines_b(enumerate_pattern(validate(rows), max_depth=4, with_polynomials=False))
 
 
 def test_duality_and_sign_coherence_random():
@@ -237,6 +289,6 @@ def test_f_polynomials_match_dict_oracle(rows, depth):
     for node in cat.nodes[1:]:
         parent = by_history[node.history[:-1]]
         k = node.history[-1] - 1
-        column = [row[k] for row in parent.companion_c.entries]
+        column = [row[k] for row in _companion(parent)]
         expected = f_polynomial_step(_plain(parent.F_t), parent.B_t.B.entries, column, k)
         assert _plain(node.F_t) == expected
