@@ -5,13 +5,11 @@ for standard input), compute, print a single JSON document on standard
 output. Exit codes: 0 success, 1 malformed input, 2 domain errors (the
 document then describes the error), 3 when --exhaustive gives up at the
 node cap. Directions in --seq and all row/column indices in reports are
-1-based. Enumeration is single-threaded; XFAN_THREADS is still validated
-(a value that is not a positive integer exits 1) but changes nothing.
+1-based. Enumeration is single-threaded.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .cones import build_system, classify
@@ -58,19 +56,6 @@ def _parse_json_vector(text, flag):
     except json.JSONDecodeError:
         raise ValueError(f"{flag} expects a JSON array like [1,0,-1], got {text!r}") from None
     return decode_vector(value)
-
-
-def _thread_count():
-    """Validate XFAN_THREADS; enumeration is single-threaded, so it sets nothing."""
-    raw = os.environ.get("XFAN_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw, 10)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"XFAN_THREADS must be a positive integer, got {raw!r}")
 
 
 def _load_exchange(path):
@@ -333,7 +318,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_count()
         em = _load_exchange(args.B)
         doc = args.handler(em, args)
     except ExhaustionCapExceeded as exc:

@@ -106,8 +106,8 @@ def conic_membership(v, generators):
     Returns a tuple of Fractions aligned with ``generators`` (zeros for
     unused ones), or None when v is outside the cone. Decision is exact:
     by Caratheodory it suffices to scan linearly independent subsets, in
-    ascending size and lexicographic order, solving each square-ish system
-    over the rationals. Certificate choice is deterministic. The scan visits
+    ascending size and lexicographic order, solving each system through
+    its integer kernel. Certificate choice is deterministic. The scan visits
     every subset of at most n generators, and the generator count is not
     bounded by n: classify passes all m rows to each implicit-row check, and
     up to m - 1 + |implicit| to each facet check (the other strict rows, and
@@ -126,10 +126,11 @@ def conic_membership(v, generators):
             sol = _solve_exact([gens[i] for i in subset], v)
             if sol is None:
                 continue
-            if all(x >= 0 for x in sol):
+            numerators, denominator = sol
+            if all(x >= 0 for x in numerators):
                 lam = [Fraction(0)] * len(gens)
-                for pos, i in enumerate(subset):
-                    lam[i] = sol[pos]
+                for i, x in zip(subset, numerators):
+                    lam[i] = Fraction(x, denominator)
                 return tuple(lam)
     return None
 
@@ -137,32 +138,23 @@ def conic_membership(v, generators):
 def _solve_exact(columns, target):
     """Solve sum_i x_i columns[i] = target when the columns are independent.
 
-    Returns the unique rational solution, or None when the columns are
-    dependent (skip; a smaller subset covers it) or the system is
-    inconsistent.
+    The integer kernel of the matrix [columns | target] is a single line
+    with last coordinate t != 0 exactly when the columns are independent
+    and the system is consistent, and then x = -(kernel line)/t. Returns
+    the numerators and the positive common denominator of that unique
+    solution, or None when the columns are dependent (skip; a smaller
+    subset covers it) or the system is inconsistent.
     """
-    m = len(target)
-    k = len(columns)
-    aug = [[Fraction(columns[j][r]) for j in range(k)] + [Fraction(target[r])] for r in range(m)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if piv is None:
-            return None  # dependent columns
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(row)
-        row += 1
-    for r in range(row, m):
-        if aug[r][k] != 0:
-            return None  # inconsistent
-    return [aug[pivots[j]][k] for j in range(k)]
+    aug = IntMatrix._trusted(
+        tuple(tuple(c[r] for c in columns) + (target[r],) for r in range(len(target)))
+    )
+    kernel = integer_kernel_basis(aug)
+    if len(kernel) != 1 or kernel[0][-1] == 0:
+        return None
+    *x, t = kernel[0]
+    if t > 0:
+        return [-v for v in x], t
+    return x, -t
 
 
 def classify(system):
@@ -247,5 +239,5 @@ def canonical_key(desc):
         a = rows[facet.representative]
         restricted = tuple(sum(x * y for x, y in zip(a, basis_row)) for basis_row in span)
         functionals.add(primitive_vector(restricted))
-    lineality = hnf_rows(desc.lineality_basis) if desc.lineality_basis else ()
+    lineality = hnf_rows(desc.lineality_basis)
     return (n, span, tuple(sorted(functionals)), lineality)

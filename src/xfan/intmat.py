@@ -1,9 +1,10 @@
 """Exact integer matrices and lattice helpers.
 
-Everything in this module is immutable and arbitrary precision. Rank runs
-fraction-free (Bareiss). Lattice-level helpers (Hermite normal form,
-saturated integer kernels) provide the canonical forms that cone
-deduplication relies on.
+Everything in this module is immutable and arbitrary precision. The one
+exact elimination of the package is the saturated integer kernel
+(unimodular row reduction, then Hermite normal form): it gives rank, the
+canonical forms that cone deduplication relies on, and, in the callers,
+rational solves and skew-symmetrizers.
 """
 
 from functools import lru_cache
@@ -93,13 +94,8 @@ class IntMatrix:
         return self.rows == self.cols
 
     def rank(self):
-        """Exact rank over the rationals.
-
-        Fraction-free Bareiss elimination: every intermediate entry is an
-        integer minor of the input, so no rationals appear and growth stays
-        polynomial in the entry sizes.
-        """
-        return _bareiss_rank(self.entries)
+        """Exact rank over the rationals: columns minus the kernel dimension."""
+        return self.cols - len(integer_kernel_basis(self))
 
 
 @lru_cache(maxsize=None)
@@ -115,57 +111,24 @@ def _exact_int(x):
     return value
 
 
-def _bareiss_rank(rows):
-    """Rank by fraction-free row echelon reduction.
-
-    The division by the previous pivot is exact by the Bareiss identity; a
-    nonzero remainder would mean corrupted arithmetic and raises.
-    """
-    M = [list(r) for r in rows]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    prev = 1
-    rank = 0
-    for c in range(n):
-        if rank >= m:
-            break
-        piv = None
-        for r in range(rank, m):
-            if M[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            M[rank], M[piv] = M[piv], M[rank]
-        p = M[rank][c]
-        for i in range(rank + 1, m):
-            mic = M[i][c]
-            for j in range(n):
-                num = p * M[i][j] - mic * M[rank][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("Bareiss exactness violated")
-                M[i][j] = q
-        prev = p
-        rank += 1
-    return rank
-
-
 def hnf_rows(vectors):
     """Row-style Hermite normal form of the lattice spanned by ``vectors``.
 
     Canonical: pivots positive, entries above each pivot reduced into
     [0, pivot). Two generating sets of the same row lattice map to the same
     tuple of rows, so the result can be compared and hashed directly. Zero
-    input (or an empty list) gives ().
+    input (or an empty list) gives (). Rows go through ``IntMatrix``, so
+    ragged rows and non-integral entries raise ValueError.
     """
-    M = [list(v) for v in vectors if any(v)]
+    if not isinstance(vectors, IntMatrix):
+        vectors = tuple(vectors)
+        if not vectors:
+            return ()
+        vectors = IntMatrix(vectors)
+    M = [list(v) for v in vectors.entries if any(v)]
     if not M:
         return ()
     cols = len(M[0])
-    if any(len(r) != cols for r in M):
-        raise ValueError("vectors of equal length required")
     r = 0
     for c in range(cols):
         if r >= len(M):
@@ -199,17 +162,14 @@ def integer_kernel_basis(matrix):
     identity block: rows whose left block vanishes carry, in their right
     block, a generating set of every integer solution. The result is put in
     Hermite normal form, so it is canonical per kernel lattice. Returns a
-    tuple of integer row vectors (possibly empty).
+    tuple of integer row vectors (possibly empty). A list of rows goes
+    through ``IntMatrix``, so empty, ragged or non-integral input raises
+    ValueError.
     """
-    if isinstance(matrix, IntMatrix):
-        ent = matrix.entries
-        m, n = matrix.rows, matrix.cols
-    else:
-        ent = [tuple(r) for r in matrix]
-        m = len(ent)
-        n = len(ent[0]) if m else 0
-        if m == 0:
-            raise ValueError("need at least one row (use identity HNF for no constraints)")
+    if not isinstance(matrix, IntMatrix):
+        matrix = IntMatrix(matrix)
+    ent = matrix.entries
+    m, n = matrix.rows, matrix.cols
     aug = [[ent[r][i] for r in range(m)] + [int(i == j) for j in range(n)] for i in range(n)]
     r = 0
     for c in range(m):
@@ -222,8 +182,8 @@ def integer_kernel_basis(matrix):
                 aug[r], aug[i] = aug[i], aug[r]
         if aug[r][c] != 0:
             r += 1
-    kernel = [row[m:] for row in aug if not any(row[:m])]
-    return hnf_rows(kernel)
+    kernel = tuple(tuple(row[m:]) for row in aug if not any(row[:m]))
+    return hnf_rows(IntMatrix._trusted(kernel)) if kernel else ()
 
 
 def primitive_vector(vec):

@@ -6,9 +6,6 @@ B.beta (column convention). Mutation directions are 1-based in every public
 signature and in the CLI; index arithmetic inside the package is 0-based.
 """
 
-from fractions import Fraction
-from math import gcd
-
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -59,18 +56,29 @@ class Quiver:
 
     ``arrows`` is a tuple of (source, target, multiplicity) triples with
     0-based vertices; an arrow i -> j with multiplicity m records b_ij = m > 0.
+    Endpoints lie in 0..n-1, and each unordered pair of vertices carries at
+    most one arrow triple.
     """
 
     __slots__ = ("n", "arrows")
 
     def __init__(self, n, arrows):
-        object.__setattr__(self, "n", _exact_int(n))
-        object.__setattr__(self, "arrows", tuple(sorted(tuple(a) for a in arrows)))
-        for s, t, m in self.arrows:
+        n = _exact_int(n)
+        arrows = tuple(sorted(tuple(_exact_int(x) for x in a) for a in arrows))
+        pairs = set()
+        for s, t, m in arrows:
+            if not (0 <= s < n and 0 <= t < n):
+                raise ValueError(f"arrow endpoints must lie in 0..{n - 1}")
             if s == t:
                 raise ValueError("loops are impossible for a zero-diagonal matrix")
             if m <= 0:
                 raise ValueError("arrow multiplicities are positive")
+            pair = (min(s, t), max(s, t))
+            if pair in pairs:
+                raise ValueError(f"vertices {pair[0]} and {pair[1]} carry more than one arrow")
+            pairs.add(pair)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arrows", arrows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Quiver is immutable")
@@ -103,11 +111,14 @@ class Quiver:
 def validate(B, d=None):
     """Check skew-symmetrizability and attach the minimal positive d.
 
-    The constraints d_i b_ij = -d_j b_ji fix the ratios d_j / d_i along every
-    edge of the underlying graph, so each connected component determines d up
-    to one positive scalar; that scalar is chosen minimal by clearing
-    denominators and dividing out the gcd. A caller-supplied ``d`` is
-    verified entrywise instead.
+    The constraints d_i b_ij + d_j b_ji = 0, one per nonzero pair i < j,
+    fix the ratios d_j / d_i along every edge of the underlying graph. Their
+    integer kernel has one primitive positive generator per connected
+    component (in Hermite normal form these have disjoint supports), so
+    the column sums of the kernel basis are the minimal d; a component with
+    inconsistent ratios around a cycle contributes no generator. A
+    caller-supplied ``d`` is taken as given; either way d is then verified
+    entrywise.
 
     Raises NotSkewSymmetrizable when no positive d exists.
     """
@@ -129,57 +140,29 @@ def validate(B, d=None):
                 raise NotSkewSymmetrizable(
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) have the same sign"
                 )
-    if d is not None:
-        given = tuple(_exact_int(x) for x in d)
-        if len(given) != n or any(x <= 0 for x in given):
-            raise NotSkewSymmetrizable("supplied d must be n positive integers")
+    if d is None:
+        equations = []
         for i in range(n):
-            for j in range(n):
-                if given[i] * e[i][j] != -given[j] * e[j][i]:
-                    raise NotSkewSymmetrizable(
-                        f"supplied d fails at entry ({i + 1},{j + 1})"
-                    )
-        return ExchangeMatrix(B, given)
-    ratios = [None] * n
-    for start in range(n):
-        if ratios[start] is not None:
-            continue
-        component = []
-        ratios[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            component.append(u)
-            for v in range(n):
-                if e[u][v] == 0:
-                    continue
-                r = ratios[u] * Fraction(abs(e[u][v]), abs(e[v][u]))
-                if ratios[v] is None:
-                    ratios[v] = r
-                    stack.append(v)
-                elif ratios[v] != r:
-                    raise NotSkewSymmetrizable(
-                        "inconsistent symmetrizer ratios around a cycle"
-                    )
-        lcm = 1
-        for v in component:
-            den = ratios[v].denominator
-            g = gcd(lcm, den)
-            lcm = lcm // g * den
-        values = [int(ratios[v] * lcm) for v in component]
-        g = 0
-        for x in values:
-            g = gcd(g, x)
-        for v, x in zip(component, values):
-            ratios[v] = x // g
-    dvec = tuple(int(r) for r in ratios)
+            for j in range(i + 1, n):
+                if e[i][j]:
+                    row = [0] * n
+                    row[i], row[j] = e[i][j], e[j][i]
+                    equations.append(tuple(row))
+        # B = 0 has no equations: one zero row, whose kernel is all of Z^n
+        kernel = integer_kernel_basis(IntMatrix._trusted(tuple(equations) or ((0,) * n,)))
+        d = tuple(map(sum, zip(*kernel)))
+        if len(d) != n or any(x <= 0 for x in d):
+            raise NotSkewSymmetrizable("inconsistent symmetrizer ratios around a cycle")
+    given = tuple(_exact_int(x) for x in d)
+    if len(given) != n or any(x <= 0 for x in given):
+        raise NotSkewSymmetrizable("supplied d must be n positive integers")
     for i in range(n):
         for j in range(n):
-            if dvec[i] * e[i][j] != -dvec[j] * e[j][i]:
+            if given[i] * e[i][j] != -given[j] * e[j][i]:
                 raise NotSkewSymmetrizable(
-                    "no positive integer symmetrizer exists"
+                    f"supplied d fails at entry ({i + 1},{j + 1})"
                 )
-    return ExchangeMatrix(B, dvec)
+    return ExchangeMatrix(B, given)
 
 
 def mutate(em, k):

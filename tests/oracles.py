@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import sympy
@@ -358,6 +358,112 @@ def locate_labelled(beta, catalog):
     return None
 
 
+def fraction_conic_membership(v, generators):
+    """Nonnegative Fraction multipliers expressing v in the conic hull, or None.
+
+    The scan the library used before its solves went through the integer
+    kernel: every subset of at most len(v) generators, in ascending size and
+    lexicographic order, solved by Gauss-Jordan elimination over Fraction;
+    the first nonnegative unique solution wins.
+    """
+    v = tuple(v)
+    gens = [tuple(g) for g in generators]
+    if not any(v):
+        return tuple(Fraction(0) for _ in gens)
+    for size in range(1, min(len(gens), len(v)) + 1):
+        for subset in combinations(range(len(gens)), size):
+            sol = _fraction_solve([gens[i] for i in subset], v)
+            if sol is not None and all(x >= 0 for x in sol):
+                lam = [Fraction(0)] * len(gens)
+                for i, x in zip(subset, sol):
+                    lam[i] = x
+                return tuple(lam)
+    return None
+
+
+def _fraction_solve(columns, target):
+    """Unique solution of sum_i x_i columns[i] = target, or None."""
+    m = len(target)
+    k = len(columns)
+    aug = [[Fraction(columns[j][r]) for j in range(k)] + [Fraction(target[r])] for r in range(m)]
+    row = 0
+    pivots = []
+    for col in range(k):
+        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if piv is None:
+            return None  # dependent columns
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(row)
+        row += 1
+    if any(aug[r][k] != 0 for r in range(row, m)):
+        return None  # inconsistent
+    return [aug[pivots[j]][k] for j in range(k)]
+
+
+def fraction_symmetrizer(rows):
+    """Minimal positive integer d with diag(d).B skew-symmetric, or None.
+
+    ``rows`` must already be sign-skew-symmetric (zero diagonal, b_ij and
+    b_ji zero together or of opposite signs). A depth-first search fixes
+    d_v / d_u = |b_uv| / |b_vu| over Fraction along the edges of each
+    connected component, fails on an inconsistent cycle, and scales each
+    component to coprime integers.
+    """
+    n = len(rows)
+    ratios = [None] * n
+    for start in range(n):
+        if ratios[start] is not None:
+            continue
+        component = []
+        ratios[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            component.append(u)
+            for v in range(n):
+                if rows[u][v] == 0:
+                    continue
+                r = ratios[u] * Fraction(abs(rows[u][v]), abs(rows[v][u]))
+                if ratios[v] is None:
+                    ratios[v] = r
+                    stack.append(v)
+                elif ratios[v] != r:
+                    return None
+        lcm = 1
+        for v in component:
+            den = ratios[v].denominator
+            lcm = lcm // gcd(lcm, den) * den
+        values = [int(ratios[v] * lcm) for v in component]
+        g = 0
+        for x in values:
+            g = gcd(g, x)
+        for v, x in zip(component, values):
+            ratios[v] = x // g
+    return tuple(ratios)
+
+
+def random_sign_skew_symmetric(rng, n, max_entry=4, density=0.6):
+    """A random sign-skew-symmetric integer matrix with independent magnitudes.
+
+    Entries b_ij and b_ji get opposite signs but unrelated sizes, so cycles
+    with inconsistent symmetrizer ratios are common.
+    """
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                sign = rng.choice((1, -1))
+                rows[i][j] = sign * rng.randint(1, max_entry)
+                rows[j][i] = -sign * rng.randint(1, max_entry)
+    return rows
+
+
 def _self_check():
     rng = random.Random(7)
     assert fraction_rank([[0, 1, 0], [0, -1, 0]]) == 1
@@ -376,6 +482,10 @@ def _self_check():
     for i in range(3):
         for j in range(3):
             assert d[i] * b[i][j] == -d[j] * b[j][i]
+    assert fraction_conic_membership((0, -1, 0), [(0, 1, 0), (1, -1, 1), (-1, 0, -1)]) == (0, 1, 1)
+    assert fraction_conic_membership((-1, 0), [(1, 0), (0, 1)]) is None
+    assert fraction_symmetrizer([[0, 1], [-2, 0]]) == (2, 1)
+    assert fraction_symmetrizer([[0, 1, 1], [-1, 0, 1], [-2, -1, 0]]) is None
 
 
 _self_check()

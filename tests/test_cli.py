@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -16,15 +15,12 @@ B_KRONECKER = {"B": [[0, 2], [-2, 0]]}
 B_MARKOV = {"B": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
 
 
-def _run(args, stdin=None, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
+def _run(args, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "xfan.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
-        env=env,
     )
 
 
@@ -207,14 +203,6 @@ def test_exit_one_on_malformed_input(tmp_path):
     assert _run(["nosuchcommand"]).returncode == 1
 
 
-def test_exit_one_on_bad_thread_env(tmp_path):
-    b = _b_file(tmp_path, B_A3)
-    for value in ("0", "-2", "many"):
-        p = _run(["validate", "--B", b], env_extra={"XFAN_THREADS": value})
-        assert p.returncode == 1
-        assert "XFAN_THREADS" in p.stderr
-
-
 def test_exit_two_on_domain_errors(tmp_path):
     ns = _b_file(tmp_path, {"B": [[0, 1], [1, 0]]})
     p = _run(["validate", "--B", ns])
@@ -262,11 +250,3 @@ def test_exit_three_on_exhaustion(tmp_path):
     )
     assert p.returncode == 3
     assert json.loads(p.stdout)["error"] == "ExhaustionCapExceeded"
-
-
-def test_thread_count_does_not_change_bytes(tmp_path):
-    b = _b_file(tmp_path, B_A3)
-    one = _run(["fan", "--B", b, "--exhaustive"], env_extra={"XFAN_THREADS": "1"})
-    four = _run(["fan", "--B", b, "--exhaustive"], env_extra={"XFAN_THREADS": "4"})
-    assert one.returncode == four.returncode == 0
-    assert one.stdout == four.stdout

@@ -20,7 +20,7 @@ from xfan import (
     validate,
 )
 
-from oracles import fraction_rank, sampled_cone_dimension
+from oracles import fraction_conic_membership, fraction_rank, sampled_cone_dimension
 
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 
@@ -118,6 +118,41 @@ def test_conic_membership_randomized_roundtrip():
         rebuilt = tuple(sum(f * g[i] for f, g in zip(found, gens)) for i in range(n))
         assert rebuilt == tuple(Fraction(x) for x in v)
         assert all(f >= 0 for f in found)
+
+
+def test_conic_membership_matches_fraction_oracle():
+    # The kernel solves must reproduce the Fraction Gauss-Jordan scan exactly:
+    # same subset, same multipliers, same None.
+    rng = random.Random(4409)
+    kinds = {"zero": 0, "inside": 0, "outside": 0, "dependent": 0}
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        if trial % 3 == 0:
+            # repeated and dependent generators: a copy and a multiple
+            g = rng.choice(gens)
+            gens.append(g)
+            gens.append(tuple(rng.choice((-2, 2, 3)) * x for x in g))
+            kinds["dependent"] += 1
+        mode = trial % 4
+        if mode == 0:
+            v = (0,) * n
+        elif mode == 1:
+            lam = [rng.randint(0, 3) for _ in gens]
+            v = tuple(sum(l * g[i] for l, g in zip(lam, gens)) for i in range(n))
+        else:
+            v = tuple(rng.randint(-4, 4) for _ in range(n))
+        expected = fraction_conic_membership(v, gens)
+        found = conic_membership(v, gens)
+        assert found == expected, (v, gens)
+        assert found is None or all(type(x) is Fraction for x in found)
+        if not any(v):
+            kinds["zero"] += 1
+        elif expected is None:
+            kinds["outside"] += 1
+        else:
+            kinds["inside"] += 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_build_system_rows_are_cvector_images():

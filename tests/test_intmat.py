@@ -97,6 +97,9 @@ def _a3_data():
         lambda: kernel_certificates(_a3_data(), [(1.5, 0, 0)]),
         lambda: knit(_a3_data()).mesh_at((0.5, 1, 0)),
         lambda: Quiver(1.5, []),
+        lambda: Quiver(2, [(0, 1, 1.5)]),
+        lambda: integer_kernel_basis([(1.5, 1)]),
+        lambda: hnf_rows([(1.5, 1), (2, 0)]),
     ],
     ids=[
         "IntMatrix", "validate-d", "p_star", "locate", "theta", "contains",
@@ -104,6 +107,7 @@ def _a3_data():
         "laurent-exponent", "laurent-coefficient", "laurent-monomial", "laurent-pow",
         "DerivedObject", "g_vector", "tau_inverse_dim", "verify_dv_gv",
         "normal_vector", "kernel_certificates", "mesh_at", "Quiver",
+        "Quiver-multiplicity", "integer_kernel_basis", "hnf_rows",
     ],
 )
 def test_non_integral_input_raises(call):
@@ -141,6 +145,17 @@ def test_integer_kernel_basis():
     assert integer_kernel_basis(b) == ((1, 0, -1),)
     assert integer_kernel_basis(IntMatrix([[0, 0], [0, 0]])) == ((1, 0), (0, 1))
     assert integer_kernel_basis(IntMatrix([[1, 0], [0, 1]])) == ()
+
+
+def test_ragged_or_empty_rows_raise():
+    for call in (integer_kernel_basis, hnf_rows):
+        with pytest.raises(ValueError, match="equal length"):
+            call([(1, 0), (0, 1, 5)])
+        with pytest.raises(ValueError, match="equal length"):
+            call([(1, 0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="at least one row"):
+        integer_kernel_basis([])
+    assert hnf_rows([]) == ()
 
 
 def test_kernel_vectors_annihilate():

@@ -11,6 +11,7 @@ from xfan import (
     IntMatrix,
     NotSkewSymmetric,
     NotSkewSymmetrizable,
+    Quiver,
     is_acyclic,
     kernel_of_p_star,
     mutate,
@@ -19,7 +20,14 @@ from xfan import (
     validate,
 )
 
-from oracles import arrows_to_b, mutate_rectangular, random_acyclic_arrows, random_skew_symmetrizable
+from oracles import (
+    arrows_to_b,
+    fraction_symmetrizer,
+    mutate_rectangular,
+    random_acyclic_arrows,
+    random_sign_skew_symmetric,
+    random_skew_symmetrizable,
+)
 
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 
@@ -30,6 +38,10 @@ def test_validate_computes_minimal_symmetrizer():
     assert validate([[0, 1], [-3, 0]]).d == (3, 1)
     assert validate([[0, -2], [2, 0]]).d == (1, 1)
     assert validate([[0]]).d == (1,)
+    assert validate([[0, 0], [0, 0]]).d == (1, 1)
+    # two components, scaled independently; an isolated vertex gets 1
+    rows = [[0, 1, 0, 0, 0], [-2, 0, 0, 0, 0], [0, 0, 0, 3, 0], [0, 0, -6, 0, 0], [0, 0, 0, 0, 0]]
+    assert validate(rows).d == (2, 1, 2, 1, 1)
 
 
 def test_validate_accepts_supplied_symmetrizer_multiple():
@@ -46,6 +58,8 @@ def test_validate_rejects_bad_matrices():
         validate([[0, 1], [1, 0]])  # sign-symmetric violation
     with pytest.raises(NotSkewSymmetrizable):
         validate([[0, 1], [0, 0]])  # zero against nonzero
+    with pytest.raises(NotSkewSymmetrizable, match="around a cycle"):
+        validate([[0, 1, 1], [-1, 0, 1], [-2, -1, 0]])
     with pytest.raises(ValueError):
         validate([[0, 1, 0], [-1, 0, 1]])  # not square
 
@@ -57,6 +71,27 @@ def test_validate_random_skew_symmetrizable():
         em = validate(rows)
         dm = [[em.d[i] * em.B.at(i, j) for j in range(em.n)] for i in range(em.n)]
         assert IntMatrix(dm).transpose() == IntMatrix(dm).neg()
+
+
+def test_validate_symmetrizer_matches_fraction_oracle():
+    # The kernel column sums must give the Fraction search's minimal d, and
+    # both must reject the same inconsistent cycles.
+    rng = random.Random(60221)
+    rejected = 0
+    for trial in range(2400):
+        n = rng.randint(1, 6)
+        if trial % 2:
+            rows = random_sign_skew_symmetric(rng, n)
+        else:
+            rows, _ = random_skew_symmetrizable(rng, n)
+        expected = fraction_symmetrizer(rows)
+        if expected is None:
+            rejected += 1
+            with pytest.raises(NotSkewSymmetrizable, match="around a cycle"):
+                validate(rows)
+        else:
+            assert validate(rows).d == expected, rows
+    assert 300 <= rejected <= 1500, rejected
 
 
 def test_mutate_example_and_involution():
@@ -144,3 +179,22 @@ def test_is_acyclic():
     assert is_acyclic(quiver_of(validate(B_A3)))
     markov = validate([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     assert not is_acyclic(quiver_of(markov))
+
+
+def test_quiver_rejects_bad_arrows():
+    with pytest.raises(ValueError, match="endpoints"):
+        Quiver(2, [(-1, 0, 1)])
+    with pytest.raises(ValueError, match="endpoints"):
+        Quiver(2, [(0, 5, 1)])
+    with pytest.raises(ValueError, match="more than one arrow"):
+        Quiver(2, [(0, 1, 1), (0, 1, 2)])
+    with pytest.raises(ValueError, match="more than one arrow"):
+        Quiver(3, [(0, 1, 1), (1, 0, 1)])
+    with pytest.raises(ValueError, match="loops"):
+        Quiver(2, [(1, 1, 1)])
+    with pytest.raises(ValueError, match="positive"):
+        Quiver(2, [(0, 1, 0)])
+    q = Quiver(3, [(2, 1, 2.0), (0, 1, 1)])
+    assert q.arrows == ((0, 1, 1), (2, 1, 2))
+    assert q.arrow_matrix().entries == ((0, 1, 0), (0, 0, 0), (0, 2, 0))
+    assert q.in_neighbors(1) == (0, 2, 2)
