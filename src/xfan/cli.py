@@ -266,7 +266,7 @@ def _build_parser():
         p.add_argument(
             "--exhaustive",
             action="store_true",
-            help=f"ignore --depth, stop only when done; exit 3 past {EXHAUSTIVE_CAP} seeds",
+            help=f"ignore --depth, stop only when done; exit 3 past {EXHAUSTIVE_CAP} labelled nodes",
         )
 
     command("validate", _cmd_validate, "check skew-symmetrizability, report d")

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .intmat import (
+    Frozen,
     IntMatrix,
     _exact_int,
     clear_multipliers,
@@ -22,7 +23,7 @@ from .intmat import (
 )
 
 
-class InequalitySystem:
+class InequalitySystem(Frozen):
     """The system A.beta >= 0 attached to one pattern node."""
 
     __slots__ = ("A", "history")
@@ -31,14 +32,11 @@ class InequalitySystem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "history", tuple(history))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("InequalitySystem is immutable")
-
     def __repr__(self):
         return f"InequalitySystem(rows={[list(r) for r in self.A.entries]}, history={self.history})"
 
 
-class Facet:
+class Facet(Frozen):
     """One facet: a representative row index plus every supporting row."""
 
     __slots__ = ("representative", "supporting")
@@ -46,9 +44,6 @@ class Facet:
     def __init__(self, representative, supporting):
         object.__setattr__(self, "representative", representative)
         object.__setattr__(self, "supporting", tuple(supporting))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Facet is immutable")
 
     def __eq__(self, other):
         return isinstance(other, Facet) and (
@@ -60,7 +55,7 @@ class Facet:
         return f"Facet(representative={self.representative}, supporting={list(self.supporting)})"
 
 
-class ConeDescription:
+class ConeDescription(Frozen):
     """Classification of one inequality system.
 
     Indices are 0-based positions into the system's rows. ``implicit`` and
@@ -89,9 +84,6 @@ class ConeDescription:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "lineality_basis", tuple(lineality_basis))
         object.__setattr__(self, "implicit_certificates", dict(certificates))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConeDescription is immutable")
 
 
 def build_system(node, root_em):

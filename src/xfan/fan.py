@@ -13,12 +13,12 @@ from operator import mul
 
 from .cones import build_system, canonical_key, classify
 from .errors import NotInVisitedComplex
-from .intmat import _exact_int, integer_kernel_basis, primitive_vector
+from .intmat import Frozen, _exact_int, integer_kernel_basis, primitive_vector
 from .laurent import LaurentPolynomial
 from .seed import p_star
 
 
-class XCone:
+class XCone(Frozen):
     """One cone of the complex with every seed that realizes it."""
 
     __slots__ = ("key", "description", "witnesses", "dim")
@@ -29,14 +29,11 @@ class XCone:
         object.__setattr__(self, "witnesses", tuple(witnesses))
         object.__setattr__(self, "dim", description.dim)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("XCone is immutable")
-
     def __repr__(self):
         return f"XCone(dim={self.dim}, witnesses={len(self.witnesses)})"
 
 
-class XFanReport:
+class XFanReport(Frozen):
     """All distinct cones of one catalog plus the dimension histogram."""
 
     __slots__ = ("cones", "histogram", "complete")
@@ -49,11 +46,8 @@ class XFanReport:
         object.__setattr__(self, "histogram", hist)
         object.__setattr__(self, "complete", complete)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("XFanReport is immutable")
 
-
-class ThetaFunction:
+class ThetaFunction(Frozen):
     __slots__ = ("beta", "value", "witness", "alpha")
 
     def __init__(self, beta, value, witness, alpha):
@@ -61,9 +55,6 @@ class ThetaFunction:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "alpha", tuple(alpha))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaFunction is immutable")
 
 
 def assemble_fan(catalog):

@@ -1,7 +1,7 @@
 """Exact integer matrices and lattice helpers.
 
 Everything in this module is immutable and arbitrary precision. The one
-exact elimination of the package is the saturated integer kernel
+exact solver of the package is the saturated integer kernel
 (unimodular row reduction, then Hermite normal form): it gives rank, the
 canonical forms that cone deduplication relies on, and, in the callers,
 rational solves and skew-symmetrizers.
@@ -12,7 +12,20 @@ from math import gcd
 from operator import mul
 
 
-class IntMatrix:
+class Frozen:
+    """Immutable slots base: constructors fill the slots through
+    ``object.__setattr__``; any later assignment or deletion raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class IntMatrix(Frozen):
     """Dense integer matrix, stored row-major as a tuple of tuples."""
 
     __slots__ = ("entries", "rows", "cols")
@@ -42,9 +55,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", len(entries[0]))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries

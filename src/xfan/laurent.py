@@ -19,10 +19,10 @@ from itertools import islice
 from operator import add, neg, sub
 
 from .errors import ExponentNegative
-from .intmat import _exact_int
+from .intmat import Frozen, _exact_int
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Frozen):
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars, terms=None):
@@ -53,9 +53,6 @@ class LaurentPolynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPolynomial is immutable")
 
     @classmethod
     def zero(cls, nvars):

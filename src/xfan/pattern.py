@@ -28,14 +28,14 @@ from .errors import (
     IndexOutOfRange,
     SignCoherenceViolation,
 )
-from .intmat import IntMatrix, identity_rows
+from .intmat import Frozen, IntMatrix, _exact_int, identity_rows
 from .laurent import LaurentPolynomial, divide_exact
 from .seed import ExchangeMatrix, mutate, mutate_rows
 
 DEFAULT_DEPTH = 12
 
 
-class PatternNode:
+class PatternNode(Frozen):
     """One vertex of the mutation tree.
 
     Fields: ``B_t`` (ExchangeMatrix), ``C_t`` (c-matrix, initial -B^T
@@ -54,9 +54,6 @@ class PatternNode:
         object.__setattr__(self, "F_t", F_t)
         object.__setattr__(self, "history", tuple(history))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PatternNode is immutable")
-
     def seed_key(self):
         """Key of the unlabelled seed: the sorted tuple of the columns of C_t.
 
@@ -70,7 +67,7 @@ class PatternNode:
         return f"PatternNode(history={self.history})"
 
 
-class PatternCatalog:
+class PatternCatalog(Frozen):
     """All visited nodes of one bounded traversal, in BFS order.
 
     ``seeds`` holds the first node of each seed key, in BFS order: the one
@@ -89,9 +86,6 @@ class PatternCatalog:
         for node in self.nodes:
             first.setdefault(node.seed_key(), node)
         object.__setattr__(self, "seeds", tuple(first.values()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PatternCatalog is immutable")
 
     def __len__(self):
         return len(self.nodes)
@@ -210,8 +204,12 @@ def enumerate_pattern(
     """
     if not isinstance(em, ExchangeMatrix):
         raise ValueError("enumerate_pattern wants a validated ExchangeMatrix")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError("max_depth must be nonnegative or None")
+    if max_depth is not None:
+        max_depth = _exact_int(max_depth)
+        if max_depth < 0:
+            raise ValueError("max_depth must be nonnegative or None")
+    if node_cap is not None:
+        node_cap = _exact_int(node_cap)
     root = initial_node(em, with_polynomials=with_polynomials)
     nodes = [root]
     seen = {root.C_t.entries}
@@ -238,7 +236,7 @@ def enumerate_pattern(
                 next_frontier.append(child)
         if node_cap is not None and len(nodes) > node_cap:
             raise ExhaustionCapExceeded(
-                f"more than {node_cap} seeds before the frontier emptied"
+                f"more than {node_cap} labelled nodes before the frontier emptied"
             )
         frontier = next_frontier
         if not frontier:

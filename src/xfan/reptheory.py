@@ -19,11 +19,11 @@ from .errors import (
     NotPositive,
     NotRepresentationFinite,
 )
-from .intmat import IntMatrix, _exact_int, clear_multipliers
+from .intmat import Frozen, IntMatrix, _exact_int, clear_multipliers
 from .seed import topological_order
 
 
-class PathAlgebraData:
+class PathAlgebraData(Frozen):
     """Cartan, inverse Cartan, and inverse Coxeter matrices of a quiver."""
 
     __slots__ = ("quiver", "cartan", "cartan_inv", "coxeter_inv", "exchange")
@@ -35,11 +35,8 @@ class PathAlgebraData:
         object.__setattr__(self, "coxeter_inv", coxeter_inv)
         object.__setattr__(self, "exchange", exchange)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PathAlgebraData is immutable")
 
-
-class DerivedObject:
+class DerivedObject(Frozen):
     """A class in the derived category, known by its dimension vector.
 
     Negative entries encode a shift: dim X[1] = -dim X. The zero vector is
@@ -55,9 +52,6 @@ class DerivedObject:
         object.__setattr__(self, "dim", vec)
         object.__setattr__(self, "label", label)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DerivedObject is immutable")
-
     def is_module(self):
         return all(x >= 0 for x in self.dim)
 
@@ -71,7 +65,7 @@ class DerivedObject:
         return f"DerivedObject(dim={self.dim}, label={self.label!r})"
 
 
-class Mesh:
+class Mesh(Frozen):
     """source -> middles -> target positions in the knitted slice."""
 
     __slots__ = ("source", "middles", "target")
@@ -81,11 +75,8 @@ class Mesh:
         object.__setattr__(self, "middles", tuple(middles))
         object.__setattr__(self, "target", target)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Mesh is immutable")
 
-
-class ARQuiverSlice:
+class ARQuiverSlice(Frozen):
     """Knitted translation-quiver slices.
 
     ``objects`` maps a position (m, v) to the DerivedObject obtained by
@@ -102,9 +93,6 @@ class ARQuiverSlice:
         object.__setattr__(self, "objects", dict(objects))
         object.__setattr__(self, "meshes", tuple(meshes))
         object.__setattr__(self, "exhaustive", exhaustive)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ARQuiverSlice is immutable")
 
     def module_dimension_vectors(self):
         """Sorted dims of the module vertices (nonnegative positions)."""
@@ -169,17 +157,20 @@ def path_algebra_data(quiver):
     return PathAlgebraData(quiver, cartan, cartan_inv, coxeter_inv, exchange)
 
 
+def _dim_vector(obj):
+    """Dimension vector of a DerivedObject or of a plain integer sequence."""
+    return obj.dim if isinstance(obj, DerivedObject) else tuple(_exact_int(x) for x in obj)
+
+
 def g_vector(data, obj):
     """g = inverse Cartan times the dimension vector (as a column)."""
-    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(_exact_int(x) for x in obj)
-    return data.cartan_inv.mul_vec(dim)
+    return data.cartan_inv.mul_vec(_dim_vector(obj))
 
 
 def tau_inverse_dim(data, obj):
     """Inverse AR translate on classes: inverse Coxeter times the dim column."""
-    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(_exact_int(x) for x in obj)
     label = obj.label if isinstance(obj, DerivedObject) else None
-    moved = data.coxeter_inv.mul_vec(dim)
+    moved = data.coxeter_inv.mul_vec(_dim_vector(obj))
     return DerivedObject(moved, label=None if label is None else f"tau^-1 {label}")
 
 
@@ -188,7 +179,7 @@ def verify_dv_gv(data, obj):
 
     Returns (lhs, rhs, equal): lhs = B.dim^T, rhs = -(g(X) + g(tau^-1 X)).
     """
-    dim = obj.dim if isinstance(obj, DerivedObject) else tuple(_exact_int(x) for x in obj)
+    dim = _dim_vector(obj)
     lhs = data.exchange.mul_vec(dim)
     g_here = g_vector(data, dim)
     g_next = g_vector(data, tau_inverse_dim(data, DerivedObject(dim)))
@@ -196,63 +187,28 @@ def verify_dv_gv(data, obj):
     return lhs, rhs, lhs == rhs
 
 
-def _underlying_dynkin(quiver):
-    """True when every underlying component is a simply laced Dynkin graph."""
+def _tits_form_positive(quiver):
+    """Is the Tits form 2I - (A + A^T), A the arrow matrix, positive definite?
+
+    By Gabriel's theorem it is exactly when every component of the
+    underlying graph is simply laced Dynkin. A pivot-sign test, not a
+    solve: each fraction-free (Bareiss) pivot is a leading principal minor
+    and must be positive (Sylvester).
+    """
     n = quiver.n
-    adj = [set() for _ in range(n)]
+    q = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for s, t, m in quiver.arrows:
-        if m != 1:
-            return False  # multiple arrow, infinite representation type
-        if t in adj[s]:
-            return False  # two arrows between one pair
-        adj[s].add(t)
-        adj[t].add(s)
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        component = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            component.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        edges = sum(len(adj[u]) for u in component) // 2
-        if edges != len(component) - 1:
-            return False  # cycle in the underlying graph
-        degrees = sorted(len(adj[u]) for u in component)
-        if degrees and degrees[-1] <= 2:
-            continue  # a path: type A
-        branch = [u for u in component if len(adj[u]) >= 3]
-        if len(branch) != 1 or len(adj[branch[0]]) != 3:
+        q[s][t] = q[t][s] = -m
+    prev = 1
+    for k in range(n):
+        p = q[k][k]
+        if p <= 0:
             return False
-        legs = sorted(_leg_lengths(adj, branch[0]))
-        a, b, c = legs
-        if a == 1 and b == 1:
-            continue  # type D
-        if a == 1 and b == 2 and c in (2, 3, 4):
-            continue  # types E6, E7, E8
-        return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q[i][j] = (p * q[i][j] - q[i][k] * q[k][j]) // prev
+        prev = p
     return True
-
-
-def _leg_lengths(adj, center):
-    lengths = []
-    for first in adj[center]:
-        length = 1
-        prev, cur = center, first
-        while True:
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths
 
 
 def knit(data, window=None):
@@ -272,12 +228,13 @@ def knit(data, window=None):
     quiver = data.quiver
     n = quiver.n
     if window is None:
-        if not _underlying_dynkin(quiver):
+        if not _tits_form_positive(quiver):
             raise NotRepresentationFinite(
                 "exhaustive knitting needs a Dynkin underlying graph; pass a window"
             )
         exhaustive = True
     else:
+        window = _exact_int(window)
         if window < 0:
             raise ValueError("window must be nonnegative")
         exhaustive = False

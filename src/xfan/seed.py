@@ -13,10 +13,10 @@ from .errors import (
     NotSkewSymmetric,
     NotSkewSymmetrizable,
 )
-from .intmat import IntMatrix, _exact_int, integer_kernel_basis
+from .intmat import Frozen, IntMatrix, _exact_int, integer_kernel_basis
 
 
-class ExchangeMatrix:
+class ExchangeMatrix(Frozen):
     """A validated exchange matrix together with its skew-symmetrizer.
 
     ``B`` is the n x n integer matrix; ``d`` is the componentwise-minimal
@@ -30,9 +30,6 @@ class ExchangeMatrix:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "d", tuple(d))
         object.__setattr__(self, "n", B.rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExchangeMatrix is immutable")
 
     def __eq__(self, other):
         return (
@@ -51,7 +48,7 @@ class ExchangeMatrix:
         return all(x == 1 for x in self.d) and self.B.transpose() == self.B.neg()
 
 
-class Quiver:
+class Quiver(Frozen):
     """Arrow data of a skew-symmetric exchange matrix.
 
     ``arrows`` is a tuple of (source, target, multiplicity) triples with
@@ -79,9 +76,6 @@ class Quiver:
             pairs.add(pair)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arrows", arrows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quiver is immutable")
 
     def __eq__(self, other):
         return isinstance(other, Quiver) and (self.n, self.arrows) == (other.n, other.arrows)

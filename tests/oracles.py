@@ -152,6 +152,61 @@ def positive_roots(adjacency):
     return sorted(v for v in seen if any(v) and all(x >= 0 for x in v))
 
 
+def dynkin_graph(n, arrows):
+    """True when every component of the underlying graph is simply laced Dynkin.
+
+    Graph walking: no multiple arrows, every component a tree, and each
+    tree either a path (A) or a star with one trivalent vertex whose legs
+    have lengths (1, 1, k) (D) or (1, 2, 2..4) (E6, E7, E8).
+    """
+    adj = [set() for _ in range(n)]
+    for s, t, m in arrows:
+        if m != 1:
+            return False
+        adj[s].add(t)
+        adj[t].add(s)
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        component = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            u = stack.pop()
+            component.append(u)
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        edges = sum(len(adj[u]) for u in component) // 2
+        if edges != len(component) - 1:
+            return False
+        if max(len(adj[u]) for u in component) <= 2:
+            continue
+        branch = [u for u in component if len(adj[u]) >= 3]
+        if len(branch) != 1 or len(adj[branch[0]]) != 3:
+            return False
+        a, b, c = sorted(_leg_length(adj, branch[0], first) for first in adj[branch[0]])
+        if a == 1 and b == 1:
+            continue
+        if a == 1 and b == 2 and c in (2, 3, 4):
+            continue
+        return False
+    return True
+
+
+def _leg_length(adj, center, first):
+    length = 1
+    prev, cur = center, first
+    while True:
+        nxt = [v for v in adj[cur] if v != prev]
+        if not nxt:
+            return length
+        prev, cur = cur, nxt[0]
+        length += 1
+
+
 def sampled_cone_dimension(rows, bound=5):
     """Dimension of {v : rows . v >= 0} measured from points in a box.
 
@@ -471,6 +526,8 @@ def _self_check():
     assert len(polygon_triangulations(6)) == 14
     assert len(positive_roots({0: [1], 1: [0]})) == 3
     assert len(positive_roots({0: [1], 1: [0, 2], 2: [1]})) == 6
+    assert dynkin_graph(4, [(0, 3, 1), (1, 3, 1), (2, 3, 1)])
+    assert not dynkin_graph(5, [(0, 4, 1), (1, 4, 1), (2, 4, 1), (3, 4, 1)])
     assert seed_orbit_count([([[0, 1], [-1, 0]], [[1, 0], [0, 1]]), ([[0, -1], [1, 0]], [[0, 1], [1, 0]])]) == 1
     assert path_counts(3, [(0, 1, 2), (1, 2, 1)]) == [[1, 2, 2], [0, 1, 1], [0, 0, 1]]
     assert sympy_inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -12,7 +13,9 @@ from xfan import (
     IntMatrix,
     LaurentPolynomial,
     Quiver,
+    assemble_fan,
     build_system,
+    classify,
     conic_membership,
     contains,
     enumerate_pattern,
@@ -32,7 +35,7 @@ from xfan import (
     validate,
     verify_dv_gv,
 )
-from xfan.intmat import clear_multipliers
+from xfan.intmat import Frozen, clear_multipliers
 
 from oracles import fraction_rank
 
@@ -63,6 +66,7 @@ def test_non_integer_entries_rejected():
 
 
 B_A2 = [[0, 1], [-1, 0]]
+B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 BETA = (1.7, 0)
 
 
@@ -71,7 +75,7 @@ def _a2_catalog():
 
 
 def _a3_data():
-    return path_algebra_data(quiver_of(validate([[0, 1, 0], [-1, 0, -1], [0, 1, 0]])))
+    return path_algebra_data(quiver_of(validate(B_A3)))
 
 
 @pytest.mark.parametrize(
@@ -100,6 +104,9 @@ def _a3_data():
         lambda: Quiver(2, [(0, 1, 1.5)]),
         lambda: integer_kernel_basis([(1.5, 1)]),
         lambda: hnf_rows([(1.5, 1), (2, 0)]),
+        lambda: knit(_a3_data(), window=2.5),
+        lambda: enumerate_pattern(validate(B_A2), max_depth=1.5),
+        lambda: enumerate_pattern(validate(B_A2), node_cap=2.5),
     ],
     ids=[
         "IntMatrix", "validate-d", "p_star", "locate", "theta", "contains",
@@ -108,6 +115,7 @@ def _a3_data():
         "DerivedObject", "g_vector", "tau_inverse_dim", "verify_dv_gv",
         "normal_vector", "kernel_certificates", "mesh_at", "Quiver",
         "Quiver-multiplicity", "integer_kernel_basis", "hnf_rows",
+        "knit-window", "enumerate_pattern-max_depth", "enumerate_pattern-node_cap",
     ],
 )
 def test_non_integral_input_raises(call):
@@ -182,3 +190,50 @@ def test_clear_multipliers():
     # the result is normalized to coprime entries
     assert clear_multipliers([Fraction(5)]) == (1,)
     assert clear_multipliers([Fraction(2), Fraction(4)]) == (1, 2)
+
+
+@lru_cache(maxsize=None)
+def _a3_values():
+    """One instance of every immutable value class, all built from A3."""
+    em = validate(B_A3)
+    catalog = enumerate_pattern(em)
+    node = catalog.nodes[1]
+    description = classify(build_system(node, em))
+    report = assemble_fan(catalog)
+    data = _a3_data()
+    slice_data = knit(data)
+    values = (
+        IntMatrix(B_A3), LaurentPolynomial.one(3), em, data.quiver, node, catalog,
+        description.system, description.facets[0], description, report.cones[0], report,
+        theta((3, -1, 0), catalog), data, slice_data.objects[(0, 0)], slice_data.meshes[0],
+        slice_data,
+    )
+    return {type(v).__name__: v for v in values}
+
+
+VALUE_CLASSES = (
+    "IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Quiver", "PatternNode",
+    "PatternCatalog", "InequalitySystem", "Facet", "ConeDescription", "XCone",
+    "XFanReport", "ThetaFunction", "PathAlgebraData", "DerivedObject", "Mesh",
+    "ARQuiverSlice",
+)
+
+
+def test_every_value_class_is_frozen():
+    assert sorted(cls.__name__ for cls in Frozen.__subclasses__()) == sorted(VALUE_CLASSES)
+    assert sorted(_a3_values()) == sorted(VALUE_CLASSES)
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_immutability(name):
+    value = _a3_values()[name]
+    cls = type(value)
+    slot = cls.__slots__[0]
+    before = getattr(value, slot)
+    with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        setattr(value, slot, None)
+    with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        delattr(value, slot)
+    assert getattr(value, slot) is before
+    assert cls.__setattr__ is Frozen.__setattr__
+    assert cls.__delattr__ is Frozen.__delattr__

@@ -134,12 +134,6 @@ def test_divide_exact_laurent_monomial_shift():
     assert q.sorted_terms() == (((-2,), 1), ((-1,), 1))
 
 
-def test_immutability():
-    p = LaurentPolynomial.one(2)
-    with pytest.raises(AttributeError):
-        p.nvars = 5
-
-
 def test_hash_consistent_with_eq():
     a = _poly(2, {(1, 1): 2})
     b = _poly(2, [((1, 1), 1), ((1, 1), 1)])

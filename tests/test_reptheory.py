@@ -13,6 +13,7 @@ from xfan import (
     NotAcyclic,
     NotPositive,
     NotRepresentationFinite,
+    Quiver,
     g_vector,
     kernel_certificates,
     knit,
@@ -22,10 +23,11 @@ from xfan import (
     validate,
     verify_dv_gv,
 )
-from xfan.reptheory import tau_inverse_dim
+from xfan.reptheory import _tits_form_positive, tau_inverse_dim
 
 from oracles import (
     arrows_to_b,
+    dynkin_graph,
     path_counts,
     positive_roots,
     random_acyclic_arrows,
@@ -149,6 +151,73 @@ def test_knit_window_kronecker():
     # the double arrow doubles every mesh middle
     first = slices.meshes[0]
     assert first.middles == ((1, 1), (1, 1))
+
+
+def _path(n):
+    return [(i, i + 1, 1) for i in range(n - 1)]
+
+
+def _star(*legs):
+    """Vertex 0 with one path of each given length hanging off it."""
+    arrows, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            arrows.append((prev, n, 1))
+            prev, n = n, n + 1
+    return n, arrows
+
+
+DYNKIN_CASES = {
+    **{f"A{n}": (n, _path(n)) for n in range(1, 9)},
+    **{f"D{n}": _star(1, 1, n - 3) for n in range(4, 9)},
+    **{f"E{n}": _star(1, 2, n - 4) for n in range(6, 9)},
+    "A3+isolated": (4, _path(3)),
+}
+NON_DYNKIN_CASES = {
+    "Kronecker": (2, [(0, 1, 2)]),
+    "affine-A2": (3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]),
+    "affine-A3": (4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)]),
+    "affine-D4": _star(1, 1, 1, 1),
+    "affine-E6": _star(2, 2, 2),
+    "affine-E7": _star(1, 3, 3),
+    "affine-E8": _star(1, 2, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DYNKIN_CASES) + sorted(NON_DYNKIN_CASES))
+def test_tits_form_named_cases(name):
+    expected = name in DYNKIN_CASES
+    n, arrows = DYNKIN_CASES[name] if expected else NON_DYNKIN_CASES[name]
+    quiver = Quiver(n, arrows)
+    assert _tits_form_positive(quiver) is expected
+    assert dynkin_graph(n, arrows) is expected
+    if not expected:
+        with pytest.raises(NotRepresentationFinite, match="needs a Dynkin underlying graph"):
+            knit(path_algebra_data(quiver))
+
+
+def test_tits_form_matches_graph_classifier():
+    rng = random.Random(1972)
+    verdicts = {True: 0, False: 0}
+    for trial in range(2400):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            # a random forest: mostly trees, where Dynkin and affine meet
+            pairs = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+        else:
+            density = rng.choice((0.15, 0.3, 0.5))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        label = list(range(n))
+        rng.shuffle(label)
+        arrows = []
+        for i, j in pairs:
+            s, t = (label[i], label[j]) if rng.random() < 0.5 else (label[j], label[i])
+            arrows.append((s, t, 1 if rng.random() < 0.9 else rng.randint(2, 3)))
+        expected = dynkin_graph(n, arrows)
+        assert _tits_form_positive(Quiver(n, arrows)) is expected, (n, arrows)
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 500
 
 
 def test_g_vectors_and_tau_inverse_frozen():
