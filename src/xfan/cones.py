@@ -1,23 +1,24 @@
 """Exact polyhedral analysis of the homogeneous systems A.beta >= 0.
 
 Row i of A is the i-th c-vector (transposed) times the root exchange matrix.
-Implicit equalities are detected by the homogeneous Farkas criterion: row k
-holds with equality on the whole solution set exactly when -a_k lies in the
-conic hull of the rows, and the certificate (a positive integer combination
-of rows summing to zero) is kept. Dimension drops by the rank of the
-implicit rows; facets are the non-redundant strict rows after grouping
-positive multiples.
+Every question is answered by one primitive, the extreme rays of a pointed
+cone. Implicit equalities come from the homogeneous Farkas criterion read
+through Gale duality: row k holds with equality on the whole solution set
+exactly when a nonnegative row relation uses it, and the relations are the
+image of a pointed cone over the integer kernel of A^T. Dimension drops by
+the rank of the implicit rows; facets are the strict row groups whose
+hyperplanes meet the rays of the cone's pointed part in codimension one.
 """
 
-from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .intmat import (
     Frozen,
     IntMatrix,
     _exact_int,
-    clear_multipliers,
     hnf_rows,
+    identity_rows,
     integer_kernel_basis,
     primitive_vector,
 )
@@ -62,8 +63,8 @@ class ConeDescription(Frozen):
     ``strict`` partition them, ``facets`` lists the facet classes,
     ``dim`` is the cone dimension, ``lineality_basis`` spans {A.beta = 0}
     over the integers, and ``implicit_certificates`` maps each implicit row
-    to the positive integer row combination witnessing it (coefficient per
-    row, the tested row included with coefficient >= 1).
+    to a nonnegative, primitive integer row relation witnessing it
+    (coefficient per row, the tested row included with coefficient >= 1).
     """
 
     __slots__ = (
@@ -92,112 +93,98 @@ def build_system(node, root_em):
     return InequalitySystem(A, node.history)
 
 
-def conic_membership(v, generators):
-    """Nonnegative rational multipliers expressing v in the conic hull.
+def pointed_rays(functionals):
+    """Primitive generators of the extreme rays of {y : f.y >= 0 for every f}.
 
-    Returns a tuple of Fractions aligned with ``generators`` (zeros for
-    unused ones), or None when v is outside the cone. Decision is exact:
-    by Caratheodory it suffices to scan linearly independent subsets, in
-    ascending size and lexicographic order, solving each system through
-    its integer kernel. Certificate choice is deterministic. The scan visits
-    every subset of at most n generators, and the generator count is not
-    bounded by n: classify passes all m rows to each implicit-row check, and
-    up to m - 1 + |implicit| to each facet check (the other strict rows, and
-    the implicit rows with both signs).
+    The cone must be pointed, that is the functionals span the dual space.
+    Each extreme ray is the line cut out by r - 1 independent functionals,
+    r the ambient dimension, so scanning the subsets of that size and
+    keeping the feasible kernel directions finds them all. Returns a sorted
+    tuple; the functionals go through ``IntMatrix``.
     """
-    v = tuple(_exact_int(x) for x in v)
-    gens = [tuple(_exact_int(x) for x in g) for g in generators]
-    length = len(v)
-    if any(len(g) != length for g in gens):
-        raise ValueError("generators and target must share a length")
-    if all(x == 0 for x in v):
-        return tuple(Fraction(0) for _ in gens)
-    bound = min(len(gens), length)
-    for size in range(1, bound + 1):
-        for subset in combinations(range(len(gens)), size):
-            sol = _solve_exact([gens[i] for i in subset], v)
-            if sol is None:
-                continue
-            numerators, denominator = sol
-            if all(x >= 0 for x in numerators):
-                lam = [Fraction(0)] * len(gens)
-                for i, x in zip(subset, numerators):
-                    lam[i] = Fraction(x, denominator)
-                return tuple(lam)
-    return None
+    functionals = IntMatrix(functionals).entries
+    rays = set()
+    for subset in combinations(functionals, len(functionals[0]) - 1):
+        # r = 1: the empty subset cuts out the whole line
+        line = integer_kernel_basis(subset) if subset else identity_rows(1)
+        if len(line) != 1:
+            continue
+        for y in (line[0], tuple(-x for x in line[0])):
+            if all(sum(map(mul, f, y)) >= 0 for f in functionals):
+                rays.add(y)
+    return tuple(sorted(rays))
 
 
-def _solve_exact(columns, target):
-    """Solve sum_i x_i columns[i] = target when the columns are independent.
+def relation_rays(rows):
+    """Primitive extreme rays of the cone {lam >= 0 : sum_k lam_k rows[k] = 0}.
 
-    The integer kernel of the matrix [columns | target] is a single line
-    with last coordinate t != 0 exactly when the columns are independent
-    and the system is consistent, and then x = -(kernel line)/t. Returns
-    the numerators and the positive common denominator of that unique
-    solution, or None when the columns are dependent (skip; a smaller
-    subset covers it) or the system is inconsistent.
+    Gale duality: the relations are lam = K^T.y for K the saturated integer
+    kernel basis of the transposed rows, so the cone is the image of the
+    pointed cone that the columns of K cut out, and a primitive y gives a
+    primitive lam. The supports of the rays are the minimal supports of
+    nonnegative relations, and on each of them lam is unique up to scale.
     """
-    aug = IntMatrix._trusted(
-        tuple(tuple(c[r] for c in columns) + (target[r],) for r in range(len(target)))
+    kernel = integer_kernel_basis(IntMatrix(rows).transpose())
+    if not kernel:
+        return ()
+    functionals = tuple(zip(*kernel))
+    return tuple(
+        tuple(sum(map(mul, y, f)) for f in functionals) for y in pointed_rays(functionals)
     )
-    kernel = integer_kernel_basis(aug)
-    if len(kernel) != 1 or kernel[0][-1] == 0:
-        return None
-    *x, t = kernel[0]
-    if t > 0:
-        return [-v for v in x], t
-    return x, -t
+
+
+def pointed_basis(rows, implicit, lineality):
+    """Integer basis of the pointed part's space: the cone's span meets the
+    orthogonal complement of its lineality space, and the cone is the
+    lineality space plus the pointed cone it cuts out there."""
+    constraints = [rows[i] for i in implicit] + list(lineality)
+    if not constraints:
+        return identity_rows(len(rows[0]))
+    return integer_kernel_basis(constraints)
+
+
+def restrict(row, basis):
+    """A functional in the coordinates of ``basis``."""
+    return tuple(sum(map(mul, row, b)) for b in basis)
 
 
 def classify(system):
     """Full cone classification: implicit rows, dimension, facets, lineality.
 
-    Row k is implicit iff -a_k lies in the conic hull of all rows; the
-    returned certificate is the integer-cleared positive combination that
-    sums to zero. The dimension is n minus the rank of the implicit rows.
-    Strict rows are grouped by primitive direction; a group representative
-    is redundant when it lies in the cone of the other strict groups plus
-    the span of the implicit rows, and each surviving group is one facet
-    reported with all of its supporting rows. A zero matrix yields the
-    whole space: dimension n, no facets.
+    Row k is implicit iff a nonnegative row relation lam.A = 0 has
+    lam_k > 0. Those relations form a pointed cone, so the implicit rows
+    are the union of the supports of its extreme rays, and the certificate
+    of row k is the first ray with lam_k > 0. The dimension is n minus the
+    rank of the implicit rows. Strict rows are grouped by their primitive
+    functional on the pointed part, which groups them exactly as their
+    functionals on the cone's span do. A group is a facet iff the extreme
+    rays of the pointed part on its hyperplane have rank one less than the
+    pointed dimension; each facet is reported with all of its supporting
+    rows. A zero matrix yields the whole space: dimension n, no facets.
     """
     A = system.A
-    n = A.cols
-    rows = [A.row(i) for i in range(A.rows)]
-    implicit = []
-    strict = []
+    rows = A.entries
     certificates = {}
-    for k, row in enumerate(rows):
-        neg = tuple(-x for x in row)
-        lam = conic_membership(neg, rows)
-        if lam is None:
-            strict.append(k)
-            continue
-        implicit.append(k)
-        relation = list(lam)
-        relation[k] += 1  # a_k + sum lambda_i a_i = 0
-        certificates[k] = clear_multipliers(relation)
-    if implicit:
-        implicit_rank = IntMatrix([rows[i] for i in implicit]).rank()
-    else:
-        implicit_rank = 0
-    dim = n - implicit_rank
+    for lam in relation_rays(rows):
+        for k, x in enumerate(lam):
+            if x > 0:
+                certificates.setdefault(k, lam)
+    implicit = sorted(certificates)
+    strict = [k for k in range(A.rows) if k not in certificates]
+    lineality = integer_kernel_basis(A)
+    basis = pointed_basis(rows, implicit, lineality)
     groups = {}
     for j in strict:
-        groups.setdefault(primitive_vector(rows[j]), []).append(j)
-    span_rows = [rows[i] for i in implicit]
+        groups.setdefault(primitive_vector(restrict(rows[j], basis)), []).append(j)
     facets = []
-    for direction in sorted(groups):
-        members = groups[direction]
-        rep = min(members)
-        others = [rows[j] for j in strict if j not in members]
-        others += span_rows
-        others += [tuple(-x for x in r) for r in span_rows]
-        if others and conic_membership(rows[rep], others) is not None:
-            continue
-        facets.append(Facet(rep, sorted(members)))
-    facets.sort(key=lambda f: f.representative)
-    lineality = integer_kernel_basis(A)
+    if groups:
+        rays = pointed_rays(list(groups))
+        for functional, members in groups.items():
+            face = tuple(y for y in rays if sum(map(mul, functional, y)) == 0)
+            face_rank = IntMatrix._trusted(face).rank() if face else 0
+            if face_rank == len(basis) - 1:
+                facets.append(Facet(members[0], members))
+    dim = len(lineality) + len(basis)
     return ConeDescription(system, implicit, strict, facets, dim, lineality, certificates)
 
 
@@ -225,11 +212,7 @@ def canonical_key(desc):
     if desc.implicit:
         span = integer_kernel_basis([rows[i] for i in desc.implicit])
     else:
-        span = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    functionals = set()
-    for facet in desc.facets:
-        a = rows[facet.representative]
-        restricted = tuple(sum(x * y for x, y in zip(a, basis_row)) for basis_row in span)
-        functionals.add(primitive_vector(restricted))
+        span = identity_rows(n)
+    functionals = {primitive_vector(restrict(rows[f.representative], span)) for f in desc.facets}
     lineality = hnf_rows(desc.lineality_basis)
     return (n, span, tuple(sorted(functionals)), lineality)

@@ -8,12 +8,11 @@ same value, which the tests check) and expands y^beta times the product
 of coefficient polynomials raised to the tropical exponents.
 """
 
-from itertools import combinations
 from operator import mul
 
-from .cones import build_system, canonical_key, classify
+from .cones import build_system, canonical_key, classify, pointed_basis, pointed_rays, restrict
 from .errors import NotInVisitedComplex
-from .intmat import Frozen, _exact_int, integer_kernel_basis, primitive_vector
+from .intmat import Frozen, _exact_int
 from .laurent import LaurentPolynomial
 from .seed import p_star
 
@@ -126,50 +125,15 @@ def extreme_rays(desc):
     """Primitive generators of the extreme rays modulo lineality.
 
     The pointed part lives in the intersection of the cone's span with the
-    orthogonal complement of the lineality space. Each extreme ray is cut
-    out by dim(pointed) - 1 facet hyperplanes, so scanning facet subsets of
-    that size and keeping the feasible kernel directions enumerates them
-    all. Intended for low-dimensional plot emission; cost grows with the
-    number of facet subsets.
+    orthogonal complement of the lineality space; its rays, cut out there
+    by the facet functionals, are mapped back to the ambient space. The
+    basis of that space is a saturated lattice basis, so primitive rays stay
+    primitive. Intended for low-dimensional plot emission; cost grows with
+    the number of facet subsets.
     """
-    system = desc.system
-    n = system.A.cols
-    rows = system.A.entries
-    constraints = [rows[i] for i in desc.implicit]
-    constraints += list(desc.lineality_basis)
-    if constraints:
-        pointed_basis = integer_kernel_basis(constraints)
-    else:
-        pointed_basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    r = len(pointed_basis)
-    if r == 0:
+    rows = desc.system.A.entries
+    basis = pointed_basis(rows, desc.implicit, desc.lineality_basis)
+    if not basis:
         return ()
-    facet_rows = [rows[f.representative] for f in desc.facets]
-    # facet functionals in pointed coordinates
-    functionals = [
-        tuple(sum(x * y for x, y in zip(a, basis_row)) for basis_row in pointed_basis)
-        for a in facet_rows
-    ]
-    candidates = set()
-    if r == 1:
-        for sign in (1, -1):
-            t = (sign,)
-            if all(sum(f * x for f, x in zip(func, t)) >= 0 for func in functionals):
-                candidates.add(t)
-    else:
-        for subset in combinations(range(len(functionals)), r - 1):
-            kern = integer_kernel_basis([functionals[i] for i in subset])
-            if len(kern) != 1:
-                continue
-            for t in (kern[0], tuple(-x for x in kern[0])):
-                if all(sum(f * x for f, x in zip(func, t)) >= 0 for func in functionals):
-                    candidates.add(primitive_vector(t))
-    rays = set()
-    for t in candidates:
-        vec = [0] * n
-        for coef, basis_row in zip(t, pointed_basis):
-            for i in range(n):
-                vec[i] += coef * basis_row[i]
-        if any(vec):
-            rays.add(primitive_vector(vec))
-    return tuple(sorted(rays))
+    rays = pointed_rays([restrict(rows[f.representative], basis) for f in desc.facets])
+    return tuple(sorted(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays))

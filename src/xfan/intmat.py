@@ -1,10 +1,10 @@
 """Exact integer matrices and lattice helpers.
 
 Everything in this module is immutable and arbitrary precision. The one
-exact solver of the package is the saturated integer kernel
-(unimodular row reduction, then Hermite normal form): it gives rank, the
+exact elimination of the package is the Hermite normal form, and the
+saturated integer kernel is read off it: the kernel gives rank, the
 canonical forms that cone deduplication relies on, and, in the callers,
-rational solves and skew-symmetrizers.
+extreme rays and skew-symmetrizers.
 """
 
 from functools import lru_cache
@@ -14,7 +14,8 @@ from operator import mul
 
 class Frozen:
     """Immutable slots base: constructors fill the slots through
-    ``object.__setattr__``; any later assignment or deletion raises."""
+    ``object.__setattr__``; any later assignment or deletion raises.
+    ``copy`` and ``pickle`` restore the slots the same way."""
 
     __slots__ = ()
 
@@ -23,6 +24,11 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        # copy and pickle hand back (None, {slot: value}) for slots classes
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class IntMatrix(Frozen):
@@ -168,32 +174,18 @@ def hnf_rows(vectors):
 def integer_kernel_basis(matrix):
     """Basis of the saturated integer kernel {x in Z^n : M.x = 0}.
 
-    Unimodular row reduction of the transposed matrix augmented with an
-    identity block: rows whose left block vanishes carry, in their right
-    block, a generating set of every integer solution. The result is put in
-    Hermite normal form, so it is canonical per kernel lattice. Returns a
-    tuple of integer row vectors (possibly empty). A list of rows goes
-    through ``IntMatrix``, so empty, ragged or non-integral input raises
-    ValueError.
+    Hermite normal form of the transposed matrix augmented with an identity
+    block: the rows whose left block vanishes carry, in their right block,
+    the Hermite normal form of the lattice of every integer solution, so the
+    result is canonical per kernel lattice. Returns a tuple of integer row
+    vectors (possibly empty). A list of rows goes through ``IntMatrix``, so
+    empty, ragged or non-integral input raises ValueError.
     """
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
-    ent = matrix.entries
-    m, n = matrix.rows, matrix.cols
-    aug = [[ent[r][i] for r in range(m)] + [int(i == j) for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(m):
-        if r >= n:
-            break
-        for i in range(r + 1, n):
-            while aug[i][c] != 0:
-                q = aug[r][c] // aug[i][c]
-                aug[r] = [a - q * b for a, b in zip(aug[r], aug[i])]
-                aug[r], aug[i] = aug[i], aug[r]
-        if aug[r][c] != 0:
-            r += 1
-    kernel = tuple(tuple(row[m:]) for row in aug if not any(row[:m]))
-    return hnf_rows(IntMatrix._trusted(kernel)) if kernel else ()
+    m = matrix.rows
+    aug = tuple(col + e for col, e in zip(zip(*matrix.entries), identity_rows(matrix.cols)))
+    return tuple(row[m:] for row in hnf_rows(IntMatrix._trusted(aug)) if not any(row[:m]))
 
 
 def primitive_vector(vec):
@@ -204,17 +196,3 @@ def primitive_vector(vec):
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)
-
-
-def clear_multipliers(fractions):
-    """Scale nonnegative rationals to coprime integers.
-
-    Intended for homogeneous certificates (sum lambda_i a_i = 0), where any
-    positive rescaling keeps the statement true: multiply by the lcm of the
-    denominators, then divide out the common gcd.
-    """
-    mult = 1
-    for f in fractions:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fractions]
-    return primitive_vector(ints)

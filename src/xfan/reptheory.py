@@ -9,9 +9,7 @@ K-theoretically on dimension vectors through the inverse Coxeter matrix;
 shifted objects are plain sign flips of dimension vectors.
 """
 
-from itertools import combinations
-
-from .cones import conic_membership
+from .cones import relation_rays
 from .errors import (
     ConventionViolation,
     NotAcyclic,
@@ -19,7 +17,7 @@ from .errors import (
     NotPositive,
     NotRepresentationFinite,
 )
-from .intmat import Frozen, IntMatrix, _exact_int, clear_multipliers
+from .intmat import Frozen, IntMatrix, _exact_int
 from .seed import topological_order
 
 
@@ -321,32 +319,25 @@ def kernel_certificates(data, cvectors):
     dim X is that vector. The result lists every minimal subset H of the
     positive inputs admitting strictly positive multipliers lambda with
     sum over H of lambda_k w_k = 0, as (indices into the input, integer
-    lambda) pairs. Non-positive inputs are skipped (mixed-sign systems
-    belong to the Farkas route in the cone module). Strict positivity is
-    decided exactly: lambda > 0 exists iff minus the plain sum of the w_k
-    lies back in their conic hull, and then lambda = 1 + mu.
+    lambda) pairs, ordered by size and then by subset. Non-positive inputs
+    are skipped (mixed-sign systems belong to the Farkas route in the cone
+    module). The minimal subsets are the supports of the extreme rays of
+    {lambda >= 0 : sum lambda_k w_k = 0}, and lambda is the primitive ray.
     """
     vectors = [tuple(_exact_int(x) for x in c) for c in cvectors]
     positive = [
         i for i, c in enumerate(vectors) if any(c) and all(x >= 0 for x in c)
     ]
-    sums = {}
+    if not positive:
+        return []
+    sums = []
     for i in positive:
         obj = DerivedObject(vectors[i])
         g_here = g_vector(data, obj)
         g_next = g_vector(data, tau_inverse_dim(data, obj))
-        sums[i] = tuple(a + b for a, b in zip(g_here, g_next))
+        sums.append(tuple(a + b for a, b in zip(g_here, g_next)))
     certificates = []
-    found_subsets = []
-    for size in range(1, len(positive) + 1):
-        for subset in combinations(positive, size):
-            if any(set(prev) <= set(subset) for prev in found_subsets):
-                continue
-            target = tuple(-sum(col) for col in zip(*(sums[i] for i in subset)))
-            mu = conic_membership(target, [sums[i] for i in subset])
-            if mu is None:
-                continue
-            lam = clear_multipliers([1 + m for m in mu])
-            found_subsets.append(subset)
-            certificates.append((subset, lam))
-    return certificates
+    for lam in relation_rays(sums):
+        support = [k for k, x in enumerate(lam) if x]
+        certificates.append((tuple(positive[k] for k in support), tuple(lam[k] for k in support)))
+    return sorted(certificates, key=lambda item: (len(item[0]), item[0]))

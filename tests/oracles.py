@@ -413,13 +413,14 @@ def locate_labelled(beta, catalog):
     return None
 
 
-def fraction_conic_membership(v, generators):
+def conic_membership(v, generators):
     """Nonnegative Fraction multipliers expressing v in the conic hull, or None.
 
-    The scan the library used before its solves went through the integer
-    kernel: every subset of at most len(v) generators, in ascending size and
-    lexicographic order, solved by Gauss-Jordan elimination over Fraction;
-    the first nonnegative unique solution wins.
+    The Caratheodory scan the library answered its cone questions with
+    before it read them off extreme rays: every subset of at most len(v)
+    generators, in ascending size and lexicographic order, solved by
+    Gauss-Jordan elimination over Fraction; the first nonnegative unique
+    solution wins.
     """
     v = tuple(v)
     gens = [tuple(g) for g in generators]
@@ -427,7 +428,7 @@ def fraction_conic_membership(v, generators):
         return tuple(Fraction(0) for _ in gens)
     for size in range(1, min(len(gens), len(v)) + 1):
         for subset in combinations(range(len(gens)), size):
-            sol = _fraction_solve([gens[i] for i in subset], v)
+            sol = _solve_exact([gens[i] for i in subset], v)
             if sol is not None and all(x >= 0 for x in sol):
                 lam = [Fraction(0)] * len(gens)
                 for i, x in zip(subset, sol):
@@ -436,7 +437,7 @@ def fraction_conic_membership(v, generators):
     return None
 
 
-def _fraction_solve(columns, target):
+def _solve_exact(columns, target):
     """Unique solution of sum_i x_i columns[i] = target, or None."""
     m = len(target)
     k = len(columns)
@@ -459,6 +460,107 @@ def _fraction_solve(columns, target):
     if any(aug[r][k] != 0 for r in range(row, m)):
         return None  # inconsistent
     return [aug[pivots[j]][k] for j in range(k)]
+
+
+def clear_multipliers(fractions):
+    """Scale nonnegative rationals to coprime integers.
+
+    Any positive rescaling keeps a homogeneous relation true: multiply by
+    the lcm of the denominators, then divide out the common gcd.
+    """
+    mult = 1
+    for f in fractions:
+        den = Fraction(f).denominator
+        mult = mult * den // gcd(mult, den)
+    ints = [int(f * mult) for f in fractions]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def rref(rows):
+    """Nonzero rows of the reduced row echelon form over Fraction.
+
+    A canonical basis of the rational row span: two generating sets of the
+    same subspace give the same tuple.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    out = []
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in m if r[col]), None)
+        if pivot is None:
+            continue
+        m.remove(pivot)
+        pivot = [x / pivot[col] for x in pivot]
+        m = [[a - r[col] * b for a, b in zip(r, pivot)] for r in m]
+        out = [[a - r[col] * b for a, b in zip(r, pivot)] for r in out]
+        out.append(pivot)
+    return tuple(tuple(r) for r in out)
+
+
+def kernel_rref(rows):
+    """``rref`` of the rational kernel {x : rows.x = 0}, by sympy."""
+    return rref([list(v) for v in sympy.Matrix(rows).nullspace()]) if rows else ()
+
+
+def scan_classify(rows):
+    """Cone classification of {x : rows.x >= 0} by Caratheodory scans.
+
+    Returns (implicit, strict, facets, dim) with 0-based row indices and
+    facets as (representative, supporting rows) pairs. Row k is implicit
+    iff -a_k lies in the conic hull of all rows. Strict rows are grouped by
+    their functional on the cone's span, that is the row reduced modulo the
+    span of the implicit rows and scaled by the size of its first nonzero
+    entry. A group is a facet unless its representative lies in the cone of
+    the other strict rows plus the span of the implicit rows.
+    """
+    rows = [tuple(r) for r in rows]
+    implicit, strict = [], []
+    for k, row in enumerate(rows):
+        if conic_membership(tuple(-x for x in row), rows) is None:
+            strict.append(k)
+        else:
+            implicit.append(k)
+    span_rows = [rows[i] for i in implicit]
+    span = rref(span_rows)
+    groups = {}
+    for j in strict:
+        v = [Fraction(x) for x in rows[j]]
+        for basis_row in span:
+            pivot = next(i for i, x in enumerate(basis_row) if x)
+            v = [a - v[pivot] * b for a, b in zip(v, basis_row)]
+        scale = abs(next(x for x in v if x))
+        groups.setdefault(tuple(x / scale for x in v), []).append(j)
+    facets = []
+    for members in groups.values():
+        others = [rows[j] for j in strict if j not in members]
+        others += span_rows + [tuple(-x for x in r) for r in span_rows]
+        if others and conic_membership(rows[members[0]], others) is not None:
+            continue
+        facets.append((members[0], tuple(members)))
+    dim = len(rows[0]) - fraction_rank(span_rows)
+    return tuple(implicit), tuple(strict), facets, dim
+
+
+def minimal_positive_relations(vectors):
+    """Minimal index subsets H with strictly positive lam, sum_H lam_k v_k = 0.
+
+    Returns (H, lam) pairs with lam cleared to coprime integers. Subsets are
+    scanned in ascending size and lexicographic order, skipping supersets of
+    subsets already found: lam > 0 exists iff minus the plain sum of the
+    subset lies in its conic hull, and then lam = 1 + mu.
+    """
+    found = []
+    for size in range(1, len(vectors) + 1):
+        for subset in combinations(range(len(vectors)), size):
+            if any(set(prev) <= set(subset) for prev, _ in found):
+                continue
+            target = tuple(-sum(col) for col in zip(*(vectors[i] for i in subset)))
+            mu = conic_membership(target, [vectors[i] for i in subset])
+            if mu is not None:
+                found.append((subset, clear_multipliers([1 + m for m in mu])))
+    return found
 
 
 def fraction_symmetrizer(rows):
@@ -539,8 +641,14 @@ def _self_check():
     for i in range(3):
         for j in range(3):
             assert d[i] * b[i][j] == -d[j] * b[j][i]
-    assert fraction_conic_membership((0, -1, 0), [(0, 1, 0), (1, -1, 1), (-1, 0, -1)]) == (0, 1, 1)
-    assert fraction_conic_membership((-1, 0), [(1, 0), (0, 1)]) is None
+    assert conic_membership((0, -1, 0), [(0, 1, 0), (1, -1, 1), (-1, 0, -1)]) == (0, 1, 1)
+    assert conic_membership((-1, 0), [(1, 0), (0, 1)]) is None
+    assert clear_multipliers([Fraction(1, 2), Fraction(2, 3)]) == (3, 4)
+    assert rref([(2, 4), (1, 2)]) == ((1, 2),)
+    assert kernel_rref([(1, 1, 0)]) == ((1, -1, 0), (0, 0, 1))
+    # the ray {x = 0, y >= 0}: rows 2 and 3 agree on the span, one facet
+    assert scan_classify([(1, 0), (-1, 0), (0, 1), (1, 1)])[2] == [(2, (2, 3))]
+    assert minimal_positive_relations([(1, 0), (0, 1), (-1, 0)]) == [((0, 2), (1, 1))]
     assert fraction_symmetrizer([[0, 1], [-2, 0]]) == (2, 1)
     assert fraction_symmetrizer([[0, 1, 1], [-1, 0, 1], [-2, -1, 0]]) is None
 

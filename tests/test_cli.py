@@ -117,6 +117,19 @@ def test_fan_emit_rays(tmp_path):
     assert root["rays"] == [[-1, 0], [0, 1]]
 
 
+def test_facet_of_strict_rows_agreeing_on_the_span(tmp_path):
+    # Rows 1 and 4 differ in direction but agree modulo the implicit rows'
+    # span: together they support the cone's one facet.
+    seed = _b_file(tmp_path, {"B": [[0, -1, 0, 1], [1, 0, -1, -2], [0, 1, 0, -1], [-1, 2, 1, 0]]})
+    doc = json.loads(_run(["cone", "--B", seed, "--seq", "2,1"]).stdout)
+    assert doc["dim"] == 3
+    assert doc["implicit"] == [2, 3]
+    assert doc["facets"] == [{"normal": [-1, 1, 1, 1], "representative": 1, "supporting": [1, 4]}]
+    fan = json.loads(_run(["fan", "--B", seed, "--depth", "4", "--emit-rays"]).stdout)
+    (cone,) = [c for c in fan["cones"] if [2, 1] in c["witnesses"]]
+    assert cone["rays"] == [[-1, 1, 1, 1]]
+
+
 def test_theta_document(tmp_path):
     p = _run(["theta", "--B", _b_file(tmp_path, B_A3), "--beta", "[-1,-1,-1]"])
     doc = json.loads(p.stdout)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from xfan import (
     IntMatrix,
@@ -11,16 +12,27 @@ from xfan import (
     build_system,
     canonical_key,
     classify,
-    conic_membership,
     contains,
     enumerate_pattern,
+    extreme_rays,
     initial_node,
     kernel_of_p_star,
     mutate_node,
+    pointed_rays,
+    primitive_vector,
     validate,
 )
+from xfan.cones import relation_rays
 
-from oracles import fraction_conic_membership, fraction_rank, sampled_cone_dimension
+from oracles import (
+    conic_membership,
+    fraction_rank,
+    kernel_rref,
+    random_skew_symmetrizable,
+    rref,
+    sampled_cone_dimension,
+    scan_classify,
+)
 
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 
@@ -118,41 +130,6 @@ def test_conic_membership_randomized_roundtrip():
         rebuilt = tuple(sum(f * g[i] for f, g in zip(found, gens)) for i in range(n))
         assert rebuilt == tuple(Fraction(x) for x in v)
         assert all(f >= 0 for f in found)
-
-
-def test_conic_membership_matches_fraction_oracle():
-    # The kernel solves must reproduce the Fraction Gauss-Jordan scan exactly:
-    # same subset, same multipliers, same None.
-    rng = random.Random(4409)
-    kinds = {"zero": 0, "inside": 0, "outside": 0, "dependent": 0}
-    for trial in range(300):
-        n = rng.randint(1, 4)
-        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
-        if trial % 3 == 0:
-            # repeated and dependent generators: a copy and a multiple
-            g = rng.choice(gens)
-            gens.append(g)
-            gens.append(tuple(rng.choice((-2, 2, 3)) * x for x in g))
-            kinds["dependent"] += 1
-        mode = trial % 4
-        if mode == 0:
-            v = (0,) * n
-        elif mode == 1:
-            lam = [rng.randint(0, 3) for _ in gens]
-            v = tuple(sum(l * g[i] for l, g in zip(lam, gens)) for i in range(n))
-        else:
-            v = tuple(rng.randint(-4, 4) for _ in range(n))
-        expected = fraction_conic_membership(v, gens)
-        found = conic_membership(v, gens)
-        assert found == expected, (v, gens)
-        assert found is None or all(type(x) is Fraction for x in found)
-        if not any(v):
-            kinds["zero"] += 1
-        elif expected is None:
-            kinds["outside"] += 1
-        else:
-            kinds["inside"] += 1
-    assert min(kinds.values()) >= 30, kinds
 
 
 def test_build_system_rows_are_cvector_images():
@@ -299,3 +276,132 @@ def test_canonical_key_ignores_row_presentation():
     doubled = InequalitySystem(IntMatrix([[2, 0], [0, 3], [1, 1]]), ())
     # same point set: the doubled rows rescale and (1,1) is implied
     assert canonical_key(classify(base)) == canonical_key(classify(doubled))
+
+
+def test_pointed_rays_frozen():
+    assert pointed_rays([(1, 0), (0, 1)]) == ((0, 1), (1, 0))
+    # a redundant functional changes nothing
+    assert pointed_rays([(1, 0), (1, 1), (0, 1)]) == ((0, 1), (1, 0))
+    # the cone over a square
+    square = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    assert pointed_rays(square) == ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
+    assert pointed_rays([(2,), (3,)]) == ((1,),)
+    assert pointed_rays([(1,), (-1,)]) == ()
+    # rays come out primitive
+    assert pointed_rays([(2, -1), (-1, 2)]) == ((1, 2), (2, 1))
+
+
+def test_relation_rays_frozen():
+    assert relation_rays([(1, 0), (-1, 0), (0, 1)]) == ((1, 1, 0),)
+    assert relation_rays([(1, 0), (0, 1)]) == ()
+    # two minimal supports through the same row; each ray is primitive
+    assert relation_rays([(2, 0), (-1, 0), (-1, 0)]) == ((1, 0, 2), (1, 2, 0))
+    assert relation_rays([(0, 0), (1, 1)]) == ((1, 0),)
+
+
+B_SPAN_BUG = [[0, -1, 0, 1], [1, 0, -1, -2], [0, 1, 0, -1], [-1, 2, 1, 0]]
+
+
+def test_strict_rows_agreeing_on_the_span_share_one_facet():
+    # Rows 0 and 3 point in different directions but agree modulo the span
+    # of the implicit rows 1 and 2; grouped by ambient direction, each was
+    # redundant against the other and the cone lost its only facet.
+    em = validate(B_SPAN_BUG)
+    desc = classify(build_system(mutate_node(mutate_node(initial_node(em), 2), 1), em))
+    assert desc.implicit == (1, 2)
+    assert desc.strict == (0, 3)
+    assert desc.dim == 3
+    assert [(f.representative, f.supporting) for f in desc.facets] == [(0, (0, 3))]
+    assert extreme_rays(desc) == ((-1, 1, 1, 1),)
+
+
+def test_canonical_key_separates_a_ray_from_its_mirror():
+    up = classify(InequalitySystem(IntMatrix([[1, 0], [-1, 0], [0, 1], [1, 1]]), ()))
+    down = classify(InequalitySystem(IntMatrix([[1, 0], [-1, 0], [0, -1], [1, -1]]), ()))
+    assert up.dim == down.dim == 1
+    assert [(f.representative, f.supporting) for f in up.facets] == [(2, (2, 3))]
+    assert [(f.representative, f.supporting) for f in down.facets] == [(2, (2, 3))]
+    assert extreme_rays(up) == ((0, 1),)
+    assert extreme_rays(down) == ((0, -1),)
+    assert canonical_key(up) != canonical_key(down)
+
+
+def _assert_certificates(desc):
+    a = desc.system.A.entries
+    assert sorted(desc.implicit_certificates) == list(desc.implicit)
+    for k, lam in desc.implicit_certificates.items():
+        assert all(type(c) is int and c >= 0 for c in lam) and lam[k] >= 1
+        assert gcd(*lam) == 1
+        assert all(sum(c * row[i] for c, row in zip(lam, a)) == 0 for i in range(len(a[0])))
+
+
+def _assert_matches_scan(desc):
+    rows = desc.system.A.entries
+    implicit, strict, facets, dim = scan_classify(rows)
+    assert desc.implicit == implicit, rows
+    assert desc.strict == strict, rows
+    assert [(f.representative, f.supporting) for f in desc.facets] == facets, rows
+    assert desc.dim == dim, rows
+    assert rref(desc.lineality_basis) == kernel_rref(rows), rows
+    _assert_certificates(desc)
+
+
+CATALOGS = [
+    ([[0, 1], [-1, 0]], None, False),
+    ([[0, 1], [-2, 0]], None, False),
+    ([[0, 1], [-3, 0]], None, False),
+    ([[0, 2], [-2, 0]], 4, False),
+    (B_A3, None, False),
+    ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], None, False),
+    ([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], 5, False),
+    ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], None, True),
+    ([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], None, True),
+]
+
+
+def test_classify_matches_caratheodory_scan_on_catalogs():
+    for rows, depth, seeds_only in CATALOGS:
+        em = validate(rows)
+        cat = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
+        for node in cat.seeds if seeds_only else cat.nodes:
+            _assert_matches_scan(classify(build_system(node, em)))
+
+
+def test_classify_matches_caratheodory_scan_on_random_seeds():
+    rng = random.Random(7207)
+    for _ in range(500):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        em = validate(rows)
+        node = initial_node(em)
+        for _ in range(rng.randint(0, 4)):
+            node = mutate_node(node, rng.randint(1, em.n))
+        _assert_matches_scan(classify(build_system(node, em)))
+
+
+def test_classify_matches_caratheodory_scan_on_random_systems():
+    # Repeated, negated and rescaled rows make implicit rows and strict rows
+    # that agree on the span; sums of rows make redundant ones.
+    rng = random.Random(3116)
+    kinds = {"implicit": 0, "redundant": 0, "shared": 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 3)):
+            row = rng.choice(rows)
+            other = rng.choice(rows)
+            pick = rng.random()
+            if pick < 0.3:
+                rows.append(tuple(-x for x in row))
+            elif pick < 0.5:
+                rows.append(tuple(rng.randint(1, 3) * x for x in row))
+            else:
+                rows.append(tuple(a + b for a, b in zip(row, other)))
+        rng.shuffle(rows)
+        desc = classify(InequalitySystem(IntMatrix(rows), ()))
+        _assert_matches_scan(desc)
+        kinds["implicit"] += bool(desc.implicit)
+        kinds["redundant"] += sum(len(f.supporting) for f in desc.facets) < len(desc.strict)
+        kinds["shared"] += any(
+            len({primitive_vector(rows[j]) for j in f.supporting}) > 1 for f in desc.facets
+        )
+    assert min(kinds.values()) >= 20, kinds

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +18,6 @@ from xfan import (
     assemble_fan,
     build_system,
     classify,
-    conic_membership,
     contains,
     enumerate_pattern,
     g_vector,
@@ -28,6 +29,7 @@ from xfan import (
     normal_vector,
     p_star,
     path_algebra_data,
+    pointed_rays,
     primitive_vector,
     quiver_of,
     tau_inverse_dim,
@@ -35,9 +37,9 @@ from xfan import (
     validate,
     verify_dv_gv,
 )
-from xfan.intmat import Frozen, clear_multipliers
+from xfan.intmat import Frozen
 
-from oracles import fraction_rank
+from oracles import clear_multipliers, fraction_rank
 
 
 def test_rank_frozen_cases():
@@ -87,8 +89,7 @@ def _a3_data():
         lambda: locate(BETA, _a2_catalog()),
         lambda: theta(BETA, _a2_catalog()),
         lambda: contains(build_system(_a2_catalog().nodes[0], validate(B_A2)), BETA),
-        lambda: conic_membership(BETA, [(1, 0), (0, 1)]),
-        lambda: conic_membership((1, 0), [(1.5, 0)]),
+        lambda: pointed_rays([(1, 0), BETA]),
         lambda: LaurentPolynomial(1, {(1.5,): 2}),
         lambda: LaurentPolynomial(1, {(1,): 2.5}),
         lambda: LaurentPolynomial.monomial(2, BETA),
@@ -110,7 +111,7 @@ def _a3_data():
     ],
     ids=[
         "IntMatrix", "validate-d", "p_star", "locate", "theta", "contains",
-        "conic_membership-target", "conic_membership-generator",
+        "pointed_rays",
         "laurent-exponent", "laurent-coefficient", "laurent-monomial", "laurent-pow",
         "DerivedObject", "g_vector", "tau_inverse_dim", "verify_dv_gv",
         "normal_vector", "kernel_certificates", "mesh_at", "Quiver",
@@ -237,3 +238,9 @@ def test_immutability(name):
     assert getattr(value, slot) is before
     assert cls.__setattr__ is Frozen.__setattr__
     assert cls.__delattr__ is Frozen.__delattr__
+    # copies and pickles restore the slots around the refusing __setattr__
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls
+        assert pickle.dumps(copied) == pickle.dumps(value)
+        if cls.__eq__ is not object.__eq__:
+            assert copied == value

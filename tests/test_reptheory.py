@@ -8,12 +8,15 @@ import pytest
 
 from xfan import (
     ConventionViolation,
+    DerivedObject,
     IntMatrix,
     NotARoot,
     NotAcyclic,
     NotPositive,
     NotRepresentationFinite,
     Quiver,
+    assemble_fan,
+    enumerate_pattern,
     g_vector,
     kernel_certificates,
     knit,
@@ -28,6 +31,7 @@ from xfan.reptheory import _tits_form_positive, tau_inverse_dim
 from oracles import (
     arrows_to_b,
     dynkin_graph,
+    minimal_positive_relations,
     path_counts,
     positive_roots,
     random_acyclic_arrows,
@@ -35,6 +39,7 @@ from oracles import (
 )
 
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
+B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 B_KRONECKER = [[0, -2], [2, 0]]
 
 
@@ -307,3 +312,52 @@ def test_kernel_certificates_skip_nonpositive_input():
     data = _data(B_A3)
     assert kernel_certificates(data, [(1, 0, 0), (0, -1, 0)]) == []
     assert kernel_certificates(data, [(0, -1, 0), (0, 0, -1)]) == []
+
+
+def _two_term_sum(data, dim):
+    obj = DerivedObject(dim)
+    g_next = g_vector(data, tau_inverse_dim(data, obj))
+    return tuple(a + b for a, b in zip(g_vector(data, obj), g_next))
+
+
+def test_kernel_certificates_match_subset_scan():
+    # The extreme rays of the relation cone against the old scan over
+    # subsets: same minimal subsets, same order, same multipliers.
+    rng = random.Random(6101)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        arrows = random_acyclic_arrows(rng, n, max_mult=2, density=0.4)
+        data = _data(arrows_to_b(n, arrows))
+        cvectors = [tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        positive = [i for i, c in enumerate(cvectors) if any(c) and min(c) >= 0]
+        expected = minimal_positive_relations([_two_term_sum(data, cvectors[i]) for i in positive])
+        expected = [(tuple(positive[k] for k in subset), lam) for subset, lam in expected]
+        assert kernel_certificates(data, cvectors) == expected, (arrows, cvectors)
+        found += len(expected)
+    assert found >= 100
+
+
+@pytest.mark.parametrize(
+    "rows, facet_rows",
+    [(B_A3, 15), (_linear_a(4), 168), (B_D4, 20), (_linear_a(5), 384)],
+    ids=["A3", "A4", "D4", "A5"],
+)
+def test_facet_rows_are_two_term_g_vector_sums(rows, facet_rows):
+    # The paper's third result on computed fans: every facet row
+    # a_k = c_k^T.B is +-(g(M) + g(tau^-1 M)) with dim M = |c_k|.
+    em = validate(rows)
+    data = path_algebra_data(quiver_of(em))
+    catalog = enumerate_pattern(em, max_depth=None, with_polynomials=False)
+    assert catalog.complete
+    by_history = {node.history: node for node in catalog.seeds}
+    seen = 0
+    for cone in assemble_fan(catalog).cones:
+        desc = cone.description
+        c_matrix = by_history[desc.system.history].C_t
+        for facet in desc.facets:
+            row = desc.system.A.row(facet.representative)
+            w = _two_term_sum(data, tuple(abs(x) for x in c_matrix.col(facet.representative)))
+            assert row in (w, tuple(-x for x in w))
+            seen += 1
+    assert seen == facet_rows
