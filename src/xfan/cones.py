@@ -8,6 +8,7 @@ exactly when a nonnegative row relation uses it, and the relations are the
 image of a pointed cone over the integer kernel of A^T. Dimension drops by
 the rank of the implicit rows; facets are the strict row groups whose
 hyperplanes meet the rays of the cone's pointed part in codimension one.
+Those rays are kept, and with the lineality space they key the cone.
 """
 
 from itertools import combinations
@@ -62,9 +63,12 @@ class ConeDescription(Frozen):
     Indices are 0-based positions into the system's rows. ``implicit`` and
     ``strict`` partition them, ``facets`` lists the facet classes,
     ``dim`` is the cone dimension, ``lineality_basis`` spans {A.beta = 0}
-    over the integers, and ``implicit_certificates`` maps each implicit row
+    over the integers, ``implicit_certificates`` maps each implicit row
     to a nonnegative, primitive integer row relation witnessing it
-    (coefficient per row, the tested row included with coefficient >= 1).
+    (coefficient per row, the tested row included with coefficient >= 1),
+    and ``rays`` are the sorted primitive extreme rays of the pointed part
+    (the cone within the orthogonal complement of the lineality space).
+    The cone is the lineality space plus the conic hull of ``rays``.
     """
 
     __slots__ = (
@@ -75,9 +79,10 @@ class ConeDescription(Frozen):
         "dim",
         "lineality_basis",
         "implicit_certificates",
+        "rays",
     )
 
-    def __init__(self, system, implicit, strict, facets, dim, lineality_basis, certificates):
+    def __init__(self, system, implicit, strict, facets, dim, lineality_basis, certificates, rays):
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "implicit", tuple(implicit))
         object.__setattr__(self, "strict", tuple(strict))
@@ -85,6 +90,7 @@ class ConeDescription(Frozen):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "lineality_basis", tuple(lineality_basis))
         object.__setattr__(self, "implicit_certificates", dict(certificates))
+        object.__setattr__(self, "rays", tuple(rays))
 
 
 def build_system(node, root_em):
@@ -133,34 +139,23 @@ def relation_rays(rows):
     )
 
 
-def pointed_basis(rows, implicit, lineality):
-    """Integer basis of the pointed part's space: the cone's span meets the
-    orthogonal complement of its lineality space, and the cone is the
-    lineality space plus the pointed cone it cuts out there."""
-    constraints = [rows[i] for i in implicit] + list(lineality)
-    if not constraints:
-        return identity_rows(len(rows[0]))
-    return integer_kernel_basis(constraints)
-
-
-def restrict(row, basis):
-    """A functional in the coordinates of ``basis``."""
-    return tuple(sum(map(mul, row, b)) for b in basis)
-
-
 def classify(system):
-    """Full cone classification: implicit rows, dimension, facets, lineality.
+    """Full cone classification: implicit rows, dimension, facets, lineality, rays.
 
     Row k is implicit iff a nonnegative row relation lam.A = 0 has
     lam_k > 0. Those relations form a pointed cone, so the implicit rows
     are the union of the supports of its extreme rays, and the certificate
     of row k is the first ray with lam_k > 0. The dimension is n minus the
-    rank of the implicit rows. Strict rows are grouped by their primitive
-    functional on the pointed part, which groups them exactly as their
-    functionals on the cone's span do. A group is a facet iff the extreme
-    rays of the pointed part on its hyperplane have rank one less than the
-    pointed dimension; each facet is reported with all of its supporting
-    rows. A zero matrix yields the whole space: dimension n, no facets.
+    rank of the implicit rows. The cone is its lineality space plus the
+    pointed cone it cuts out in the space where its span meets the
+    orthogonal complement of the lineality space. Strict rows are grouped
+    by their primitive functional on that space, which groups them exactly
+    as their functionals on the cone's span do. A group is a facet iff the
+    extreme rays of the pointed part on its hyperplane have rank one less
+    than the pointed dimension; each facet is reported with all of its
+    supporting rows. The rays are kept in ambient coordinates; the space's
+    basis is a saturated lattice basis, so primitive rays stay primitive.
+    A zero matrix yields the whole space: dimension n, no facets, no rays.
     """
     A = system.A
     rows = A.entries
@@ -172,20 +167,23 @@ def classify(system):
     implicit = sorted(certificates)
     strict = [k for k in range(A.rows) if k not in certificates]
     lineality = integer_kernel_basis(A)
-    basis = pointed_basis(rows, implicit, lineality)
+    constraints = [rows[i] for i in implicit] + list(lineality)
+    basis = integer_kernel_basis(constraints) if constraints else identity_rows(A.cols)
     groups = {}
     for j in strict:
-        groups.setdefault(primitive_vector(restrict(rows[j], basis)), []).append(j)
+        functional = tuple(sum(map(mul, rows[j], b)) for b in basis)
+        groups.setdefault(primitive_vector(functional), []).append(j)
+    rays = pointed_rays(list(groups)) if groups else ()
     facets = []
-    if groups:
-        rays = pointed_rays(list(groups))
-        for functional, members in groups.items():
-            face = tuple(y for y in rays if sum(map(mul, functional, y)) == 0)
-            face_rank = IntMatrix._trusted(face).rank() if face else 0
-            if face_rank == len(basis) - 1:
-                facets.append(Facet(members[0], members))
+    for functional, members in groups.items():
+        face = tuple(y for y in rays if sum(map(mul, functional, y)) == 0)
+        face_rank = IntMatrix._trusted(face).rank() if face else 0
+        if face_rank == len(basis) - 1:
+            facets.append(Facet(members[0], members))
+    # the basis is in Hermite normal form, so the map keeps the rays sorted
+    ambient = tuple(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays)
     dim = len(lineality) + len(basis)
-    return ConeDescription(system, implicit, strict, facets, dim, lineality, certificates)
+    return ConeDescription(system, implicit, strict, facets, dim, lineality, certificates, ambient)
 
 
 def contains(system, beta):
@@ -199,20 +197,9 @@ def contains(system, beta):
 def canonical_key(desc):
     """Hashable key equal between descriptions iff the point sets are equal.
 
-    The cone is the intersection of its linear span with the facet
-    halfspaces, so the key records the span (as the Hermite-normal-form
-    basis of the kernel of the implicit rows), each facet functional
-    restricted to that basis and made primitive, and the lineality basis,
-    also in Hermite normal form. The span basis is canonical per subspace,
-    which makes the restricted functionals comparable across systems.
+    A cone is its lineality space plus the conic hull of the extreme rays
+    of its pointed part, and both are intrinsic to the point set. So the
+    key is the ambient dimension, the lineality lattice in Hermite normal
+    form and the sorted primitive rays that ``classify`` kept.
     """
-    system = desc.system
-    n = system.A.cols
-    rows = system.A.entries
-    if desc.implicit:
-        span = integer_kernel_basis([rows[i] for i in desc.implicit])
-    else:
-        span = identity_rows(n)
-    functionals = {primitive_vector(restrict(rows[f.representative], span)) for f in desc.facets}
-    lineality = hnf_rows(desc.lineality_basis)
-    return (n, span, tuple(sorted(functionals)), lineality)
+    return (desc.system.A.cols, hnf_rows(desc.lineality_basis), desc.rays)

@@ -10,7 +10,7 @@ of coefficient polynomials raised to the tropical exponents.
 
 from operator import mul
 
-from .cones import build_system, canonical_key, classify, pointed_basis, pointed_rays, restrict
+from .cones import build_system, canonical_key, classify
 from .errors import NotInVisitedComplex
 from .intmat import Frozen, _exact_int
 from .laurent import LaurentPolynomial
@@ -124,16 +124,7 @@ def theta(beta, catalog):
 def extreme_rays(desc):
     """Primitive generators of the extreme rays modulo lineality.
 
-    The pointed part lives in the intersection of the cone's span with the
-    orthogonal complement of the lineality space; its rays, cut out there
-    by the facet functionals, are mapped back to the ambient space. The
-    basis of that space is a saturated lattice basis, so primitive rays stay
-    primitive. Intended for low-dimensional plot emission; cost grows with
-    the number of facet subsets.
+    These are the rays of the cone's pointed part that ``classify`` kept,
+    in ambient coordinates and sorted.
     """
-    rows = desc.system.A.entries
-    basis = pointed_basis(rows, desc.implicit, desc.lineality_basis)
-    if not basis:
-        return ()
-    rays = pointed_rays([restrict(rows[f.representative], basis) for f in desc.facets])
-    return tuple(sorted(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays))
+    return desc.rays

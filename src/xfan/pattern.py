@@ -103,26 +103,36 @@ def initial_node(em, with_polynomials=True):
     return PatternNode(em, ident, ident, polys, ())
 
 
+def _mutate_c(node, k):
+    """C_t of the node mutated in direction k (1-based), sign coherence checked.
+
+    The coefficient column k flips, every other column picks up a rectified
+    multiple of column k. The exchange entries belong to the same pattern
+    as the c-matrix, so C_t (initial -B^T) pivots on row k of -B_t^T.
+    """
+    n = node.B_t.n
+    if not 1 <= k <= n:
+        raise IndexOutOfRange(f"direction {k} outside 1..{n}")
+    kk = k - 1
+    pivot = tuple(-row[kk] for row in node.B_t.B.entries)
+    new_c = IntMatrix._trusted(tuple(mutate_rows(node.C_t.entries, kk, pivot)))
+    for j, col in enumerate(zip(*new_c.entries)):
+        _column_sign(col, j)
+    return new_c
+
+
 def mutate_node(node, k):
     """Mutate every field of a node in direction k (1-based).
 
     Raises SignCoherenceViolation or DualityViolation when the mutated data
     breaks an invariant; both indicate an implementation bug, not bad input.
     """
+    new_c = _mutate_c(node, k)
     n = node.B_t.n
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"direction {k} outside 1..{n}")
     kk = k - 1
     b = node.B_t.B.entries
     d = node.B_t.d
     new_em = mutate(node.B_t, k)
-    # c-matrix recurrence: the coefficient column k flips, every other
-    # column picks up a rectified multiple of column k. The exchange entries
-    # belong to the same pattern as the c-matrix, so C_t (initial -B^T)
-    # pivots on row k of -B_t^T.
-    pivot = tuple(-row[kk] for row in b)
-    new_c = IntMatrix._trusted(tuple(mutate_rows(node.C_t.entries, kk, pivot)))
-    _check_coherent(new_c)
     # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
     column = tuple(row[kk] * d[kk] // di for row, di in zip(node.C_t.entries, d))
     new_g = _mutate_g(node.G_t, b, column, kk)
@@ -180,11 +190,6 @@ def _mutate_f(polys, b, column, kk, n):
     )
 
 
-def _check_coherent(cmat):
-    for j, col in enumerate(zip(*cmat.entries)):
-        _column_sign(col, j)
-
-
 def enumerate_pattern(
     em,
     max_depth=DEFAULT_DEPTH,
@@ -193,11 +198,13 @@ def enumerate_pattern(
 ):
     """BFS over the mutation tree, deduplicating nodes on C_t.
 
-    Immediate back-mutation is skipped; ties among directions break by
-    ascending index, so the catalog order is deterministic. ``max_depth``
-    of None removes the depth bound (pair it with ``node_cap``; the cap
-    raises ExhaustionCapExceeded if the frontier is still alive when it
-    trips).
+    Each edge first computes only the mutated c-matrix; the rest of the
+    node, with its duality and F-polynomial checks, is built only when that
+    c-matrix is new. Immediate back-mutation is skipped; ties among
+    directions break by ascending index, so the catalog order is
+    deterministic. ``max_depth`` of None removes the depth bound (pair it
+    with ``node_cap``; the cap raises ExhaustionCapExceeded if the frontier
+    is still alive when it trips).
 
     Returns a PatternCatalog whose ``complete`` flag is set only when a
     frontier emptied before the depth bound, meaning every seed was seen.
@@ -225,13 +232,10 @@ def enumerate_pattern(
         for parent in frontier:
             last = parent.history[-1] if parent.history else 0
             for k in range(1, n + 1):
-                if k == last:
+                if k == last or _mutate_c(parent, k).entries in seen:
                     continue
                 child = mutate_node(parent, k)
-                key = child.C_t.entries
-                if key in seen:
-                    continue
-                seen.add(key)
+                seen.add(child.C_t.entries)
                 nodes.append(child)
                 next_frontier.append(child)
         if node_cap is not None and len(nodes) > node_cap:
@@ -249,9 +253,11 @@ def positive_c_vectors(catalog):
 
     Returned sorted. Meaningful as the full positive-root list only when the
     catalog is complete; on a truncated catalog it is just the visited part.
+    Relabelling a seed permutes the columns of C_t, so the first node of
+    each seed carries every column its seed does.
     """
     found = set()
-    for node in catalog.nodes:
+    for node in catalog.seeds:
         for j in range(node.C_t.cols):
             col = node.C_t.col(j)
             if all(x >= 0 for x in col):

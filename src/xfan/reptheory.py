@@ -9,6 +9,8 @@ K-theoretically on dimension vectors through the inverse Coxeter matrix;
 shifted objects are plain sign flips of dimension vectors.
 """
 
+from operator import add
+
 from .cones import relation_rays
 from .errors import (
     ConventionViolation,
@@ -18,7 +20,6 @@ from .errors import (
     NotRepresentationFinite,
 )
 from .intmat import Frozen, IntMatrix, _exact_int
-from .seed import topological_order
 
 
 class PathAlgebraData(Frozen):
@@ -112,28 +113,18 @@ def path_algebra_data(quiver):
 
     The Cartan matrix has entry (j, i) = number of paths from j to i, so its
     columns are the dimension vectors of the indecomposable projectives. It
-    is the geometric series of the nilpotent arrow matrix, so its inverse is
-    I minus the arrow matrix; the product is checked to be I. Construction
-    fails with ConventionViolation if the inverse-transpose minus inverse
-    identity does not reproduce the quiver's exchange matrix; that identity
-    is the convention oracle, not an assumption.
+    is the geometric series of the nilpotent arrow matrix
+    (``Quiver.path_counts``), so its inverse is I minus the arrow matrix;
+    the product is checked to be I. Construction fails with
+    ConventionViolation if the inverse-transpose minus inverse identity
+    does not reproduce the quiver's exchange matrix; that identity is the
+    convention oracle, not an assumption.
     """
-    order = topological_order(quiver)
-    if order is None:
+    cartan = quiver.path_counts()
+    if cartan is None:
         raise NotAcyclic("path algebra data needs an acyclic quiver")
     n = quiver.n
     arrow = quiver.arrow_matrix()
-    # paths = I + arrow + arrow^2 + ...; the arrow matrix is nilpotent
-    totals = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    power = IntMatrix.identity(n)
-    for _ in range(n):
-        power = power.mul(arrow)
-        if all(x == 0 for row in power.entries for x in row):
-            break
-        for i in range(n):
-            for j in range(n):
-                totals[i][j] += power.at(i, j)
-    cartan = IntMatrix(totals)
     cartan_inv = IntMatrix([[int(i == j) - arrow.at(i, j) for j in range(n)] for i in range(n)])
     if cartan.mul(cartan_inv) != IntMatrix.identity(n):
         raise ConventionViolation("path counts are not inverse to I minus the arrow matrix")
@@ -172,16 +163,19 @@ def tau_inverse_dim(data, obj):
     return DerivedObject(moved, label=None if label is None else f"tau^-1 {label}")
 
 
+def _two_term_g(data, obj):
+    """g(X) + g(tau^-1 X): the g-vector of the object X + tau^-1 X."""
+    obj = DerivedObject(_dim_vector(obj))
+    return tuple(map(add, g_vector(data, obj), g_vector(data, tau_inverse_dim(data, obj))))
+
+
 def verify_dv_gv(data, obj):
     """Exchange-matrix image of dim versus the two-term g-vector sum.
 
     Returns (lhs, rhs, equal): lhs = B.dim^T, rhs = -(g(X) + g(tau^-1 X)).
     """
-    dim = _dim_vector(obj)
-    lhs = data.exchange.mul_vec(dim)
-    g_here = g_vector(data, dim)
-    g_next = g_vector(data, tau_inverse_dim(data, DerivedObject(dim)))
-    rhs = tuple(-(a + b) for a, b in zip(g_here, g_next))
+    lhs = data.exchange.mul_vec(_dim_vector(obj))
+    rhs = tuple(-x for x in _two_term_g(data, obj))
     return lhs, rhs, lhs == rhs
 
 
@@ -236,35 +230,32 @@ def knit(data, window=None):
         if window < 0:
             raise ValueError("window must be nonnegative")
         exhaustive = False
-    dims = {}
-    for v in range(n):
-        dims[(0, v)] = data.cartan.col(v)
     objects = {}
-    slices = 0
+    current = [data.cartan.col(v) for v in range(n)]
+    m = 0
     hard_cap = 4 * n * n + 64
     while True:
-        m = slices
-        for v in range(n):
-            objects[(m, v)] = DerivedObject(dims[(m, v)], label=f"({m},{v + 1})")
-        has_module = any(objects[(m, v)].is_module() for v in range(n))
+        for v, dim in enumerate(current):
+            objects[(m, v)] = DerivedObject(dim, label=f"({m},{v + 1})")
         if exhaustive:
-            if not has_module:
+            if not any(objects[(m, v)].is_module() for v in range(n)):
                 break
             if m > hard_cap:
                 raise ConventionViolation("knitting failed to terminate on a Dynkin quiver")
         elif m >= window:
             break
-        for v in range(n):
-            nxt = data.coxeter_inv.mul_vec(dims[(m, v)])
-            dims[(m + 1, v)] = nxt
-        slices += 1
-    last = slices
-    meshes = []
-    for m in range(last):
-        for v in range(n):
-            middles = [(m, w) for w in quiver.out_neighbors(v)]
-            middles += [(m + 1, u) for u in quiver.in_neighbors(v)]
-            meshes.append(Mesh((m, v), middles, (m + 1, v)))
+        current = [data.coxeter_inv.mul_vec(dim) for dim in current]
+        m += 1
+    meshes = [
+        Mesh(
+            (i, v),
+            [(i, w) for w in quiver.out_neighbors(v)]
+            + [(i + 1, u) for u in quiver.in_neighbors(v)],
+            (i + 1, v),
+        )
+        for i in range(m)
+        for v in range(n)
+    ]
     slice_data = ARQuiverSlice(data, objects, meshes, exhaustive)
     for mesh in slice_data.meshes:
         total = [0] * n
@@ -292,10 +283,7 @@ def normal_vector(data, cvec, slice_data=None):
         raise ValueError("c-vector length mismatch")
     if not any(c) or any(x < 0 for x in c):
         raise NotPositive(f"{c} is not a positive c-vector")
-    normal = tuple(
-        sum(c[i] * data.exchange.at(i, j) for i in range(len(c)))
-        for j in range(len(c))
-    )
+    normal = data.exchange.transpose().mul_vec(c)
     if slice_data is not None:
         if c not in slice_data.module_dimension_vectors():
             raise NotARoot(f"{c} is not a module dimension vector of the knitted slice")
@@ -330,14 +318,8 @@ def kernel_certificates(data, cvectors):
     ]
     if not positive:
         return []
-    sums = []
-    for i in positive:
-        obj = DerivedObject(vectors[i])
-        g_here = g_vector(data, obj)
-        g_next = g_vector(data, tau_inverse_dim(data, obj))
-        sums.append(tuple(a + b for a, b in zip(g_here, g_next)))
     certificates = []
-    for lam in relation_rays(sums):
+    for lam in relation_rays([_two_term_g(data, vectors[i]) for i in positive]):
         support = [k for k, x in enumerate(lam) if x]
         certificates.append((tuple(positive[k] for k in support), tuple(lam[k] for k in support)))
     return sorted(certificates, key=lambda item: (len(item[0]), item[0]))

@@ -6,10 +6,11 @@ B.beta (column convention). Mutation directions are 1-based in every public
 signature and in the CLI; index arithmetic inside the package is 0-based.
 """
 
+from operator import add
+
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    NotAcyclic,
     NotSkewSymmetric,
     NotSkewSymmetrizable,
 )
@@ -92,6 +93,24 @@ class Quiver(Frozen):
         for s, t, mult in self.arrows:
             m[s][t] = mult
         return IntMatrix(m)
+
+    def path_counts(self):
+        """I + A + A^2 + ..., A the arrow matrix, or None when A^n != 0.
+
+        Entry (i, j) counts the paths from i to j, arrows weighted by
+        multiplicity. The series is finite exactly when A is nilpotent,
+        that is when the quiver has no oriented cycle.
+        """
+        arrow = self.arrow_matrix()
+        power = total = IntMatrix.identity(self.n)
+        for _ in range(self.n):
+            power = power.mul(arrow)
+            if not any(map(any, power.entries)):
+                return total
+            total = IntMatrix._trusted(
+                tuple(tuple(map(add, r, s)) for r, s in zip(total.entries, power.entries))
+            )
+        return None
 
     def out_neighbors(self, v):
         """Targets of arrows out of v, repeated per multiplicity."""
@@ -223,26 +242,5 @@ def quiver_of(em):
 
 
 def is_acyclic(quiver):
-    """Kahn topological sort; True when the quiver has no oriented cycle."""
-    return topological_order(quiver) is not None
-
-
-def topological_order(quiver):
-    """A topological order of the vertices, or None if a cycle exists."""
-    n = quiver.n
-    indeg = [0] * n
-    out = [[] for _ in range(n)]
-    for s, t, _ in quiver.arrows:
-        indeg[t] += 1
-        out[s].append(t)
-    ready = sorted(v for v in range(n) if indeg[v] == 0)
-    order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for t in sorted(out[v]):
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-        ready.sort()
-    return order if len(order) == n else None
+    """True when the quiver has no oriented cycle: its path counts are finite."""
+    return quiver.path_counts() is not None

@@ -463,7 +463,7 @@ def _solve_exact(columns, target):
 
 
 def clear_multipliers(fractions):
-    """Scale nonnegative rationals to coprime integers.
+    """Scale rationals to coprime integers, keeping their signs.
 
     Any positive rescaling keeps a homogeneous relation true: multiply by
     the lcm of the denominators, then divide out the common gcd.
@@ -541,6 +541,113 @@ def scan_classify(rows):
         facets.append((members[0], tuple(members)))
     dim = len(rows[0]) - fraction_rank(span_rows)
     return tuple(implicit), tuple(strict), facets, dim
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def span_canonical_key(rows, implicit, facets, lineality):
+    """The cone key the library used before it kept extreme rays.
+
+    The cone {rows.x >= 0} is its linear span cut by the facet halfspaces.
+    The key records the span as ``kernel_rref`` of the implicit rows (a
+    canonical basis per subspace), each facet row (given by index)
+    restricted to that basis and scaled to coprime integers, and ``rref``
+    of the lineality basis.
+    """
+    n = len(rows[0])
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    span = kernel_rref([rows[i] for i in implicit]) if implicit else rref(identity)
+    functionals = {clear_multipliers([_dot(rows[f], b) for b in span]) for f in facets}
+    return (n, span, tuple(sorted(functionals)), rref(lineality))
+
+
+def subset_extreme_rays(rows, implicit, facets, lineality):
+    """Primitive extreme rays of the cone's pointed part by a facet subset scan.
+
+    The route the library took before ``classify`` kept its rays. The
+    pointed part lies where the span {implicit rows . x = 0} meets the
+    orthogonal complement of the lineality space; in that space of
+    dimension p each extreme ray is the line cut out by p - 1 facet
+    hyperplanes (facets given by row index). Every such subset is solved
+    over Fraction and both directions of a one-dimensional solution are
+    kept when they satisfy every row.
+    """
+    n = len(rows[0])
+    constraints = [list(rows[i]) for i in implicit] + [list(v) for v in lineality]
+    pointed_dim = n - fraction_rank(constraints)
+    if not pointed_dim:
+        return ()
+    rays = set()
+    for subset in combinations([rows[f] for f in facets], pointed_dim - 1):
+        cut = constraints + [list(r) for r in subset]
+        line = kernel_rref(cut) if cut else rref([[1]])
+        if len(line) != 1:
+            continue
+        y = clear_multipliers(line[0])
+        for ray in (y, tuple(-x for x in y)):
+            if all(_dot(row, ray) >= 0 for row in rows):
+                rays.add(ray)
+    return tuple(sorted(rays))
+
+
+def kahn_topological_order(n, arrows):
+    """A topological order of the vertices by Kahn's sort, or None on a cycle.
+
+    Vertices are 0..n-1 and arrows (source, target, multiplicity) triples;
+    ready vertices are taken smallest first.
+    """
+    indeg = [0] * n
+    out = [[] for _ in range(n)]
+    for s, t, _ in arrows:
+        indeg[t] += 1
+        out[s].append(t)
+    ready = sorted(v for v in range(n) if indeg[v] == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for t in sorted(out[v]):
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                ready.append(t)
+        ready.sort()
+    return order if len(order) == n else None
+
+
+def labelled_enumeration(root, mutate, max_depth):
+    """BFS over the mutation tree that mutates every labelled edge.
+
+    The traversal the library ran before it probed the c-matrix first:
+    ``mutate(node, k)`` builds the whole child on every edge (ascending k,
+    immediate back-mutation skipped) and the child is dropped afterwards
+    when its c-matrix was seen. ``max_depth`` of None runs until the
+    frontier empties. Returns (nodes, depth, complete) with the meaning of
+    the catalog fields of the same names.
+    """
+    nodes = [root]
+    seen = {root.C_t.entries}
+    frontier = [root]
+    depth = 0
+    complete = False
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        next_frontier = []
+        for parent in frontier:
+            last = parent.history[-1] if parent.history else 0
+            for k in range(1, len(root.C_t.entries) + 1):
+                if k == last:
+                    continue
+                child = mutate(parent, k)
+                if child.C_t.entries in seen:
+                    continue
+                seen.add(child.C_t.entries)
+                nodes.append(child)
+                next_frontier.append(child)
+        frontier = next_frontier
+        complete = not frontier
+    return nodes, depth, complete
 
 
 def minimal_positive_relations(vectors):
@@ -649,6 +756,13 @@ def _self_check():
     # the ray {x = 0, y >= 0}: rows 2 and 3 agree on the span, one facet
     assert scan_classify([(1, 0), (-1, 0), (0, 1), (1, 1)])[2] == [(2, (2, 3))]
     assert minimal_positive_relations([(1, 0), (0, 1), (-1, 0)]) == [((0, 2), (1, 1))]
+    # the ray {x = 0, y >= 0} with its facet row 2: one ray, span x = 0
+    ray = [(1, 0), (-1, 0), (0, 1), (1, 1)]
+    assert subset_extreme_rays(ray, (0, 1), (2,), ()) == ((0, 1),)
+    assert span_canonical_key(ray, (0, 1), (2,), ()) == (2, ((0, 1),), ((1,),), ())
+    assert subset_extreme_rays([(1, 0), (0, 1)], (), (0, 1), ()) == ((0, 1), (1, 0))
+    assert kahn_topological_order(3, [(2, 0, 1), (0, 1, 2)]) == [2, 0, 1]
+    assert kahn_topological_order(2, [(0, 1, 1), (1, 0, 1)]) is None
     assert fraction_symmetrizer([[0, 1], [-2, 0]]) == (2, 1)
     assert fraction_symmetrizer([[0, 1, 1], [-1, 0, 1], [-2, -1, 0]]) is None
 

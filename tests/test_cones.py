@@ -32,6 +32,8 @@ from oracles import (
     rref,
     sampled_cone_dimension,
     scan_classify,
+    span_canonical_key,
+    subset_extreme_rays,
 )
 
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
@@ -335,7 +337,17 @@ def _assert_certificates(desc):
         assert all(sum(c * row[i] for c, row in zip(lam, a)) == 0 for i in range(len(a[0])))
 
 
+def _keys(desc):
+    """Check the kept rays against the subset scan; return the key and the
+    span key, the key of the same description before rays were kept."""
+    rows = desc.system.A.entries
+    old = (rows, desc.implicit, [f.representative for f in desc.facets], desc.lineality_basis)
+    assert desc.rays == subset_extreme_rays(*old), rows
+    return canonical_key(desc), span_canonical_key(*old)
+
+
 def _assert_matches_scan(desc):
+    """Compare with the scan oracles; returns ``_keys(desc)``."""
     rows = desc.system.A.entries
     implicit, strict, facets, dim = scan_classify(rows)
     assert desc.implicit == implicit, rows
@@ -344,6 +356,13 @@ def _assert_matches_scan(desc):
     assert desc.dim == dim, rows
     assert rref(desc.lineality_basis) == kernel_rref(rows), rows
     _assert_certificates(desc)
+    return _keys(desc)
+
+
+def _assert_same_partition(pairs):
+    """The keys and the span keys split the descriptions into the same classes."""
+    pairs = set(pairs)
+    assert len(pairs) == len({key for key, _ in pairs}) == len({old for _, old in pairs})
 
 
 CATALOGS = [
@@ -360,29 +379,39 @@ CATALOGS = [
 
 
 def test_classify_matches_caratheodory_scan_on_catalogs():
+    pairs = []
     for rows, depth, seeds_only in CATALOGS:
         em = validate(rows)
         cat = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
         for node in cat.seeds if seeds_only else cat.nodes:
-            _assert_matches_scan(classify(build_system(node, em)))
+            pairs.append(_assert_matches_scan(classify(build_system(node, em))))
+    _assert_same_partition(pairs)
+    # labelled copies of a seed share a cone
+    assert len(set(pairs)) < len(pairs)
 
 
 def test_classify_matches_caratheodory_scan_on_random_seeds():
     rng = random.Random(7207)
+    pairs = []
     for _ in range(500):
         rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
         em = validate(rows)
         node = initial_node(em)
         for _ in range(rng.randint(0, 4)):
             node = mutate_node(node, rng.randint(1, em.n))
-        _assert_matches_scan(classify(build_system(node, em)))
+        pairs.append(_assert_matches_scan(classify(build_system(node, em))))
+    _assert_same_partition(pairs)
 
 
 def test_classify_matches_caratheodory_scan_on_random_systems():
     # Repeated, negated and rescaled rows make implicit rows and strict rows
-    # that agree on the span; sums of rows make redundant ones.
+    # that agree on the span; sums of rows make redundant ones. Each system
+    # is also classified in a second presentation of the same point set:
+    # rows shuffled and rescaled, plus the sum of two rows.
     rng = random.Random(3116)
+    other_rng = random.Random(6113)
     kinds = {"implicit": 0, "redundant": 0, "shared": 0}
+    pairs = []
     for _ in range(300):
         n = rng.randint(1, 4)
         rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
@@ -398,10 +427,17 @@ def test_classify_matches_caratheodory_scan_on_random_systems():
                 rows.append(tuple(a + b for a, b in zip(row, other)))
         rng.shuffle(rows)
         desc = classify(InequalitySystem(IntMatrix(rows), ()))
-        _assert_matches_scan(desc)
+        pairs.append(_assert_matches_scan(desc))
+        scales = [other_rng.randint(1, 3) for _ in rows]
+        again = [tuple(c * x for x in row) for c, row in zip(scales, rows)]
+        again.append(tuple(map(sum, zip(other_rng.choice(rows), other_rng.choice(rows)))))
+        other_rng.shuffle(again)
+        pairs.append(_keys(classify(InequalitySystem(IntMatrix(again), ()))))
+        assert pairs[-1] == pairs[-2], (rows, again)
         kinds["implicit"] += bool(desc.implicit)
         kinds["redundant"] += sum(len(f.supporting) for f in desc.facets) < len(desc.strict)
         kinds["shared"] += any(
             len({primitive_vector(rows[j]) for j in f.supporting}) > 1 for f in desc.facets
         )
     assert min(kinds.values()) >= 20, kinds
+    _assert_same_partition(pairs)

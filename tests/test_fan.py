@@ -90,6 +90,7 @@ def _fields(desc):
         desc.dim,
         desc.lineality_basis,
         desc.implicit_certificates,
+        desc.rays,
     )
 
 

@@ -1,0 +1,53 @@
+"""Every name a module of the package imports is read in that module."""
+
+from __future__ import annotations
+
+import ast
+import os
+
+import pytest
+
+import xfan
+
+PACKAGE = os.path.dirname(os.path.abspath(xfan.__file__))
+MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+
+
+def unused_imports(source):
+    """Names bound by the import statements of ``source`` that nothing reads.
+
+    A name is read when it occurs as a name expression anywhere in the
+    module, or as a string in ``__all__`` (a re-export). ``import a.b``
+    binds ``a``; ``__future__`` imports bind nothing.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(elt.value for elt in node.value.elts)
+    return sorted(imported - read)
+
+
+def test_unused_import_detection():
+    assert unused_imports("from os import path, sep\nprint(sep)\n") == ["path"]
+    assert unused_imports("import os.path\nos.getcwd()\n") == []
+    assert unused_imports("import os.path as p\n") == ["p"]
+    assert unused_imports("from .a import b\n__all__ = ['b']\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+    # a name that is only assigned to is not read
+    assert unused_imports("from m import x\nx = 1\n") == ["x"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as f:
+        assert unused_imports(f.read()) == []

@@ -23,6 +23,7 @@ from xfan import pattern
 
 from oracles import (
     f_polynomial_step,
+    labelled_enumeration,
     principal_seed_walk,
     random_skew_symmetrizable,
     seed_orbit_count,
@@ -258,6 +259,71 @@ def test_positive_c_vectors_a2():
     cat = enumerate_pattern(validate(B_A2))
     pos = positive_c_vectors(cat)
     assert pos == ((0, 1), (1, 0), (1, 1))
+
+
+CATALOGS = [
+    (B_A2, None),
+    ([[0, 1], [-2, 0]], None),
+    ([[0, 1], [-3, 0]], None),
+    ([[0, 2], [-2, 0]], 4),
+    (B_A3, None),
+    (B_B3, None),
+    (B_A4, None),
+    (B_D4, None),
+    (B_MARKOV, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "rows, depth", CATALOGS, ids=["A2", "B2", "G2", "Kronecker", "A3", "B3", "A4", "D4", "Markov"]
+)
+def test_positive_c_vectors_match_scan_of_all_nodes(rows, depth):
+    cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
+    found = {col for node in cat.nodes for col in zip(*node.C_t.entries) if min(col) >= 0}
+    assert positive_c_vectors(cat) == tuple(sorted(found))
+
+
+def _node_fields(node):
+    return (node.B_t, node.C_t, node.G_t, node.F_t, node.history)
+
+
+def _assert_matches_labelled_enumeration(em, depth, with_polynomials):
+    cat = enumerate_pattern(em, max_depth=depth, with_polynomials=with_polynomials)
+    root = initial_node(em, with_polynomials=with_polynomials)
+    nodes, walked, complete = labelled_enumeration(root, mutate_node, depth)
+    assert list(map(_node_fields, cat.nodes)) == list(map(_node_fields, nodes))
+    assert (cat.depth, cat.complete) == (walked, complete)
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [(B_A3, None), (B_B3, None), (B_A4, None), (B_D4, None), (B_MARKOV, 6)],
+    ids=["A3", "B3", "A4", "D4", "Markov"],
+)
+def test_enumeration_matches_labelled_enumeration(rows, depth):
+    _assert_matches_labelled_enumeration(validate(rows), depth, True)
+
+
+def test_enumeration_matches_labelled_enumeration_on_random_seeds():
+    rng = random.Random(9182)
+    for _ in range(40):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        _assert_matches_labelled_enumeration(validate(rows), rng.randint(0, 4), rng.random() < 0.5)
+
+
+def test_mutate_node_runs_once_per_kept_node(monkeypatch):
+    calls = []
+    build = pattern.mutate_node
+
+    def counted(node, k):
+        calls.append(k)
+        return build(node, k)
+
+    monkeypatch.setattr(pattern, "mutate_node", counted)
+    for rows, depth in [(B_A3, None), (B_D4, None), (B_MARKOV, 4)]:
+        calls.clear()
+        cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
+        assert len(calls) == len(cat.nodes) - 1
 
 
 def test_exchange_losing_constant_term_fires(monkeypatch):

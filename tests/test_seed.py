@@ -9,6 +9,7 @@ import pytest
 from xfan import (
     IndexOutOfRange,
     IntMatrix,
+    NotAcyclic,
     NotSkewSymmetric,
     NotSkewSymmetrizable,
     Quiver,
@@ -16,6 +17,7 @@ from xfan import (
     kernel_of_p_star,
     mutate,
     p_star,
+    path_algebra_data,
     quiver_of,
     validate,
 )
@@ -23,7 +25,9 @@ from xfan import (
 from oracles import (
     arrows_to_b,
     fraction_symmetrizer,
+    kahn_topological_order,
     mutate_rectangular,
+    path_counts,
     random_acyclic_arrows,
     random_sign_skew_symmetric,
     random_skew_symmetrizable,
@@ -179,6 +183,34 @@ def test_is_acyclic():
     assert is_acyclic(quiver_of(validate(B_A3)))
     markov = validate([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     assert not is_acyclic(quiver_of(markov))
+
+
+def test_path_counts_match_kahn_sort_on_random_quivers():
+    # Arrows get random orientations, so many quivers have an oriented
+    # cycle; path_algebra_data must refuse exactly those.
+    rng = random.Random(5051)
+    cyclic = 0
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        arrows = [
+            (i, j, rng.randint(1, 3)) if rng.random() < 0.5 else (j, i, rng.randint(1, 3))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.6
+        ]
+        quiver = Quiver(n, arrows)
+        acyclic = kahn_topological_order(n, arrows) is not None
+        assert is_acyclic(quiver) == acyclic, arrows
+        counts = quiver.path_counts()
+        if acyclic:
+            assert counts.entries == tuple(map(tuple, path_counts(n, arrows)))
+            assert path_algebra_data(quiver).cartan == counts
+        else:
+            assert counts is None
+            with pytest.raises(NotAcyclic):
+                path_algebra_data(quiver)
+            cyclic += 1
+    assert 150 <= cyclic <= 450, cyclic
 
 
 def test_quiver_rejects_bad_arrows():
