@@ -25,7 +25,7 @@ from .jsonio import (
     encode_polynomial,
     encode_vector,
 )
-from .pattern import DEFAULT_DEPTH, enumerate_pattern, initial_node, mutate_node
+from .pattern import DEFAULT_DEPTH, _walk, enumerate_pattern
 from .reptheory import kernel_certificates, knit, normal_vector, path_algebra_data
 from .seed import mutate, quiver_of, validate
 
@@ -71,22 +71,13 @@ def _load_exchange(path):
     return validate(b_rows, d_vec)
 
 
-def _walk(em, seq, with_polynomials):
-    node = initial_node(em, with_polynomials=with_polynomials)
-    for k in seq:
-        node = mutate_node(node, k)
-    return node
-
-
-def _enumerate(em, args, with_polynomials):
-    if getattr(args, "exhaustive", False):
-        return enumerate_pattern(
-            em,
-            max_depth=None,
-            with_polynomials=with_polynomials,
-            node_cap=EXHAUSTIVE_CAP,
-        )
-    return enumerate_pattern(em, max_depth=args.depth, with_polynomials=with_polynomials)
+def _enumerate(em, args):
+    return enumerate_pattern(
+        em,
+        max_depth=None if args.exhaustive else args.depth,
+        with_polynomials=False,
+        node_cap=EXHAUSTIVE_CAP if args.exhaustive else None,
+    )
 
 
 def _cmd_validate(em, args):
@@ -128,7 +119,7 @@ def _cmd_gmatrix(em, args):
 
 
 def _cmd_fpoly(em, args):
-    node = _walk(em, args.seq, with_polynomials=True)
+    node = _walk(em, args.seq)
     return {
         "history": list(node.history),
         "F_t": [encode_polynomial(f) for f in node.F_t],
@@ -144,7 +135,7 @@ def _cmd_cone(em, args):
 
 
 def _cmd_fan(em, args):
-    catalog = _enumerate(em, args, with_polynomials=False)
+    catalog = _enumerate(em, args)
     report = assemble_fan(catalog)
     cones = []
     for cone in report.cones:
@@ -165,7 +156,7 @@ def _cmd_fan(em, args):
 
 def _cmd_theta(em, args):
     beta = _parse_json_vector(args.beta, "--beta")
-    catalog = _enumerate(em, args, with_polynomials=True)
+    catalog = _enumerate(em, args)
     result = theta(beta, catalog)
     return {
         "beta": encode_vector(result.beta),

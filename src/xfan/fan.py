@@ -5,7 +5,8 @@ describing the same point set merge under the canonical key, and each
 merged cone remembers every witnessing node history. Theta evaluation
 picks the first BFS witness containing the point (any witness gives the
 same value, which the tests check) and expands y^beta times the product
-of coefficient polynomials raised to the tropical exponents.
+of coefficient polynomials raised to the tropical exponents. It reads F
+at the witness only, so a catalog without F replays that one history.
 """
 
 from operator import mul
@@ -14,6 +15,7 @@ from .cones import build_system, canonical_key, classify
 from .errors import NotInVisitedComplex
 from .intmat import Frozen, _exact_int
 from .laurent import LaurentPolynomial
+from .pattern import _walk
 from .seed import p_star
 
 
@@ -96,9 +98,10 @@ def theta(beta, catalog):
     """The theta function at an integral point of the visited complex.
 
     Value: y^beta times the product over i of F_i^alpha_i at the witness
-    seed. Raises NotInVisitedComplex when no visited cone contains beta;
-    the reason distinguishes a complete catalog (the point is genuinely
-    outside the complex's support) from a truncated one.
+    seed; a catalog without F rebuilds it along the witness's history (F
+    never steers the BFS). Raises NotInVisitedComplex when no visited cone
+    contains beta; the reason distinguishes a complete catalog (the point
+    is genuinely outside the complex's support) from a truncated one.
     """
     beta = tuple(_exact_int(x) for x in beta)
     hit = locate(beta, catalog)
@@ -111,11 +114,9 @@ def theta(beta, catalog):
             f"{beta} not in any cone visited up to depth {catalog.depth}", "beyond_depth"
         )
     node, alpha = hit
-    if node.F_t is None:
-        raise ValueError("theta needs a catalog enumerated with polynomials")
-    n = catalog.root.n
-    value = LaurentPolynomial.monomial(n, beta)
-    for poly, a in zip(node.F_t, alpha):
+    polys = node.F_t if node.F_t is not None else _walk(catalog.root, node.history).F_t
+    value = LaurentPolynomial.monomial(catalog.root.n, beta)
+    for poly, a in zip(polys, alpha):
         if a:
             value = value * poly ** a
     return ThetaFunction(beta, value, node.history, alpha)

@@ -22,12 +22,7 @@ alone and the set of columns of C_t is the key of the unlabelled seed.
 
 from operator import mul
 
-from .errors import (
-    DualityViolation,
-    ExhaustionCapExceeded,
-    IndexOutOfRange,
-    SignCoherenceViolation,
-)
+from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
 from .intmat import Frozen, IntMatrix, _exact_int, identity_rows
 from .laurent import LaurentPolynomial, divide_exact
 from .seed import ExchangeMatrix, mutate, mutate_rows
@@ -103,22 +98,15 @@ def initial_node(em, with_polynomials=True):
     return PatternNode(em, ident, ident, polys, ())
 
 
-def _mutate_c(node, k):
-    """C_t of the node mutated in direction k (1-based), sign coherence checked.
+def _mutate_c(node, kk):
+    """C_t of the node mutated in direction kk (0-based), unchecked.
 
-    The coefficient column k flips, every other column picks up a rectified
-    multiple of column k. The exchange entries belong to the same pattern
-    as the c-matrix, so C_t (initial -B^T) pivots on row k of -B_t^T.
+    The coefficient column kk flips, every other column picks up a rectified
+    multiple of column kk. The exchange entries belong to the same pattern
+    as the c-matrix, so C_t (initial -B^T) pivots on row kk of -B_t^T.
     """
-    n = node.B_t.n
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"direction {k} outside 1..{n}")
-    kk = k - 1
     pivot = tuple(-row[kk] for row in node.B_t.B.entries)
-    new_c = IntMatrix._trusted(tuple(mutate_rows(node.C_t.entries, kk, pivot)))
-    for j, col in enumerate(zip(*new_c.entries)):
-        _column_sign(col, j)
-    return new_c
+    return IntMatrix._trusted(tuple(mutate_rows(node.C_t.entries, kk, pivot)))
 
 
 def mutate_node(node, k):
@@ -127,12 +115,28 @@ def mutate_node(node, k):
     Raises SignCoherenceViolation or DualityViolation when the mutated data
     breaks an invariant; both indicate an implementation bug, not bad input.
     """
-    new_c = _mutate_c(node, k)
+    return _child(node, k, mutate(node.B_t, k), _mutate_c(node, k - 1))
+
+
+def _walk(em, history, with_polynomials=True):
+    """The node at ``history`` (1-based directions), mutated edge by edge from the root."""
+    node = initial_node(em, with_polynomials=with_polynomials)
+    for k in history:
+        node = mutate_node(node, k)
+    return node
+
+
+def _child(node, k, new_em, new_c):
+    """The child in direction k, built around its mutated B_t and C_t.
+
+    Checks the sign coherence of new_c and its duality with G_t; F follows.
+    """
+    for j, col in enumerate(zip(*new_c.entries)):
+        _column_sign(col, j)
     n = node.B_t.n
     kk = k - 1
     b = node.B_t.B.entries
     d = node.B_t.d
-    new_em = mutate(node.B_t, k)
     # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
     column = tuple(row[kk] * d[kk] // di for row, di in zip(node.C_t.entries, d))
     new_g = _mutate_g(node.G_t, b, column, kk)
@@ -198,11 +202,12 @@ def enumerate_pattern(
 ):
     """BFS over the mutation tree, deduplicating nodes on C_t.
 
-    Each edge first computes only the mutated c-matrix; the rest of the
-    node, with its duality and F-polynomial checks, is built only when that
-    c-matrix is new. Immediate back-mutation is skipped; ties among
-    directions break by ascending index, so the catalog order is
-    deterministic. ``max_depth`` of None removes the depth bound (pair it
+    Each edge first computes only the mutated c-matrix. A new one becomes
+    the child's C_t, and the rest of the node, with the sign coherence,
+    duality and F-polynomial checks, is built around it; a repeated one
+    equals a c-matrix already checked. Immediate back-mutation is skipped;
+    ties among directions break by ascending index, so the catalog order
+    is deterministic. ``max_depth`` of None removes the depth bound (pair it
     with ``node_cap``; the cap raises ExhaustionCapExceeded if the frontier
     is still alive when it trips).
 
@@ -232,10 +237,13 @@ def enumerate_pattern(
         for parent in frontier:
             last = parent.history[-1] if parent.history else 0
             for k in range(1, n + 1):
-                if k == last or _mutate_c(parent, k).entries in seen:
+                if k == last:
                     continue
-                child = mutate_node(parent, k)
-                seen.add(child.C_t.entries)
+                new_c = _mutate_c(parent, k - 1)
+                if new_c.entries in seen:
+                    continue
+                child = _child(parent, k, mutate(parent.B_t, k), new_c)
+                seen.add(new_c.entries)
                 nodes.append(child)
                 next_frontier.append(child)
         if node_cap is not None and len(nodes) > node_cap:

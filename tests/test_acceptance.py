@@ -20,7 +20,6 @@ from xfan import (
     canonical_key,
     classify,
     enumerate_pattern,
-    g_vector,
     kernel_of_p_star,
     knit,
     normal_vector,

@@ -6,8 +6,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from xfan import enumerate_pattern, locate, validate
 
 B_A3 = {"B": [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]}
@@ -15,12 +13,13 @@ B_KRONECKER = {"B": [[0, 2], [-2, 0]]}
 B_MARKOV = {"B": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}
 
 
-def _run(args, stdin=None):
+def _run(args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "xfan.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        timeout=timeout,
     )
 
 
@@ -246,6 +245,17 @@ def test_exit_two_beyond_depth_carries_reason(tmp_path):
     assert doc["error"] == "NotInVisitedComplex"
     assert doc["reason"] == "beyond_depth"
     assert _run(["theta", "--B", b, "--beta", json.dumps(list(beta)), "--depth", "9"]).returncode == 0
+
+
+def test_theta_markov_default_depth_answers(tmp_path):
+    # the catalog walks without F; only the witness's history builds it
+    b = _b_file(tmp_path, B_MARKOV)
+    p = _run(["theta", "--B", b, "--beta", "[1,1,1]"], timeout=30)
+    assert p.returncode == 0
+    assert json.loads(p.stdout)["witness"] == []
+    p = _run(["theta", "--B", b, "--beta", "[1,0,0]"], timeout=30)
+    assert p.returncode == 2
+    assert json.loads(p.stdout)["reason"] == "beyond_depth"
 
 
 def test_exit_three_on_exhaustion(tmp_path):

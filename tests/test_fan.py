@@ -154,27 +154,62 @@ def _beta_beyond(shallow, deep):
 )
 def test_locate_and_theta_match_labelled_scan(rows, depth):
     cat = enumerate_pattern(validate(rows), max_depth=depth)
-    assert cat.complete == (depth is None)
+    bare = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
+    assert cat.complete == bare.complete == (depth is None)
+    polys = {node.history: node.F_t for node in cat.nodes}
     n = len(rows)
-    misses = 0
-    for beta in product(range(-2, 3), repeat=n):
-        hit = locate(beta, cat)
-        expected = locate_labelled(beta, cat)
-        if expected is None:
-            misses += 1
-            assert hit is None
-            with pytest.raises(NotInVisitedComplex) as exc:
-                theta(beta, cat)
-            assert exc.value.reason == "beyond_depth"
-            continue
-        node, alpha = expected
-        assert hit[0] is node and hit[1] == alpha
-        value = LaurentPolynomial.monomial(n, beta)
-        for poly, a in zip(node.F_t, alpha):
-            value = value * poly ** a
-        t = theta(beta, cat)
-        assert (t.witness, t.alpha, t.value) == (node.history, alpha, value)
-    assert misses > 0 if depth else misses == 0
+    for catalog in (cat, bare):
+        misses = 0
+        for beta in product(range(-2, 3), repeat=n):
+            hit = locate(beta, catalog)
+            expected = locate_labelled(beta, catalog)
+            if expected is None:
+                misses += 1
+                assert hit is None
+                with pytest.raises(NotInVisitedComplex) as exc:
+                    theta(beta, catalog)
+                assert exc.value.reason == "beyond_depth"
+                continue
+            node, alpha = expected
+            assert hit[0] is node and hit[1] == alpha
+            value = LaurentPolynomial.monomial(n, beta)
+            for poly, a in zip(polys[node.history], alpha):
+                value = value * poly ** a
+            t = theta(beta, catalog)
+            assert (t.witness, t.alpha, t.value) == (node.history, alpha, value)
+        assert misses > 0 if depth else misses == 0
+
+
+def _theta_or_reason(beta, catalog):
+    try:
+        t = theta(beta, catalog)
+    except NotInVisitedComplex as exc:
+        return exc.reason
+    return t.witness, t.alpha, t.value
+
+
+def _assert_theta_replays_witness(em, depth):
+    """theta on a catalog without F agrees with theta on the same catalog with F."""
+    with_f = enumerate_pattern(em, max_depth=depth)
+    bare = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
+    for beta in product(range(-2, 3), repeat=em.n):
+        assert _theta_or_reason(beta, bare) == _theta_or_reason(beta, with_f)
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [(B_A3, None), (B_B3, None), (B_A4, None), (B_D4, None), (B_KRONECKER, 4), (B_MARKOV, 6)],
+    ids=["A3", "B3", "A4", "D4", "Kronecker", "Markov"],
+)
+def test_theta_without_polynomials_replays_witness(rows, depth):
+    _assert_theta_replays_witness(validate(rows), depth)
+
+
+def test_theta_without_polynomials_replays_witness_random():
+    rng = random.Random(2310)
+    for _ in range(20):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        _assert_theta_replays_witness(validate(rows), 4)
 
 
 def test_theta_frozen_example():
@@ -231,12 +266,6 @@ def test_theta_beyond_depth():
         theta(beta, shallow)
     assert exc.value.reason == "beyond_depth"
     assert theta(beta, deep).alpha is not None
-
-
-def test_theta_needs_polynomials():
-    nopoly = enumerate_pattern(validate(B_A2), with_polynomials=False)
-    with pytest.raises(ValueError):
-        theta((1, 1), nopoly)
 
 
 def test_extreme_rays_frozen():

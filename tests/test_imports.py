@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is read in that module."""
+"""Every name a module of the package or a test file imports is read in that module."""
 
 from __future__ import annotations
 
@@ -10,7 +10,15 @@ import pytest
 import xfan
 
 PACKAGE = os.path.dirname(os.path.abspath(xfan.__file__))
-MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def _sources(directory, prefix=""):
+    names = (name for name in os.listdir(directory) if name.endswith(".py"))
+    return {prefix + name: os.path.join(directory, name) for name in names}
+
+
+SOURCES = {**_sources(PACKAGE), **_sources(TESTS, "tests/")}
 
 
 def unused_imports(source):
@@ -47,7 +55,7 @@ def test_unused_import_detection():
     assert unused_imports("from m import x\nx = 1\n") == ["x"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as f:
+    with open(SOURCES[module], encoding="utf-8") as f:
         assert unused_imports(f.read()) == []

@@ -12,6 +12,7 @@ from xfan import (
     ExhaustionCapExceeded,
     IntMatrix,
     LaurentPolynomial,
+    SignCoherenceViolation,
     enumerate_pattern,
     initial_node,
     mutate_node,
@@ -37,13 +38,6 @@ B_A4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 
 
-def _walk(em, history, with_polynomials=True):
-    node = initial_node(em, with_polynomials=with_polynomials)
-    for k in history:
-        node = mutate_node(node, k)
-    return node
-
-
 def test_initial_node_identities():
     em = validate(B_A3)
     root = initial_node(em)
@@ -55,7 +49,7 @@ def test_initial_node_identities():
 
 
 def test_first_mutation_f_polynomial():
-    node = _walk(validate(B_A2), (1,))
+    node = pattern._walk(validate(B_A2), (1,))
     assert dict(node.F_t[0].sorted_terms()) == {(0, 0): 1, (1, 0): 1}
     assert node.F_t[1].is_one()
 
@@ -111,7 +105,7 @@ def test_c_matrix_matches_symbolic_oracle():
     for rows in (B_A2, B_A3, [[0, 1], [-2, 0]], [[0, 1], [-3, 0]]):
         em = validate(rows)
         history = tuple(rng.randint(1, em.n) for _ in range(4))
-        node = _walk(em, history, with_polynomials=False)
+        node = pattern._walk(em, history, with_polynomials=False)
         neg_bt = [[-rows[j][i] for j in range(em.n)] for i in range(em.n)]
         _, cmat = principal_seed_walk(neg_bt, history)
         assert node.C_t.entries == tuple(tuple(r) for r in cmat)
@@ -136,7 +130,7 @@ def test_d_conjugate_is_the_b_pattern_c_matrix():
         assert any(x != 1 for x in em.d)
         for _ in range(count):
             history = tuple(rng.randint(1, em.n) for _ in range(4))
-            node = _walk(em, history, with_polynomials=False)
+            node = pattern._walk(em, history, with_polynomials=False)
             _, cmat = principal_seed_walk(rows, history)
             assert _companion(node) == tuple(tuple(r) for r in cmat)
 
@@ -208,6 +202,23 @@ def test_duality_violation_fires(monkeypatch):
     monkeypatch.setattr(pattern, "_mutate_g", corrupted)
     with pytest.raises(DualityViolation):
         mutate_node(initial_node(validate(B_A3), with_polynomials=False), 2)
+    with pytest.raises(DualityViolation):
+        enumerate_pattern(validate(B_A3), with_polynomials=False)
+
+
+def test_sign_coherence_violation_fires(monkeypatch):
+    good = pattern._mutate_c
+
+    def corrupted(node, kk):
+        rows = [list(row) for row in good(node, kk).entries]
+        rows[0][0], rows[1][0] = 1, -1
+        return IntMatrix(rows)
+
+    monkeypatch.setattr(pattern, "_mutate_c", corrupted)
+    with pytest.raises(SignCoherenceViolation):
+        mutate_node(initial_node(validate(B_A3), with_polynomials=False), 2)
+    with pytest.raises(SignCoherenceViolation):
+        enumerate_pattern(validate(B_A3), with_polynomials=False)
 
 
 def _orbit_count(catalog):
@@ -311,19 +322,39 @@ def test_enumeration_matches_labelled_enumeration_on_random_seeds():
         _assert_matches_labelled_enumeration(validate(rows), rng.randint(0, 4), rng.random() < 0.5)
 
 
-def test_mutate_node_runs_once_per_kept_node(monkeypatch):
+def _record_calls(monkeypatch, name):
     calls = []
-    build = pattern.mutate_node
+    inner = getattr(pattern, name)
 
-    def counted(node, k):
-        calls.append(k)
-        return build(node, k)
+    def recorded(*args):
+        calls.append(args)
+        return inner(*args)
 
-    monkeypatch.setattr(pattern, "mutate_node", counted)
+    monkeypatch.setattr(pattern, name, recorded)
+    return calls
+
+
+def test_c_matrix_computed_once_per_edge(monkeypatch):
+    probes, builds, signs = (
+        _record_calls(monkeypatch, name) for name in ("_mutate_c", "_child", "_column_sign")
+    )
     for rows, depth in [(B_A3, None), (B_D4, None), (B_MARKOV, 4)]:
-        calls.clear()
+        for calls in (probes, builds, signs):
+            calls.clear()
         cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
-        assert len(calls) == len(cat.nodes) - 1
+        n = len(rows)
+        edges = [
+            (node.history, k - 1)
+            for node in cat.nodes
+            if len(node.history) < cat.depth
+            for k in range(1, n + 1)
+            if node.history[-1:] != (k,)
+        ]
+        assert [(node.history, kk) for node, kk in probes] == edges
+        kept = len(cat.nodes) - 1
+        assert len(builds) == kept
+        # the n columns of the new C_t, plus the pivot column's sign in the g step
+        assert len(signs) == (n + 1) * kept
 
 
 def test_exchange_losing_constant_term_fires(monkeypatch):

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from xfan import (
-    ConventionViolation,
     DerivedObject,
     IntMatrix,
     NotARoot,
