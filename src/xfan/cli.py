@@ -311,16 +311,13 @@ def main(argv=None):
     try:
         em = _load_exchange(args.B)
         doc = args.handler(em, args)
-    except ExhaustionCapExceeded as exc:
-        print(dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 3
     except XfanError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         reason = getattr(exc, "reason", None)
         if reason is not None:
             doc["reason"] = reason
         print(dumps(doc))
-        return 2
+        return 3 if isinstance(exc, ExhaustionCapExceeded) else 2
     except ValueError as exc:
         print(f"xfan: error: {exc}", file=sys.stderr)
         return 1

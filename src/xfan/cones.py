@@ -31,8 +31,7 @@ class InequalitySystem(Frozen):
     __slots__ = ("A", "history")
 
     def __init__(self, A, history=()):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "history", tuple(history))
+        super().__init__(A, tuple(history))
 
     def __repr__(self):
         return f"InequalitySystem(rows={[list(r) for r in self.A.entries]}, history={self.history})"
@@ -42,10 +41,6 @@ class Facet(Frozen):
     """One facet: a representative row index plus every supporting row."""
 
     __slots__ = ("representative", "supporting")
-
-    def __init__(self, representative, supporting):
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "supporting", tuple(supporting))
 
     def __eq__(self, other):
         return isinstance(other, Facet) and (
@@ -81,16 +76,6 @@ class ConeDescription(Frozen):
         "implicit_certificates",
         "rays",
     )
-
-    def __init__(self, system, implicit, strict, facets, dim, lineality_basis, certificates, rays):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "implicit", tuple(implicit))
-        object.__setattr__(self, "strict", tuple(strict))
-        object.__setattr__(self, "facets", tuple(facets))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "lineality_basis", tuple(lineality_basis))
-        object.__setattr__(self, "implicit_certificates", dict(certificates))
-        object.__setattr__(self, "rays", tuple(rays))
 
 
 def build_system(node, root_em):
@@ -164,8 +149,8 @@ def classify(system):
         for k, x in enumerate(lam):
             if x > 0:
                 certificates.setdefault(k, lam)
-    implicit = sorted(certificates)
-    strict = [k for k in range(A.rows) if k not in certificates]
+    implicit = tuple(sorted(certificates))
+    strict = tuple(k for k in range(A.rows) if k not in certificates)
     lineality = integer_kernel_basis(A)
     constraints = [rows[i] for i in implicit] + list(lineality)
     basis = integer_kernel_basis(constraints) if constraints else identity_rows(A.cols)
@@ -179,11 +164,13 @@ def classify(system):
         face = tuple(y for y in rays if sum(map(mul, functional, y)) == 0)
         face_rank = IntMatrix._trusted(face).rank() if face else 0
         if face_rank == len(basis) - 1:
-            facets.append(Facet(members[0], members))
+            facets.append(Facet(members[0], tuple(members)))
     # the basis is in Hermite normal form, so the map keeps the rays sorted
     ambient = tuple(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays)
     dim = len(lineality) + len(basis)
-    return ConeDescription(system, implicit, strict, facets, dim, lineality, certificates, ambient)
+    return ConeDescription(
+        system, implicit, strict, tuple(facets), dim, lineality, certificates, ambient
+    )
 
 
 def contains(system, beta):

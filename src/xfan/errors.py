@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every domain failure raises a subclass of :class:`XfanError`; the CLI maps
-these to exit code 2. Plain ``ValueError`` is reserved for malformed caller
-input (bad shapes, unparseable vectors), which the CLI maps to exit code 1.
+these to exit code 2, except :class:`ExhaustionCapExceeded`, which maps to
+exit code 3. Plain ``ValueError`` is reserved for malformed caller input
+(bad shapes, unparseable vectors), which the CLI maps to exit code 1.
 """
 
 
@@ -73,4 +74,8 @@ class NotInVisitedComplex(XfanError):
 
 
 class ExhaustionCapExceeded(XfanError):
-    """--exhaustive hit the hard node cap before the frontier emptied."""
+    """An enumeration reached node_cap + 1 nodes, root included.
+
+    Any ``node_cap`` of ``enumerate_pattern`` raises it, not only the one
+    ``--exhaustive`` sets.
+    """

@@ -25,10 +25,7 @@ class XCone(Frozen):
     __slots__ = ("key", "description", "witnesses", "dim")
 
     def __init__(self, key, description, witnesses):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "witnesses", tuple(witnesses))
-        object.__setattr__(self, "dim", description.dim)
+        super().__init__(key, description, tuple(witnesses), description.dim)
 
     def __repr__(self):
         return f"XCone(dim={self.dim}, witnesses={len(self.witnesses)})"
@@ -40,22 +37,14 @@ class XFanReport(Frozen):
     __slots__ = ("cones", "histogram", "complete")
 
     def __init__(self, cones, complete):
-        object.__setattr__(self, "cones", tuple(cones))
         hist = {}
         for cone in cones:
             hist[cone.dim] = hist.get(cone.dim, 0) + 1
-        object.__setattr__(self, "histogram", hist)
-        object.__setattr__(self, "complete", complete)
+        super().__init__(tuple(cones), hist, complete)
 
 
 class ThetaFunction(Frozen):
     __slots__ = ("beta", "value", "witness", "alpha")
-
-    def __init__(self, beta, value, witness, alpha):
-        object.__setattr__(self, "beta", tuple(beta))
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "alpha", tuple(alpha))
 
 
 def assemble_fan(catalog):

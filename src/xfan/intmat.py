@@ -13,11 +13,19 @@ from operator import mul
 
 
 class Frozen:
-    """Immutable slots base: constructors fill the slots through
-    ``object.__setattr__``; any later assignment or deletion raises.
-    ``copy`` and ``pickle`` restore the slots the same way."""
+    """Immutable slots base: the constructor fills ``__slots__`` in
+    declaration order, one value per slot; any later assignment or
+    deletion raises. ``copy`` and ``pickle`` restore the slots the same
+    way."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        slots = type(self).__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} values, got {len(values)}")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -45,9 +53,7 @@ class IntMatrix(Frozen):
             raise ValueError("matrix rows must be nonempty and equal length")
         if not all(type(x) is int for row in data for x in row):
             data = tuple(tuple(_exact_int(x) for x in row) for row in data)
-        object.__setattr__(self, "entries", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
+        super().__init__(data, len(data), width)
 
     @classmethod
     def _trusted(cls, entries):
@@ -56,6 +62,8 @@ class IntMatrix(Frozen):
         ``entries`` must be a nonempty tuple of equal-length, nonempty
         tuples of ints.
         """
+        # direct slot writes, here and in LaurentPolynomial._trusted: the two
+        # run thousands of times per fan, and Frozen.__init__ doubles the cost
         self = object.__new__(cls)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "rows", len(entries))

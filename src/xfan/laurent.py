@@ -27,7 +27,6 @@ class LaurentPolynomial(Frozen):
 
     def __init__(self, nvars, terms=None):
         nvars = _exact_int(nvars)
-        object.__setattr__(self, "nvars", nvars)
         clean = {}
         if terms:
             for exps, coeff in terms.items() if isinstance(terms, dict) else terms:
@@ -40,7 +39,7 @@ class LaurentPolynomial(Frozen):
                 c += clean.pop(key, 0)
                 if c:
                     clean[key] = c
-        object.__setattr__(self, "_terms", clean)
+        super().__init__(nvars, clean)
 
     @classmethod
     def _trusted(cls, nvars, terms):

@@ -42,13 +42,6 @@ class PatternNode(Frozen):
 
     __slots__ = ("B_t", "C_t", "G_t", "F_t", "history")
 
-    def __init__(self, B_t, C_t, G_t, F_t, history):
-        object.__setattr__(self, "B_t", B_t)
-        object.__setattr__(self, "C_t", C_t)
-        object.__setattr__(self, "G_t", G_t)
-        object.__setattr__(self, "F_t", F_t)
-        object.__setattr__(self, "history", tuple(history))
-
     def seed_key(self):
         """Key of the unlabelled seed: the sorted tuple of the columns of C_t.
 
@@ -73,14 +66,11 @@ class PatternCatalog(Frozen):
     __slots__ = ("root", "nodes", "depth", "complete", "seeds")
 
     def __init__(self, root, nodes, depth, complete):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "complete", complete)
+        nodes = tuple(nodes)
         first = {}
-        for node in self.nodes:
+        for node in nodes:
             first.setdefault(node.seed_key(), node)
-        object.__setattr__(self, "seeds", tuple(first.values()))
+        super().__init__(root, nodes, depth, complete, tuple(first.values()))
 
     def __len__(self):
         return len(self.nodes)
@@ -208,8 +198,8 @@ def enumerate_pattern(
     equals a c-matrix already checked. Immediate back-mutation is skipped;
     ties among directions break by ascending index, so the catalog order
     is deterministic. ``max_depth`` of None removes the depth bound (pair it
-    with ``node_cap``; the cap raises ExhaustionCapExceeded if the frontier
-    is still alive when it trips).
+    with ``node_cap``). The cap raises ExhaustionCapExceeded as soon as the
+    catalog reaches node_cap + 1 nodes, root included.
 
     Returns a PatternCatalog whose ``complete`` flag is set only when a
     frontier emptied before the depth bound, meaning every seed was seen.
@@ -246,10 +236,10 @@ def enumerate_pattern(
                 seen.add(new_c.entries)
                 nodes.append(child)
                 next_frontier.append(child)
-        if node_cap is not None and len(nodes) > node_cap:
-            raise ExhaustionCapExceeded(
-                f"more than {node_cap} labelled nodes before the frontier emptied"
-            )
+                if node_cap is not None and len(nodes) > node_cap:
+                    raise ExhaustionCapExceeded(
+                        f"more than {node_cap} labelled nodes before the frontier emptied"
+                    )
         frontier = next_frontier
         if not frontier:
             complete = True

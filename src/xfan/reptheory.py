@@ -27,13 +27,6 @@ class PathAlgebraData(Frozen):
 
     __slots__ = ("quiver", "cartan", "cartan_inv", "coxeter_inv", "exchange")
 
-    def __init__(self, quiver, cartan, cartan_inv, coxeter_inv, exchange):
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "cartan_inv", cartan_inv)
-        object.__setattr__(self, "coxeter_inv", coxeter_inv)
-        object.__setattr__(self, "exchange", exchange)
-
 
 class DerivedObject(Frozen):
     """A class in the derived category, known by its dimension vector.
@@ -42,14 +35,13 @@ class DerivedObject(Frozen):
     not an object.
     """
 
-    __slots__ = ("dim", "label")
+    __slots__ = ("dim",)
 
-    def __init__(self, dim, label=None):
+    def __init__(self, dim):
         vec = tuple(_exact_int(x) for x in dim)
         if not any(vec):
             raise ValueError("the zero dimension vector is not an object")
-        object.__setattr__(self, "dim", vec)
-        object.__setattr__(self, "label", label)
+        super().__init__(vec)
 
     def is_module(self):
         return all(x >= 0 for x in self.dim)
@@ -61,18 +53,13 @@ class DerivedObject(Frozen):
         return hash(self.dim)
 
     def __repr__(self):
-        return f"DerivedObject(dim={self.dim}, label={self.label!r})"
+        return f"DerivedObject(dim={self.dim})"
 
 
 class Mesh(Frozen):
     """source -> middles -> target positions in the knitted slice."""
 
     __slots__ = ("source", "middles", "target")
-
-    def __init__(self, source, middles, target):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "middles", tuple(middles))
-        object.__setattr__(self, "target", target)
 
 
 class ARQuiverSlice(Frozen):
@@ -85,13 +72,7 @@ class ARQuiverSlice(Frozen):
     the end of the module category (Dynkin case).
     """
 
-    __slots__ = ("data", "objects", "meshes", "exhaustive")
-
-    def __init__(self, data, objects, meshes, exhaustive):
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "objects", dict(objects))
-        object.__setattr__(self, "meshes", tuple(meshes))
-        object.__setattr__(self, "exhaustive", exhaustive)
+    __slots__ = ("objects", "meshes", "exhaustive")
 
     def module_dimension_vectors(self):
         """Sorted dims of the module vertices (nonnegative positions)."""
@@ -158,9 +139,7 @@ def g_vector(data, obj):
 
 def tau_inverse_dim(data, obj):
     """Inverse AR translate on classes: inverse Coxeter times the dim column."""
-    label = obj.label if isinstance(obj, DerivedObject) else None
-    moved = data.coxeter_inv.mul_vec(_dim_vector(obj))
-    return DerivedObject(moved, label=None if label is None else f"tau^-1 {label}")
+    return DerivedObject(data.coxeter_inv.mul_vec(_dim_vector(obj)))
 
 
 def _two_term_g(data, obj):
@@ -236,7 +215,7 @@ def knit(data, window=None):
     hard_cap = 4 * n * n + 64
     while True:
         for v, dim in enumerate(current):
-            objects[(m, v)] = DerivedObject(dim, label=f"({m},{v + 1})")
+            objects[(m, v)] = DerivedObject(dim)
         if exhaustive:
             if not any(objects[(m, v)].is_module() for v in range(n)):
                 break
@@ -246,17 +225,17 @@ def knit(data, window=None):
             break
         current = [data.coxeter_inv.mul_vec(dim) for dim in current]
         m += 1
-    meshes = [
+    meshes = tuple(
         Mesh(
             (i, v),
-            [(i, w) for w in quiver.out_neighbors(v)]
-            + [(i + 1, u) for u in quiver.in_neighbors(v)],
+            tuple((i, w) for w in quiver.out_neighbors(v))
+            + tuple((i + 1, u) for u in quiver.in_neighbors(v)),
             (i + 1, v),
         )
         for i in range(m)
         for v in range(n)
-    ]
-    slice_data = ARQuiverSlice(data, objects, meshes, exhaustive)
+    )
+    slice_data = ARQuiverSlice(objects, meshes, exhaustive)
     for mesh in slice_data.meshes:
         total = [0] * n
         for pos in mesh.middles:

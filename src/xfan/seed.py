@@ -28,9 +28,7 @@ class ExchangeMatrix(Frozen):
     __slots__ = ("B", "d", "n")
 
     def __init__(self, B, d):
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "d", tuple(d))
-        object.__setattr__(self, "n", B.rows)
+        super().__init__(B, tuple(d), B.rows)
 
     def __eq__(self, other):
         return (
@@ -75,8 +73,7 @@ class Quiver(Frozen):
             if pair in pairs:
                 raise ValueError(f"vertices {pair[0]} and {pair[1]} carry more than one arrow")
             pairs.add(pair)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arrows", arrows)
+        super().__init__(n, arrows)
 
     def __eq__(self, other):
         return isinstance(other, Quiver) and (self.n, self.arrows) == (other.n, other.arrows)

@@ -272,4 +272,6 @@ def test_exit_three_on_exhaustion(tmp_path):
         text=True,
     )
     assert p.returncode == 3
-    assert json.loads(p.stdout)["error"] == "ExhaustionCapExceeded"
+    doc = json.loads(p.stdout)
+    assert doc["error"] == "ExhaustionCapExceeded"
+    assert sorted(doc) == ["error", "message"]

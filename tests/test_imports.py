@@ -24,11 +24,13 @@ SOURCES = {**_sources(PACKAGE), **_sources(TESTS, "tests/")}
 def unused_imports(source):
     """Names bound by the import statements of ``source`` that nothing reads.
 
-    A name is read when it occurs as a name expression anywhere in the
-    module, or as a string in ``__all__`` (a re-export). ``import a.b``
-    binds ``a``; ``__future__`` imports bind nothing.
+    The source must parse under the oldest Python the package supports
+    (``requires-python`` in pyproject.toml). A name is read when it occurs
+    as a name expression anywhere in the module, or as a string in
+    ``__all__`` (a re-export). ``import a.b`` binds ``a``; ``__future__``
+    imports bind nothing.
     """
-    tree = ast.parse(source)
+    tree = ast.parse(source, feature_version=(3, 10))
     imported = set()
     read = set()
     for node in ast.walk(tree):

@@ -229,6 +229,9 @@ def test_every_value_class_is_frozen():
 def test_immutability(name):
     value = _a3_values()[name]
     cls = type(value)
+    # construction filled every slot
+    for field in cls.__slots__:
+        getattr(value, field)
     slot = cls.__slots__[0]
     before = getattr(value, slot)
     with pytest.raises(AttributeError, match=f"{name} is immutable"):
@@ -244,3 +247,40 @@ def test_immutability(name):
         assert pickle.dumps(copied) == pickle.dumps(value)
         if cls.__eq__ is not object.__eq__:
             assert copied == value
+
+
+def _holds_list(value):
+    """Is ``value`` a list, or a tuple or dict with a list somewhere inside?"""
+    if isinstance(value, list):
+        return True
+    if isinstance(value, tuple):
+        return any(map(_holds_list, value))
+    if isinstance(value, dict):
+        return any(map(_holds_list, value)) or any(map(_holds_list, value.values()))
+    return False
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_sequence_fields_are_tuples(name):
+    value = _a3_values()[name]
+    for field in type(value).__slots__:
+        assert not _holds_list(getattr(value, field)), field
+
+
+# classes whose only constructor is the slot filler of Frozen
+FILLED_CLASSES = (
+    "PatternNode", "Facet", "ConeDescription", "ThetaFunction", "PathAlgebraData", "Mesh",
+    "ARQuiverSlice",
+)
+
+
+@pytest.mark.parametrize("name", FILLED_CLASSES)
+def test_slot_filler(name):
+    value = _a3_values()[name]
+    cls = type(value)
+    fields = [getattr(value, slot) for slot in cls.__slots__]
+    rebuilt = cls(*fields)
+    assert all(getattr(rebuilt, slot) is field for slot, field in zip(cls.__slots__, fields))
+    for wrong in (fields + [None], fields[:-1]):
+        with pytest.raises(TypeError, match=f"^{name} takes {len(fields)} values, got {len(wrong)}$"):
+            cls(*wrong)

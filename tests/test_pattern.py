@@ -252,9 +252,18 @@ def test_seed_class_count_matches_permutation_orbits_random():
         assert cat.seed_class_count() == _orbit_count(cat)
 
 
-def test_node_cap_exhaustion():
+def test_node_cap_exhaustion(monkeypatch):
+    builds = _record_calls(monkeypatch, "_child")
+    for cap in (10, 50):
+        builds.clear()
+        with pytest.raises(ExhaustionCapExceeded):
+            enumerate_pattern(validate(B_MARKOV), max_depth=None, node_cap=cap, with_polynomials=False)
+        # the cap trips at the node that takes the catalog past it, root included
+        assert len(builds) == cap
+    # a finite catalog completes exactly when it fits under the cap
     with pytest.raises(ExhaustionCapExceeded):
-        enumerate_pattern(validate(B_MARKOV), max_depth=None, node_cap=50, with_polynomials=False)
+        enumerate_pattern(validate(B_A3), max_depth=None, node_cap=83, with_polynomials=False)
+    assert len(enumerate_pattern(validate(B_A3), max_depth=None, node_cap=84)) == 84
 
 
 def test_raw_matrix_rejected():
