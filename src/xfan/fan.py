@@ -50,7 +50,7 @@ class ThetaFunction(Frozen):
 def assemble_fan(catalog):
     """Merge the nodes' cones in first-seen order, classifying once per seed.
 
-    A cone depends only on the set of c-vectors, so nodes sharing a seed key
+    A cone depends only on the set of c-vectors, so nodes sharing a seed
     share a cone and only ``catalog.seeds`` are classified. The first node
     of every cone is the first node of its seed, so its description is the
     one kept.
@@ -59,10 +59,10 @@ def assemble_fan(catalog):
     cone_of_seed = {}
     for node in catalog.seeds:
         desc = classify(build_system(node, catalog.root))
-        key = cone_of_seed[node.seed_key()] = canonical_key(desc)
+        key = cone_of_seed[node.seed] = canonical_key(desc)
         merged.setdefault(key, (desc, []))
     for node in catalog.nodes:
-        merged[cone_of_seed[node.seed_key()]][1].append(node.history)
+        merged[cone_of_seed[node.seed]][1].append(node.history)
     cones = [XCone(key, desc, witnesses) for key, (desc, witnesses) in merged.items()]
     return XFanReport(cones, catalog.complete)
 
@@ -71,7 +71,7 @@ def locate(beta, catalog):
     """First BFS node whose cone contains beta, with the exponent vector.
 
     Returns (node, alpha) where alpha = C_t^T.B.beta, or None when no
-    visited cone contains beta. Nodes sharing a seed key share a cone, and
+    visited cone contains beta. Nodes sharing a seed share a cone, and
     the first hit is the first node of its seed, so only ``catalog.seeds``
     are tested.
     """

@@ -16,10 +16,23 @@ G_t comes from a direct column recurrence and is checked against tropical
 duality, C_t^T.G_t = I, over the integers; every c-matrix column must be
 sign coherent. Violations raise immediately since the supporting theory
 guarantees both. A c-matrix determines its whole seed, B_t and G_t
-included (Nakanishi-Zelevinsky), so the traversal deduplicates on C_t
-alone and the set of columns of C_t is the key of the unlabelled seed.
+included (Nakanishi-Zelevinsky), so the set of columns of C_t is the key
+of the unlabelled seed, and relabelling the directions permutes the
+columns of C_t and G_t, the rows and columns of B_t, and the entries of
+F_t, while d stays put.
+
+A labelled node is therefore a seed plus a column permutation. The first
+node of a seed, a PatternNode, holds the matrices; every other node, a
+RelabelledNode, holds that first node, a permutation and its history,
+and builds its matrices by permutation when they are read. Mutating a
+labelled node in direction k is mutating its seed in the permuted
+direction, so the traversal runs one mutation, with every check, per
+unlabelled edge, and walks the labellings as a permutation cover of the
+unlabelled exchange graph.
 """
 
+from functools import lru_cache
+from itertools import chain
 from operator import mul
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
@@ -31,52 +44,104 @@ DEFAULT_DEPTH = 12
 
 
 class PatternNode(Frozen):
-    """One vertex of the mutation tree.
+    """The first labelled node of a seed, which holds the seed's matrices.
 
     Fields: ``B_t`` (ExchangeMatrix), ``C_t`` (c-matrix, initial -B^T
     pattern), ``G_t`` (g-matrix, initial B pattern), ``F_t`` (tuple of
     LaurentPolynomials, or None when polynomial tracking was disabled) and
     ``history`` (1-based directions from the root). C_t determines the
-    rest of the seed; the c-matrix of the B pattern is D^-1.C_t.D.
+    rest of the seed; the c-matrix of the B pattern is D^-1.C_t.D. As for a
+    RelabelledNode, ``seed`` is the seed's first node, here the node
+    itself, and ``perm`` its labelling, here the identity.
     """
 
     __slots__ = ("B_t", "C_t", "G_t", "F_t", "history")
 
-    def seed_key(self):
-        """Key of the unlabelled seed: the sorted tuple of the columns of C_t.
+    @property
+    def seed(self):
+        return self
 
-        Relabelling the directions permutes the columns of C_t, and C_t
-        determines B_t, so two nodes carry the same seed up to relabelling
-        exactly when their keys agree.
-        """
-        return tuple(sorted(zip(*self.C_t.entries)))
+    @property
+    def perm(self):
+        return _identity(self.B_t.n)
 
     def __repr__(self):
         return f"PatternNode(history={self.history})"
 
 
+class RelabelledNode(Frozen):
+    """A labelled node other than the first of its seed.
+
+    Slots: ``seed`` (the seed's first node, a PatternNode), ``perm``
+    (direction j, 0-based, of this node is direction perm[j] of the seed)
+    and ``history``. The PatternNode fields ``B_t``, ``C_t``, ``G_t`` and
+    ``F_t`` are the seed's, permuted when read: relabelling permutes the
+    rows and columns of B_t, the columns of C_t and G_t and the entries of
+    F_t, and keeps d.
+    """
+
+    __slots__ = ("seed", "perm", "history")
+
+    @property
+    def B_t(self):
+        em, perm = self.seed.B_t, self.perm
+        rows = em.B.entries
+        return ExchangeMatrix(
+            IntMatrix._trusted(tuple(tuple(map(rows[i].__getitem__, perm)) for i in perm)), em.d
+        )
+
+    @property
+    def C_t(self):
+        return _permute_columns(self.seed.C_t, self.perm)
+
+    @property
+    def G_t(self):
+        return _permute_columns(self.seed.G_t, self.perm)
+
+    @property
+    def F_t(self):
+        polys = self.seed.F_t
+        return None if polys is None else tuple(map(polys.__getitem__, self.perm))
+
+    def __repr__(self):
+        return f"RelabelledNode(history={self.history})"
+
+
+@lru_cache(maxsize=None)
+def _identity(n):
+    return tuple(range(n))
+
+
+@lru_cache(maxsize=None)
+def _flat_identity(n):
+    return tuple(chain.from_iterable(identity_rows(n)))
+
+
+def _permute_columns(matrix, perm):
+    """Column j of the result is column perm[j] of the matrix."""
+    return IntMatrix._trusted(tuple(tuple(map(row.__getitem__, perm)) for row in matrix.entries))
+
+
 class PatternCatalog(Frozen):
     """All visited nodes of one bounded traversal, in BFS order.
 
-    ``seeds`` holds the first node of each seed key, in BFS order: the one
-    node per unlabelled seed that cone classification and point location
-    look at.
+    ``seeds`` holds the first node of each seed (the ``seed`` of its
+    nodes), in BFS order: the one node per unlabelled seed that cone
+    classification and point location look at.
     """
 
     __slots__ = ("root", "nodes", "depth", "complete", "seeds")
 
     def __init__(self, root, nodes, depth, complete):
         nodes = tuple(nodes)
-        first = {}
-        for node in nodes:
-            first.setdefault(node.seed_key(), node)
-        super().__init__(root, nodes, depth, complete, tuple(first.values()))
+        seeds = dict.fromkeys(node.seed for node in nodes)
+        super().__init__(root, nodes, depth, complete, tuple(seeds))
 
     def __len__(self):
         return len(self.nodes)
 
     def seed_class_count(self):
-        """Seeds up to simultaneous relabeling: the number of distinct seed keys."""
+        """Seeds up to simultaneous relabeling: the number of distinct seeds."""
         return len(self.seeds)
 
 
@@ -120,22 +185,22 @@ def _child(node, k, new_em, new_c):
     """The child in direction k, built around its mutated B_t and C_t.
 
     Checks the sign coherence of new_c and its duality with G_t; F follows.
+    The child is the first node of a seed.
     """
     for j, col in enumerate(zip(*new_c.entries)):
         _column_sign(col, j)
-    n = node.B_t.n
+    em = node.B_t
+    n = em.n
     kk = k - 1
-    b = node.B_t.B.entries
-    d = node.B_t.d
+    b = em.B.entries
+    d = em.d
     # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
     column = tuple(row[kk] * d[kk] // di for row, di in zip(node.C_t.entries, d))
     new_g = _mutate_g(node.G_t, b, column, kk)
     g_cols = tuple(zip(*new_g.entries))
-    duality = tuple(
-        tuple(sum(map(mul, c_col, g_col)) for g_col in g_cols)
-        for c_col in zip(*new_c.entries)
-    )
-    if duality != identity_rows(n):
+    # C^T.G entry by entry, row after row
+    duality = tuple([sum(map(mul, c_col, g_col)) for c_col in zip(*new_c.entries) for g_col in g_cols])
+    if duality != _flat_identity(n):
         raise DualityViolation(
             f"g-matrix disagrees with the inverse transposed c-matrix at history {node.history + (k,)}"
         )
@@ -190,16 +255,22 @@ def enumerate_pattern(
     with_polynomials=True,
     node_cap=None,
 ):
-    """BFS over the mutation tree, deduplicating nodes on C_t.
+    """BFS over the labelled mutation tree, deduplicating nodes on C_t.
 
-    Each edge first computes only the mutated c-matrix. A new one becomes
-    the child's C_t, and the rest of the node, with the sign coherence,
-    duality and F-polynomial checks, is built around it; a repeated one
-    equals a c-matrix already checked. Immediate back-mutation is skipped;
-    ties among directions break by ascending index, so the catalog order
-    is deterministic. ``max_depth`` of None removes the depth bound (pair it
-    with ``node_cap``). The cap raises ExhaustionCapExceeded as soon as the
-    catalog reaches node_cap + 1 nodes, root included.
+    A labelled node is a seed plus a column permutation pi, and mutating
+    it in direction k is the unlabelled edge (seed, pi(k)) followed by the
+    relabelling tau that edge carries. Each unlabelled edge is mutated once,
+    when first reached: its mutated c-matrix, with sorted columns as the
+    key, names the target seed. A new seed gets its first node built around
+    that c-matrix, with the sign coherence, duality and F-polynomial
+    checks; a relabelled node passes them exactly when its seed does. Every
+    labelled edge then costs the composition tau.pi and one lookup of the
+    labelled state, which stands for the labelled c-matrix. Immediate
+    back-mutation is skipped; ties among directions break by ascending
+    index, so the catalog order is deterministic. ``max_depth`` of None
+    removes the depth bound (pair it with ``node_cap``). The cap raises
+    ExhaustionCapExceeded as soon as the catalog reaches node_cap + 1
+    nodes, root included.
 
     Returns a PatternCatalog whose ``complete`` flag is set only when a
     frontier emptied before the depth bound, meaning every seed was seen.
@@ -213,34 +284,75 @@ def enumerate_pattern(
     if node_cap is not None:
         node_cap = _exact_int(node_cap)
     root = initial_node(em, with_polynomials=with_polynomials)
+    n = em.n
+    ident = root.perm
+    firsts = [root]  # the first node of each seed, by seed number
+    # the key of a seed: the columns of its c-matrix, sorted and flattened
+    seed_number = {tuple(chain.from_iterable(sorted(zip(*root.C_t.entries)))): 0}
+    # the seed that edge (s, j) reaches, at s * n + j, and its relabelling
+    unreached = (None,) * n
+    targets = list(unreached)
+    relabellings = list(unreached)
+    perms = {ident: ident}  # one tuple per permutation
+    seen = set()  # (seed number, perm) of every node but the first of its seed
     nodes = [root]
-    seen = {root.C_t.entries}
     frontier = [root]
+    numbers = [0]
     depth = 0
     complete = False
-    n = em.n
     while frontier:
         if max_depth is not None and depth >= max_depth:
             break
         depth += 1
         next_frontier = []
-        for parent in frontier:
-            last = parent.history[-1] if parent.history else 0
+        next_numbers = []
+        for parent, s in zip(frontier, numbers):
+            perm = parent.perm
+            history = parent.history
+            last = history[-1] if history else 0
             for k in range(1, n + 1):
                 if k == last:
                     continue
-                new_c = _mutate_c(parent, k - 1)
-                if new_c.entries in seen:
-                    continue
-                child = _child(parent, k, mutate(parent.B_t, k), new_c)
-                seen.add(new_c.entries)
+                j = perm[k - 1]
+                edge = s * n + j
+                t = targets[edge]
+                child = None
+                if t is None:
+                    new_c = _mutate_c(firsts[s], j)
+                    cols = tuple(zip(*new_c.entries))
+                    key = tuple(chain.from_iterable(sorted(cols)))
+                    t = seed_number.get(key)
+                    if t is None:
+                        # A new seed, checked in full; this child is its first
+                        # node. The parent is the first node of its own seed:
+                        # that node came first in BFS order and reached every
+                        # edge of its seed but the one back to a known seed.
+                        child = _child(parent, k, mutate(parent.B_t, k), new_c)
+                        t = seed_number[key] = len(firsts)
+                        firsts.append(child)
+                        targets += unreached
+                        relabellings += unreached
+                        relabellings[edge] = ident
+                    else:
+                        tau = tuple(map(tuple(zip(*firsts[t].C_t.entries)).index, cols))
+                        relabellings[edge] = perms.setdefault(tau, tau)
+                    targets[edge] = t
+                if child is None:
+                    labelled = tuple(map(relabellings[edge].__getitem__, perm))
+                    if labelled == ident or (t, labelled) in seen:
+                        continue
+                    labelled = perms.setdefault(labelled, labelled)
+                    seen.add((t, labelled))
+                    child = RelabelledNode(firsts[t], labelled, history + (k,))
                 nodes.append(child)
                 next_frontier.append(child)
+                next_numbers.append(t)
                 if node_cap is not None and len(nodes) > node_cap:
                     raise ExhaustionCapExceeded(
                         f"more than {node_cap} labelled nodes before the frontier emptied"
                     )
         frontier = next_frontier
+        numbers = next_numbers
         if not frontier:
             complete = True
     return PatternCatalog(em, nodes, depth, complete)

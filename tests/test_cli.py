@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from xfan import enumerate_pattern, locate, validate
 
@@ -114,6 +117,35 @@ def test_fan_emit_rays(tmp_path):
     assert doc["complete"] is False
     root = doc["cones"][0]
     assert root["rays"] == [[-1, 0], [0, 1]]
+
+
+def _quiver(n, arrows):
+    """Exchange matrix of a quiver given by its 1-based arrows i -> j."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in arrows:
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = 1, -1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows, digest",
+    [
+        (
+            _quiver(5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
+            "0077b17ab261c67f179b262febcf0a3935972a010fe419150451bc1114148366",
+        ),
+        (
+            _quiver(5, [(1, 2), (2, 3), (3, 4), (3, 5)]),
+            "5fa0c3dfe49b286fba61f490c664324d7dac73d7f5f7eeea0435d92e4b645b5d",
+        ),
+    ],
+    ids=["A5", "D5"],
+)
+def test_exhaustive_fan_document_bytes(rows, digest):
+    # 15840 and 21840 labelled nodes over 132 and 182 seeds
+    p = _run(["fan", "--B", "-", "--exhaustive", "--emit-rays"], stdin=json.dumps({"B": rows}))
+    assert p.returncode == 0
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == digest
 
 
 def test_facet_of_strict_rows_agreeing_on_the_span(tmp_path):

@@ -199,12 +199,13 @@ def _a3_values():
     em = validate(B_A3)
     catalog = enumerate_pattern(em)
     node = catalog.nodes[1]
+    relabelled = next(other for other in catalog.nodes if other.seed is not other)
     description = classify(build_system(node, em))
     report = assemble_fan(catalog)
     data = _a3_data()
     slice_data = knit(data)
     values = (
-        IntMatrix(B_A3), LaurentPolynomial.one(3), em, data.quiver, node, catalog,
+        IntMatrix(B_A3), LaurentPolynomial.one(3), em, data.quiver, node, relabelled, catalog,
         description.system, description.facets[0], description, report.cones[0], report,
         theta((3, -1, 0), catalog), data, slice_data.objects[(0, 0)], slice_data.meshes[0],
         slice_data,
@@ -213,7 +214,7 @@ def _a3_values():
 
 
 VALUE_CLASSES = (
-    "IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Quiver", "PatternNode",
+    "IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Quiver", "PatternNode", "RelabelledNode",
     "PatternCatalog", "InequalitySystem", "Facet", "ConeDescription", "XCone",
     "XFanReport", "ThetaFunction", "PathAlgebraData", "DerivedObject", "Mesh",
     "ARQuiverSlice",
@@ -269,7 +270,7 @@ def test_sequence_fields_are_tuples(name):
 
 # classes whose only constructor is the slot filler of Frozen
 FILLED_CLASSES = (
-    "PatternNode", "Facet", "ConeDescription", "ThetaFunction", "PathAlgebraData", "Mesh",
+    "PatternNode", "RelabelledNode", "Facet", "ConeDescription", "ThetaFunction", "PathAlgebraData", "Mesh",
     "ARQuiverSlice",
 )
 

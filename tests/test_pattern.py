@@ -36,6 +36,10 @@ B_MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 B_B3 = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
 B_A4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
+B_A5 = [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]]
+B_C3 = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
+B_G2 = [[0, 1], [-3, 0]]
+B_F4 = [[0, 1, 0, 0], [-1, 0, 2, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 
 
 def test_initial_node_identities():
@@ -317,11 +321,29 @@ def _assert_matches_labelled_enumeration(em, depth, with_polynomials):
 
 @pytest.mark.parametrize(
     "rows, depth",
-    [(B_A3, None), (B_B3, None), (B_A4, None), (B_D4, None), (B_MARKOV, 6)],
-    ids=["A3", "B3", "A4", "D4", "Markov"],
+    [
+        (B_G2, None),
+        (B_A3, None),
+        (B_B3, None),
+        (B_C3, None),
+        (B_A4, None),
+        (B_D4, None),
+        (B_F4, None),
+        (B_MARKOV, 6),
+    ],
+    ids=["G2", "A3", "B3", "C3", "A4", "D4", "F4", "Markov"],
 )
 def test_enumeration_matches_labelled_enumeration(rows, depth):
     _assert_matches_labelled_enumeration(validate(rows), depth, True)
+
+
+def test_relabelling_preserves_d():
+    # on these seeds d != 1, so each seed is seen only in the labellings that fix d
+    for rows, nodes, seeds in [(B_G2, 8, 8), (B_C3, 40, 20), (B_F4, 420, 105)]:
+        em = validate(rows)
+        cat = enumerate_pattern(em, max_depth=None, with_polynomials=False)
+        assert (len(cat), cat.seed_class_count()) == (nodes, seeds)
+        assert all(tuple(em.d[p] for p in node.perm) == em.d for node in cat.nodes)
 
 
 def test_enumeration_matches_labelled_enumeration_on_random_seeds():
@@ -329,6 +351,9 @@ def test_enumeration_matches_labelled_enumeration_on_random_seeds():
     for _ in range(40):
         rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
         _assert_matches_labelled_enumeration(validate(rows), rng.randint(0, 4), rng.random() < 0.5)
+    for _ in range(8):
+        rows, _ = random_skew_symmetrizable(rng, 5, max_entry=2)
+        _assert_matches_labelled_enumeration(validate(rows), rng.randint(0, 3), rng.random() < 0.5)
 
 
 def _record_calls(monkeypatch, name):
@@ -343,27 +368,42 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
-def test_c_matrix_computed_once_per_edge(monkeypatch):
+def _labelled_edges(catalog, n):
+    return [
+        (node.history, k - 1)
+        for node in catalog.nodes
+        if len(node.history) < catalog.depth
+        for k in range(1, n + 1)
+        if node.history[-1:] != (k,)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, edges", [(B_A3, 42), (B_D4, 200), (B_A5, 660)], ids=["A3", "D4", "A5"]
+)
+def test_one_mutation_per_unlabelled_edge(monkeypatch, rows, edges):
     probes, builds, signs = (
         _record_calls(monkeypatch, name) for name in ("_mutate_c", "_child", "_column_sign")
     )
-    for rows, depth in [(B_A3, None), (B_D4, None), (B_MARKOV, 4)]:
-        for calls in (probes, builds, signs):
-            calls.clear()
-        cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
-        n = len(rows)
-        edges = [
-            (node.history, k - 1)
-            for node in cat.nodes
-            if len(node.history) < cat.depth
-            for k in range(1, n + 1)
-            if node.history[-1:] != (k,)
-        ]
-        assert [(node.history, kk) for node, kk in probes] == edges
-        kept = len(cat.nodes) - 1
-        assert len(builds) == kept
-        # the n columns of the new C_t, plus the pivot column's sign in the g step
-        assert len(signs) == (n + 1) * kept
+    cat = enumerate_pattern(validate(rows), max_depth=None, with_polynomials=False)
+    n = len(rows)
+    seeds = cat.seed_class_count()
+    # each probe mutates the first node of a seed, and each edge (seed, j) once
+    firsts = {node.history for node in cat.seeds}
+    assert all(node.history in firsts for node, _ in probes)
+    assert len({(node.history, kk) for node, kk in probes}) == len(probes) == seeds * n == edges
+    assert len(_labelled_edges(cat, n)) > edges
+    # the checks run once per seed after the root: n columns plus the g step's pivot
+    assert len(builds) == seeds - 1
+    assert len(signs) == (n + 1) * (seeds - 1)
+
+
+def test_every_node_its_own_seed_mutates_every_labelled_edge(monkeypatch):
+    probes, builds = (_record_calls(monkeypatch, name) for name in ("_mutate_c", "_child"))
+    cat = enumerate_pattern(validate(B_MARKOV), max_depth=4, with_polynomials=False)
+    assert cat.seed_class_count() == len(cat)
+    assert [(node.history, kk) for node, kk in probes] == _labelled_edges(cat, 3)
+    assert len(builds) == len(cat) - 1
 
 
 def test_exchange_losing_constant_term_fires(monkeypatch):
