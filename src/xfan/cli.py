@@ -4,8 +4,9 @@ Every invocation runs one job: read the seed from --B (a JSON file or -
 for standard input), compute, print a single JSON document on standard
 output. Exit codes: 0 success, 1 malformed input, 2 domain errors (the
 document then describes the error), 3 when --exhaustive gives up at the
-node cap. Directions in --seq and all row/column indices in reports are
-1-based. Enumeration is single-threaded.
+node cap or, with reason "infinite_type", at a seed of infinite type.
+Directions in --seq and all row/column indices in reports are 1-based.
+Enumeration is single-threaded.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 
 from .cones import build_system, classify
 from .errors import ExhaustionCapExceeded, NotRepresentationFinite, XfanError
-from .fan import assemble_fan, extreme_rays, theta
+from .fan import assemble_fan, theta
 from .intmat import primitive_vector
 from .jsonio import (
     decode_job_input,
@@ -142,7 +143,7 @@ def _cmd_fan(em, args):
         entry = encode_cone(cone.description)
         entry["witnesses"] = [list(h) for h in cone.witnesses]
         if args.emit_rays:
-            entry["rays"] = [encode_vector(r) for r in extreme_rays(cone.description)]
+            entry["rays"] = [encode_vector(r) for r in cone.description.rays]
         cones.append(entry)
     return {
         "complete": report.complete,
@@ -257,7 +258,7 @@ def _build_parser():
         p.add_argument(
             "--exhaustive",
             action="store_true",
-            help=f"ignore --depth, stop only when done; exit 3 past {EXHAUSTIVE_CAP} labelled nodes",
+            help=f"ignore --depth; exit 3 past {EXHAUSTIVE_CAP} labelled nodes or on infinite type",
         )
 
     command("validate", _cmd_validate, "check skew-symmetrizability, report d")
@@ -313,9 +314,8 @@ def main(argv=None):
         doc = args.handler(em, args)
     except XfanError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
-        reason = getattr(exc, "reason", None)
-        if reason is not None:
-            doc["reason"] = reason
+        if exc.reason is not None:
+            doc["reason"] = exc.reason
         print(dumps(doc))
         return 3 if isinstance(exc, ExhaustionCapExceeded) else 2
     except ValueError as exc:

@@ -8,7 +8,11 @@ exit code 3. Plain ``ValueError`` is reserved for malformed caller input
 
 
 class XfanError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors; ``reason``, if set, names the case."""
+
+    def __init__(self, message, reason=None):
+        super().__init__(message)
+        self.reason = reason
 
 
 class ExponentNegative(XfanError):
@@ -68,14 +72,11 @@ class NotInVisitedComplex(XfanError):
     cone.
     """
 
-    def __init__(self, message, reason):
-        super().__init__(message)
-        self.reason = reason
-
 
 class ExhaustionCapExceeded(XfanError):
-    """An enumeration reached node_cap + 1 nodes, root included.
+    """An enumeration gave up, with ``reason`` None at node_cap + 1 nodes.
 
     Any ``node_cap`` of ``enumerate_pattern`` raises it, not only the one
-    ``--exhaustive`` sets.
+    ``--exhaustive`` sets; a walk without a depth bound also raises it,
+    with reason "infinite_type", at a B_t of infinite type.
     """

@@ -110,11 +110,3 @@ def theta(beta, catalog):
             value = value * poly ** a
     return ThetaFunction(beta, value, node.history, alpha)
 
-
-def extreme_rays(desc):
-    """Primitive generators of the extreme rays modulo lineality.
-
-    These are the rays of the cone's pointed part that ``classify`` kept,
-    in ambient coordinates and sorted.
-    """
-    return desc.rays

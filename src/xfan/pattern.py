@@ -24,11 +24,12 @@ F_t, while d stays put.
 A labelled node is therefore a seed plus a column permutation. The first
 node of a seed, a PatternNode, holds the matrices; every other node, a
 RelabelledNode, holds that first node, a permutation and its history,
-and builds its matrices by permutation when they are read. Mutating a
-labelled node in direction k is mutating its seed in the permuted
-direction, so the traversal runs one mutation, with every check, per
-unlabelled edge, and walks the labellings as a permutation cover of the
-unlabelled exchange graph.
+and builds its matrices by permutation when they are read. The seed
+pass of the enumeration mutates, with every check, once per edge (seed,
+direction) but the edge from a new seed back to its parent, free as
+mutation is an involution. The cover pass walks the labellings: mutating
+a labelled node in direction k is mutating its seed in the permuted
+direction, then relabelling, so it only composes permutations.
 """
 
 from functools import lru_cache
@@ -131,11 +132,6 @@ class PatternCatalog(Frozen):
     """
 
     __slots__ = ("root", "nodes", "depth", "complete", "seeds")
-
-    def __init__(self, root, nodes, depth, complete):
-        nodes = tuple(nodes)
-        seeds = dict.fromkeys(node.seed for node in nodes)
-        super().__init__(root, nodes, depth, complete, tuple(seeds))
 
     def __len__(self):
         return len(self.nodes)
@@ -249,6 +245,59 @@ def _mutate_f(polys, b, column, kk, n):
     )
 
 
+def _seed_graph(root, max_depth, node_cap):
+    """The seed pass: seeds up to max_depth in BFS order, and their edges.
+
+    seeds[s] is the first node of seed s, in the identity labelling;
+    edges[s][j] = (t, tau) says seed s mutated in direction j (0-based) is
+    seed t relabelled by tau, for every seed above the depth bound.
+    Without a depth bound, a B_t with b_ij.b_ji <= -4 ends the walk: it
+    makes the exchange graph infinite (Fomin-Zelevinsky II, Thm 1.8).
+    """
+    n = root.B_t.n
+    ident = root.perm
+
+    def key(cols):  # the set of columns of C_t, as a sorted flat tuple
+        return tuple(chain.from_iterable(sorted(cols)))
+
+    seeds = [root]
+    parents = [None]
+    edges = []
+    number = {key(zip(*root.C_t.entries)): 0}
+    for s, node in enumerate(seeds):  # seeds grows as the walk finds them
+        if max_depth is not None and len(node.history) >= max_depth:
+            break
+        if max_depth is None:
+            b = node.B_t.B.entries
+            if min((b[i][j] * b[j][i] for i in range(n) for j in range(i)), default=0) <= -4:
+                raise ExhaustionCapExceeded(
+                    f"B_t at history {node.history} has b_ij*b_ji <= -4: infinite type", "infinite_type"
+                )
+        back = node.history[-1] - 1 if node.history else None
+        out = []
+        for j in range(n):
+            if j == back:  # mutation is an involution: back to the parent, unrelabelled
+                out.append((parents[s], ident))
+                continue
+            new_c = _mutate_c(node, j)
+            cols = tuple(zip(*new_c.entries))
+            t = number.setdefault(key(cols), len(seeds))
+            if t < len(seeds):  # a known seed: column i is its column tau[i]
+                out.append((t, tuple(map(tuple(zip(*seeds[t].C_t.entries)).index, cols))))
+                continue
+            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), new_c))
+            parents.append(s)
+            out.append((t, ident))
+            if node_cap is not None and len(seeds) > node_cap:
+                raise ExhaustionCapExceeded(_cap_message(node_cap))
+        edges.append(tuple(out))
+    return seeds, edges
+
+
+def _cap_message(node_cap):
+    return f"more than {node_cap} labelled nodes before the frontier emptied"
+
+
 def enumerate_pattern(
     em,
     max_depth=DEFAULT_DEPTH,
@@ -257,20 +306,17 @@ def enumerate_pattern(
 ):
     """BFS over the labelled mutation tree, deduplicating nodes on C_t.
 
-    A labelled node is a seed plus a column permutation pi, and mutating
-    it in direction k is the unlabelled edge (seed, pi(k)) followed by the
-    relabelling tau that edge carries. Each unlabelled edge is mutated once,
-    when first reached: its mutated c-matrix, with sorted columns as the
-    key, names the target seed. A new seed gets its first node built around
-    that c-matrix, with the sign coherence, duality and F-polynomial
-    checks; a relabelled node passes them exactly when its seed does. Every
-    labelled edge then costs the composition tau.pi and one lookup of the
-    labelled state, which stands for the labelled c-matrix. Immediate
-    back-mutation is skipped; ties among directions break by ascending
-    index, so the catalog order is deterministic. ``max_depth`` of None
-    removes the depth bound (pair it with ``node_cap``). The cap raises
-    ExhaustionCapExceeded as soon as the catalog reaches node_cap + 1
-    nodes, root included.
+    After the seed pass, the labelled node (s, pi) mutated in direction k
+    is the edge (s, pi(k)) = (t, tau) followed by the state (t, tau.pi),
+    which stands for the labelled c-matrix. A relabelled node passes the
+    checks exactly when its seed does. Immediate back-mutation is
+    skipped; ties among directions break by ascending index, so the
+    catalog order is deterministic.
+
+    ``max_depth`` of None removes the depth bound (pair it with
+    ``node_cap``); a visited B_t with b_ij.b_ji <= -4 then raises
+    ExhaustionCapExceeded with reason "infinite_type". The cap raises it
+    as soon as the catalog reaches node_cap + 1 nodes, root included.
 
     Returns a PatternCatalog whose ``complete`` flag is set only when a
     frontier emptied before the depth bound, meaning every seed was seen.
@@ -284,78 +330,44 @@ def enumerate_pattern(
     if node_cap is not None:
         node_cap = _exact_int(node_cap)
     root = initial_node(em, with_polynomials=with_polynomials)
+    seeds, edges = _seed_graph(root, max_depth, node_cap)
     n = em.n
     ident = root.perm
-    firsts = [root]  # the first node of each seed, by seed number
-    # the key of a seed: the columns of its c-matrix, sorted and flattened
-    seed_number = {tuple(chain.from_iterable(sorted(zip(*root.C_t.entries)))): 0}
-    # the seed that edge (s, j) reaches, at s * n + j, and its relabelling
-    unreached = (None,) * n
-    targets = list(unreached)
-    relabellings = list(unreached)
     perms = {ident: ident}  # one tuple per permutation
-    seen = set()  # (seed number, perm) of every node but the first of its seed
+    seen = [{ident}] + [set() for _ in seeds[1:]]  # by seed number, the perms of its nodes
     nodes = [root]
     frontier = [root]
     numbers = [0]
     depth = 0
-    complete = False
-    while frontier:
-        if max_depth is not None and depth >= max_depth:
-            break
+    while frontier and (max_depth is None or depth < max_depth):
         depth += 1
-        next_frontier = []
-        next_numbers = []
+        next_frontier, next_numbers = [], []
         for parent, s in zip(frontier, numbers):
             perm = parent.perm
             history = parent.history
             last = history[-1] if history else 0
+            out = edges[s]
             for k in range(1, n + 1):
                 if k == last:
                     continue
-                j = perm[k - 1]
-                edge = s * n + j
-                t = targets[edge]
-                child = None
-                if t is None:
-                    new_c = _mutate_c(firsts[s], j)
-                    cols = tuple(zip(*new_c.entries))
-                    key = tuple(chain.from_iterable(sorted(cols)))
-                    t = seed_number.get(key)
-                    if t is None:
-                        # A new seed, checked in full; this child is its first
-                        # node. The parent is the first node of its own seed:
-                        # that node came first in BFS order and reached every
-                        # edge of its seed but the one back to a known seed.
-                        child = _child(parent, k, mutate(parent.B_t, k), new_c)
-                        t = seed_number[key] = len(firsts)
-                        firsts.append(child)
-                        targets += unreached
-                        relabellings += unreached
-                        relabellings[edge] = ident
-                    else:
-                        tau = tuple(map(tuple(zip(*firsts[t].C_t.entries)).index, cols))
-                        relabellings[edge] = perms.setdefault(tau, tau)
-                    targets[edge] = t
-                if child is None:
-                    labelled = tuple(map(relabellings[edge].__getitem__, perm))
-                    if labelled == ident or (t, labelled) in seen:
-                        continue
-                    labelled = perms.setdefault(labelled, labelled)
-                    seen.add((t, labelled))
-                    child = RelabelledNode(firsts[t], labelled, history + (k,))
+                t, tau = out[perm[k - 1]]
+                labelled = perm if tau is ident else tuple(map(tau.__getitem__, perm))
+                if labelled in seen[t]:
+                    continue
+                labelled = perms.setdefault(labelled, labelled)
+                seen[t].add(labelled)
+                # a seed's own labelling is first reached along its first node's history
+                if labelled is ident:
+                    child = seeds[t]
+                else:
+                    child = RelabelledNode(seeds[t], labelled, history + (k,))
                 nodes.append(child)
                 next_frontier.append(child)
                 next_numbers.append(t)
                 if node_cap is not None and len(nodes) > node_cap:
-                    raise ExhaustionCapExceeded(
-                        f"more than {node_cap} labelled nodes before the frontier emptied"
-                    )
-        frontier = next_frontier
-        numbers = next_numbers
-        if not frontier:
-            complete = True
-    return PatternCatalog(em, nodes, depth, complete)
+                    raise ExhaustionCapExceeded(_cap_message(node_cap))
+        frontier, numbers = next_frontier, next_numbers
+    return PatternCatalog(em, tuple(nodes), depth, not frontier, tuple(seeds))
 
 
 def positive_c_vectors(catalog):
@@ -366,10 +378,5 @@ def positive_c_vectors(catalog):
     Relabelling a seed permutes the columns of C_t, so the first node of
     each seed carries every column its seed does.
     """
-    found = set()
-    for node in catalog.seeds:
-        for j in range(node.C_t.cols):
-            col = node.C_t.col(j)
-            if all(x >= 0 for x in col):
-                found.add(col)
+    found = {col for node in catalog.seeds for col in zip(*node.C_t.entries) if min(col) >= 0}
     return tuple(sorted(found))

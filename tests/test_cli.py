@@ -291,7 +291,8 @@ def test_theta_markov_default_depth_answers(tmp_path):
 
 
 def test_exit_three_on_exhaustion(tmp_path):
-    b = _b_file(tmp_path, B_MARKOV)
+    # A4 has 42 seeds and 1,008 labelled nodes
+    b = _b_file(tmp_path, {"B": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]})
     p = subprocess.run(
         [
             sys.executable,
@@ -307,3 +308,17 @@ def test_exit_three_on_exhaustion(tmp_path):
     doc = json.loads(p.stdout)
     assert doc["error"] == "ExhaustionCapExceeded"
     assert sorted(doc) == ["error", "message"]
+    assert doc["message"] == "more than 120 labelled nodes before the frontier emptied"
+
+
+@pytest.mark.parametrize("seed", [B_MARKOV, B_KRONECKER], ids=["Markov", "Kronecker"])
+@pytest.mark.parametrize("command", ["fan", "theta"])
+def test_exit_three_on_infinite_type(tmp_path, seed, command):
+    # the root's B_t has b_12.b_21 = -4, so the walk stops before it mutates
+    beta = ["--beta", json.dumps([1] + [0] * (len(seed["B"]) - 1))] if command == "theta" else []
+    p = _run([command, "--B", _b_file(tmp_path, seed), "--exhaustive", *beta], timeout=30)
+    assert p.returncode == 3
+    doc = json.loads(p.stdout)
+    assert doc["error"] == "ExhaustionCapExceeded"
+    assert doc["reason"] == "infinite_type"
+    assert "history ()" in doc["message"]

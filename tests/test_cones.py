@@ -14,7 +14,6 @@ from xfan import (
     classify,
     contains,
     enumerate_pattern,
-    extreme_rays,
     initial_node,
     kernel_of_p_star,
     mutate_node,
@@ -314,7 +313,7 @@ def test_strict_rows_agreeing_on_the_span_share_one_facet():
     assert desc.strict == (0, 3)
     assert desc.dim == 3
     assert [(f.representative, f.supporting) for f in desc.facets] == [(0, (0, 3))]
-    assert extreme_rays(desc) == ((-1, 1, 1, 1),)
+    assert desc.rays == ((-1, 1, 1, 1),)
 
 
 def test_canonical_key_separates_a_ray_from_its_mirror():
@@ -323,8 +322,8 @@ def test_canonical_key_separates_a_ray_from_its_mirror():
     assert up.dim == down.dim == 1
     assert [(f.representative, f.supporting) for f in up.facets] == [(2, (2, 3))]
     assert [(f.representative, f.supporting) for f in down.facets] == [(2, (2, 3))]
-    assert extreme_rays(up) == ((0, 1),)
-    assert extreme_rays(down) == ((0, -1),)
+    assert up.rays == ((0, 1),)
+    assert down.rays == ((0, -1),)
     assert canonical_key(up) != canonical_key(down)
 
 

@@ -17,7 +17,6 @@ from xfan import (
     classify,
     contains,
     enumerate_pattern,
-    extreme_rays,
     initial_node,
     locate,
     theta,
@@ -252,7 +251,8 @@ def test_theta_monomial_on_lineality():
 
 def test_theta_outside_complete_complex():
     em = validate(B_KRONECKER)
-    synthetic = PatternCatalog(em, [initial_node(em)], 0, True)
+    root = initial_node(em)
+    synthetic = PatternCatalog(em, (root,), 0, True, (root,))
     with pytest.raises(NotInVisitedComplex) as exc:
         theta((1, 0), synthetic)
     assert exc.value.reason == "outside_complex"
@@ -272,21 +272,21 @@ def test_extreme_rays_frozen():
     kr = validate(B_KRONECKER)
     krcat = enumerate_pattern(kr, max_depth=2, with_polynomials=False)
     root = classify(build_system(krcat.nodes[0], kr))
-    assert extreme_rays(root) == ((-1, 0), (0, 1))
+    assert root.rays == ((-1, 0), (0, 1))
 
     em = validate(B_A3)
     cat = _a3_catalog()
     a3_root = classify(build_system(cat.nodes[0], em))
-    assert extreme_rays(a3_root) == ((-1, 0, -1), (0, 1, 0))
+    assert a3_root.rays == ((-1, 0, -1), (0, 1, 0))
     line = [c for c in assemble_fan(cat).cones if c.dim == 1][0]
-    assert extreme_rays(line.description) == ()
+    assert line.description.rays == ()
 
 
 def test_extreme_rays_generate_their_cone():
     em = validate(B_A3)
     cat = _a3_catalog()
     for cone in assemble_fan(cat).cones:
-        rays = extreme_rays(cone.description)
+        rays = cone.description.rays
         sys_ = cone.description.system
         for r in rays:
             assert contains(sys_, r)

@@ -270,8 +270,8 @@ def test_sequence_fields_are_tuples(name):
 
 # classes whose only constructor is the slot filler of Frozen
 FILLED_CLASSES = (
-    "PatternNode", "RelabelledNode", "Facet", "ConeDescription", "ThetaFunction", "PathAlgebraData", "Mesh",
-    "ARQuiverSlice",
+    "PatternNode", "RelabelledNode", "PatternCatalog", "Facet", "ConeDescription", "ThetaFunction",
+    "PathAlgebraData", "Mesh", "ARQuiverSlice",
 )
 
 

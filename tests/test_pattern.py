@@ -254,6 +254,7 @@ def test_seed_class_count_matches_permutation_orbits_random():
         rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
         cat = enumerate_pattern(validate(rows), max_depth=4, with_polynomials=False)
         assert cat.seed_class_count() == _orbit_count(cat)
+        assert cat.seeds == tuple(dict.fromkeys(node.seed for node in cat.nodes))
 
 
 def test_node_cap_exhaustion(monkeypatch):
@@ -261,12 +262,14 @@ def test_node_cap_exhaustion(monkeypatch):
     for cap in (10, 50):
         builds.clear()
         with pytest.raises(ExhaustionCapExceeded):
-            enumerate_pattern(validate(B_MARKOV), max_depth=None, node_cap=cap, with_polynomials=False)
+            enumerate_pattern(validate(B_MARKOV), max_depth=10**6, node_cap=cap, with_polynomials=False)
         # the cap trips at the node that takes the catalog past it, root included
         assert len(builds) == cap
     # a finite catalog completes exactly when it fits under the cap
-    with pytest.raises(ExhaustionCapExceeded):
+    with pytest.raises(ExhaustionCapExceeded) as exc:
         enumerate_pattern(validate(B_A3), max_depth=None, node_cap=83, with_polynomials=False)
+    assert exc.value.reason is None
+    assert str(exc.value) == "more than 83 labelled nodes before the frontier emptied"
     assert len(enumerate_pattern(validate(B_A3), max_depth=None, node_cap=84)) == 84
 
 
@@ -305,6 +308,37 @@ def test_positive_c_vectors_match_scan_of_all_nodes(rows, depth):
     cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
     found = {col for node in cat.nodes for col in zip(*node.C_t.entries) if min(col) >= 0}
     assert positive_c_vectors(cat) == tuple(sorted(found))
+
+
+@pytest.mark.parametrize(
+    "rows, depth", CATALOGS, ids=["A2", "B2", "G2", "Kronecker", "A3", "B3", "A4", "D4", "Markov"]
+)
+def test_seeds_are_the_first_nodes_in_order(rows, depth):
+    cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
+    assert cat.seeds == tuple(dict.fromkeys(node.seed for node in cat.nodes))
+
+
+@pytest.mark.parametrize(
+    "rows, history, built",
+    [
+        (B_MARKOV, (), 0),
+        ([[0, 2], [-2, 0]], (), 0),
+        # acyclic affine A2: the root and seed (1,) expand into 3 + 2 new
+        # seeds before seed (2,), whose B_t has a double arrow, is reached
+        ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], (2,), 5),
+    ],
+    ids=["Markov", "Kronecker", "affine A2"],
+)
+def test_unbounded_walk_stops_at_infinite_type(monkeypatch, rows, history, built):
+    # one exchange matrix with b_ij.b_ji <= -4 proves the exchange graph infinite
+    builds = _record_calls(monkeypatch, "_child")
+    with pytest.raises(ExhaustionCapExceeded) as exc:
+        enumerate_pattern(validate(rows), max_depth=None, node_cap=100, with_polynomials=False)
+    assert exc.value.reason == "infinite_type"
+    assert f"history {history}" in str(exc.value)
+    assert len(builds) == built
+    # a depth bound walks on
+    assert len(enumerate_pattern(validate(rows), max_depth=3, with_polynomials=False)) > 1
 
 
 def _node_fields(node):
@@ -379,7 +413,7 @@ def _labelled_edges(catalog, n):
 
 
 @pytest.mark.parametrize(
-    "rows, edges", [(B_A3, 42), (B_D4, 200), (B_A5, 660)], ids=["A3", "D4", "A5"]
+    "rows, edges", [(B_A3, 29), (B_D4, 151), (B_A5, 529)], ids=["A3", "D4", "A5"]
 )
 def test_one_mutation_per_unlabelled_edge(monkeypatch, rows, edges):
     probes, builds, signs = (
@@ -388,10 +422,13 @@ def test_one_mutation_per_unlabelled_edge(monkeypatch, rows, edges):
     cat = enumerate_pattern(validate(rows), max_depth=None, with_polynomials=False)
     n = len(rows)
     seeds = cat.seed_class_count()
-    # each probe mutates the first node of a seed, and each edge (seed, j) once
+    # each probe mutates the first node of a seed, and each edge (seed, j) once,
+    # except a first node's edge back to its parent, free as mutation is an involution
     firsts = {node.history for node in cat.seeds}
     assert all(node.history in firsts for node, _ in probes)
-    assert len({(node.history, kk) for node, kk in probes}) == len(probes) == seeds * n == edges
+    assert all(node.history[-1:] != (kk + 1,) for node, kk in probes)
+    assert len({(node.history, kk) for node, kk in probes}) == len(probes)
+    assert len(probes) == seeds * n - (seeds - 1) == edges
     assert len(_labelled_edges(cat, n)) > edges
     # the checks run once per seed after the root: n columns plus the g step's pivot
     assert len(builds) == seeds - 1
