@@ -197,13 +197,10 @@ def _cmd_ar(em, args):
 def _cmd_normals(em, args):
     cvec = _parse_json_vector(args.cvec, "--cvec")
     data = path_algebra_data(quiver_of(em))
-    if args.window is not None:
+    try:
         slice_data = knit(data, window=args.window)
-    else:
-        try:
-            slice_data = knit(data)
-        except NotRepresentationFinite:
-            slice_data = None
+    except NotRepresentationFinite:  # raised only without a window
+        slice_data = None
     normal = normal_vector(data, cvec, slice_data)
     checked = slice_data is not None and slice_data.mesh_at(cvec) is not None
     return {

@@ -1,6 +1,7 @@
 """Exact polyhedral analysis of the homogeneous systems A.beta >= 0.
 
-Row i of A is the i-th c-vector (transposed) times the root exchange matrix.
+A cone is its row matrix A, an ``IntMatrix``: row i is the i-th c-vector
+(transposed) times the root exchange matrix.
 Every question is answered by one primitive, the extreme rays of a pointed
 cone. Implicit equalities come from the homogeneous Farkas criterion read
 through Gale duality: row k holds with equality on the whole solution set
@@ -18,23 +19,10 @@ from .intmat import (
     Frozen,
     IntMatrix,
     _exact_int,
-    hnf_rows,
     identity_rows,
     integer_kernel_basis,
     primitive_vector,
 )
-
-
-class InequalitySystem(Frozen):
-    """The system A.beta >= 0 attached to one pattern node."""
-
-    __slots__ = ("A", "history")
-
-    def __init__(self, A, history=()):
-        super().__init__(A, tuple(history))
-
-    def __repr__(self):
-        return f"InequalitySystem(rows={[list(r) for r in self.A.entries]}, history={self.history})"
 
 
 class Facet(Frozen):
@@ -53,12 +41,13 @@ class Facet(Frozen):
 
 
 class ConeDescription(Frozen):
-    """Classification of one inequality system.
+    """Classification of the cone A.beta >= 0.
 
-    Indices are 0-based positions into the system's rows. ``implicit`` and
-    ``strict`` partition them, ``facets`` lists the facet classes,
-    ``dim`` is the cone dimension, ``lineality_basis`` spans {A.beta = 0}
-    over the integers, ``implicit_certificates`` maps each implicit row
+    ``A`` is the cone's row matrix, an ``IntMatrix``; indices are 0-based
+    positions into its rows. ``implicit`` and ``strict`` partition them,
+    ``facets`` lists the facet classes, ``dim`` is the cone dimension,
+    ``lineality_basis`` spans {A.beta = 0} over the integers in Hermite
+    normal form, ``implicit_certificates`` maps each implicit row
     to a nonnegative, primitive integer row relation witnessing it
     (coefficient per row, the tested row included with coefficient >= 1),
     and ``rays`` are the sorted primitive extreme rays of the pointed part
@@ -67,7 +56,7 @@ class ConeDescription(Frozen):
     """
 
     __slots__ = (
-        "system",
+        "A",
         "implicit",
         "strict",
         "facets",
@@ -79,9 +68,8 @@ class ConeDescription(Frozen):
 
 
 def build_system(node, root_em):
-    """A = C_t^T . B for the root exchange matrix B."""
-    A = node.C_t.transpose().mul(root_em.B)
-    return InequalitySystem(A, node.history)
+    """The row matrix A = C_t^T . B of the cone, for the root exchange matrix B."""
+    return node.C_t.transpose().mul(root_em.B)
 
 
 def pointed_rays(functionals):
@@ -124,8 +112,8 @@ def relation_rays(rows):
     )
 
 
-def classify(system):
-    """Full cone classification: implicit rows, dimension, facets, lineality, rays.
+def classify(A):
+    """Classify the cone of the ``IntMatrix`` A: implicit rows, dimension, facets, lineality, rays.
 
     Row k is implicit iff a nonnegative row relation lam.A = 0 has
     lam_k > 0. Those relations form a pointed cone, so the implicit rows
@@ -140,9 +128,10 @@ def classify(system):
     than the pointed dimension; each facet is reported with all of its
     supporting rows. The rays are kept in ambient coordinates; the space's
     basis is a saturated lattice basis, so primitive rays stay primitive.
+    The lineality basis is the saturated integer kernel of A, which
+    ``integer_kernel_basis`` returns in Hermite normal form.
     A zero matrix yields the whole space: dimension n, no facets, no rays.
     """
-    A = system.A
     rows = A.entries
     certificates = {}
     for lam in relation_rays(rows):
@@ -169,16 +158,13 @@ def classify(system):
     ambient = tuple(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays)
     dim = len(lineality) + len(basis)
     return ConeDescription(
-        system, implicit, strict, tuple(facets), dim, lineality, certificates, ambient
+        A, implicit, strict, tuple(facets), dim, lineality, certificates, ambient
     )
 
 
-def contains(system, beta):
-    """True iff A.beta >= 0 componentwise."""
-    beta = tuple(_exact_int(x) for x in beta)
-    if len(beta) != system.A.cols:
-        raise ValueError("beta length mismatch")
-    return all(x >= 0 for x in system.A.mul_vec(beta))
+def contains(A, beta):
+    """True iff A.beta >= 0 componentwise; a beta of the wrong length raises ValueError."""
+    return all(x >= 0 for x in A.mul_vec(tuple(_exact_int(x) for x in beta)))
 
 
 def canonical_key(desc):
@@ -186,7 +172,8 @@ def canonical_key(desc):
 
     A cone is its lineality space plus the conic hull of the extreme rays
     of its pointed part, and both are intrinsic to the point set. So the
-    key is the ambient dimension, the lineality lattice in Hermite normal
-    form and the sorted primitive rays that ``classify`` kept.
+    key is the ambient dimension, the lineality basis in the Hermite normal
+    form that ``classify`` returns it in, and the sorted primitive rays
+    that ``classify`` kept.
     """
-    return (desc.system.A.cols, hnf_rows(desc.lineality_basis), desc.rays)
+    return (desc.A.cols, desc.lineality_basis, desc.rays)

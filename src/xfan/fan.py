@@ -1,6 +1,6 @@
 """Assembly of the cone complex and theta functions on its integral points.
 
-The first node of every seed contributes one inequality system; systems
+The first node of every seed contributes one row matrix; row matrices
 describing the same point set merge under the canonical key, and each
 merged cone remembers every witnessing node history. Theta evaluation
 picks the first BFS witness containing the point (any witness gives the

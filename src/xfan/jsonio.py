@@ -74,7 +74,7 @@ def encode_cone(desc):
     Row indices are 1-based on the wire; each facet carries its primitive
     outward functional and every supporting row index.
     """
-    rows = desc.system.A.entries
+    rows = desc.A.entries
     facets = []
     for facet in desc.facets:
         facets.append(

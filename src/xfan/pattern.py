@@ -329,6 +329,8 @@ def enumerate_pattern(
             raise ValueError("max_depth must be nonnegative or None")
     if node_cap is not None:
         node_cap = _exact_int(node_cap)
+        if node_cap < 1:
+            raise ValueError("node_cap must be positive or None")
     root = initial_node(em, with_polynomials=with_polynomials)
     seeds, edges = _seed_graph(root, max_depth, node_cap)
     n = em.n

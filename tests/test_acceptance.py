@@ -116,18 +116,18 @@ def test_criterion_01():
     for c_entries, rows in A3_DIM3_TABLE:
         node = _node_with_c(cat, c_entries)
         desc = classify(build_system(node, em))
-        assert desc.system.A.entries == rows
+        assert desc.A.entries == rows
         assert desc.dim == 3 and desc.implicit == ()
 
     for c_first, c_second, merged in A3_DIM2_TABLE:
         first = classify(build_system(_node_with_c(cat, c_first), em))
         second = classify(build_system(_node_with_c(cat, c_second), em))
-        assert first.system.A.entries == merged
-        assert set(second.system.A.entries) == set(merged)
+        assert first.A.entries == merged
+        assert set(second.A.entries) == set(merged)
         assert canonical_key(first) == canonical_key(second)
         for desc in (first, second):
             assert desc.dim == 2
-            implicit_rows = [desc.system.A.entries[i] for i in desc.implicit]
+            implicit_rows = [desc.A.entries[i] for i in desc.implicit]
             assert IntMatrix(implicit_rows).rank() == 1
 
     dim1_keys = set()
@@ -173,8 +173,8 @@ def test_criterion_03():
             beta = tuple(rng.randint(-4, 4) for _ in range(em.n))
             expected = theta(beta, catalog).value
             witnessed = 0
-            for node, sys_ in systems:
-                alpha = sys_.A.mul_vec(beta)
+            for node, A in systems:
+                alpha = A.mul_vec(beta)
                 if any(a < 0 for a in alpha):
                     continue
                 witnessed += 1
@@ -221,11 +221,11 @@ def test_criterion_05():
         cat = enumerate_pattern(em, **kwargs)
         for node in cat.nodes:
             desc = classify(build_system(node, em))
-            implicit_rows = [desc.system.A.entries[i] for i in desc.implicit]
+            implicit_rows = [desc.A.entries[i] for i in desc.implicit]
             rank = IntMatrix(implicit_rows).rank() if implicit_rows else 0
             assert desc.dim + rank == em.n
             if em.n <= 3 and depth is None:
-                assert desc.dim == sampled_cone_dimension(desc.system.A.entries)
+                assert desc.dim == sampled_cone_dimension(desc.A.entries)
 
 
 @_criterion(6, "quiver-cartan-identity")

@@ -8,12 +8,12 @@ from math import gcd
 
 from xfan import (
     IntMatrix,
-    InequalitySystem,
     build_system,
     canonical_key,
     classify,
     contains,
     enumerate_pattern,
+    hnf_rows,
     initial_node,
     kernel_of_p_star,
     mutate_node,
@@ -136,10 +136,9 @@ def test_conic_membership_randomized_roundtrip():
 def test_build_system_rows_are_cvector_images():
     em = validate(B_A3)
     node = mutate_node(mutate_node(initial_node(em), 1), 3)
-    sys_ = build_system(node, em)
-    assert sys_.A == node.C_t.transpose().mul(em.B)
-    assert sys_.A.entries == ((0, -1, 0), (-1, 2, -1), (0, -1, 0))
-    assert sys_.history == (1, 3)
+    A = build_system(node, em)
+    assert A == node.C_t.transpose().mul(em.B)
+    assert A.entries == ((0, -1, 0), (-1, 2, -1), (0, -1, 0))
 
 
 def test_full_dimensional_cones_frozen():
@@ -148,7 +147,7 @@ def test_full_dimensional_cones_frozen():
     for c_entries, rows in FULL_DIM_SEEDS:
         node = _node_with_c(cat, c_entries)
         desc = classify(build_system(node, em))
-        assert desc.system.A.entries == rows
+        assert desc.A.entries == rows
         assert desc.dim == 3
         assert desc.implicit == ()
         assert desc.strict == (0, 1, 2)
@@ -165,14 +164,14 @@ def test_codimension_one_pairs_merge():
     for c_first, c_second, merged_rows, strict_row in DIM2_SEED_PAIRS:
         first = classify(build_system(_node_with_c(cat, c_first), em))
         second = classify(build_system(_node_with_c(cat, c_second), em))
-        assert first.system.A.entries == merged_rows
-        assert set(second.system.A.entries) == set(merged_rows)
+        assert first.A.entries == merged_rows
+        assert set(second.A.entries) == set(merged_rows)
         for desc in (first, second):
             assert desc.dim == 2
             assert desc.implicit == (0, 2)
             assert desc.strict == (1,)
-            assert desc.system.A.entries[1] == strict_row
-            implicit_rows = [desc.system.A.entries[i] for i in desc.implicit]
+            assert desc.A.entries[1] == strict_row
+            implicit_rows = [desc.A.entries[i] for i in desc.implicit]
             assert fraction_rank(implicit_rows) == 1
             assert implicit_rows[0] == tuple(-x for x in implicit_rows[1])
         assert canonical_key(first) == canonical_key(second)
@@ -184,11 +183,11 @@ def test_one_dimensional_cones_are_the_fiber_direction():
     keys = set()
     for c_entries in DIM1_SEEDS:
         desc = classify(build_system(_node_with_c(cat, c_entries), em))
-        assert set(desc.system.A.entries) == set(DIM1_SYSTEM)
+        assert set(desc.A.entries) == set(DIM1_SYSTEM)
         assert desc.dim == 1
         assert desc.implicit == (0, 1, 2)
         assert desc.facets == ()
-        assert fraction_rank(desc.system.A.entries) == 2
+        assert fraction_rank(desc.A.entries) == 2
         assert desc.lineality_basis == kernel_of_p_star(em)
         keys.add(canonical_key(desc))
     assert len(keys) == 1
@@ -199,7 +198,7 @@ def test_implicit_certificates_verify():
     cat = _catalog()
     for node in cat.nodes:
         desc = classify(build_system(node, em))
-        a = desc.system.A.entries
+        a = desc.A.entries
         assert set(desc.implicit_certificates) == set(desc.implicit)
         for row_index, lam in desc.implicit_certificates.items():
             # the relation includes every row; the tested row has weight >= 1
@@ -217,7 +216,7 @@ def test_dimension_equals_ambient_minus_implicit_rank():
     cat = _catalog()
     for node in cat.nodes:
         desc = classify(build_system(node, em))
-        implicit_rows = [desc.system.A.entries[i] for i in desc.implicit]
+        implicit_rows = [desc.A.entries[i] for i in desc.implicit]
         assert desc.dim == 3 - fraction_rank(implicit_rows)
 
 
@@ -227,7 +226,7 @@ def test_dimension_against_sampling():
         cat = enumerate_pattern(em, with_polynomials=False)
         for node in cat.nodes:
             desc = classify(build_system(node, em))
-            assert desc.dim == sampled_cone_dimension(desc.system.A.entries)
+            assert desc.dim == sampled_cone_dimension(desc.A.entries)
 
 
 def test_lineality_contains_fiber_direction_everywhere():
@@ -236,14 +235,14 @@ def test_lineality_contains_fiber_direction_everywhere():
     cat = _catalog()
     for node in cat.nodes:
         desc = classify(build_system(node, em))
-        a = desc.system.A
+        a = desc.A
         for v in fiber:
             assert a.mul_vec(v) == (0, 0, 0)
             assert a.mul_vec(tuple(-x for x in v)) == (0, 0, 0)
 
 
 def test_zero_system_is_everything():
-    zero = InequalitySystem(IntMatrix([[0, 0], [0, 0]]), ())
+    zero = IntMatrix([[0, 0], [0, 0]])
     desc = classify(zero)
     assert desc.dim == 2
     assert desc.implicit == (0, 1)
@@ -254,18 +253,18 @@ def test_zero_system_is_everything():
 def test_contains():
     em = validate(B_A3)
     node = mutate_node(mutate_node(initial_node(em), 1), 3)
-    sys_ = build_system(node, em)
-    assert contains(sys_, (-1, -1, -1))
-    assert contains(sys_, (-1, 0, 0))
-    assert contains(sys_, (0, 0, 0))
-    assert contains(sys_, (1, 0, -1))
-    assert not contains(sys_, (0, 1, 0))
-    assert not contains(sys_, (0, -1, 0))
+    A = build_system(node, em)
+    assert contains(A, (-1, -1, -1))
+    assert contains(A, (-1, 0, 0))
+    assert contains(A, (0, 0, 0))
+    assert contains(A, (1, 0, -1))
+    assert not contains(A, (0, 1, 0))
+    assert not contains(A, (0, -1, 0))
 
 
 def test_canonical_key_separates_rays():
-    e1 = InequalitySystem(IntMatrix([[1, 0], [0, 1], [0, -1]]), ())
-    e2 = InequalitySystem(IntMatrix([[1, 0], [-1, 0], [0, 1]]), ())
+    e1 = IntMatrix([[1, 0], [0, 1], [0, -1]])
+    e2 = IntMatrix([[1, 0], [-1, 0], [0, 1]])
     k1 = classify(e1)
     k2 = classify(e2)
     assert k1.dim == 1 and k2.dim == 1
@@ -273,8 +272,8 @@ def test_canonical_key_separates_rays():
 
 
 def test_canonical_key_ignores_row_presentation():
-    base = InequalitySystem(IntMatrix([[1, 0], [0, 1]]), ())
-    doubled = InequalitySystem(IntMatrix([[2, 0], [0, 3], [1, 1]]), ())
+    base = IntMatrix([[1, 0], [0, 1]])
+    doubled = IntMatrix([[2, 0], [0, 3], [1, 1]])
     # same point set: the doubled rows rescale and (1,1) is implied
     assert canonical_key(classify(base)) == canonical_key(classify(doubled))
 
@@ -317,8 +316,8 @@ def test_strict_rows_agreeing_on_the_span_share_one_facet():
 
 
 def test_canonical_key_separates_a_ray_from_its_mirror():
-    up = classify(InequalitySystem(IntMatrix([[1, 0], [-1, 0], [0, 1], [1, 1]]), ()))
-    down = classify(InequalitySystem(IntMatrix([[1, 0], [-1, 0], [0, -1], [1, -1]]), ()))
+    up = classify(IntMatrix([[1, 0], [-1, 0], [0, 1], [1, 1]]))
+    down = classify(IntMatrix([[1, 0], [-1, 0], [0, -1], [1, -1]]))
     assert up.dim == down.dim == 1
     assert [(f.representative, f.supporting) for f in up.facets] == [(2, (2, 3))]
     assert [(f.representative, f.supporting) for f in down.facets] == [(2, (2, 3))]
@@ -328,7 +327,7 @@ def test_canonical_key_separates_a_ray_from_its_mirror():
 
 
 def _assert_certificates(desc):
-    a = desc.system.A.entries
+    a = desc.A.entries
     assert sorted(desc.implicit_certificates) == list(desc.implicit)
     for k, lam in desc.implicit_certificates.items():
         assert all(type(c) is int and c >= 0 for c in lam) and lam[k] >= 1
@@ -339,7 +338,7 @@ def _assert_certificates(desc):
 def _keys(desc):
     """Check the kept rays against the subset scan; return the key and the
     span key, the key of the same description before rays were kept."""
-    rows = desc.system.A.entries
+    rows = desc.A.entries
     old = (rows, desc.implicit, [f.representative for f in desc.facets], desc.lineality_basis)
     assert desc.rays == subset_extreme_rays(*old), rows
     return canonical_key(desc), span_canonical_key(*old)
@@ -347,7 +346,7 @@ def _keys(desc):
 
 def _assert_matches_scan(desc):
     """Compare with the scan oracles; returns ``_keys(desc)``."""
-    rows = desc.system.A.entries
+    rows = desc.A.entries
     implicit, strict, facets, dim = scan_classify(rows)
     assert desc.implicit == implicit, rows
     assert desc.strict == strict, rows
@@ -402,36 +401,42 @@ def test_classify_matches_caratheodory_scan_on_random_seeds():
     _assert_same_partition(pairs)
 
 
+def _random_system(rng):
+    """Rows of a random system. Repeated, negated and rescaled rows make
+    implicit rows and strict rows that agree on the span; sums of rows make
+    redundant ones."""
+    n = rng.randint(1, 4)
+    rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 3)):
+        row = rng.choice(rows)
+        other = rng.choice(rows)
+        pick = rng.random()
+        if pick < 0.3:
+            rows.append(tuple(-x for x in row))
+        elif pick < 0.5:
+            rows.append(tuple(rng.randint(1, 3) * x for x in row))
+        else:
+            rows.append(tuple(a + b for a, b in zip(row, other)))
+    rng.shuffle(rows)
+    return rows
+
+
 def test_classify_matches_caratheodory_scan_on_random_systems():
-    # Repeated, negated and rescaled rows make implicit rows and strict rows
-    # that agree on the span; sums of rows make redundant ones. Each system
-    # is also classified in a second presentation of the same point set:
-    # rows shuffled and rescaled, plus the sum of two rows.
+    # Each system is also classified in a second presentation of the same
+    # point set: rows shuffled and rescaled, plus the sum of two rows.
     rng = random.Random(3116)
     other_rng = random.Random(6113)
     kinds = {"implicit": 0, "redundant": 0, "shared": 0}
     pairs = []
     for _ in range(300):
-        n = rng.randint(1, 4)
-        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
-        for _ in range(rng.randint(1, 3)):
-            row = rng.choice(rows)
-            other = rng.choice(rows)
-            pick = rng.random()
-            if pick < 0.3:
-                rows.append(tuple(-x for x in row))
-            elif pick < 0.5:
-                rows.append(tuple(rng.randint(1, 3) * x for x in row))
-            else:
-                rows.append(tuple(a + b for a, b in zip(row, other)))
-        rng.shuffle(rows)
-        desc = classify(InequalitySystem(IntMatrix(rows), ()))
+        rows = _random_system(rng)
+        desc = classify(IntMatrix(rows))
         pairs.append(_assert_matches_scan(desc))
         scales = [other_rng.randint(1, 3) for _ in rows]
         again = [tuple(c * x for x in row) for c, row in zip(scales, rows)]
         again.append(tuple(map(sum, zip(other_rng.choice(rows), other_rng.choice(rows)))))
         other_rng.shuffle(again)
-        pairs.append(_keys(classify(InequalitySystem(IntMatrix(again), ()))))
+        pairs.append(_keys(classify(IntMatrix(again))))
         assert pairs[-1] == pairs[-2], (rows, again)
         kinds["implicit"] += bool(desc.implicit)
         kinds["redundant"] += sum(len(f.supporting) for f in desc.facets) < len(desc.strict)
@@ -440,3 +445,17 @@ def test_classify_matches_caratheodory_scan_on_random_systems():
         )
     assert min(kinds.values()) >= 20, kinds
     _assert_same_partition(pairs)
+
+
+def test_lineality_basis_is_in_hermite_form():
+    # canonical_key compares lineality bases as classify returns them
+    descs = []
+    for rows, depth, _ in CATALOGS:
+        em = validate(rows)
+        cat = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
+        descs += [classify(build_system(node, em)) for node in cat.seeds]
+    rng = random.Random(3116)
+    descs += [classify(IntMatrix(_random_system(rng))) for _ in range(300)]
+    for desc in descs:
+        assert hnf_rows(desc.lineality_basis) == desc.lineality_basis
+    assert max(len(desc.lineality_basis) for desc in descs) > 1

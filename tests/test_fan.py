@@ -26,9 +26,12 @@ from xfan import (
 from oracles import locate_labelled, random_skew_symmetrizable
 
 B_A2 = [[0, 1], [-1, 0]]
+B_B2 = [[0, 1], [-2, 0]]
+B_G2 = [[0, 1], [-3, 0]]
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
 B_KRONECKER = [[0, 2], [-2, 0]]
 B_B3 = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
+B_C3 = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 B_A4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 B_MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -81,8 +84,7 @@ def _per_node_fan(catalog):
 
 def _fields(desc):
     return (
-        desc.system.A,
-        desc.system.history,
+        desc.A,
         desc.implicit,
         desc.strict,
         desc.facets,
@@ -136,6 +138,11 @@ def test_locate_miss_returns_none():
     assert locate(beta, shallow) is None
 
 
+def _assert_positive(value):
+    """GHKK positivity: every coefficient of a theta function is positive."""
+    assert all(coeff > 0 for _, coeff in value.sorted_terms()), value
+
+
 def _beta_beyond(shallow, deep):
     """A point covered by the deep truncation but not the shallow one."""
     for b1 in range(-8, 9):
@@ -176,6 +183,7 @@ def test_locate_and_theta_match_labelled_scan(rows, depth):
                 value = value * poly ** a
             t = theta(beta, catalog)
             assert (t.witness, t.alpha, t.value) == (node.history, alpha, value)
+            _assert_positive(t.value)
         assert misses > 0 if depth else misses == 0
 
 
@@ -192,7 +200,10 @@ def _assert_theta_replays_witness(em, depth):
     with_f = enumerate_pattern(em, max_depth=depth)
     bare = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
     for beta in product(range(-2, 3), repeat=em.n):
-        assert _theta_or_reason(beta, bare) == _theta_or_reason(beta, with_f)
+        found = _theta_or_reason(beta, bare)
+        assert found == _theta_or_reason(beta, with_f)
+        if not isinstance(found, str):
+            _assert_positive(found[2])
 
 
 @pytest.mark.parametrize(
@@ -209,6 +220,27 @@ def test_theta_without_polynomials_replays_witness_random():
     for _ in range(20):
         rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
         _assert_theta_replays_witness(validate(rows), 4)
+
+
+def test_theta_coefficients_are_positive_on_boxes():
+    checked = 0
+    for rows, depth, radius in (
+        (B_A2, None, 3),
+        (B_B2, None, 3),
+        (B_G2, None, 3),
+        (B_A3, None, 2),
+        (B_B3, None, 2),
+        (B_C3, None, 2),
+        (B_D4, None, 1),
+        (B_KRONECKER, 5, 3),
+        (B_MARKOV, 5, 2),
+    ):
+        catalog = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
+        for beta in product(range(-radius, radius + 1), repeat=len(rows)):
+            if locate(beta, catalog) is not None:
+                _assert_positive(theta(beta, catalog).value)
+                checked += 1
+    assert checked == 654
 
 
 def test_theta_frozen_example():
@@ -240,6 +272,7 @@ def test_theta_doubling_squares_the_value():
         t2 = theta(tuple(2 * b for b in beta), cat)
         assert t2.witness == t1.witness
         assert t2.value == t1.value * t1.value
+        _assert_positive(t1.value)
 
 
 def test_theta_monomial_on_lineality():
@@ -287,9 +320,9 @@ def test_extreme_rays_generate_their_cone():
     cat = _a3_catalog()
     for cone in assemble_fan(cat).cones:
         rays = cone.description.rays
-        sys_ = cone.description.system
+        A = cone.description.A
         for r in rays:
-            assert contains(sys_, r)
+            assert contains(A, r)
         for v in cone.description.lineality_basis:
-            assert contains(sys_, v)
-            assert contains(sys_, tuple(-x for x in v))
+            assert contains(A, v)
+            assert contains(A, tuple(-x for x in v))

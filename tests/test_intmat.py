@@ -206,7 +206,7 @@ def _a3_values():
     slice_data = knit(data)
     values = (
         IntMatrix(B_A3), LaurentPolynomial.one(3), em, data.quiver, node, relabelled, catalog,
-        description.system, description.facets[0], description, report.cones[0], report,
+        description.facets[0], description, report.cones[0], report,
         theta((3, -1, 0), catalog), data, slice_data.objects[(0, 0)], slice_data.meshes[0],
         slice_data,
     )
@@ -215,7 +215,7 @@ def _a3_values():
 
 VALUE_CLASSES = (
     "IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Quiver", "PatternNode", "RelabelledNode",
-    "PatternCatalog", "InequalitySystem", "Facet", "ConeDescription", "XCone",
+    "PatternCatalog", "Facet", "ConeDescription", "XCone",
     "XFanReport", "ThetaFunction", "PathAlgebraData", "DerivedObject", "Mesh",
     "ARQuiverSlice",
 )

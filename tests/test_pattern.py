@@ -273,6 +273,18 @@ def test_node_cap_exhaustion(monkeypatch):
     assert len(enumerate_pattern(validate(B_A3), max_depth=None, node_cap=84)) == 84
 
 
+def test_node_cap_below_one_rejected():
+    em = validate(B_A2)
+    for cap in (0, -1):
+        for depth in (0, 1, None):
+            with pytest.raises(ValueError, match="^node_cap must be positive or None$"):
+                enumerate_pattern(em, max_depth=depth, node_cap=cap)
+    # the root alone fits under a cap of one; its first child does not
+    assert len(enumerate_pattern(em, max_depth=0, node_cap=1)) == 1
+    with pytest.raises(ExhaustionCapExceeded):
+        enumerate_pattern(em, max_depth=1, node_cap=1)
+
+
 def test_raw_matrix_rejected():
     with pytest.raises(ValueError):
         enumerate_pattern(B_A3)

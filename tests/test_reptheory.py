@@ -353,9 +353,9 @@ def test_facet_rows_are_two_term_g_vector_sums(rows, facet_rows):
     seen = 0
     for cone in assemble_fan(catalog).cones:
         desc = cone.description
-        c_matrix = by_history[desc.system.history].C_t
+        c_matrix = by_history[cone.witnesses[0]].C_t
         for facet in desc.facets:
-            row = desc.system.A.row(facet.representative)
+            row = desc.A.row(facet.representative)
             w = _two_term_sum(data, tuple(abs(x) for x in c_matrix.col(facet.representative)))
             assert row in (w, tuple(-x for x in w))
             seen += 1
