@@ -3,8 +3,9 @@
 Every invocation runs one job: read the seed from --B (a JSON file or -
 for standard input), compute, print a single JSON document on standard
 output. Exit codes: 0 success, 1 malformed input, 2 domain errors (the
-document then describes the error), 3 when --exhaustive gives up at the
-node cap or, with reason "infinite_type", at a seed of infinite type.
+document then describes the error), 3 when an enumeration gives up at
+the node cap or, with --exhaustive and reason "infinite_type", at a seed
+of infinite type.
 Directions in --seq and all row/column indices in reports are 1-based.
 Enumeration is single-threaded.
 """
@@ -25,6 +26,7 @@ from .jsonio import (
     encode_matrix,
     encode_polynomial,
     encode_vector,
+    parse_decimal,
 )
 from .pattern import DEFAULT_DEPTH, _walk, enumerate_pattern
 from .reptheory import kernel_certificates, knit, normal_vector, path_algebra_data
@@ -41,10 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_seq(text):
-    if not text.strip():
+    if not text.strip(" "):
         return ()
     try:
-        return tuple(int(tok.strip(), 10) for tok in text.split(","))
+        return tuple(parse_decimal(tok.strip(" ")) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated 1-based directions, got {text!r}"
@@ -77,7 +79,7 @@ def _enumerate(em, args):
         em,
         max_depth=None if args.exhaustive else args.depth,
         with_polynomials=False,
-        node_cap=EXHAUSTIVE_CAP if args.exhaustive else None,
+        node_cap=EXHAUSTIVE_CAP,
     )
 
 
@@ -95,7 +97,7 @@ def _cmd_mutate(em, args):
     for k in args.seq:
         current = mutate(current, k)
     return {
-        "history": list(args.seq),
+        "history": args.seq,
         "B": encode_matrix(current.B),
         "d": encode_vector(current.d),
     }
@@ -104,7 +106,7 @@ def _cmd_mutate(em, args):
 def _cmd_cmatrix(em, args):
     node = _walk(em, args.seq, with_polynomials=False)
     return {
-        "history": list(node.history),
+        "history": node.history,
         "B_t": encode_matrix(node.B_t.B),
         "C_t": encode_matrix(node.C_t),
     }
@@ -113,7 +115,7 @@ def _cmd_cmatrix(em, args):
 def _cmd_gmatrix(em, args):
     node = _walk(em, args.seq, with_polynomials=False)
     return {
-        "history": list(node.history),
+        "history": node.history,
         "G_t": encode_matrix(node.G_t),
         "C_t": encode_matrix(node.C_t),
     }
@@ -122,7 +124,7 @@ def _cmd_gmatrix(em, args):
 def _cmd_fpoly(em, args):
     node = _walk(em, args.seq)
     return {
-        "history": list(node.history),
+        "history": node.history,
         "F_t": [encode_polynomial(f) for f in node.F_t],
     }
 
@@ -131,7 +133,7 @@ def _cmd_cone(em, args):
     node = _walk(em, args.seq, with_polynomials=False)
     description = classify(build_system(node, em))
     doc = encode_cone(description)
-    doc["history"] = list(node.history)
+    doc["history"] = node.history
     return doc
 
 
@@ -141,7 +143,7 @@ def _cmd_fan(em, args):
     cones = []
     for cone in report.cones:
         entry = encode_cone(cone.description)
-        entry["witnesses"] = [list(h) for h in cone.witnesses]
+        entry["witnesses"] = cone.witnesses
         if args.emit_rays:
             entry["rays"] = [encode_vector(r) for r in cone.description.rays]
         cones.append(entry)
@@ -161,7 +163,7 @@ def _cmd_theta(em, args):
     result = theta(beta, catalog)
     return {
         "beta": encode_vector(result.beta),
-        "witness": list(result.witness),
+        "witness": result.witness,
         "alpha": encode_vector(result.alpha),
         "value": encode_polynomial(result.value),
     }
@@ -217,7 +219,7 @@ def _cmd_certify(em, args):
     cvectors = [node.C_t.col(j) for j in range(em.n)]
     certificates = kernel_certificates(data, cvectors)
     return {
-        "history": list(node.history),
+        "history": node.history,
         "cvectors": [encode_vector(c) for c in cvectors],
         "certificates": [
             {"columns": [i + 1 for i in subset], "lambda": encode_vector(lam)}
@@ -251,7 +253,12 @@ def _build_parser():
         )
 
     def depth_flags(p):
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="BFS depth bound")
+        p.add_argument(
+            "--depth",
+            type=parse_decimal,
+            default=DEFAULT_DEPTH,
+            help=f"BFS depth bound; exit 3 past {EXHAUSTIVE_CAP} labelled nodes",
+        )
         p.add_argument(
             "--exhaustive",
             action="store_true",
@@ -281,7 +288,7 @@ def _build_parser():
     ar_p = command("ar", _cmd_ar, "knit the AR quiver of an acyclic skew-symmetric seed")
     ar_p.add_argument(
         "--window",
-        type=int,
+        type=parse_decimal,
         default=None,
         help="number of translation steps; omit for exhaustive Dynkin knitting",
     )
@@ -290,7 +297,7 @@ def _build_parser():
     normals_p.add_argument("--cvec", required=True, metavar="[..]", help="positive c-vector, JSON array")
     normals_p.add_argument(
         "--window",
-        type=int,
+        type=parse_decimal,
         default=None,
         help="knitting window for the mesh cross-check on non-Dynkin quivers",
     )

@@ -18,6 +18,7 @@ from operator import mul
 from .intmat import (
     Frozen,
     IntMatrix,
+    Value,
     _exact_int,
     identity_rows,
     integer_kernel_basis,
@@ -25,16 +26,10 @@ from .intmat import (
 )
 
 
-class Facet(Frozen):
+class Facet(Value):
     """One facet: a representative row index plus every supporting row."""
 
     __slots__ = ("representative", "supporting")
-
-    def __eq__(self, other):
-        return isinstance(other, Facet) and (
-            self.representative,
-            self.supporting,
-        ) == (other.representative, other.supporting)
 
     def __repr__(self):
         return f"Facet(representative={self.representative}, supporting={list(self.supporting)})"

@@ -39,7 +39,23 @@ class Frozen:
             object.__setattr__(self, name, value)
 
 
-class IntMatrix(Frozen):
+class Value(Frozen):
+    """Frozen with value semantics: equal to a value of the same type
+    whose slots are all equal, and hashed by the tuple of slots."""
+
+    __slots__ = ()
+
+    def _slot_values(self):
+        return tuple(map(self.__getattribute__, type(self).__slots__))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._slot_values() == other._slot_values()
+
+    def __hash__(self):
+        return hash(self._slot_values())
+
+
+class IntMatrix(Value):
     """Dense integer matrix, stored row-major as a tuple of tuples."""
 
     __slots__ = ("entries", "rows", "cols")
@@ -69,12 +85,6 @@ class IntMatrix(Frozen):
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", len(entries[0]))
         return self
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]})"

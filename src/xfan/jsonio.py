@@ -3,15 +3,18 @@
 Integers travel as plain JSON numbers while they fit in the 53-bit range
 that survives an IEEE double round-trip, and as decimal strings beyond
 it; decoding accepts either form everywhere an integer is expected, so
-emitted reports re-parse to equal values. ``dumps`` pins key order and
+emitted reports re-parse to equal values. A decimal string is an optional
+"-" and ASCII digits, nothing else. ``dumps`` pins key order and
 separators to make identical jobs print identical bytes.
 """
 
 import json
+import re
 
 from .intmat import primitive_vector
 
 SAFE_MAX = (1 << 53) - 1
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def encode_int(x):
@@ -21,6 +24,13 @@ def encode_int(x):
     return str(x)
 
 
+def parse_decimal(text):
+    """The integer an optional "-" and ASCII digits spell; else ValueError."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def decode_int(value):
     """Accept a JSON number or a decimal string; reject everything else."""
     if isinstance(value, bool):
@@ -28,10 +38,7 @@ def decode_int(value):
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise ValueError(f"not a decimal integer: {value!r}") from None
+        return parse_decimal(value)
     raise ValueError(f"expected an integer, got {type(value).__name__}")
 
 

@@ -19,10 +19,10 @@ from itertools import islice
 from operator import add, neg, sub
 
 from .errors import ExponentNegative
-from .intmat import Frozen, _exact_int
+from .intmat import Value, _exact_int
 
 
-class LaurentPolynomial(Frozen):
+class LaurentPolynomial(Value):
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars, terms=None):
@@ -88,14 +88,7 @@ class LaurentPolynomial(Frozen):
     def coefficient(self, exps):
         return self._terms.get(tuple(exps), 0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPolynomial)
-            and self.nvars == other.nvars
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # the term map is a dict
         return hash((self.nvars, frozenset(self._terms.items())))
 
     def __add__(self, other):
@@ -214,6 +207,7 @@ def divide_exact(numerator, denominator):
     term a step adds is lex-smaller than the term it took, and a popped key
     never comes back.
     """
+    numerator._check(denominator)
     if denominator.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if numerator.is_zero():

@@ -19,7 +19,7 @@ from .errors import (
     NotPositive,
     NotRepresentationFinite,
 )
-from .intmat import Frozen, IntMatrix, _exact_int
+from .intmat import Frozen, IntMatrix, Value, _exact_int
 
 
 class PathAlgebraData(Frozen):
@@ -28,7 +28,7 @@ class PathAlgebraData(Frozen):
     __slots__ = ("quiver", "cartan", "cartan_inv", "coxeter_inv", "exchange")
 
 
-class DerivedObject(Frozen):
+class DerivedObject(Value):
     """A class in the derived category, known by its dimension vector.
 
     Negative entries encode a shift: dim X[1] = -dim X. The zero vector is
@@ -45,12 +45,6 @@ class DerivedObject(Frozen):
 
     def is_module(self):
         return all(x >= 0 for x in self.dim)
-
-    def __eq__(self, other):
-        return isinstance(other, DerivedObject) and self.dim == other.dim
-
-    def __hash__(self):
-        return hash(self.dim)
 
     def __repr__(self):
         return f"DerivedObject(dim={self.dim})"

@@ -14,10 +14,10 @@ from .errors import (
     NotSkewSymmetric,
     NotSkewSymmetrizable,
 )
-from .intmat import Frozen, IntMatrix, _exact_int, integer_kernel_basis
+from .intmat import IntMatrix, Value, _exact_int, integer_kernel_basis
 
 
-class ExchangeMatrix(Frozen):
+class ExchangeMatrix(Value):
     """A validated exchange matrix together with its skew-symmetrizer.
 
     ``B`` is the n x n integer matrix; ``d`` is the componentwise-minimal
@@ -30,16 +30,6 @@ class ExchangeMatrix(Frozen):
     def __init__(self, B, d):
         super().__init__(B, tuple(d), B.rows)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExchangeMatrix)
-            and self.B == other.B
-            and self.d == other.d
-        )
-
-    def __hash__(self):
-        return hash((self.B, self.d))
-
     def __repr__(self):
         return f"ExchangeMatrix(B={self.B!r}, d={self.d})"
 
@@ -47,7 +37,7 @@ class ExchangeMatrix(Frozen):
         return all(x == 1 for x in self.d) and self.B.transpose() == self.B.neg()
 
 
-class Quiver(Frozen):
+class Quiver(Value):
     """Arrow data of a skew-symmetric exchange matrix.
 
     ``arrows`` is a tuple of (source, target, multiplicity) triples with
@@ -74,12 +64,6 @@ class Quiver(Frozen):
                 raise ValueError(f"vertices {pair[0]} and {pair[1]} carry more than one arrow")
             pairs.add(pair)
         super().__init__(n, arrows)
-
-    def __eq__(self, other):
-        return isinstance(other, Quiver) and (self.n, self.arrows) == (other.n, other.arrows)
-
-    def __hash__(self):
-        return hash((self.n, self.arrows))
 
     def __repr__(self):
         return f"Quiver(n={self.n}, arrows={list(self.arrows)})"

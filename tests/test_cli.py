@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from xfan import enumerate_pattern, locate, validate
+from xfan import cli, enumerate_pattern, locate, validate
 
 B_A3 = {"B": [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]}
 B_KRONECKER = {"B": [[0, 2], [-2, 0]]}
@@ -223,15 +223,41 @@ def test_certify_finds_pair(tmp_path):
 
 
 def test_big_integers_round_trip(tmp_path):
-    huge = 2 ** 60
-    b = _b_file(tmp_path, {"B": [["0", str(huge)], [str(-huge), "0"]]})
-    p = _run(["mutate", "--B", b, "--seq", "1"])
-    assert p.returncode == 0
-    doc = json.loads(p.stdout)
-    assert doc["B"] == [[0, str(-huge)], [str(huge), 0]]
-    # strings only appear outside the exactly-representable range
-    assert isinstance(doc["B"][0][0], int)
-    assert isinstance(doc["B"][0][1], str)
+    # the second input carries the string "-12345678901234567890"
+    for huge in (2 ** 60, 12345678901234567890):
+        b = _b_file(tmp_path, {"B": [["0", str(huge)], [str(-huge), "0"]]})
+        p = _run(["mutate", "--B", b, "--seq", "1"])
+        assert p.returncode == 0
+        doc = json.loads(p.stdout)
+        assert doc["B"] == [[0, str(-huge)], [str(huge), 0]]
+        # strings only appear outside the exactly-representable range
+        assert isinstance(doc["B"][0][0], int)
+        assert isinstance(doc["B"][0][1], str)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[0, "1_0"], ["-\u0661\u0660", 0]], [[0, "1_000"], [-1, 0]], [[0, " 7 "], [-7, 0]],
+     [[0, "+7"], [-7, 0]], [[0, "\u0663"], [-3, 0]]],
+    ids=["underscore-and-arabic-indic", "underscore", "blanks", "plus", "arabic-indic"],
+)
+def test_exit_one_on_non_decimal_strings(tmp_path, entries):
+    p = _run(["validate", "--B", _b_file(tmp_path, {"B": entries})])
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert "not a decimal integer" in p.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mutate", "--seq", "\u0661,\u0662"], ["fan", "--depth", "\u0661"], ["ar", "--window", "1_0"]],
+    ids=["seq", "depth", "window"],
+)
+def test_exit_one_on_non_decimal_flags(tmp_path, argv):
+    p = _run([*argv, "--B", _b_file(tmp_path, B_A3)])
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert f"argument {argv[1]}" in p.stderr
 
 
 def test_exit_one_on_malformed_input(tmp_path):
@@ -309,6 +335,16 @@ def test_exit_three_on_exhaustion(tmp_path):
     assert doc["error"] == "ExhaustionCapExceeded"
     assert sorted(doc) == ["error", "message"]
     assert doc["message"] == "more than 120 labelled nodes before the frontier emptied"
+
+
+def test_exit_three_at_the_cap_without_exhaustive(tmp_path, monkeypatch, capsys):
+    # Markov at depth 5 has 1 + 3(2^5 - 1) = 94 labelled nodes
+    monkeypatch.setattr(cli, "EXHAUSTIVE_CAP", 20)
+    assert cli.main(["fan", "--B", _b_file(tmp_path, B_MARKOV), "--depth", "5"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["error", "message"]
+    assert doc["error"] == "ExhaustionCapExceeded"
+    assert doc["message"] == "more than 20 labelled nodes before the frontier emptied"
 
 
 @pytest.mark.parametrize("seed", [B_MARKOV, B_KRONECKER], ids=["Markov", "Kronecker"])

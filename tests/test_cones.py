@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from xfan import (
     IntMatrix,
+    assemble_fan,
     build_system,
     canonical_key,
     classify,
@@ -36,6 +38,8 @@ from oracles import (
 )
 
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
+B_B3 = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
+B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 
 # Full-dimensional cones of the three-direction catalog: the c-matrix of the
 # seed, the inequality rows it generates, and the two facet row groups.
@@ -369,10 +373,10 @@ CATALOGS = [
     ([[0, 1], [-3, 0]], None, False),
     ([[0, 2], [-2, 0]], 4, False),
     (B_A3, None, False),
-    ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], None, False),
+    (B_B3, None, False),
     ([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], 5, False),
     ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], None, True),
-    ([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], None, True),
+    (B_D4, None, True),
 ]
 
 
@@ -459,3 +463,25 @@ def test_lineality_basis_is_in_hermite_form():
     for desc in descs:
         assert hnf_rows(desc.lineality_basis) == desc.lineality_basis
     assert max(len(desc.lineality_basis) for desc in descs) > 1
+
+
+def _face_key(rows, implicit):
+    """Key of the face of {rows.beta >= 0} on which the given rows vanish."""
+    return canonical_key(classify(IntMatrix(rows + tuple(tuple(-x for x in rows[i]) for i in implicit))))
+
+
+def test_cones_meet_in_common_faces():
+    # 45, 78 and 78 pairs of cones
+    for rows, count in ((B_A3, 10), (B_B3, 13), (B_D4, 13)):
+        report = assemble_fan(enumerate_pattern(validate(rows), max_depth=None, with_polynomials=False))
+        assert len(report.cones) == count
+        for sigma, tau in combinations(report.cones, 2):
+            a, b = sigma.description.A.entries, tau.description.A.entries
+            meet = classify(IntMatrix(a + b))
+            m = len(a)
+            on_sigma = tuple(i for i in meet.implicit if i < m)
+            on_tau = tuple(i - m for i in meet.implicit if i >= m)
+            # rows implicit on the intersection cut out the smallest face containing it
+            face_sigma = _face_key(a, on_sigma) if on_sigma else sigma.key
+            face_tau = _face_key(b, on_tau) if on_tau else tau.key
+            assert face_sigma == face_tau == canonical_key(meet)

@@ -1,4 +1,9 @@
-"""Every name a module of the package or a test file imports is read in that module."""
+"""Static checks: every imported name is read, and one class owns value equality.
+
+Every name a module of the package or a test file imports is read in that
+module. In the package, only ``intmat.Value`` defines ``__eq__``, and only
+it and ``LaurentPolynomial`` define ``__hash__``.
+"""
 
 from __future__ import annotations
 
@@ -61,3 +66,41 @@ def test_unused_import_detection():
 def test_no_unused_imports(module):
     with open(SOURCES[module], encoding="utf-8") as f:
         assert unused_imports(f.read()) == []
+
+
+def defining_classes(source, method):
+    """Names of the classes of ``source`` whose bodies define ``method``.
+
+    A def of that name anywhere else, at module level or nested in a
+    function, counts as "<module>".
+    """
+    tree = ast.parse(source, feature_version=(3, 10))
+    owner = {
+        id(item): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    return [
+        owner.get(id(node), "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == method
+    ]
+
+
+def test_defining_classes_detection():
+    source = "class A:\n    def __eq__(s, o): pass\n    def f(s):\n        def __eq__(): pass\n"
+    assert defining_classes(source, "__eq__") == ["A", "<module>"]
+    assert defining_classes(source, "__hash__") == []
+
+
+@pytest.mark.parametrize(
+    "method, owners",
+    [("__eq__", ["intmat.py:Value"]), ("__hash__", ["intmat.py:Value", "laurent.py:LaurentPolynomial"])],
+)
+def test_one_value_protocol(method, owners):
+    found = []
+    for name, path in sorted(_sources(PACKAGE).items()):
+        with open(path, encoding="utf-8") as f:
+            found.extend(f"{name}:{cls}" for cls in defining_classes(f.read(), method))
+    assert sorted(found) == owners

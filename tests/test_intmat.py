@@ -37,7 +37,7 @@ from xfan import (
     validate,
     verify_dv_gv,
 )
-from xfan.intmat import Frozen
+from xfan.intmat import Frozen, Value
 
 from oracles import clear_multipliers, fraction_rank
 
@@ -221,8 +221,17 @@ VALUE_CLASSES = (
 )
 
 
+def _subclasses(cls):
+    """Every class below ``cls``, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_value_class_is_frozen():
-    assert sorted(cls.__name__ for cls in Frozen.__subclasses__()) == sorted(VALUE_CLASSES)
+    # Value is the slot-less base of the classes that compare by value
+    names = sorted(cls.__name__ for cls in _subclasses(Frozen) if cls is not Value)
+    assert names == sorted(VALUE_CLASSES)
     assert sorted(_a3_values()) == sorted(VALUE_CLASSES)
 
 
@@ -248,6 +257,38 @@ def test_immutability(name):
         assert pickle.dumps(copied) == pickle.dumps(value)
         if cls.__eq__ is not object.__eq__:
             assert copied == value
+
+
+# classes that compare by value; the other Frozen classes compare by identity
+VALUE_SEMANTICS = ("IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Quiver", "Facet", "DerivedObject")
+
+
+@pytest.mark.parametrize("name", VALUE_SEMANTICS)
+def test_value_semantics(name):
+    values = _a3_values()
+    value = values[name]
+    cls = type(value)
+    assert isinstance(value, Value)
+    # a pickle round trip rebuilds every slot as a new, equal object
+    twin = pickle.loads(pickle.dumps(value))
+    assert twin is not value
+    assert twin == value and not twin != value
+    assert hash(twin) == hash(value)
+    for slot in cls.__slots__:
+        changed = copy.copy(value)
+        object.__setattr__(changed, slot, object())
+        assert changed != value and value != changed, slot
+    assert value != tuple(getattr(value, slot) for slot in cls.__slots__)
+    for other in VALUE_SEMANTICS:
+        if other != name:
+            assert value != values[other]
+
+
+def test_other_classes_compare_by_identity():
+    for name, value in _a3_values().items():
+        if name not in VALUE_SEMANTICS:
+            assert type(value).__eq__ is object.__eq__, name
+            assert type(value).__hash__ is object.__hash__, name
 
 
 def _holds_list(value):

@@ -38,10 +38,10 @@ def test_int_decoding_accepts_both_forms():
         decode_int(True)
     with pytest.raises(ValueError):
         decode_int(1.5)
-    with pytest.raises(ValueError):
-        decode_int("1.5")
-    with pytest.raises(ValueError):
-        decode_int("")
+    # a decimal string is an optional "-" and ASCII digits
+    for text in ("1.5", "", "-", "1_000", " 7 ", "7\n", "+7", "\u0663", "-\u0661\u0660"):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            decode_int(text)
 
 
 def test_int_round_trip_through_json():

@@ -103,6 +103,17 @@ def test_divide_exact_rejects_inexact():
         divide_exact(y, LaurentPolynomial.zero(1))
 
 
+def test_divide_exact_rejects_mismatched_variable_counts():
+    # as for + and *, in both orders
+    two = _poly(2, {(0, 0): 1, (1, 0): 1})
+    three = LaurentPolynomial.one(3)
+    for num, den in ((two, three), (three, two)):
+        with pytest.raises(ValueError, match="operands must share the variable count"):
+            divide_exact(num, den)
+        with pytest.raises(ValueError, match="operands must share the variable count"):
+            num * den
+
+
 def test_divide_exact_stops_at_lex_bound(monkeypatch):
     # leading coefficients +-1 keep every coefficient division integral, so
     # only the lex lower bound of the quotient stops these descents early
