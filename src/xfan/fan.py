@@ -14,7 +14,7 @@ from operator import mul
 from .cones import build_system, canonical_key, classify
 from .errors import NotInVisitedComplex
 from .intmat import Frozen, _exact_int
-from .laurent import LaurentPolynomial
+from .laurent import _product
 from .pattern import _walk
 from .seed import p_star
 
@@ -88,9 +88,12 @@ def theta(beta, catalog):
 
     Value: y^beta times the product over i of F_i^alpha_i at the witness
     seed; a catalog without F rebuilds it along the witness's history (F
-    never steers the BFS). Raises NotInVisitedComplex when no visited cone
-    contains beta; the reason distinguishes a complete catalog (the point
-    is genuinely outside the complex's support) from a truncated one.
+    never steers the BFS). `laurent._product` packs the F_i with
+    alpha_i > 0 once and unpacks the value once, moved by beta, so the
+    size of beta never widens the radix. Raises NotInVisitedComplex when
+    no visited cone contains beta; the reason distinguishes a complete
+    catalog (the point is genuinely outside the complex's support) from a
+    truncated one.
     """
     beta = tuple(_exact_int(x) for x in beta)
     hit = locate(beta, catalog)
@@ -104,9 +107,6 @@ def theta(beta, catalog):
         )
     node, alpha = hit
     polys = node.F_t if node.F_t is not None else _walk(catalog.root, node.history).F_t
-    value = LaurentPolynomial.monomial(catalog.root.n, beta)
-    for poly, a in zip(polys, alpha):
-        if a:
-            value = value * poly ** a
+    value = _product(beta, [(poly, a) for poly, a in zip(polys, alpha) if a and not poly.is_one()])
     return ThetaFunction(beta, value, node.history, alpha)
 

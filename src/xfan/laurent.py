@@ -3,20 +3,49 @@
 Terms are a map from dense exponent vectors (length n, entries may be
 negative) to nonzero integers. The representation is canonical: zero
 coefficients are dropped at construction, so equality of polynomials is
-equality of term maps.
+equality of term maps. Public construction checks every exponent and
+coefficient; polynomials built inside the package are wrapped as they
+are, since their terms are already clean.
 
-Public construction checks every exponent and coefficient; polynomials
-built inside the package are wrapped as they are, since their terms are
-already clean. Products visit each pair of terms once (a square visits
-each unordered pair once). Exact division takes the lex-largest remainder
-term from a heap: O(T log T) comparisons for the T terms that ever enter
-the remainder, on top of the term products, where a scan for the largest
-term would cost O(T) per quotient term.
+Packed monomials. The arithmetic kernels (`_mul`, `_square`, `_pow`,
+`_add`, `_divide`) run on term maps keyed by one integer per monomial:
+the exponent vector e packs into sum_i e_i * R**(n-1-i), signed digits in
+the radix R = 2**bits with the first variable most significant. While
+every digit has |e_i| < R/2 the packing is one to one, integer order is
+lex order, and the sum of two keys is the key of the product of their
+monomials, so a term product is one integer addition instead of a new
+exponent tuple (Monagan-Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007). Two chains
+call the kernels: `_product`, y^origin times a product of powers (``*``,
+``**`` and theta), and `_exchange`, a sum of such products divided
+exactly by a polynomial (`divide_exact` and the F-polynomial mutation).
+Each packs its inputs once, in one radix, and unpacks its result once.
+
+Sizing R. The reach of a term map is its largest |exponent|. A product
+of maps with reaches r1 and r2 has reach at most r1 + r2 (a k-th power,
+k * r1), so packing the factors in a radix R > 2 * (r1 + r2) keeps every
+digit of every term product in range. Exact division of N by D packs
+both in R > 2 * (reach N + reach D).
+
+A single-term divisor divides term by term. Any other divisor runs
+exact division, which takes the lex-largest remainder term t from a heap
+(Monagan-Pearce, "Sparse polynomial division using a heap", J. Symb.
+Comp. 2011): O(T log T) comparisons for the T terms that ever enter the
+remainder, on top of the term products. The quotient term t - lead(D)
+has digits within reach N + reach D of zero, so it decodes exactly, and
+it must lie in the Newton box [min N - min D, max N - max D] (per
+variable): Newton polytopes add, so every term of an exact quotient does.
+A quotient term inside the box times any term of D lies in box(N), so no
+remainder exponent ever leaves box(N) and no digit overflows before a
+check fires: a quotient term outside the box, a lex-smaller one than
+lexmin(N) - lexmin(D), an inexact coefficient division or too many steps
+each raise ArithmeticError.
 """
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import islice
-from operator import add, neg, sub
+from itertools import chain, islice
+from operator import add, mul, sub
 
 from .errors import ExponentNegative
 from .intmat import Value, _exact_int
@@ -93,12 +122,7 @@ class LaurentPolynomial(Value):
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            s = terms.pop(e, 0) + c
-            if s:
-                terms[e] = s
-        return LaurentPolynomial._trusted(self.nvars, terms)
+        return LaurentPolynomial._trusted(self.nvars, _add(self._terms, other._terms))
 
     def __neg__(self):
         return LaurentPolynomial._trusted(self.nvars, {e: -c for e, c in self._terms.items()})
@@ -108,29 +132,7 @@ class LaurentPolynomial(Value):
 
     def __mul__(self, other):
         self._check(other)
-        if other is self:
-            return self._square()
-        terms = {}
-        get = terms.get
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(map(add, e1, e2))
-                terms[key] = get(key, 0) + c1 * c2
-        return LaurentPolynomial._trusted(self.nvars, _nonzero(terms))
-
-    def _square(self):
-        """self * self, visiting each unordered pair of terms once."""
-        items = list(self._terms.items())
-        terms = {}
-        get = terms.get
-        for i, (e1, c1) in enumerate(items):
-            key = tuple(map(add, e1, e1))
-            terms[key] = get(key, 0) + c1 * c1
-            twice = 2 * c1
-            for e2, c2 in islice(items, i + 1, None):
-                key = tuple(map(add, e1, e2))
-                terms[key] = get(key, 0) + twice * c2
-        return LaurentPolynomial._trusted(self.nvars, _nonzero(terms))
+        return _product((0,) * self.nvars, [(self, 2)] if other is self else [(self, 1), (other, 1)])
 
     def __pow__(self, exponent):
         exponent = _exact_int(exponent)
@@ -144,18 +146,7 @@ class LaurentPolynomial(Value):
             raise ExponentNegative(
                 "negative power is only defined for monomials with coefficient +-1"
             )
-        # square-and-multiply from the low bit; the result is empty until the
-        # first set bit, so one is never multiplied in
-        result = None
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return LaurentPolynomial.one(self.nvars) if result is None else result
+        return _product((0,) * self.nvars, [(self, exponent)])
 
     def _check(self, other):
         if not isinstance(other, LaurentPolynomial) or other.nvars != self.nvars:
@@ -184,6 +175,126 @@ class LaurentPolynomial(Value):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def divide_exact(numerator, denominator):
+    """Exact quotient in the Laurent ring, or ArithmeticError.
+
+    Term-order division against the lex-maximal term of the denominator;
+    the checks that stop an inexact division are in the module docstring.
+    """
+    numerator._check(denominator)
+    if denominator.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if numerator.is_zero():
+        return numerator
+    return _exchange([((0,) * numerator.nvars, [(numerator, 1)])], denominator)
+
+
+def _product(origin, powers):
+    """y^origin * prod p**e over the (p, e) in powers, every e >= 0.
+
+    The factors are packed once, in a radix sized from the sum of e times
+    their reach, and the product is unpacked once with its exponents
+    moved by ``origin``, so origin never widens the radix.
+    """
+    layout = _layout(_bits(sum(e * _reach(p._terms) for p, e in powers)), len(origin))
+    return _unpack(_packed_product((0,) * len(origin), powers, layout[0]), layout, origin)
+
+
+def _exchange(sides, den):
+    """The exact quotient by den of the sum over sides of y^mono * prod p**e.
+
+    ``sides`` holds (mono, powers) pairs, powers as `_product` takes them;
+    the polynomials are nonzero. One radix serves the whole relation,
+    sized from the sides' reach: a product's reach is at most the sum of
+    its factors'. The Newton box of the sum is only built for the heap
+    division, which a single-term den skips. Raises ArithmeticError when
+    den does not divide the sum.
+    """
+    reach = max(_reach([mono]) + sum(e * _reach(p._terms) for p, e in powers) for mono, powers in sides)
+    layout = _layout(_bits(reach + _reach(den._terms)), den.nvars)
+    weights = layout[0]
+    total = {}
+    for mono, powers in sides:
+        total = _add(total, _packed_product(mono, powers, weights))
+    divisor = _pack(den._terms, weights)
+    if len(divisor) == 1:
+        quotient = _divide_by_term(total, divisor)
+    else:
+        quotient = _divide(total, divisor, layout, _newton_box(sides), _box(den._terms))
+    return _unpack(quotient, layout, (0,) * den.nvars)
+
+
+def _newton_box(sides):
+    """A box holding the sum over sides of y^mono * prod p**e.
+
+    A side's box is its monomial plus e times the box of each factor
+    (Newton polytopes add), and the sum lies in the hull of the sides'.
+    """
+    los, his = [], []
+    for mono, powers in sides:
+        lo = hi = mono
+        for p, e in powers:
+            p_lo, p_hi = _box(p._terms)
+            lo = list(map(add, lo, map(e.__mul__, p_lo)))
+            hi = list(map(add, hi, map(e.__mul__, p_hi)))
+        los.append(lo)
+        his.append(hi)
+    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+
+
+def _packed_product(mono, powers, weights):
+    """y^mono * prod p**e over the (p, e) in powers, as a packed term map."""
+    value = {sum(map(mul, mono, weights)): 1}
+    for p, e in powers:
+        value = _mul(value, _pow(_pack(p._terms, weights), e))
+    return value
+
+
+def _reach(vectors):
+    """The largest |entry| of some exponent vectors (0 for none)."""
+    return max(map(abs, chain.from_iterable(vectors)), default=0)
+
+
+def _box(terms):
+    """Newton box of a nonzero term map: per-variable (min, max) exponents."""
+    columns = tuple(zip(*terms))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def _bits(reach):
+    """Digit width of the least radix R = 2**bits with R > 2 * reach."""
+    return reach.bit_length() + 1
+
+
+@lru_cache(maxsize=256)
+def _layout(bits, n):
+    """Packing constants for n variables in the radix R = 2**bits.
+
+    Returns (weights, half, halves, shifts). The key of an exponent vector
+    e is sum(e_i * weights[i]); digit i of a key k is
+    ((k + halves) >> shifts[i] & (R - 1)) - half, where half = R/2:
+    ``halves`` adds R/2 to every digit, which makes each one nonnegative,
+    so none borrows from the next.
+    """
+    half = 1 << (bits - 1)
+    shifts = tuple(range(bits * (n - 1), -1, -bits))
+    return tuple(1 << s for s in shifts), half, sum(half << s for s in shifts), shifts
+
+
+def _pack(terms, weights):
+    """The term map with each exponent vector packed into one int key."""
+    return {sum(map(mul, exps, weights)): c for exps, c in terms.items()}
+
+
+def _unpack(packed, layout, origin):
+    """The polynomial of a packed term map, every exponent moved by ``origin``."""
+    _, half, halves, shifts = layout
+    mask = 2 * half - 1
+    moved = tuple(zip(shifts, [o - half for o in origin]))
+    terms = {tuple([((key + halves) >> s & mask) + o for s, o in moved]): c for key, c in packed.items()}
+    return LaurentPolynomial._trusted(len(origin), terms)
+
+
 def _nonzero(terms):
     """The term map without its zero coefficients (the same dict if it has none)."""
     if 0 in terms.values():
@@ -191,34 +302,106 @@ def _nonzero(terms):
     return terms
 
 
-def divide_exact(numerator, denominator):
-    """Exact quotient in the Laurent ring, or ArithmeticError.
+def _add(a, b):
+    """Sum of two term maps, under any one kind of key."""
+    terms = dict(a)
+    for e, c in b.items():
+        s = terms.pop(e, 0) + c
+        if s:
+            terms[e] = s
+    return terms
 
-    Classic term-order division against the lex-maximal term of the
-    denominator. When the division is exact every greedy step is a term of
-    the true quotient, whose lex-smallest term is lexmin(N) - lexmin(D), and
-    all coefficient divisions are integral. So a failed coefficient
-    division or a quotient term below that bound means the inputs were not
-    exactly divisible; a step limit backs this up.
 
-    The remainder is kept with negated exponents, so its lex-largest term
-    is the smallest key of a min-heap. A key that cancels stays in the heap
+def _mul(a, b):
+    """Product of two packed term maps, visiting each pair of terms once."""
+    terms = {}
+    get = terms.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
+            terms[key] = get(key, 0) + c1 * c2
+    return _nonzero(terms)
+
+
+def _square(a):
+    """a * a, visiting each unordered pair of terms once."""
+    items = list(a.items())
+    terms = {}
+    get = terms.get
+    for i, (k1, c1) in enumerate(items):
+        key = k1 + k1
+        terms[key] = get(key, 0) + c1 * c1
+        twice = 2 * c1
+        for k2, c2 in islice(items, i + 1, None):
+            key = k1 + k2
+            terms[key] = get(key, 0) + twice * c2
+    return _nonzero(terms)
+
+
+def _pow(a, exponent):
+    """a ** exponent (exponent >= 0) of a packed term map.
+
+    Square-and-multiply from the low bit; the result is empty until the
+    first set bit, so one is never multiplied in.
+    """
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = a if result is None else _mul(result, a)
+        exponent >>= 1
+        if exponent:
+            a = _square(a)
+    return {0: 1} if result is None else result
+
+
+def _divide_by_term(num, den):
+    """Exact quotient of a packed term map by a single term, or ArithmeticError.
+
+    Each term divides on its own, and every quotient term lies in the
+    Newton box, so only the coefficient divisions can fail.
+    """
+    ((lead, lead_coeff),) = den.items()
+    quotient = {}
+    for k, c in num.items():
+        q_coeff, rem = divmod(c, lead_coeff)
+        if rem:
+            raise ArithmeticError("polynomials do not divide exactly")
+        quotient[k - lead] = q_coeff
+    return quotient
+
+
+def _divide(num, den, layout, box_n, box_d):
+    """Exact quotient of packed term maps, or ArithmeticError.
+
+    ``box_n`` and ``box_d`` are Newton boxes (per-variable (min, max)
+    exponents): box_n must hold num, and box_d must be den's own, since a
+    wider one could reject a term of the true quotient. The keys must be
+    packed by ``layout`` in a radix R > 2 * (reach box_n + reach box_d).
+
+    The remainder is kept with negated keys, so its lex-largest term is
+    the smallest key of a min-heap. A key that cancels stays in the heap
     and is skipped when popped. Lex order is a monomial order, so every
     term a step adds is lex-smaller than the term it took, and a popped key
     never comes back.
     """
-    numerator._check(denominator)
-    if denominator.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if numerator.is_zero():
-        return numerator
-    den = sorted((tuple(map(neg, e)), c) for e, c in denominator._terms.items())
-    (lead, lead_coeff), rest = den[0], den[1:]
-    remainder = {tuple(map(neg, e)): c for e, c in numerator._terms.items()}
+    lead = max(den)
+    lead_coeff = den[lead]
+    rest = [(-k, c) for k, c in den.items() if k != lead]
+    remainder = {-k: c for k, c in num.items()}
     heap = list(remainder)
     heapify(heap)
-    # lexmin(N) - lexmin(D), negated like the remainder keys
-    bound = tuple(map(sub, max(heap), den[-1][0]))
+    bound = min(num) - min(den)  # lexmin(N) - lexmin(D)
+    # every quotient digit, read as _layout says, lies in the Newton box
+    # [min N - min D, max N - max D]
+    _, half, halves, shifts = layout
+    mask = 2 * half - 1
+    window = tuple(
+        zip(
+            shifts,
+            [lo + half for lo in map(sub, box_n[0], box_d[0])],
+            [hi + half for hi in map(sub, box_n[1], box_d[1])],
+        )
+    )
     quotient = {}
     max_steps = 4 * (len(remainder) + 1) * (len(den) + 1) + 1000
     steps = 0
@@ -230,13 +413,18 @@ def divide_exact(numerator, denominator):
         steps += 1
         if steps > max_steps:
             raise ArithmeticError("polynomials do not divide exactly")
-        q_exps = tuple(map(sub, top, lead))
+        q = -top - lead
         q_coeff, rem = divmod(coeff, lead_coeff)
-        if rem or q_exps > bound:
+        if rem or q < bound:
             raise ArithmeticError("polynomials do not divide exactly")
-        quotient[tuple(map(neg, q_exps))] = q_coeff
-        for e, c in rest:
-            key = tuple(map(add, q_exps, e))
+        biased = q + halves
+        for shift, lo, hi in window:
+            if not lo <= biased >> shift & mask <= hi:
+                raise ArithmeticError("polynomials do not divide exactly")
+        quotient[q] = q_coeff
+        negated = top + lead  # -q
+        for k, c in rest:
+            key = negated + k
             s = remainder.get(key)
             if s is None:
                 remainder[key] = -q_coeff * c
@@ -247,4 +435,4 @@ def divide_exact(numerator, denominator):
                     remainder[key] = s
                 else:
                     del remainder[key]
-    return LaurentPolynomial._trusted(numerator.nvars, quotient)
+    return quotient

@@ -38,7 +38,7 @@ from operator import mul
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
 from .intmat import Frozen, IntMatrix, _exact_int, identity_rows
-from .laurent import LaurentPolynomial, divide_exact
+from .laurent import LaurentPolynomial, _exchange
 from .seed import ExchangeMatrix, mutate, mutate_rows
 
 DEFAULT_DEPTH = 12
@@ -229,20 +229,26 @@ def _mutate_g(gmat, b, column, kk):
 
 
 def _mutate_f(polys, b, column, kk, n):
-    pos = LaurentPolynomial._trusted(n, {tuple(max(c, 0) for c in column): 1})
-    neg = LaurentPolynomial._trusted(n, {tuple(max(-c, 0) for c in column): 1})
-    for i in range(n):
-        bik = b[i][kk]
-        if bik > 0:
-            pos = pos * polys[i] ** bik
-        elif bik < 0:
-            neg = neg * polys[i] ** (-bik)
-    exchanged = divide_exact(pos + neg, polys[kk])
+    """F_t mutated in direction k = kk + 1: F_k is exchanged, the others stay.
+
+    The exchange relation (Fomin-Zelevinsky IV) reads
+    F_k.F'_k = y^[c]+ prod F_i^[b_ik]+ + y^[-c]+ prod F_i^[-b_ik]+, c being
+    column k of the B-pattern c-matrix; a factor F_i = 1 is left out.
+    `laurent._exchange` packs the F_i it reads once, in one radix for the
+    whole relation, divides the sum by F_k and unpacks only F'_k, which
+    must keep constant term 1.
+    """
+    sides = [
+        (
+            tuple(max(sign * c, 0) for c in column),
+            [(polys[i], sign * row[kk]) for i, row in enumerate(b) if sign * row[kk] > 0 and not polys[i].is_one()],
+        )
+        for sign in (1, -1)
+    ]
+    exchanged = _exchange(sides, polys[kk])
     if exchanged.constant_term() != 1:
         raise DualityViolation("mutated coefficient polynomial lost its constant term 1")
-    return tuple(
-        exchanged if i == kk else polys[i] for i in range(n)
-    )
+    return tuple(exchanged if i == kk else polys[i] for i in range(n))
 
 
 def _seed_graph(root, max_depth, node_cap):

@@ -23,7 +23,7 @@ from xfan import (
     validate,
 )
 
-from oracles import locate_labelled, random_skew_symmetrizable
+from oracles import laurent_mul, laurent_pow, locate_labelled, random_skew_symmetrizable
 
 B_A2 = [[0, 1], [-1, 0]]
 B_B2 = [[0, 1], [-2, 0]]
@@ -280,6 +280,44 @@ def test_theta_monomial_on_lineality():
     t = theta((1, 0, -1), _a3_catalog())
     assert t.alpha == (0, 0, 0)
     assert t.value.sorted_terms() == (((1, 0, -1), 1),)
+
+
+def test_theta_far_on_the_lineality():
+    # the radix is sized from the F-polynomials alone; y^beta moves the unpacked value
+    beta = (10**20, 0, -(10**20))
+    t = theta(beta, _a3_catalog())
+    assert t.alpha == (0, 0, 0)
+    assert t.value.sorted_terms() == ((beta, 1),)
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [(B_A3, None), (B_B3, None), (B_D4, None), (B_MARKOV, 5)],
+    ids=["A3", "B3", "D4", "Markov"],
+)
+def test_theta_matches_oracle_product(rows, depth):
+    # y^beta . prod F_i^alpha_i from the tuple-keyed oracle at four located
+    # points, each raising an F-polynomial other than 1; the visited Markov
+    # cones hold such small points only where alpha = 0
+    catalog = enumerate_pattern(validate(rows), max_depth=depth)
+    n = len(rows)
+    rng = random.Random(1729)
+    checked = 0
+    while checked < 4:
+        beta = tuple(rng.randint(-3, 3) for _ in range(n))
+        hit = locate(beta, catalog)
+        if hit is None:
+            continue
+        node, alpha = hit
+        if any(a and not f.is_one() for f, a in zip(node.F_t, alpha)) != catalog.complete:
+            continue
+        expected = {beta: 1}
+        for poly, a in zip(node.F_t, alpha):
+            expected = laurent_mul(expected, laurent_pow(dict(poly.sorted_terms()), a, n))
+        t = theta(beta, catalog)
+        assert (t.witness, t.alpha) == (node.history, alpha)
+        assert dict(t.value.sorted_terms()) == expected
+        checked += 1
 
 
 def test_theta_outside_complete_complex():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -99,6 +100,8 @@ def test_divide_exact_rejects_inexact():
     one = LaurentPolynomial.one(1)
     with pytest.raises(ArithmeticError):
         divide_exact(y + one, y - one)
+    with pytest.raises(ArithmeticError):  # a single-term divisor whose coefficient does not divide
+        divide_exact(y + _poly(1, {(0,): 3}), _poly(1, {(1,): 2}))
     with pytest.raises(ZeroDivisionError):
         divide_exact(y, LaurentPolynomial.zero(1))
 
@@ -190,3 +193,87 @@ def test_kernel_matches_dict_oracle():
         else:
             assert dict(divide_exact(total, b).sorted_terms()) == expected
     assert inexact > 30
+
+
+def _wide_poly(rng, nvars, spread):
+    """Up to five terms whose exponents lie near 0 or near +-spread."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = tuple(rng.choice((0, spread, -spread)) + rng.randint(-2, 2) for _ in range(nvars))
+        terms[exps] = terms.get(exps, 0) + rng.choice((-1, 1)) * rng.randint(1, 10**6)
+    return _poly(nvars, terms)
+
+
+@pytest.mark.parametrize("spread", [3, 10**20], ids=["small", "1e20"])
+def test_kernels_match_oracles_up_to_six_variables(spread):
+    # 10**20 needs digits wider than one 30-bit machine digit of a Python int
+    rng = random.Random(2718 + spread % 1000)
+    for nvars in range(1, 7):
+        for _ in range(6):
+            a, b = _wide_poly(rng, nvars, spread), _wide_poly(rng, nvars, spread)
+            ta, tb = dict(a._terms), dict(b._terms)
+            prod = a * b
+            assert prod._terms == laurent_mul(ta, tb)
+            assert (a * a)._terms == laurent_mul(ta, ta)
+            for k in range(4):
+                assert (a ** k)._terms == laurent_pow(ta, k, nvars)
+            q = divide_exact(prod, b)
+            assert q == a and q._terms == laurent_divide_exact(prod._terms, tb)
+            for p in (prod, a * a, a ** 3, q):
+                _assert_clean(p)
+
+
+@pytest.mark.parametrize("reach", [0, 1, 2, 3, 4, 7, 8, 2**29, 2**30, 10**20])
+def test_radix_holds_the_reach(reach):
+    # the least power of two above twice the reach
+    bits = laurent._bits(reach)
+    assert 2 ** bits > 2 * reach and (bits == 1 or 2 ** (bits - 1) <= 2 * reach)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5, 30, 31, 61, 68])
+def test_pack_round_trips_the_extreme_digit(bits):
+    # signed digits |e| <= R/2 - 1 pack one to one, and key order is lex order
+    top = 2 ** (bits - 1) - 1
+    for nvars in range(1, 5):
+        # built in ascending lex order
+        terms = {exps: i + 1 for i, exps in enumerate(product((-top, 0, top), repeat=nvars))}
+        layout = laurent._layout(bits, nvars)
+        packed = laurent._pack(terms, layout[0])
+        assert len(packed) == len(terms) and list(packed) == sorted(packed)
+        assert laurent._unpack(packed, layout, (0,) * nvars)._terms == terms
+        shift = tuple(range(nvars))
+        moved = {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in terms.items()}
+        assert laurent._unpack(packed, layout, shift)._terms == moved
+
+
+# numerator, denominator with leading coefficient +-1: every coefficient
+# division is integral, and the greedy quotient y1^(a-1-j) y2^(c j) drifts
+# up in y2 while y1 descends
+DRIFTS = [
+    ({(40, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): -1}),
+    ({(40, 0): 1, (0, 0): -1}, {(1, 0): -1, (0, 3): 1}),
+    ({(9, 0, 0): 1, (0, 0, 0): 1}, {(1, 0, 0): 1, (0, 1, 2): 1}),
+    ({(6, 0, 0, 0): 1, (0, 0, 0, 0): 1}, {(1, 0, 0, 0): 1, (0, 0, 0, 5): -1}),
+    # y1^3 - y1 y2 by y1 - y2^11 packs in R = 32: the greedy quotient
+    # y1^2 + y1 y2^11 + y2^22 overflows the y2 digit and leaves the packed
+    # remainder empty, so only the Newton box tells the division is inexact
+    ({(3, 0): 1, (1, 1): -1}, {(1, 0): 1, (0, 11): -1}),
+]
+
+
+@pytest.mark.parametrize("num, den", DRIFTS)
+def test_divide_exact_stops_at_the_newton_box(monkeypatch, num, den):
+    pops = []
+    real_pop = laurent.heappop
+
+    def counted(heap):
+        pops.append(1)
+        return real_pop(heap)
+
+    nvars = len(next(iter(num)))
+    with pytest.raises(ArithmeticError):
+        laurent_divide_exact(num, den)
+    monkeypatch.setattr(laurent, "heappop", counted)
+    with pytest.raises(ArithmeticError):
+        divide_exact(_poly(nvars, num), _poly(nvars, den))
+    assert len(pops) == 1

@@ -25,6 +25,7 @@ from xfan import pattern
 from oracles import (
     f_polynomial_step,
     labelled_enumeration,
+    laurent_mul,
     principal_seed_walk,
     random_skew_symmetrizable,
     seed_orbit_count,
@@ -456,15 +457,15 @@ def test_every_node_its_own_seed_mutates_every_labelled_edge(monkeypatch):
 
 
 def test_exchange_losing_constant_term_fires(monkeypatch):
-    good = pattern.divide_exact
+    good = pattern._exchange
 
-    def lossy(numerator, denominator):
-        q = good(numerator, denominator)
+    def lossy(sides, den):
+        q = good(sides, den)
         terms = dict(q.sorted_terms())
         terms.pop((0,) * q.nvars, None)
         return LaurentPolynomial(q.nvars, terms)
 
-    monkeypatch.setattr(pattern, "divide_exact", lossy)
+    monkeypatch.setattr(pattern, "_exchange", lossy)
     with pytest.raises(DualityViolation):
         mutate_node(initial_node(validate(B_A3)), 2)
 
@@ -487,3 +488,39 @@ def test_f_polynomials_match_dict_oracle(rows, depth):
         column = [row[k] for row in _companion(parent)]
         expected = f_polynomial_step(_plain(parent.F_t), parent.B_t.B.entries, column, k)
         assert _plain(node.F_t) == expected
+
+
+def test_exchange_relation_holds_on_markov_depth_6():
+    # the depth the theta workload enumerates: F_k.F'_k = M+ + M- at every node,
+    # with products from the tuple-keyed oracle
+    cat = enumerate_pattern(validate(B_MARKOV), max_depth=6)
+    by_history = {node.history: node for node in cat.nodes}
+    squares = {}
+
+    def square(poly):
+        key = frozenset(poly.items())
+        if key not in squares:
+            squares[key] = laurent_mul(poly, poly)
+        return squares[key]
+
+    largest = 0
+    for node in cat.nodes[1:]:
+        parent = by_history[node.history[:-1]]
+        k = node.history[-1] - 1
+        column = [row[k] for row in _companion(parent)]
+        old, new = _plain(parent.F_t), _plain(node.F_t)
+        assert new[:k] + new[k + 1:] == old[:k] + old[k + 1:]
+        sides = []
+        for sign in (1, -1):
+            side = {tuple(max(sign * c, 0) for c in column): 1}
+            for i, row in enumerate(parent.B_t.B.entries):
+                if sign * row[k] > 0:
+                    assert sign * row[k] == 2  # every Markov exchange matrix has entries 0, +-2
+                    side = laurent_mul(side, square(old[i]))
+            sides.append(side)
+        total = dict(sides[0])
+        for e, c in sides[1].items():
+            total[e] = total.get(e, 0) + c
+        assert laurent_mul(old[k], new[k]) == total
+        largest = max(largest, len(new[k]))
+    assert len(cat) == 190 and largest > 500
