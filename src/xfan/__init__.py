@@ -66,12 +66,9 @@ from .reptheory import (
 )
 from .seed import (
     ExchangeMatrix,
-    Quiver,
-    is_acyclic,
     kernel_of_p_star,
     mutate,
     p_star,
-    quiver_of,
     validate,
 )
 
@@ -103,7 +100,6 @@ __all__ = [
     "PathAlgebraData",
     "PatternCatalog",
     "PatternNode",
-    "Quiver",
     "RelabelledNode",
     "SignCoherenceViolation",
     "ThetaFunction",
@@ -121,7 +117,6 @@ __all__ = [
     "hnf_rows",
     "initial_node",
     "integer_kernel_basis",
-    "is_acyclic",
     "kernel_certificates",
     "kernel_of_p_star",
     "knit",
@@ -134,7 +129,6 @@ __all__ = [
     "pointed_rays",
     "positive_c_vectors",
     "primitive_vector",
-    "quiver_of",
     "tau_inverse_dim",
     "theta",
     "validate",

@@ -30,7 +30,7 @@ from .jsonio import (
 )
 from .pattern import DEFAULT_DEPTH, _walk, enumerate_pattern
 from .reptheory import kernel_certificates, knit, normal_vector, path_algebra_data
-from .seed import mutate, quiver_of, validate
+from .seed import mutate, validate
 
 EXHAUSTIVE_CAP = 10**6
 
@@ -170,7 +170,7 @@ def _cmd_theta(em, args):
 
 
 def _cmd_ar(em, args):
-    data = path_algebra_data(quiver_of(em))
+    data = path_algebra_data(em)
     slice_data = knit(data, window=args.window)
     positions = [
         {
@@ -198,7 +198,7 @@ def _cmd_ar(em, args):
 
 def _cmd_normals(em, args):
     cvec = _parse_json_vector(args.cvec, "--cvec")
-    data = path_algebra_data(quiver_of(em))
+    data = path_algebra_data(em)
     try:
         slice_data = knit(data, window=args.window)
     except NotRepresentationFinite:  # raised only without a window
@@ -214,7 +214,7 @@ def _cmd_normals(em, args):
 
 
 def _cmd_certify(em, args):
-    data = path_algebra_data(quiver_of(em))
+    data = path_algebra_data(em)
     node = _walk(em, args.seq, with_polynomials=False)
     cvectors = [node.C_t.col(j) for j in range(em.n)]
     certificates = kernel_certificates(data, cvectors)

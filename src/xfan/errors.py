@@ -36,7 +36,7 @@ class DimensionMismatch(XfanError):
 
 
 class NotAcyclic(XfanError):
-    """Quiver has an oriented cycle."""
+    """The quiver [B]_+ of a skew-symmetric seed has an oriented cycle."""
 
 
 class DualityViolation(XfanError):
@@ -48,7 +48,7 @@ class SignCoherenceViolation(XfanError):
 
 
 class ConventionViolation(XfanError):
-    """A convention oracle failed (Cartan identity, mesh cross-check)."""
+    """A convention oracle failed (mesh additivity, mesh cross-check, knitting cap)."""
 
 
 class NotRepresentationFinite(XfanError):

@@ -1,10 +1,10 @@
 """Path-algebra data, AR-quiver knitting, and hyperplane normals.
 
-Everything here assumes an acyclic skew-symmetric seed. The Cartan matrix
-counts paths, so its inverse is I minus the arrow matrix. The orientation
-convention is fixed by an oracle at construction time: the skew difference
-of the inverse Cartan and its transpose must reproduce the exchange matrix
-exactly, otherwise the constructor refuses. Inverse AR translation acts
+Everything here assumes an acyclic skew-symmetric seed, whose quiver is
+the arrow matrix A = [B]_+ read entrywise off the exchange matrix, so that
+B = A - A^T. The Cartan matrix counts paths, so its inverse is I minus the
+arrow matrix, and the skew difference of the inverse Cartan and its
+transpose is B by construction. Inverse AR translation acts
 K-theoretically on dimension vectors through the inverse Coxeter matrix;
 shifted objects are plain sign flips of dimension vectors.
 """
@@ -18,14 +18,15 @@ from .errors import (
     NotARoot,
     NotPositive,
     NotRepresentationFinite,
+    NotSkewSymmetric,
 )
 from .intmat import Frozen, IntMatrix, Value, _exact_int
 
 
 class PathAlgebraData(Frozen):
-    """Cartan, inverse Cartan, and inverse Coxeter matrices of a quiver."""
+    """Arrow, Cartan, inverse Cartan, inverse Coxeter and exchange matrices."""
 
-    __slots__ = ("quiver", "cartan", "cartan_inv", "coxeter_inv", "exchange")
+    __slots__ = ("arrows", "cartan", "cartan_inv", "coxeter_inv", "exchange")
 
 
 class DerivedObject(Value):
@@ -83,42 +84,49 @@ class ARQuiverSlice(Frozen):
         return None
 
 
-def path_algebra_data(quiver):
-    """Count paths and validate the orientation convention.
+def _path_counts(arrows):
+    """I + A + A^2 + ..., A the arrow matrix, or None when A^n != 0.
 
-    The Cartan matrix has entry (j, i) = number of paths from j to i, so its
-    columns are the dimension vectors of the indecomposable projectives. It
-    is the geometric series of the nilpotent arrow matrix
-    (``Quiver.path_counts``), so its inverse is I minus the arrow matrix;
-    the product is checked to be I. Construction fails with
-    ConventionViolation if the inverse-transpose minus inverse identity
-    does not reproduce the quiver's exchange matrix; that identity is the
-    convention oracle, not an assumption.
+    Entry (i, j) counts the paths from i to j, arrows weighted by
+    multiplicity. The series is finite exactly when A is nilpotent, that
+    is when the quiver has no oriented cycle.
     """
-    cartan = quiver.path_counts()
+    power = total = IntMatrix.identity(arrows.rows)
+    for _ in range(arrows.rows):
+        power = power.mul(arrows)
+        if not any(map(any, power.entries)):
+            return total
+        total = IntMatrix._trusted(
+            tuple(tuple(map(add, r, s)) for r, s in zip(total.entries, power.entries))
+        )
+    return None
+
+
+def path_algebra_data(em):
+    """Path algebra data of an acyclic skew-symmetric exchange matrix.
+
+    The arrow matrix is A = [B]_+. The Cartan matrix has entry (j, i) =
+    number of paths from j to i, so its columns are the dimension vectors
+    of the indecomposable projectives. It is the geometric series of the
+    nilpotent A, so its inverse is I - A.
+
+    Raises NotSkewSymmetric unless B^T = -B with d = (1, ..., 1), then
+    NotAcyclic when the quiver has an oriented cycle.
+    """
+    if not em.is_skew_symmetric():
+        raise NotSkewSymmetric("quiver construction needs B^T = -B with d = (1,...,1)")
+    arrows = IntMatrix._trusted(tuple(tuple(max(x, 0) for x in row) for row in em.B.entries))
+    cartan = _path_counts(arrows)
     if cartan is None:
         raise NotAcyclic("path algebra data needs an acyclic quiver")
-    n = quiver.n
-    arrow = quiver.arrow_matrix()
-    cartan_inv = IntMatrix([[int(i == j) - arrow.at(i, j) for j in range(n)] for i in range(n)])
-    if cartan.mul(cartan_inv) != IntMatrix.identity(n):
-        raise ConventionViolation("path counts are not inverse to I minus the arrow matrix")
-    exchange = IntMatrix(
-        [
-            [cartan_inv.at(j, i) - cartan_inv.at(i, j) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    b_expected = [[0] * n for _ in range(n)]
-    for s, t, m in quiver.arrows:
-        b_expected[s][t] = m
-        b_expected[t][s] = -m
-    if exchange != IntMatrix(b_expected):
-        raise ConventionViolation(
-            "inverse-Cartan identity does not reproduce the exchange matrix"
+    cartan_inv = IntMatrix._trusted(
+        tuple(
+            tuple(int(i == j) - x for j, x in enumerate(row))
+            for i, row in enumerate(arrows.entries)
         )
+    )
     coxeter_inv = cartan.mul(cartan_inv.transpose()).neg()
-    return PathAlgebraData(quiver, cartan, cartan_inv, coxeter_inv, exchange)
+    return PathAlgebraData(arrows, cartan, cartan_inv, coxeter_inv, em.B)
 
 
 def _dim_vector(obj):
@@ -152,18 +160,17 @@ def verify_dv_gv(data, obj):
     return lhs, rhs, lhs == rhs
 
 
-def _tits_form_positive(quiver):
-    """Is the Tits form 2I - (A + A^T), A the arrow matrix, positive definite?
+def _tits_form_positive(B):
+    """Is the Tits form 2I - |B|, |B| taken entrywise, positive definite?
 
-    By Gabriel's theorem it is exactly when every component of the
-    underlying graph is simply laced Dynkin. A pivot-sign test, not a
-    solve: each fraction-free (Bareiss) pivot is a leading principal minor
-    and must be positive (Sylvester).
+    For a skew-symmetric B, |B| = A + A^T with A the arrow matrix. By
+    Gabriel's theorem the form is positive definite exactly when every
+    component of the underlying graph is simply laced Dynkin. A pivot-sign
+    test, not a solve: each fraction-free (Bareiss) pivot is a leading
+    principal minor and must be positive (Sylvester).
     """
-    n = quiver.n
-    q = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    for s, t, m in quiver.arrows:
-        q[s][t] = q[t][s] = -m
+    q = [[2 * (i == j) - abs(x) for j, x in enumerate(row)] for i, row in enumerate(B.entries)]
+    n = len(q)
     prev = 1
     for k in range(n):
         p = q[k][k]
@@ -180,8 +187,8 @@ def knit(data, window=None):
     """Slices of the translation quiver starting from the projectives.
 
     Position (m, v) holds the m-fold inverse translate of the projective at
-    vertex v; the mesh at (m, v) has middles (w, m) for arrows v -> w and
-    (u, m + 1) for arrows u -> v, target (m + 1, v), and dimension vectors
+    vertex v; the mesh at (m, v) has middles (m, w) for arrows v -> w and
+    (m + 1, u) for arrows u -> v, target (m + 1, v), and dimension vectors
     add up across it by construction. With ``window=None`` the quiver must
     be of Dynkin type and knitting stops at the first slice without module
     vertices (that slice, already shifted, is kept as the boundary);
@@ -190,10 +197,9 @@ def knit(data, window=None):
     Raises NotRepresentationFinite when exhaustive knitting is requested
     outside Dynkin type.
     """
-    quiver = data.quiver
-    n = quiver.n
+    n = data.exchange.rows
     if window is None:
-        if not _tits_form_positive(quiver):
+        if not _tits_form_positive(data.exchange):
             raise NotRepresentationFinite(
                 "exhaustive knitting needs a Dynkin underlying graph; pass a window"
             )
@@ -219,11 +225,14 @@ def knit(data, window=None):
             break
         current = [data.coxeter_inv.mul_vec(dim) for dim in current]
         m += 1
+    # out- then in-neighbours, each in ascending vertex order and repeated
+    # per multiplicity: `ar` documents print the middles in this order
+    arrows = data.arrows.entries
     meshes = tuple(
         Mesh(
             (i, v),
-            tuple((i, w) for w in quiver.out_neighbors(v))
-            + tuple((i + 1, u) for u in quiver.in_neighbors(v)),
+            tuple((i, w) for w, mult in enumerate(arrows[v]) for _ in range(mult))
+            + tuple((i + 1, u) for u, row in enumerate(arrows) for _ in range(row[v])),
             (i + 1, v),
         )
         for i in range(m)
@@ -252,7 +261,7 @@ def normal_vector(data, cvec, slice_data=None):
     ConventionViolation since the two routes agree by theory.
     """
     c = tuple(_exact_int(x) for x in cvec)
-    if len(c) != data.quiver.n:
+    if len(c) != data.exchange.rows:
         raise ValueError("c-vector length mismatch")
     if not any(c) or any(x < 0 for x in c):
         raise NotPositive(f"{c} is not a positive c-vector")

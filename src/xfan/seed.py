@@ -1,4 +1,8 @@
-"""Seeds: exchange matrices, skew-symmetrizers, quivers, one-step mutation.
+"""Seeds: exchange matrices, skew-symmetrizers, one-step mutation.
+
+An exchange matrix is the only seed type. The quiver of a skew-symmetric
+seed is its arrow matrix [B]_+ (b_ij > 0 gives b_ij arrows i -> j), which
+the representation-theory layer reads off B directly.
 
 Conventions used throughout the package: c-vectors and g-vectors are matrix
 columns, dimension vectors are rows, and the lattice map sends beta to
@@ -6,12 +10,9 @@ B.beta (column convention). Mutation directions are 1-based in every public
 signature and in the CLI; index arithmetic inside the package is 0-based.
 """
 
-from operator import add
-
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    NotSkewSymmetric,
     NotSkewSymmetrizable,
 )
 from .intmat import IntMatrix, Value, _exact_int, integer_kernel_basis
@@ -35,71 +36,6 @@ class ExchangeMatrix(Value):
 
     def is_skew_symmetric(self):
         return all(x == 1 for x in self.d) and self.B.transpose() == self.B.neg()
-
-
-class Quiver(Value):
-    """Arrow data of a skew-symmetric exchange matrix.
-
-    ``arrows`` is a tuple of (source, target, multiplicity) triples with
-    0-based vertices; an arrow i -> j with multiplicity m records b_ij = m > 0.
-    Endpoints lie in 0..n-1, and each unordered pair of vertices carries at
-    most one arrow triple.
-    """
-
-    __slots__ = ("n", "arrows")
-
-    def __init__(self, n, arrows):
-        n = _exact_int(n)
-        arrows = tuple(sorted(tuple(_exact_int(x) for x in a) for a in arrows))
-        pairs = set()
-        for s, t, m in arrows:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"arrow endpoints must lie in 0..{n - 1}")
-            if s == t:
-                raise ValueError("loops are impossible for a zero-diagonal matrix")
-            if m <= 0:
-                raise ValueError("arrow multiplicities are positive")
-            pair = (min(s, t), max(s, t))
-            if pair in pairs:
-                raise ValueError(f"vertices {pair[0]} and {pair[1]} carry more than one arrow")
-            pairs.add(pair)
-        super().__init__(n, arrows)
-
-    def __repr__(self):
-        return f"Quiver(n={self.n}, arrows={list(self.arrows)})"
-
-    def arrow_matrix(self):
-        """n x n matrix with entry (i, j) = multiplicity of arrows i -> j."""
-        m = [[0] * self.n for _ in range(self.n)]
-        for s, t, mult in self.arrows:
-            m[s][t] = mult
-        return IntMatrix(m)
-
-    def path_counts(self):
-        """I + A + A^2 + ..., A the arrow matrix, or None when A^n != 0.
-
-        Entry (i, j) counts the paths from i to j, arrows weighted by
-        multiplicity. The series is finite exactly when A is nilpotent,
-        that is when the quiver has no oriented cycle.
-        """
-        arrow = self.arrow_matrix()
-        power = total = IntMatrix.identity(self.n)
-        for _ in range(self.n):
-            power = power.mul(arrow)
-            if not any(map(any, power.entries)):
-                return total
-            total = IntMatrix._trusted(
-                tuple(tuple(map(add, r, s)) for r, s in zip(total.entries, power.entries))
-            )
-        return None
-
-    def out_neighbors(self, v):
-        """Targets of arrows out of v, repeated per multiplicity."""
-        return tuple(t for s, t, m in self.arrows if s == v for _ in range(m))
-
-    def in_neighbors(self, v):
-        """Sources of arrows into v, repeated per multiplicity."""
-        return tuple(s for s, t, m in self.arrows if t == v for _ in range(m))
 
 
 def validate(B, d=None):
@@ -206,22 +142,5 @@ def kernel_of_p_star(em):
     Returned as a tuple of row vectors in Hermite normal form; empty when B
     is invertible.
     """
-    return tuple(tuple(v) for v in integer_kernel_basis(em.B))
+    return integer_kernel_basis(em.B)
 
-
-def quiver_of(em):
-    """The quiver of a skew-symmetric exchange matrix (b_ij > 0 gives i -> j)."""
-    if not em.is_skew_symmetric():
-        raise NotSkewSymmetric("quiver construction needs B^T = -B with d = (1,...,1)")
-    arrows = []
-    e = em.B.entries
-    for i in range(em.n):
-        for j in range(em.n):
-            if e[i][j] > 0:
-                arrows.append((i, j, e[i][j]))
-    return Quiver(em.n, arrows)
-
-
-def is_acyclic(quiver):
-    """True when the quiver has no oriented cycle: its path counts are finite."""
-    return quiver.path_counts() is not None

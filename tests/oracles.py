@@ -592,6 +592,27 @@ def subset_extreme_rays(rows, implicit, facets, lineality):
     return tuple(sorted(rays))
 
 
+def knitted_meshes(n, arrows, window):
+    """(source, middles, target) of every mesh in a knitted window.
+
+    The mesh at (i, v) has middles (i, t) for each arrow v -> t, then
+    (i + 1, s) for each arrow s -> v, every one repeated per multiplicity
+    and taken in the order of the sorted (source, target, multiplicity)
+    triples.
+    """
+    arrows = sorted(arrows)
+    return [
+        (
+            (i, v),
+            tuple((i, t) for s, t, m in arrows if s == v for _ in range(m))
+            + tuple((i + 1, s) for s, t, m in arrows if t == v for _ in range(m)),
+            (i + 1, v),
+        )
+        for i in range(window)
+        for v in range(n)
+    ]
+
+
 def kahn_topological_order(n, arrows):
     """A topological order of the vertices by Kahn's sort, or None on a cycle.
 
@@ -763,6 +784,11 @@ def _self_check():
     assert subset_extreme_rays([(1, 0), (0, 1)], (), (0, 1), ()) == ((0, 1), (1, 0))
     assert kahn_topological_order(3, [(2, 0, 1), (0, 1, 2)]) == [2, 0, 1]
     assert kahn_topological_order(2, [(0, 1, 1), (1, 0, 1)]) is None
+    assert knitted_meshes(3, [(2, 0, 1), (0, 1, 2)], 1) == [
+        ((0, 0), ((0, 1), (0, 1), (1, 2)), (1, 0)),
+        ((0, 1), ((1, 0), (1, 0)), (1, 1)),
+        ((0, 2), ((0, 0),), (1, 2)),
+    ]
     assert fraction_symmetrizer([[0, 1], [-2, 0]]) == (2, 1)
     assert fraction_symmetrizer([[0, 1, 1], [-1, 0, 1], [-2, -1, 0]]) is None
 

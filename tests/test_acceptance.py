@@ -26,7 +26,6 @@ from xfan import (
     path_algebra_data,
     positive_c_vectors,
     primitive_vector,
-    quiver_of,
     theta,
     validate,
     verify_dv_gv,
@@ -234,7 +233,7 @@ def test_criterion_06():
     for _ in range(50):
         n = rng.randint(1, 6)
         rows = arrows_to_b(n, random_acyclic_arrows(rng, n))
-        data = path_algebra_data(quiver_of(validate(rows)))
+        data = path_algebra_data(validate(rows))
         ct = data.cartan_inv
         rebuilt = [[ct.at(j, i) - ct.at(i, j) for j in range(n)] for i in range(n)]
         assert rebuilt == [list(r) for r in rows]
@@ -251,7 +250,7 @@ def test_criterion_07():
 
     d4 = [[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [-1, -1, -1, 0]]
     for rows in (linear_a(2), linear_a(3), linear_a(4), linear_a(5), d4):
-        data = path_algebra_data(quiver_of(validate(rows)))
+        data = path_algebra_data(validate(rows))
         slices = knit(data)
         assert slices.exhaustive
         for pos in sorted(slices.objects):
@@ -262,7 +261,7 @@ def test_criterion_07():
             normal = normal_vector(data, dim, slices)
             assert normal == tuple(-x for x in data.exchange.mul_vec(dim))
 
-    kron = path_algebra_data(quiver_of(validate(B_KRONECKER)))
+    kron = path_algebra_data(validate(B_KRONECKER))
     window = knit(kron, window=8)
     for d in range(7):
         lhs, rhs, ok = verify_dv_gv(kron, (d, d + 1))
@@ -281,7 +280,7 @@ def test_criterion_08():
     for rows in (B_A2, B_A3):
         cat = enumerate_pattern(validate(rows), with_polynomials=False)
         assert cat.complete
-        data = path_algebra_data(quiver_of(validate(rows)))
+        data = path_algebra_data(validate(rows))
         slices = knit(data)
         assert positive_c_vectors(cat) == slices.module_dimension_vectors()
     assert len(positive_c_vectors(enumerate_pattern(validate(B_A2), with_polynomials=False))) == 3

@@ -284,6 +284,27 @@ def test_exit_two_on_domain_errors(tmp_path):
     assert json.loads(p.stdout)["error"] == "DimensionMismatch"
 
 
+NOT_SKEW_SYMMETRIC = (
+    '{"error":"NotSkewSymmetric","message":"quiver construction needs B^T = -B with d = (1,...,1)"}\n'
+)
+NOT_ACYCLIC = '{"error":"NotAcyclic","message":"path algebra data needs an acyclic quiver"}\n'
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [({"B": [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]}, NOT_SKEW_SYMMETRIC), (B_MARKOV, NOT_ACYCLIC)],
+    ids=["B3", "Markov"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["ar"], ["normals", "--cvec", "[1,0,0]"], ["certify", "--seq", "1"]],
+    ids=["ar", "normals", "certify"],
+)
+def test_exit_two_documents_of_representation_commands(tmp_path, capsys, seed, expected, argv):
+    assert cli.main([*argv, "--B", _b_file(tmp_path, seed)]) == 2
+    assert capsys.readouterr().out == expected
+
+
 def test_exit_two_beyond_depth_carries_reason(tmp_path):
     shallow = enumerate_pattern(validate(B_KRONECKER["B"]), max_depth=1)
     deep = enumerate_pattern(validate(B_KRONECKER["B"]), max_depth=9)

@@ -14,7 +14,6 @@ from xfan import (
     DerivedObject,
     IntMatrix,
     LaurentPolynomial,
-    Quiver,
     assemble_fan,
     build_system,
     classify,
@@ -31,7 +30,6 @@ from xfan import (
     path_algebra_data,
     pointed_rays,
     primitive_vector,
-    quiver_of,
     tau_inverse_dim,
     theta,
     validate,
@@ -77,7 +75,7 @@ def _a2_catalog():
 
 
 def _a3_data():
-    return path_algebra_data(quiver_of(validate(B_A3)))
+    return path_algebra_data(validate(B_A3))
 
 
 @pytest.mark.parametrize(
@@ -101,8 +99,6 @@ def _a3_data():
         lambda: normal_vector(_a3_data(), (1.7, 0, 0)),
         lambda: kernel_certificates(_a3_data(), [(1.5, 0, 0)]),
         lambda: knit(_a3_data()).mesh_at((0.5, 1, 0)),
-        lambda: Quiver(1.5, []),
-        lambda: Quiver(2, [(0, 1, 1.5)]),
         lambda: integer_kernel_basis([(1.5, 1)]),
         lambda: hnf_rows([(1.5, 1), (2, 0)]),
         lambda: knit(_a3_data(), window=2.5),
@@ -114,8 +110,7 @@ def _a3_data():
         "pointed_rays",
         "laurent-exponent", "laurent-coefficient", "laurent-monomial", "laurent-pow",
         "DerivedObject", "g_vector", "tau_inverse_dim", "verify_dv_gv",
-        "normal_vector", "kernel_certificates", "mesh_at", "Quiver",
-        "Quiver-multiplicity", "integer_kernel_basis", "hnf_rows",
+        "normal_vector", "kernel_certificates", "mesh_at", "integer_kernel_basis", "hnf_rows",
         "knit-window", "enumerate_pattern-max_depth", "enumerate_pattern-node_cap",
     ],
 )
@@ -205,7 +200,7 @@ def _a3_values():
     data = _a3_data()
     slice_data = knit(data)
     values = (
-        IntMatrix(B_A3), LaurentPolynomial.one(3), em, data.quiver, node, relabelled, catalog,
+        data.arrows, LaurentPolynomial.one(3), em, node, relabelled, catalog,
         description.facets[0], description, report.cones[0], report,
         theta((3, -1, 0), catalog), data, slice_data.objects[(0, 0)], slice_data.meshes[0],
         slice_data,
@@ -214,7 +209,7 @@ def _a3_values():
 
 
 VALUE_CLASSES = (
-    "IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Quiver", "PatternNode", "RelabelledNode",
+    "IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "PatternNode", "RelabelledNode",
     "PatternCatalog", "Facet", "ConeDescription", "XCone",
     "XFanReport", "ThetaFunction", "PathAlgebraData", "DerivedObject", "Mesh",
     "ARQuiverSlice",
@@ -260,7 +255,7 @@ def test_immutability(name):
 
 
 # classes that compare by value; the other Frozen classes compare by identity
-VALUE_SEMANTICS = ("IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Quiver", "Facet", "DerivedObject")
+VALUE_SEMANTICS = ("IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Facet", "DerivedObject")
 
 
 @pytest.mark.parametrize("name", VALUE_SEMANTICS)

@@ -13,7 +13,6 @@ from xfan import (
     NotAcyclic,
     NotPositive,
     NotRepresentationFinite,
-    Quiver,
     assemble_fan,
     enumerate_pattern,
     g_vector,
@@ -21,7 +20,6 @@ from xfan import (
     knit,
     normal_vector,
     path_algebra_data,
-    quiver_of,
     validate,
     verify_dv_gv,
 )
@@ -30,6 +28,7 @@ from xfan.reptheory import _tits_form_positive, tau_inverse_dim
 from oracles import (
     arrows_to_b,
     dynkin_graph,
+    knitted_meshes,
     minimal_positive_relations,
     path_counts,
     positive_roots,
@@ -51,7 +50,7 @@ def _linear_a(n):
 
 
 def _data(rows):
-    return path_algebra_data(quiver_of(validate(rows)))
+    return path_algebra_data(validate(rows))
 
 
 def test_cartan_frozen():
@@ -93,7 +92,7 @@ def test_cartan_inverse_matches_sympy_on_random_acyclic_quivers():
 
 
 def test_cyclic_quiver_rejected():
-    markov = quiver_of(validate([[0, 2, -2], [-2, 0, 2], [2, -2, 0]]))
+    markov = validate([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     with pytest.raises(NotAcyclic):
         path_algebra_data(markov)
 
@@ -157,6 +156,19 @@ def test_knit_window_kronecker():
     assert first.middles == ((1, 1), (1, 1))
 
 
+def test_mesh_middles_follow_sorted_arrows():
+    # out-neighbours, then in-neighbours, each in ascending vertex order and
+    # repeated per multiplicity: the order of the sorted arrow triples
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        arrows = random_acyclic_arrows(rng, n, max_mult=3)
+        window = rng.randint(0, 4)
+        slices = knit(_data(arrows_to_b(n, arrows)), window=window)
+        got = [(mesh.source, mesh.middles, mesh.target) for mesh in slices.meshes]
+        assert got == knitted_meshes(n, arrows, window), (n, arrows, window)
+
+
 def _path(n):
     return [(i, i + 1, 1) for i in range(n - 1)]
 
@@ -193,12 +205,12 @@ NON_DYNKIN_CASES = {
 def test_tits_form_named_cases(name):
     expected = name in DYNKIN_CASES
     n, arrows = DYNKIN_CASES[name] if expected else NON_DYNKIN_CASES[name]
-    quiver = Quiver(n, arrows)
-    assert _tits_form_positive(quiver) is expected
+    em = validate(arrows_to_b(n, arrows))
+    assert _tits_form_positive(em.B) is expected
     assert dynkin_graph(n, arrows) is expected
     if not expected:
         with pytest.raises(NotRepresentationFinite, match="needs a Dynkin underlying graph"):
-            knit(path_algebra_data(quiver))
+            knit(path_algebra_data(em))
 
 
 def test_tits_form_matches_graph_classifier():
@@ -219,7 +231,7 @@ def test_tits_form_matches_graph_classifier():
             s, t = (label[i], label[j]) if rng.random() < 0.5 else (label[j], label[i])
             arrows.append((s, t, 1 if rng.random() < 0.9 else rng.randint(2, 3)))
         expected = dynkin_graph(n, arrows)
-        assert _tits_form_positive(Quiver(n, arrows)) is expected, (n, arrows)
+        assert _tits_form_positive(validate(arrows_to_b(n, arrows)).B) is expected, (n, arrows)
         verdicts[expected] += 1
     assert min(verdicts.values()) >= 500
 
@@ -346,7 +358,7 @@ def test_facet_rows_are_two_term_g_vector_sums(rows, facet_rows):
     # The paper's third result on computed fans: every facet row
     # a_k = c_k^T.B is +-(g(M) + g(tau^-1 M)) with dim M = |c_k|.
     em = validate(rows)
-    data = path_algebra_data(quiver_of(em))
+    data = path_algebra_data(em)
     catalog = enumerate_pattern(em, max_depth=None, with_polynomials=False)
     assert catalog.complete
     by_history = {node.history: node for node in catalog.seeds}

@@ -1,4 +1,4 @@
-"""Exchange matrix validation, mutation, quivers, and the lattice map."""
+"""Exchange matrix validation, mutation, the quiver [B]_+, and the lattice map."""
 
 from __future__ import annotations
 
@@ -12,13 +12,11 @@ from xfan import (
     NotAcyclic,
     NotSkewSymmetric,
     NotSkewSymmetrizable,
-    Quiver,
-    is_acyclic,
     kernel_of_p_star,
+    knit,
     mutate,
     p_star,
     path_algebra_data,
-    quiver_of,
     validate,
 )
 
@@ -153,36 +151,60 @@ def test_kernel_of_p_star():
 
 
 def test_quiver_of_orientation_and_multiplicity():
-    q = quiver_of(validate(B_A3))
-    assert q.n == 3
-    assert q.arrows == ((0, 1, 1), (2, 1, 1))
-    kron = quiver_of(validate([[0, -2], [2, 0]]))
-    assert kron.arrows == ((1, 0, 2),)
-    assert kron.out_neighbors(1) == (0, 0)
-    assert kron.in_neighbors(0) == (1, 1)
+    # b_ij > 0 gives b_ij arrows i -> j
+    assert path_algebra_data(validate(B_A3)).arrows.entries == ((0, 1, 0), (0, 0, 0), (0, 1, 0))
+    kron = path_algebra_data(validate([[0, -2], [2, 0]]))
+    assert kron.arrows.entries == ((0, 0), (2, 0))
+    # the double arrow 2 -> 1 doubles both mesh middles
+    meshes = knit(kron, window=1).meshes
+    assert [(m.source, m.middles, m.target) for m in meshes] == [
+        ((0, 0), ((1, 1), (1, 1)), (1, 0)),
+        ((0, 1), ((0, 0), (0, 0)), (1, 1)),
+    ]
 
 
 def test_quiver_of_rejects_non_skew_symmetric():
-    with pytest.raises(NotSkewSymmetric):
-        quiver_of(validate([[0, 1], [-2, 0]]))
+    message = r"^quiver construction needs B\^T = -B with d = \(1,\.\.\.,1\)$"
+    with pytest.raises(NotSkewSymmetric, match=message):
+        path_algebra_data(validate([[0, 1], [-2, 0]]))
+    # d = (2, 1, 1) and [B]_+ is the cycle 1 -> 2 -> 3 -> 1: the symmetry
+    # check comes first
+    cyclic = validate([[0, 1, -1], [-2, 0, 2], [2, -2, 0]])
+    assert cyclic.d == (2, 1, 1)
+    with pytest.raises(NotSkewSymmetric, match=message):
+        path_algebra_data(cyclic)
 
 
 def test_quiver_roundtrip_random():
+    # the arrow matrix is [B]_+, and B = A - A^T
     rng = random.Random(2718)
     for _ in range(30):
         n = rng.randint(1, 5)
         arrows = random_acyclic_arrows(rng, n)
         em = validate(arrows_to_b(n, arrows))
-        q = quiver_of(em)
-        assert q.arrow_matrix().entries == tuple(
+        a = path_algebra_data(em).arrows
+        assert a.entries == tuple(
             tuple(max(em.B.at(i, j), 0) for j in range(n)) for i in range(n)
+        )
+        assert a.entries == tuple(
+            tuple(sum(m for s, t, m in arrows if (s, t) == (i, j)) for j in range(n))
+            for i in range(n)
+        )
+        assert em.B == IntMatrix(
+            [[a.at(i, j) - a.at(j, i) for j in range(n)] for i in range(n)]
         )
 
 
 def test_is_acyclic():
-    assert is_acyclic(quiver_of(validate(B_A3)))
-    markov = validate([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
-    assert not is_acyclic(quiver_of(markov))
+    message = "^path algebra data needs an acyclic quiver$"
+    for rows in (B_A3, [[0, -2], [2, 0]], [[0, 0], [0, 0]], [[0]]):
+        path_algebra_data(validate(rows))
+    markov = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+    # an oriented 4-cycle with a chord 1 -> 3 that leaves a cycle 1 -> 3 -> 4 -> 1
+    square = arrows_to_b(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 1)])
+    for rows in (markov, square):
+        with pytest.raises(NotAcyclic, match=message):
+            path_algebra_data(validate(rows))
 
 
 def test_path_counts_match_kahn_sort_on_random_quivers():
@@ -198,35 +220,12 @@ def test_path_counts_match_kahn_sort_on_random_quivers():
             for j in range(i + 1, n)
             if rng.random() < 0.6
         ]
-        quiver = Quiver(n, arrows)
-        acyclic = kahn_topological_order(n, arrows) is not None
-        assert is_acyclic(quiver) == acyclic, arrows
-        counts = quiver.path_counts()
-        if acyclic:
+        em = validate(arrows_to_b(n, arrows))
+        if kahn_topological_order(n, arrows) is not None:
+            counts = path_algebra_data(em).cartan
             assert counts.entries == tuple(map(tuple, path_counts(n, arrows)))
-            assert path_algebra_data(quiver).cartan == counts
         else:
-            assert counts is None
             with pytest.raises(NotAcyclic):
-                path_algebra_data(quiver)
+                path_algebra_data(em)
             cyclic += 1
     assert 150 <= cyclic <= 450, cyclic
-
-
-def test_quiver_rejects_bad_arrows():
-    with pytest.raises(ValueError, match="endpoints"):
-        Quiver(2, [(-1, 0, 1)])
-    with pytest.raises(ValueError, match="endpoints"):
-        Quiver(2, [(0, 5, 1)])
-    with pytest.raises(ValueError, match="more than one arrow"):
-        Quiver(2, [(0, 1, 1), (0, 1, 2)])
-    with pytest.raises(ValueError, match="more than one arrow"):
-        Quiver(3, [(0, 1, 1), (1, 0, 1)])
-    with pytest.raises(ValueError, match="loops"):
-        Quiver(2, [(1, 1, 1)])
-    with pytest.raises(ValueError, match="positive"):
-        Quiver(2, [(0, 1, 0)])
-    q = Quiver(3, [(2, 1, 2.0), (0, 1, 1)])
-    assert q.arrows == ((0, 1, 1), (2, 1, 2))
-    assert q.arrow_matrix().entries == ((0, 1, 0), (0, 0, 0), (0, 2, 0))
-    assert q.in_neighbors(1) == (0, 2, 2)
