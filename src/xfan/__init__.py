@@ -53,7 +53,6 @@ from .pattern import (
 )
 from .reptheory import (
     ARQuiverSlice,
-    DerivedObject,
     Mesh,
     PathAlgebraData,
     g_vector,
@@ -62,7 +61,6 @@ from .reptheory import (
     normal_vector,
     path_algebra_data,
     tau_inverse_dim,
-    verify_dv_gv,
 )
 from .seed import (
     ExchangeMatrix,
@@ -79,7 +77,6 @@ __all__ = [
     "ConeDescription",
     "ConventionViolation",
     "DEFAULT_DEPTH",
-    "DerivedObject",
     "DimensionMismatch",
     "DualityViolation",
     "ExchangeMatrix",
@@ -132,5 +129,4 @@ __all__ = [
     "tau_inverse_dim",
     "theta",
     "validate",
-    "verify_dv_gv",
 ]

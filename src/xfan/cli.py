@@ -56,7 +56,7 @@ def _parse_seq(text):
 def _parse_json_vector(text, flag):
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise ValueError(f"{flag} expects a JSON array like [1,0,-1], got {text!r}") from None
     return decode_vector(value)
 
@@ -176,7 +176,7 @@ def _cmd_ar(em, args):
         {
             "slice": m,
             "vertex": v + 1,
-            "dim": encode_vector(slice_data.objects[(m, v)].dim),
+            "dim": encode_vector(slice_data.objects[(m, v)]),
         }
         for (m, v) in sorted(slice_data.objects)
     ]
@@ -299,7 +299,7 @@ def _build_parser():
         "--window",
         type=parse_decimal,
         default=None,
-        help="knitting window for the mesh cross-check on non-Dynkin quivers",
+        help="knitting window for the root and mesh check on non-Dynkin quivers",
     )
 
     certify_p = command(
@@ -311,6 +311,18 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one job; integers of any size parse and print for its duration."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before CPython 3.11
+        return _main(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _main(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

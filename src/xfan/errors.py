@@ -48,7 +48,7 @@ class SignCoherenceViolation(XfanError):
 
 
 class ConventionViolation(XfanError):
-    """A convention oracle failed (mesh additivity, mesh cross-check, knitting cap)."""
+    """A convention oracle failed (mesh additivity, knitting cap)."""
 
 
 class NotRepresentationFinite(XfanError):

@@ -105,7 +105,7 @@ def decode_job_input(text):
     """Parse the {"B": [[..]], "d": [..]?} input document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"input is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "B" not in doc:
         raise ValueError('input must be a JSON object with a "B" key')

@@ -2,11 +2,13 @@
 
 Everything here assumes an acyclic skew-symmetric seed, whose quiver is
 the arrow matrix A = [B]_+ read entrywise off the exchange matrix, so that
-B = A - A^T. The Cartan matrix counts paths, so its inverse is I minus the
-arrow matrix, and the skew difference of the inverse Cartan and its
-transpose is B by construction. Inverse AR translation acts
-K-theoretically on dimension vectors through the inverse Coxeter matrix;
-shifted objects are plain sign flips of dimension vectors.
+B = A - A^T. The Cartan matrix C counts paths, so its inverse is I minus
+the arrow matrix. An object of the derived category is known by its
+dimension vector, a tuple of ints; a negative vector is a shift. Inverse
+AR translation acts on classes through the inverse Coxeter matrix
+-C.C^-T, so for every class the g-vector of X + tau^-1 X is
+(C^-1 - C^-T).dim X = (A^T - A).dim X = -B.dim X: the normals and the
+kernel certificates read B and nothing else.
 """
 
 from operator import add
@@ -20,35 +22,13 @@ from .errors import (
     NotRepresentationFinite,
     NotSkewSymmetric,
 )
-from .intmat import Frozen, IntMatrix, Value, _exact_int
+from .intmat import Frozen, IntMatrix, _exact_int
 
 
 class PathAlgebraData(Frozen):
     """Arrow, Cartan, inverse Cartan, inverse Coxeter and exchange matrices."""
 
     __slots__ = ("arrows", "cartan", "cartan_inv", "coxeter_inv", "exchange")
-
-
-class DerivedObject(Value):
-    """A class in the derived category, known by its dimension vector.
-
-    Negative entries encode a shift: dim X[1] = -dim X. The zero vector is
-    not an object.
-    """
-
-    __slots__ = ("dim",)
-
-    def __init__(self, dim):
-        vec = tuple(_exact_int(x) for x in dim)
-        if not any(vec):
-            raise ValueError("the zero dimension vector is not an object")
-        super().__init__(vec)
-
-    def is_module(self):
-        return all(x >= 0 for x in self.dim)
-
-    def __repr__(self):
-        return f"DerivedObject(dim={self.dim})"
 
 
 class Mesh(Frozen):
@@ -60,8 +40,9 @@ class Mesh(Frozen):
 class ARQuiverSlice(Frozen):
     """Knitted translation-quiver slices.
 
-    ``objects`` maps a position (m, v) to the DerivedObject obtained by
-    applying the inverse translation m times to the projective at vertex v;
+    ``objects`` maps a position (m, v) to the dimension vector, a tuple of
+    ints, of the object obtained by applying the inverse translation m times
+    to the projective at vertex v; a negative vector is a shifted object;
     ``meshes`` records the mesh with each source position whose target
     stayed inside the window; ``exhaustive`` says whether knitting ran to
     the end of the module category (Dynkin case).
@@ -71,15 +52,13 @@ class ARQuiverSlice(Frozen):
 
     def module_dimension_vectors(self):
         """Sorted dims of the module vertices (nonnegative positions)."""
-        return tuple(
-            sorted({obj.dim for obj in self.objects.values() if obj.is_module()})
-        )
+        return tuple(sorted({dim for dim in self.objects.values() if min(dim) >= 0}))
 
     def mesh_at(self, dim):
         """The recorded mesh whose source has the given dimension vector."""
         target = tuple(_exact_int(x) for x in dim)
         for mesh in self.meshes:
-            if self.objects[mesh.source].dim == target:
+            if self.objects[mesh.source] == target:
                 return mesh
         return None
 
@@ -129,35 +108,14 @@ def path_algebra_data(em):
     return PathAlgebraData(arrows, cartan, cartan_inv, coxeter_inv, em.B)
 
 
-def _dim_vector(obj):
-    """Dimension vector of a DerivedObject or of a plain integer sequence."""
-    return obj.dim if isinstance(obj, DerivedObject) else tuple(_exact_int(x) for x in obj)
-
-
-def g_vector(data, obj):
+def g_vector(data, dim):
     """g = inverse Cartan times the dimension vector (as a column)."""
-    return data.cartan_inv.mul_vec(_dim_vector(obj))
+    return data.cartan_inv.mul_vec(tuple(_exact_int(x) for x in dim))
 
 
-def tau_inverse_dim(data, obj):
+def tau_inverse_dim(data, dim):
     """Inverse AR translate on classes: inverse Coxeter times the dim column."""
-    return DerivedObject(data.coxeter_inv.mul_vec(_dim_vector(obj)))
-
-
-def _two_term_g(data, obj):
-    """g(X) + g(tau^-1 X): the g-vector of the object X + tau^-1 X."""
-    obj = DerivedObject(_dim_vector(obj))
-    return tuple(map(add, g_vector(data, obj), g_vector(data, tau_inverse_dim(data, obj))))
-
-
-def verify_dv_gv(data, obj):
-    """Exchange-matrix image of dim versus the two-term g-vector sum.
-
-    Returns (lhs, rhs, equal): lhs = B.dim^T, rhs = -(g(X) + g(tau^-1 X)).
-    """
-    lhs = data.exchange.mul_vec(_dim_vector(obj))
-    rhs = tuple(-x for x in _two_term_g(data, obj))
-    return lhs, rhs, lhs == rhs
+    return data.coxeter_inv.mul_vec(tuple(_exact_int(x) for x in dim))
 
 
 def _tits_form_positive(B):
@@ -215,9 +173,9 @@ def knit(data, window=None):
     hard_cap = 4 * n * n + 64
     while True:
         for v, dim in enumerate(current):
-            objects[(m, v)] = DerivedObject(dim)
+            objects[(m, v)] = dim
         if exhaustive:
-            if not any(objects[(m, v)].is_module() for v in range(n)):
+            if not any(min(dim) >= 0 for dim in current):
                 break
             if m > hard_cap:
                 raise ConventionViolation("knitting failed to terminate on a Dynkin quiver")
@@ -238,61 +196,50 @@ def knit(data, window=None):
         for i in range(m)
         for v in range(n)
     )
-    slice_data = ARQuiverSlice(objects, meshes, exhaustive)
-    for mesh in slice_data.meshes:
+    for mesh in meshes:
         total = [0] * n
         for pos in mesh.middles:
-            for i, x in enumerate(slice_data.objects[pos].dim):
+            for i, x in enumerate(objects[pos]):
                 total[i] += x
-        source = slice_data.objects[mesh.source].dim
-        target = slice_data.objects[mesh.target].dim
+        source = objects[mesh.source]
+        target = objects[mesh.target]
         if tuple(a - b for a, b in zip(total, source)) != target:
             raise ConventionViolation("mesh additivity failed in knitting")
-    return slice_data
+    return ARQuiverSlice(objects, meshes, exhaustive)
 
 
 def normal_vector(data, cvec, slice_data=None):
     """Hyperplane normal attached to a positive c-vector.
 
-    Returns the integer vector (c^T.B)^T. When a knitted slice is supplied
-    the c-vector must appear among its module dimension vectors (NotARoot
-    otherwise) and the result is cross-checked against the sum of g-vectors
-    over the middles of the mesh at that module; a mismatch raises
-    ConventionViolation since the two routes agree by theory.
+    Returns the integer vector (c^T.B)^T = -B.c, the g-vector of X + tau^-1 X
+    for dim X = c, which is also the sum of the g-vectors over the middles
+    of the mesh at X because ``knit`` verified mesh additivity. When a
+    knitted slice is supplied the c-vector must appear among its module
+    dimension vectors (NotARoot otherwise).
     """
     c = tuple(_exact_int(x) for x in cvec)
     if len(c) != data.exchange.rows:
         raise ValueError("c-vector length mismatch")
     if not any(c) or any(x < 0 for x in c):
         raise NotPositive(f"{c} is not a positive c-vector")
-    normal = data.exchange.transpose().mul_vec(c)
-    if slice_data is not None:
-        if c not in slice_data.module_dimension_vectors():
-            raise NotARoot(f"{c} is not a module dimension vector of the knitted slice")
-        mesh = slice_data.mesh_at(c)
-        if mesh is not None:
-            total = [0] * len(c)
-            for pos in mesh.middles:
-                for i, x in enumerate(g_vector(data, slice_data.objects[pos])):
-                    total[i] += x
-            if tuple(total) != normal:
-                raise ConventionViolation(
-                    "mesh g-vector sum disagrees with the transposed product route"
-                )
-    return normal
+    if slice_data is not None and c not in slice_data.module_dimension_vectors():
+        raise NotARoot(f"{c} is not a module dimension vector of the knitted slice")
+    return data.exchange.transpose().mul_vec(c)
 
 
 def kernel_certificates(data, cvectors):
     """Minimal positive relations among two-term g-vector sums.
 
-    For each positive vector in the input, let w = g(X) + g(tau^-1 X) where
-    dim X is that vector. The result lists every minimal subset H of the
-    positive inputs admitting strictly positive multipliers lambda with
-    sum over H of lambda_k w_k = 0, as (indices into the input, integer
-    lambda) pairs, ordered by size and then by subset. Non-positive inputs
-    are skipped (mixed-sign systems belong to the Farkas route in the cone
-    module). The minimal subsets are the supports of the extreme rays of
-    {lambda >= 0 : sum lambda_k w_k = 0}, and lambda is the primitive ray.
+    For each positive vector c in the input, the g-vector of X + tau^-1 X
+    with dim X = c is -B.c; negating every vector leaves the relation cone
+    alone, so the relations are read off B.c. The result lists every
+    minimal subset H of the positive inputs admitting strictly positive
+    multipliers lambda with sum over H of lambda_k B.c_k = 0, as (indices
+    into the input, integer lambda) pairs, ordered by size and then by
+    subset. Non-positive inputs are skipped (mixed-sign systems belong to
+    the Farkas route in the cone module). The minimal subsets are the
+    supports of the extreme rays of {lambda >= 0 : sum lambda_k B.c_k = 0},
+    and lambda is the primitive ray.
     """
     vectors = [tuple(_exact_int(x) for x in c) for c in cvectors]
     positive = [
@@ -301,7 +248,7 @@ def kernel_certificates(data, cvectors):
     if not positive:
         return []
     certificates = []
-    for lam in relation_rays([_two_term_g(data, vectors[i]) for i in positive]):
+    for lam in relation_rays([data.exchange.mul_vec(vectors[i]) for i in positive]):
         support = [k for k, x in enumerate(lam) if x]
         certificates.append((tuple(positive[k] for k in support), tuple(lam[k] for k in support)))
     return sorted(certificates, key=lambda item: (len(item[0]), item[0]))

@@ -310,6 +310,38 @@ def sympy_inverse(rows):
     ]
 
 
+def cartan_route(cartan):
+    """The g-vector and inverse AR translate maps of the Cartan matrix C.
+
+    Both act on dimension vectors (tuples of ints): g = C^-1.dim, with C^-1
+    the sympy inverse, and tau^-1 acts by the inverse Coxeter matrix
+    -C.C^-T. Returns the pair (g, tau_inverse) of functions.
+    """
+    inv = sympy_inverse(cartan)
+
+    def apply(matrix, vec):
+        out = tuple(sum(x * v for x, v in zip(row, vec)) for row in matrix)
+        assert all(Fraction(x).denominator == 1 for x in out)
+        return tuple(int(x) for x in out)
+
+    def tau_inverse(dim):
+        return tuple(-x for x in apply(cartan, apply(list(zip(*inv)), dim)))
+
+    return (lambda dim: apply(inv, dim)), tau_inverse
+
+
+def verify_dv_gv(b_rows, cartan, dim):
+    """Exchange-matrix image of dim against the two-term g-vector sum.
+
+    Returns (lhs, rhs, equal): lhs = B.dim and rhs = -(g(X) + g(tau^-1 X))
+    for dim X = ``dim``, the right side by ``cartan_route``.
+    """
+    g, tau_inverse = cartan_route(cartan)
+    lhs = tuple(sum(b * x for b, x in zip(row, dim)) for row in b_rows)
+    rhs = tuple(-a - b for a, b in zip(g(dim), g(tau_inverse(dim))))
+    return lhs, rhs, lhs == rhs
+
+
 def laurent_mul(a, b):
     """Product of two Laurent polynomials given as {exponent tuple: int} dicts.
 
@@ -761,6 +793,9 @@ def _self_check():
     assert seed_orbit_count([([[0, 1], [-1, 0]], [[1, 0], [0, 1]]), ([[0, -1], [1, 0]], [[0, 1], [1, 0]])]) == 1
     assert path_counts(3, [(0, 1, 2), (1, 2, 1)]) == [[1, 2, 2], [0, 1, 1], [0, 0, 1]]
     assert sympy_inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]
+    # A2: tau^-1 of the simple projective (1, 0) is the simple injective (0, 1)
+    assert cartan_route([[1, 1], [0, 1]])[1]((1, 0)) == (0, 1)
+    assert verify_dv_gv([[0, 1], [-1, 0]], [[1, 1], [0, 1]], (1, 0)) == ((0, -1), (0, -1), True)
     y_plus_one = {(1,): 1, (0,): 1}
     assert laurent_pow(y_plus_one, 2, 1) == {(2,): 1, (1,): 2, (0,): 1}
     assert laurent_divide_exact(laurent_mul(y_plus_one, y_plus_one), y_plus_one) == y_plus_one

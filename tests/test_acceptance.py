@@ -28,7 +28,6 @@ from xfan import (
     primitive_vector,
     theta,
     validate,
-    verify_dv_gv,
 )
 
 from oracles import (
@@ -38,6 +37,7 @@ from oracles import (
     random_acyclic_arrows,
     arrows_to_b,
     sampled_cone_dimension,
+    verify_dv_gv,
 )
 
 B_A2 = [[0, 1], [-1, 0]]
@@ -254,8 +254,8 @@ def test_criterion_07():
         slices = knit(data)
         assert slices.exhaustive
         for pos in sorted(slices.objects):
-            dim = slices.objects[pos].dim
-            lhs, rhs, ok = verify_dv_gv(data, dim)
+            dim = slices.objects[pos]
+            lhs, rhs, ok = verify_dv_gv(data.exchange.entries, data.cartan.entries, dim)
             assert ok and lhs == rhs
         for dim in slices.module_dimension_vectors():
             normal = normal_vector(data, dim, slices)
@@ -264,11 +264,11 @@ def test_criterion_07():
     kron = path_algebra_data(validate(B_KRONECKER))
     window = knit(kron, window=8)
     for d in range(7):
-        lhs, rhs, ok = verify_dv_gv(kron, (d, d + 1))
+        lhs, rhs, ok = verify_dv_gv(kron.exchange.entries, kron.cartan.entries, (d, d + 1))
         assert ok and lhs == (-2 * (d + 1), 2 * d)
         other_families = [(d + 1, d)] + ([(d, d)] if d else [])
         for dim in other_families:
-            lhs2, rhs2, ok2 = verify_dv_gv(kron, dim)
+            lhs2, rhs2, ok2 = verify_dv_gv(kron.exchange.entries, kron.cartan.entries, dim)
             assert ok2 and lhs2 == rhs2
         # hyperplane family (d+1) b1 - d b2 = 0
         normal = normal_vector(kron, (d, d + 1), window)

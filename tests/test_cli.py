@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from xfan import cli, enumerate_pattern, locate, validate
+from xfan import cli, enumerate_pattern, locate, mutate, validate
+from xfan.jsonio import decode_matrix
 
 B_A3 = {"B": [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]}
 B_KRONECKER = {"B": [[0, 2], [-2, 0]]}
@@ -233,6 +234,49 @@ def test_big_integers_round_trip(tmp_path):
         # strings only appear outside the exactly-representable range
         assert isinstance(doc["B"][0][0], int)
         assert isinstance(doc["B"][0][1], str)
+
+
+def test_integers_past_the_interpreter_digit_limit_round_trip(tmp_path, capsys):
+    # entries of about 9,000 digits; CPython's default int <-> str limit is 4,300
+    rows = [[0, "9" * 3000, 0], ["-1", 0, 1], [0, -1, 0]]
+    seq = (2, 1, 3, 2, 1)
+    has_limit = hasattr(sys, "set_int_max_str_digits")  # CPython 3.11 and later
+    limit = sys.get_int_max_str_digits() if has_limit else None
+    argv = ["mutate", "--B", _b_file(tmp_path, {"B": rows}), "--seq", ",".join(map(str, seq))]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if has_limit:
+        # main restores the limit on return, so the test lifts it to decode
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(out)
+        em = validate([[int(x) for x in row] for row in rows])
+        for k in seq:
+            em = mutate(em, k)
+        assert decode_matrix(doc["B"]) == em.B.entries
+        assert doc["history"] == list(seq)
+        assert max(len(x) for row in doc["B"] for x in row if isinstance(x, str)) > 4300
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["validate", "--B", "-"], '{"B":' + "[" * 100000),
+        (["theta", "--B", "-", "--beta", "[" * 100000], json.dumps(B_A3)),
+        (["normals", "--B", "-", "--cvec", "[" * 100000], json.dumps(B_A3)),
+    ],
+    ids=["B", "beta", "cvec"],
+)
+def test_exit_one_on_deeply_nested_json(argv, stdin):
+    p = _run(argv, stdin=stdin)
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert len(p.stderr.splitlines()) == 1
+    assert p.stderr.startswith("xfan: error:")
 
 
 @pytest.mark.parametrize(

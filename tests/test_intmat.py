@@ -11,7 +11,6 @@ from functools import lru_cache
 import pytest
 
 from xfan import (
-    DerivedObject,
     IntMatrix,
     LaurentPolynomial,
     assemble_fan,
@@ -33,7 +32,6 @@ from xfan import (
     tau_inverse_dim,
     theta,
     validate,
-    verify_dv_gv,
 )
 from xfan.intmat import Frozen, Value
 
@@ -92,10 +90,8 @@ def _a3_data():
         lambda: LaurentPolynomial(1, {(1,): 2.5}),
         lambda: LaurentPolynomial.monomial(2, BETA),
         lambda: LaurentPolynomial.one(1) ** 1.5,
-        lambda: DerivedObject((0.5, 1, 0)),
         lambda: g_vector(_a3_data(), (1.5, 0.2, 0)),
         lambda: tau_inverse_dim(_a3_data(), (1.5, 0, 0)),
-        lambda: verify_dv_gv(_a3_data(), (1.5, 0, 0)),
         lambda: normal_vector(_a3_data(), (1.7, 0, 0)),
         lambda: kernel_certificates(_a3_data(), [(1.5, 0, 0)]),
         lambda: knit(_a3_data()).mesh_at((0.5, 1, 0)),
@@ -109,8 +105,8 @@ def _a3_data():
         "IntMatrix", "validate-d", "p_star", "locate", "theta", "contains",
         "pointed_rays",
         "laurent-exponent", "laurent-coefficient", "laurent-monomial", "laurent-pow",
-        "DerivedObject", "g_vector", "tau_inverse_dim", "verify_dv_gv",
-        "normal_vector", "kernel_certificates", "mesh_at", "integer_kernel_basis", "hnf_rows",
+        "g_vector", "tau_inverse_dim", "normal_vector", "kernel_certificates", "mesh_at",
+        "integer_kernel_basis", "hnf_rows",
         "knit-window", "enumerate_pattern-max_depth", "enumerate_pattern-node_cap",
     ],
 )
@@ -202,8 +198,7 @@ def _a3_values():
     values = (
         data.arrows, LaurentPolynomial.one(3), em, node, relabelled, catalog,
         description.facets[0], description, report.cones[0], report,
-        theta((3, -1, 0), catalog), data, slice_data.objects[(0, 0)], slice_data.meshes[0],
-        slice_data,
+        theta((3, -1, 0), catalog), data, slice_data.meshes[0], slice_data,
     )
     return {type(v).__name__: v for v in values}
 
@@ -211,8 +206,7 @@ def _a3_values():
 VALUE_CLASSES = (
     "IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "PatternNode", "RelabelledNode",
     "PatternCatalog", "Facet", "ConeDescription", "XCone",
-    "XFanReport", "ThetaFunction", "PathAlgebraData", "DerivedObject", "Mesh",
-    "ARQuiverSlice",
+    "XFanReport", "ThetaFunction", "PathAlgebraData", "Mesh", "ARQuiverSlice",
 )
 
 
@@ -255,7 +249,7 @@ def test_immutability(name):
 
 
 # classes that compare by value; the other Frozen classes compare by identity
-VALUE_SEMANTICS = ("IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Facet", "DerivedObject")
+VALUE_SEMANTICS = ("IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "Facet")
 
 
 @pytest.mark.parametrize("name", VALUE_SEMANTICS)

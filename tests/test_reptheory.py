@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import random
+from operator import mul
 
 import pytest
 
 from xfan import (
-    DerivedObject,
     IntMatrix,
     NotARoot,
     NotAcyclic,
@@ -21,12 +21,12 @@ from xfan import (
     normal_vector,
     path_algebra_data,
     validate,
-    verify_dv_gv,
 )
 from xfan.reptheory import _tits_form_positive, tau_inverse_dim
 
 from oracles import (
     arrows_to_b,
+    cartan_route,
     dynkin_graph,
     knitted_meshes,
     minimal_positive_relations,
@@ -34,6 +34,7 @@ from oracles import (
     positive_roots,
     random_acyclic_arrows,
     sympy_inverse,
+    verify_dv_gv,
 )
 
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
@@ -128,7 +129,7 @@ def test_knit_bipartite_a3_details():
     # projective slice holds the Cartan columns
     data = _data(B_A3)
     for v in range(3):
-        assert slices.objects[(0, v)].dim == tuple(data.cartan.at(i, v) for i in range(3))
+        assert slices.objects[(0, v)] == tuple(data.cartan.at(i, v) for i in range(3))
 
 
 def test_mesh_additivity():
@@ -136,9 +137,9 @@ def test_mesh_additivity():
         slices = knit(_data(rows))
         by_pos = slices.objects
         for mesh in slices.meshes:
-            src = by_pos[mesh.source].dim
-            tgt = by_pos[mesh.target].dim
-            mids = [by_pos[p].dim for p in mesh.middles]
+            src = by_pos[mesh.source]
+            tgt = by_pos[mesh.target]
+            mids = [by_pos[p] for p in mesh.middles]
             total = tuple(sum(col) for col in zip(*mids)) if mids else (0,) * len(src)
             assert tuple(s + t for s, t in zip(src, tgt)) == total
 
@@ -241,7 +242,7 @@ def test_g_vectors_and_tau_inverse_frozen():
     assert g_vector(data, (0, 1, 0)) == (-1, 1, -1)
     assert g_vector(data, (1, 1, 1)) == (0, 1, 0)
     assert g_vector(data, (1, 0, 0)) == (1, 0, 0)
-    assert tau_inverse_dim(data, (0, 1, 0)).dim == (-1, -1, -1)
+    assert tau_inverse_dim(data, (0, 1, 0)) == (-1, -1, -1)
 
 
 def test_verify_dv_gv_everywhere():
@@ -249,7 +250,7 @@ def test_verify_dv_gv_everywhere():
         data = _data(rows)
         slices = knit(data)
         for dim in slices.module_dimension_vectors():
-            lhs, rhs, ok = verify_dv_gv(data, dim)
+            lhs, rhs, ok = verify_dv_gv(data.exchange.entries, data.cartan.entries, dim)
             assert ok and lhs == rhs
             assert lhs == data.exchange.mul_vec(dim)
 
@@ -259,10 +260,52 @@ def test_verify_dv_gv_kronecker_family():
     slices = knit(data, window=8)
     for d in range(7):
         dim = (d, d + 1)
-        lhs, rhs, ok = verify_dv_gv(data, dim)
+        lhs, rhs, ok = verify_dv_gv(data.exchange.entries, data.cartan.entries, dim)
         assert ok
         assert lhs == (-2 * (d + 1), 2 * d)
         assert normal_vector(data, dim, slices) == (2 * (d + 1), -2 * d)
+
+
+def _random_quivers_with_cartan_route(seed):
+    """200 random acyclic quivers (multiplicities up to 3) with g and tau^-1.
+
+    Yields (rng, n, arrows, B rows, g, tau_inverse); g and tau^-1 come
+    from the sympy inverse of the path-count Cartan matrix, not from
+    ``path_algebra_data``.
+    """
+    rng = random.Random(seed)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        arrows = random_acyclic_arrows(rng, n, max_mult=3)
+        rows = arrows_to_b(n, arrows)
+        g, tau_inverse = cartan_route(path_counts(n, arrows))
+        yield rng, n, arrows, rows, g, tau_inverse
+
+
+def test_two_term_g_vector_is_minus_b_on_random_quivers():
+    # g(v) + g(tau^-1 v) = -B.v for every class, the identity that lets the
+    # library read normals and certificates off B
+    for rng, n, arrows, rows, g, tau_inverse in _random_quivers_with_cartan_route(1717):
+        for _ in range(5):
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            two_term = tuple(map(sum, zip(g(v), g(tau_inverse(v)))))
+            assert two_term == tuple(-sum(map(mul, row, v)) for row in rows), (arrows, v)
+
+
+def test_mesh_g_vector_sums_are_normals_on_random_quivers():
+    # exhaustive knitting on Dynkin quivers, windows 0-4 on the others
+    meshes = 0
+    for rng, n, arrows, rows, g, _ in _random_quivers_with_cartan_route(1718):
+        data = _data(rows)
+        slices = knit(data, window=None if dynkin_graph(n, arrows) else rng.randint(0, 4))
+        for mesh in slices.meshes:
+            source = slices.objects[mesh.source]
+            if min(source) < 0:
+                continue
+            total = tuple(map(sum, zip(*(g(slices.objects[p]) for p in mesh.middles))))
+            assert (total or (0,) * n) == normal_vector(data, source, slices), (arrows, mesh)
+            meshes += 1
+    assert meshes >= 1000
 
 
 def test_normal_vector_frozen_and_checked():
@@ -311,7 +354,7 @@ def test_kernel_certificates_verify_definition():
         for idx, l in zip(subset, lam):
             x = cvectors[idx]
             g = g_vector(data, x)
-            gt = g_vector(data, tau_inverse_dim(data, x).dim)
+            gt = g_vector(data, tau_inverse_dim(data, x))
             w = tuple(a + b for a, b in zip(g, gt))
             total = tuple(t + l * wi for t, wi in zip(total, w))
         assert total == (0, 0, 0)
@@ -326,9 +369,8 @@ def test_kernel_certificates_skip_nonpositive_input():
 
 
 def _two_term_sum(data, dim):
-    obj = DerivedObject(dim)
-    g_next = g_vector(data, tau_inverse_dim(data, obj))
-    return tuple(a + b for a, b in zip(g_vector(data, obj), g_next))
+    g_next = g_vector(data, tau_inverse_dim(data, dim))
+    return tuple(a + b for a, b in zip(g_vector(data, dim), g_next))
 
 
 def test_kernel_certificates_match_subset_scan():
