@@ -19,6 +19,7 @@ from .errors import ExhaustionCapExceeded, NotRepresentationFinite, XfanError
 from .fan import assemble_fan, theta
 from .intmat import primitive_vector
 from .jsonio import (
+    bounded_int,
     decode_job_input,
     decode_vector,
     dumps,
@@ -26,6 +27,7 @@ from .jsonio import (
     encode_matrix,
     encode_polynomial,
     encode_vector,
+    excerpt,
     parse_decimal,
 )
 from .pattern import DEFAULT_DEPTH, _walk, enumerate_pattern
@@ -42,22 +44,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _parse_int(text):
+    try:
+        return parse_decimal(text)
+    except ValueError as exc:  # argparse would echo the whole argument
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_seq(text):
     if not text.strip(" "):
         return ()
     try:
         return tuple(parse_decimal(tok.strip(" ")) for tok in text.split(","))
-    except ValueError:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated 1-based directions, got {text!r}"
+            f"expected comma-separated 1-based directions: {exc}"
         ) from None
 
 
 def _parse_json_vector(text, flag):
     try:
-        value = json.loads(text)
+        value = json.loads(text, parse_int=bounded_int)
     except (json.JSONDecodeError, RecursionError):
-        raise ValueError(f"{flag} expects a JSON array like [1,0,-1], got {text!r}") from None
+        raise ValueError(
+            f"{flag} expects a JSON array like [1,0,-1], got {excerpt(text)}"
+        ) from None
     return decode_vector(value)
 
 
@@ -255,7 +266,7 @@ def _build_parser():
     def depth_flags(p):
         p.add_argument(
             "--depth",
-            type=parse_decimal,
+            type=_parse_int,
             default=DEFAULT_DEPTH,
             help=f"BFS depth bound; exit 3 past {EXHAUSTIVE_CAP} labelled nodes",
         )
@@ -288,7 +299,7 @@ def _build_parser():
     ar_p = command("ar", _cmd_ar, "knit the AR quiver of an acyclic skew-symmetric seed")
     ar_p.add_argument(
         "--window",
-        type=parse_decimal,
+        type=_parse_int,
         default=None,
         help="number of translation steps; omit for exhaustive Dynkin knitting",
     )
@@ -297,7 +308,7 @@ def _build_parser():
     normals_p.add_argument("--cvec", required=True, metavar="[..]", help="positive c-vector, JSON array")
     normals_p.add_argument(
         "--window",
-        type=parse_decimal,
+        type=_parse_int,
         default=None,
         help="knitting window for the root and mesh check on non-Dynkin quivers",
     )

@@ -7,9 +7,10 @@ cone. Implicit equalities come from the homogeneous Farkas criterion read
 through Gale duality: row k holds with equality on the whole solution set
 exactly when a nonnegative row relation uses it, and the relations are the
 image of a pointed cone over the integer kernel of A^T. Dimension drops by
-the rank of the implicit rows; facets are the strict row groups whose
-hyperplanes meet the rays of the cone's pointed part in codimension one.
-Those rays are kept, and with the lineality space they key the cone.
+the rank of the implicit rows. The facets of the cone's pointed part are
+its maximal proper faces, so a strict row supports a facet exactly when
+no other strict row vanishes on more of the part's extreme rays. Those
+rays are kept, and with the lineality space they key the cone.
 """
 
 from itertools import combinations
@@ -22,7 +23,6 @@ from .intmat import (
     _exact_int,
     identity_rows,
     integer_kernel_basis,
-    primitive_vector,
 )
 
 
@@ -116,13 +116,13 @@ def classify(A):
     of row k is the first ray with lam_k > 0. The dimension is n minus the
     rank of the implicit rows. The cone is its lineality space plus the
     pointed cone it cuts out in the space where its span meets the
-    orthogonal complement of the lineality space. Strict rows are grouped
-    by their primitive functional on that space, which groups them exactly
-    as their functionals on the cone's span do. A group is a facet iff the
-    extreme rays of the pointed part on its hyperplane have rank one less
-    than the pointed dimension; each facet is reported with all of its
-    supporting rows. The rays are kept in ambient coordinates; the space's
-    basis is a saturated lattice basis, so primitive rays stay primitive.
+    orthogonal complement of the lineality space. That pointed cone is
+    full there, so its facets are its maximal proper faces, each cut out by
+    a strict row: a strict row supports a facet iff the set of extreme
+    rays it vanishes on is maximal among the strict rows' sets. Rows with
+    one such set share a facet, whose representative is the first. The
+    rays are kept in ambient coordinates; the space's basis is a saturated
+    lattice basis, so primitive rays stay primitive.
     The lineality basis is the saturated integer kernel of A, which
     ``integer_kernel_basis`` returns in Hermite normal form.
     A zero matrix yields the whole space: dimension n, no facets, no rays.
@@ -138,23 +138,18 @@ def classify(A):
     lineality = integer_kernel_basis(A)
     constraints = [rows[i] for i in implicit] + list(lineality)
     basis = integer_kernel_basis(constraints) if constraints else identity_rows(A.cols)
-    groups = {}
-    for j in strict:
-        functional = tuple(sum(map(mul, rows[j], b)) for b in basis)
-        groups.setdefault(primitive_vector(functional), []).append(j)
-    rays = pointed_rays(list(groups)) if groups else ()
-    facets = []
-    for functional, members in groups.items():
-        face = tuple(y for y in rays if sum(map(mul, functional, y)) == 0)
-        face_rank = IntMatrix._trusted(face).rank() if face else 0
-        if face_rank == len(basis) - 1:
-            facets.append(Facet(members[0], tuple(members)))
+    functionals = [tuple(sum(map(mul, rows[j], b)) for b in basis) for j in strict]
+    rays = pointed_rays(functionals) if functionals else ()
+    faces = [frozenset(y for y in rays if not sum(map(mul, f, y))) for f in functionals]
+    supports = {}
+    for j, face in zip(strict, faces):
+        if not any(face < other for other in faces):
+            supports.setdefault(face, []).append(j)
+    facets = tuple(Facet(members[0], tuple(members)) for members in supports.values())
     # the basis is in Hermite normal form, so the map keeps the rays sorted
     ambient = tuple(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays)
     dim = len(lineality) + len(basis)
-    return ConeDescription(
-        A, implicit, strict, tuple(facets), dim, lineality, certificates, ambient
-    )
+    return ConeDescription(A, implicit, strict, facets, dim, lineality, certificates, ambient)
 
 
 def contains(A, beta):

@@ -40,7 +40,11 @@ class NotAcyclic(XfanError):
 
 
 class DualityViolation(XfanError):
-    """C_t^T . G_t != I at some node; indicates an implementation bug."""
+    """C_t is not unimodular, or a mutated F lost its constant term 1.
+
+    The first is found when G_t = (C_t^T)^-1 is read; either indicates an
+    implementation bug.
+    """
 
 
 class SignCoherenceViolation(XfanError):

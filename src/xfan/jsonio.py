@@ -4,8 +4,11 @@ Integers travel as plain JSON numbers while they fit in the 53-bit range
 that survives an IEEE double round-trip, and as decimal strings beyond
 it; decoding accepts either form everywhere an integer is expected, so
 emitted reports re-parse to equal values. A decimal string is an optional
-"-" and ASCII digits, nothing else. ``dumps`` pins key order and
-separators to make identical jobs print identical bytes.
+"-" and ASCII digits, nothing else. An input integer, decimal string or
+JSON number, has at most MAX_DIGITS digits, which keeps parsing linear
+in the input size (CPython's str-to-int conversion is quadratic); output
+integers are unbounded. ``dumps`` pins key order and separators to make
+identical jobs print identical bytes.
 """
 
 import json
@@ -14,6 +17,7 @@ import re
 from .intmat import primitive_vector
 
 SAFE_MAX = (1 << 53) - 1
+MAX_DIGITS = 100_000
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
@@ -24,11 +28,26 @@ def encode_int(x):
     return str(x)
 
 
+def excerpt(text):
+    """The repr of text, cut to its first 40 characters and its length when longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def bounded_int(token):
+    """int(token) for a decimal token of at most MAX_DIGITS digits; else ValueError."""
+    digits = len(token) - token.startswith("-")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"integer of {digits} digits exceeds the {MAX_DIGITS}-digit input bound")
+    return int(token)
+
+
 def parse_decimal(text):
     """The integer an optional "-" and ASCII digits spell; else ValueError."""
     if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
+        raise ValueError(f"not a decimal integer: {excerpt(text)}")
+    return bounded_int(text)
 
 
 def decode_int(value):
@@ -104,7 +123,7 @@ def encode_cone(desc):
 def decode_job_input(text):
     """Parse the {"B": [[..]], "d": [..]?} input document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=bounded_int)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"input is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "B" not in doc:

@@ -2,24 +2,25 @@
 
 Each node of the n-regular tree holds the mutated exchange matrix B_t, the
 c-matrix C_t of the pattern whose initial matrix is -B^T (the one whose rows
-cut out the cones downstream), the g-matrix G_t of the pattern for B itself,
-and the coefficient polynomials F_t.
+cut out the cones downstream) and the coefficient polynomials F_t, and
+reads the g-matrix G_t of the pattern for B itself off C_t.
 
-The g and F recurrences read the c-matrix of the pattern for B, which is
+The F recurrence reads the c-matrix of the pattern for B, which is
 D^-1.C_t.D for the skew-symmetrizer D = diag(d). Both c-matrices start at I
 and mutate row by row against a pivot row: C_t against row k of -B_t^T,
 with entries -b_jk, and the other against row k of B_t, with entries b_kj.
 Since d_k.b_kj = -d_j.b_jk for every B_t, row i of the second recurrence is
 d_j/d_i times row i of the first, entry by entry, at every step.
 
-G_t comes from a direct column recurrence and is checked against tropical
-duality, C_t^T.G_t = I, over the integers; every c-matrix column must be
-sign coherent. Violations raise immediately since the supporting theory
-guarantees both. A c-matrix determines its whole seed, B_t and G_t
-included (Nakanishi-Zelevinsky), so the set of columns of C_t is the key
-of the unlabelled seed, and relabelling the directions permutes the
-columns of C_t and G_t, the rows and columns of B_t, and the entries of
-F_t, while d stays put.
+Every c-matrix column must be sign coherent; a violation raises at once,
+since the supporting theory guarantees coherence. Tropical duality
+(Nakanishi-Zelevinsky) gives G_t = (C_t^T)^-1, so G_t is read off the
+Hermite normal form of [C_t^T | I] when it is asked for, never during
+the walk. A c-matrix determines its whole seed, B_t and G_t included
+(Nakanishi-Zelevinsky), so the set of columns of C_t is the key of the
+unlabelled seed, and relabelling the directions permutes the columns of
+C_t and G_t, the rows and columns of B_t, and the entries of F_t, while
+d stays put.
 
 A labelled node is therefore a seed plus a column permutation. The first
 node of a seed, a PatternNode, holds the matrices; every other node, a
@@ -34,10 +35,9 @@ direction, then relabelling, so it only composes permutations.
 
 from functools import lru_cache
 from itertools import chain
-from operator import mul
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
-from .intmat import Frozen, IntMatrix, _exact_int, identity_rows
+from .intmat import Frozen, IntMatrix, _exact_int, hnf_rows, identity_rows
 from .laurent import LaurentPolynomial, _exchange
 from .seed import ExchangeMatrix, mutate, mutate_rows
 
@@ -48,15 +48,16 @@ class PatternNode(Frozen):
     """The first labelled node of a seed, which holds the seed's matrices.
 
     Fields: ``B_t`` (ExchangeMatrix), ``C_t`` (c-matrix, initial -B^T
-    pattern), ``G_t`` (g-matrix, initial B pattern), ``F_t`` (tuple of
-    LaurentPolynomials, or None when polynomial tracking was disabled) and
-    ``history`` (1-based directions from the root). C_t determines the
-    rest of the seed; the c-matrix of the B pattern is D^-1.C_t.D. As for a
-    RelabelledNode, ``seed`` is the seed's first node, here the node
-    itself, and ``perm`` its labelling, here the identity.
+    pattern), ``F_t`` (tuple of LaurentPolynomials, or None when
+    polynomial tracking was disabled) and ``history`` (1-based directions
+    from the root). C_t determines the rest of the seed: the c-matrix of
+    the B pattern is D^-1.C_t.D, and the property ``G_t`` (g-matrix,
+    initial B pattern) is (C_t^T)^-1. As for a RelabelledNode, ``seed`` is
+    the seed's first node, here the node itself, and ``perm`` its
+    labelling, here the identity.
     """
 
-    __slots__ = ("B_t", "C_t", "G_t", "F_t", "history")
+    __slots__ = ("B_t", "C_t", "F_t", "history")
 
     @property
     def seed(self):
@@ -65,6 +66,10 @@ class PatternNode(Frozen):
     @property
     def perm(self):
         return _identity(self.B_t.n)
+
+    @property
+    def G_t(self):
+        return _g_matrix(self.C_t, self.history)
 
     def __repr__(self):
         return f"PatternNode(history={self.history})"
@@ -97,7 +102,7 @@ class RelabelledNode(Frozen):
 
     @property
     def G_t(self):
-        return _permute_columns(self.seed.G_t, self.perm)
+        return _g_matrix(self.C_t, self.history)
 
     @property
     def F_t(self):
@@ -113,14 +118,24 @@ def _identity(n):
     return tuple(range(n))
 
 
-@lru_cache(maxsize=None)
-def _flat_identity(n):
-    return tuple(chain.from_iterable(identity_rows(n)))
-
-
 def _permute_columns(matrix, perm):
     """Column j of the result is column perm[j] of the matrix."""
     return IntMatrix._trusted(tuple(tuple(map(row.__getitem__, perm)) for row in matrix.entries))
+
+
+def _g_matrix(c_matrix, history):
+    """G_t = (C_t^T)^-1, the right block of the Hermite normal form of [C_t^T | I].
+
+    The left block of the form is I exactly when C_t is unimodular, which
+    tropical duality guarantees; any other left block raises
+    DualityViolation, an implementation bug.
+    """
+    n = c_matrix.rows
+    aug = tuple(col + e for col, e in zip(zip(*c_matrix.entries), identity_rows(n)))
+    form = hnf_rows(IntMatrix._trusted(aug))
+    if tuple(row[:n] for row in form) != identity_rows(n):
+        raise DualityViolation(f"c-matrix at history {history} is not unimodular")
+    return IntMatrix._trusted(tuple(row[n:] for row in form))
 
 
 class PatternCatalog(Frozen):
@@ -142,11 +157,10 @@ class PatternCatalog(Frozen):
 
 
 def initial_node(em, with_polynomials=True):
-    """The root: C = G = identity, every F = 1, empty history."""
+    """The root: C = identity, every F = 1, empty history."""
     n = em.n
-    ident = IntMatrix.identity(n)
     polys = tuple(LaurentPolynomial.one(n) for _ in range(n)) if with_polynomials else None
-    return PatternNode(em, ident, ident, polys, ())
+    return PatternNode(em, IntMatrix.identity(n), polys, ())
 
 
 def _mutate_c(node, kk):
@@ -163,8 +177,9 @@ def _mutate_c(node, kk):
 def mutate_node(node, k):
     """Mutate every field of a node in direction k (1-based).
 
-    Raises SignCoherenceViolation or DualityViolation when the mutated data
-    breaks an invariant; both indicate an implementation bug, not bad input.
+    Raises SignCoherenceViolation when a mutated c-matrix column has mixed
+    signs, or DualityViolation when a mutated F loses its constant term 1;
+    both indicate an implementation bug, not bad input.
     """
     return _child(node, k, mutate(node.B_t, k), _mutate_c(node, k - 1))
 
@@ -180,52 +195,25 @@ def _walk(em, history, with_polynomials=True):
 def _child(node, k, new_em, new_c):
     """The child in direction k, built around its mutated B_t and C_t.
 
-    Checks the sign coherence of new_c and its duality with G_t; F follows.
-    The child is the first node of a seed.
+    Checks that every column of new_c is sign coherent; F follows, when it
+    is tracked. The child is the first node of a seed.
     """
     for j, col in enumerate(zip(*new_c.entries)):
         _column_sign(col, j)
-    em = node.B_t
-    n = em.n
-    kk = k - 1
-    b = em.B.entries
-    d = em.d
-    # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
-    column = tuple(row[kk] * d[kk] // di for row, di in zip(node.C_t.entries, d))
-    new_g = _mutate_g(node.G_t, b, column, kk)
-    g_cols = tuple(zip(*new_g.entries))
-    # C^T.G entry by entry, row after row
-    duality = tuple([sum(map(mul, c_col, g_col)) for c_col in zip(*new_c.entries) for g_col in g_cols])
-    if duality != _flat_identity(n):
-        raise DualityViolation(
-            f"g-matrix disagrees with the inverse transposed c-matrix at history {node.history + (k,)}"
-        )
     new_f = None
     if node.F_t is not None:
-        new_f = _mutate_f(node.F_t, b, column, kk, n)
-    return PatternNode(new_em, new_c, new_g, new_f, node.history + (k,))
+        em = node.B_t
+        kk = k - 1
+        d = em.d
+        # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
+        column = tuple(row[kk] * d[kk] // di for row, di in zip(node.C_t.entries, d))
+        new_f = _mutate_f(node.F_t, em.B.entries, column, kk, em.n)
+    return PatternNode(new_em, new_c, new_f, node.history + (k,))
 
 
 def _column_sign(col, kk):
-    pos = max(col) > 0
-    neg = min(col) < 0
-    if pos and neg or not (pos or neg):
+    if not any(col) or max(col) > 0 > min(col):
         raise SignCoherenceViolation(f"c-matrix column {kk + 1} has mixed signs")
-    return 1 if pos else -1
-
-
-def _mutate_g(gmat, b, column, kk):
-    # column recurrence: right-multiply by the elementary matrix whose k-th
-    # column rectifies -eps * B column k, eps being the sign of column k of
-    # the B-pattern c-matrix (b_kk = 0 keeps column k out of the sum)
-    eps = _column_sign(column, kk)
-    weights = tuple(max(0, -eps * row[kk]) for row in b)
-    out = []
-    for row in gmat.entries:
-        new = list(row)
-        new[kk] = sum(map(mul, row, weights)) - row[kk]
-        out.append(tuple(new))
-    return IntMatrix._trusted(tuple(out))
 
 
 def _mutate_f(polys, b, column, kk, n):

@@ -16,6 +16,7 @@ from operator import add
 from .cones import relation_rays
 from .errors import (
     ConventionViolation,
+    DimensionMismatch,
     NotAcyclic,
     NotARoot,
     NotPositive,
@@ -215,11 +216,12 @@ def normal_vector(data, cvec, slice_data=None):
     for dim X = c, which is also the sum of the g-vectors over the middles
     of the mesh at X because ``knit`` verified mesh additivity. When a
     knitted slice is supplied the c-vector must appear among its module
-    dimension vectors (NotARoot otherwise).
+    dimension vectors (NotARoot otherwise). A c-vector of the wrong length
+    raises DimensionMismatch.
     """
     c = tuple(_exact_int(x) for x in cvec)
     if len(c) != data.exchange.rows:
-        raise ValueError("c-vector length mismatch")
+        raise DimensionMismatch(f"cvec has length {len(c)}, expected {data.exchange.rows}")
     if not any(c) or any(x < 0 for x in c):
         raise NotPositive(f"{c} is not a positive c-vector")
     if slice_data is not None and c not in slice_data.module_dimension_vectors():

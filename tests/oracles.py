@@ -97,6 +97,35 @@ def principal_seed_walk(b_rows, history):
     return fpolys, cmat
 
 
+def g_matrices(b_rows, histories):
+    """G_t of the pattern for B at each 1-based history, by the g-vector recurrence.
+
+    The extended matrix [B_t; C_t] of the B pattern (principal
+    coefficients) mutates by ``mutate_rectangular``. Mutation in direction
+    k replaces column k of G by -g_k + sum_j [-eps.b_jk]_+ g_j, with eps
+    the sign of column k of that C_t and b_jk the entries of B_t before
+    the step (Nakanishi-Zelevinsky); the other columns stay. Every prefix
+    of a history is walked once. Returns {history: G as a list of rows}.
+    """
+    n = len(b_rows)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    states = {(): ([list(row) for row in b_rows] + ident, ident)}
+
+    def state(history):
+        if history not in states:
+            ext, g = state(history[:-1])
+            k = history[-1] - 1
+            eps = 1 if max(ext[n + i][k] for i in range(n)) > 0 else -1
+            weights = [max(0, -eps * ext[j][k]) for j in range(n)]
+            new_g = [row[:] for row in g]
+            for row, new in zip(g, new_g):
+                new[k] = -row[k] + sum(x * w for x, w in zip(row, weights))
+            states[history] = (mutate_rectangular(ext, k), new_g)
+        return states[history]
+
+    return {tuple(h): state(tuple(h))[1] for h in histories}
+
+
 def _polygon_edge(u, v, sides):
     return abs(u - v) in (1, sides - 1)
 
@@ -800,6 +829,8 @@ def _self_check():
     assert laurent_pow(y_plus_one, 2, 1) == {(2,): 1, (1,): 2, (0,): 1}
     assert laurent_divide_exact(laurent_mul(y_plus_one, y_plus_one), y_plus_one) == y_plus_one
     assert f_polynomial_step([{(0, 0): 1}] * 2, [[0, 1], [-1, 0]], (1, 0), 0)[0] == {(1, 0): 1, (0, 0): 1}
+    # A2 at history (1,): g_1 = -e_1 + e_2; back at the root after (1, 1)
+    assert g_matrices([[0, 1], [-1, 0]], [(1,), (1, 1)]) == {(1,): [[-1, 0], [1, 1]], (1, 1): [[1, 0], [0, 1]]}
     b, d = random_skew_symmetrizable(rng, 3)
     for i in range(3):
         for j in range(3):

@@ -31,6 +31,7 @@ from xfan import (
 )
 
 from oracles import (
+    g_matrices,
     polygon_triangulations,
     principal_seed_walk,
     random_skew_symmetrizable,
@@ -196,8 +197,10 @@ def test_criterion_04():
         cat = enumerate_pattern(validate(rows), max_depth=8, with_polynomials=False)
         n = len(rows)
         ident = IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        # the g-vector recurrence of the oracle, not the library's C_t^-T
+        g = g_matrices(rows, [node.history for node in cat.nodes])
         for node in cat.nodes:
-            assert node.G_t.mul(node.C_t.transpose()) == ident
+            assert IntMatrix(g[node.history]).mul(node.C_t.transpose()) == ident
             for j in range(n):
                 col = [node.C_t.at(i, j) for i in range(n)]
                 assert all(x >= 0 for x in col) or all(x <= 0 for x in col)

@@ -6,11 +6,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from xfan import cli, enumerate_pattern, locate, mutate, validate
-from xfan.jsonio import decode_matrix
+from xfan.jsonio import MAX_DIGITS, decode_matrix
 
 B_A3 = {"B": [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]}
 B_KRONECKER = {"B": [[0, 2], [-2, 0]]}
@@ -277,6 +278,87 @@ def test_exit_one_on_deeply_nested_json(argv, stdin):
     assert p.stdout == ""
     assert len(p.stderr.splitlines()) == 1
     assert p.stderr.startswith("xfan: error:")
+    assert len(p.stderr.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "--beta", "[1" * 50000],
+        ["mutate", "--seq", "1," + "x" * 100000],
+        ["fan", "--depth", "x" * 100000],
+        ["ar", "--window", "1_" * 50000],
+    ],
+    ids=["beta", "seq", "depth", "window"],
+)
+def test_malformed_flag_messages_stay_short(tmp_path, capsys, argv):
+    # the message quotes the first 40 characters and the length, not the argument
+    try:
+        code = cli.main([*argv, "--B", _b_file(tmp_path, B_A3)])
+    except SystemExit as exc:  # argparse rejects the flag itself
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200
+    assert len(err.splitlines()) == 1
+    assert "100000 characters" in err
+
+
+def _digits_seed(tmp_path, digits, as_string):
+    big = "9" * digits
+    entry = f'"{big}"' if as_string else big
+    path = tmp_path / "big.json"
+    path.write_text('{"B": [[0, %s], [-%s, 0]]}' % (entry, entry.replace('"', "")))
+    return str(path)
+
+
+@pytest.mark.parametrize("as_string", [True, False], ids=["decimal-string", "json-number"])
+def test_input_digit_bound(tmp_path, as_string):
+    p = _run(["validate", "--B", _digits_seed(tmp_path, MAX_DIGITS, as_string)], timeout=30)
+    assert p.returncode == 0
+    assert json.loads(p.stdout)["d"] == [1, 1]
+    start = time.perf_counter()
+    p = _run(["validate", "--B", _digits_seed(tmp_path, MAX_DIGITS + 1, as_string)], timeout=30)
+    assert time.perf_counter() - start < 1
+    assert p.returncode == 1
+    assert p.stdout == ""
+    assert p.stderr == f"xfan: error: integer of {MAX_DIGITS + 1} digits exceeds the {MAX_DIGITS}-digit input bound\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mutate", "--seq", "1,{}"], ["fan", "--depth", "{}"], ["ar", "--window", "{}"],
+     ["theta", "--beta", "[{},0,0]"], ["normals", "--cvec", "[1,{},0]"]],
+    ids=["seq", "depth", "window", "beta", "cvec"],
+)
+def test_flag_digit_bound(tmp_path, capsys, argv):
+    over = "9" * (MAX_DIGITS + 1)
+    try:
+        code = cli.main([argv[0], argv[1], argv[2].format(over), "--B", _b_file(tmp_path, B_A3)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"integer of {MAX_DIGITS + 1} digits exceeds the {MAX_DIGITS}-digit input bound" in err
+
+
+def test_flag_digit_bound_admits_its_own_length(tmp_path, capsys):
+    # 100,000 digits parse: the direction is out of range, a domain error
+    at = "9" * MAX_DIGITS
+    assert cli.main(["mutate", "--seq", at, "--B", _b_file(tmp_path, B_A3)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "IndexOutOfRange"
+    assert cli.main(["normals", "--cvec", f"[{at},1,0]", "--B", _b_file(tmp_path, B_A3)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "NotARoot"
+
+
+def test_normals_wrong_length_exits_two(tmp_path, capsys):
+    # the same contract as theta's --beta: a DimensionMismatch document
+    assert cli.main(["normals", "--B", _b_file(tmp_path, B_A3), "--cvec", "[1,0]"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "DimensionMismatch",
+        "message": "cvec has length 2, expected 3",
+    }
 
 
 @pytest.mark.parametrize(

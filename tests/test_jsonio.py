@@ -8,6 +8,7 @@ import pytest
 
 from xfan import LaurentPolynomial
 from xfan.jsonio import (
+    MAX_DIGITS,
     SAFE_MAX,
     decode_int,
     decode_job_input,
@@ -18,6 +19,8 @@ from xfan.jsonio import (
     encode_matrix,
     encode_polynomial,
     encode_vector,
+    excerpt,
+    parse_decimal,
 )
 
 
@@ -95,3 +98,27 @@ def test_decode_job_input_strict():
 
 def test_dumps_is_compact_and_sorted():
     assert dumps({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+def test_input_integers_past_the_digit_bound_raise():
+    over = "9" * (MAX_DIGITS + 1)
+    for text in (over, "-" + over):
+        with pytest.raises(ValueError, match=f"integer of {MAX_DIGITS + 1} digits exceeds"):
+            parse_decimal(text)
+        with pytest.raises(ValueError, match=f"integer of {MAX_DIGITS + 1} digits exceeds"):
+            decode_int(text)
+    # a bare JSON number meets the bound in the parser, before any int is built
+    for number in (over, "-" + over):
+        with pytest.raises(ValueError, match="-digit input bound"):
+            decode_job_input('{"B": [[0, %s], [1, 0]]}' % number)
+    # a minus sign is not a digit
+    assert parse_decimal("-" + "1" * 4000) == -int("1" * 4000)
+
+
+def test_excerpt_cuts_long_text():
+    assert excerpt("[1,0]") == "'[1,0]'"
+    assert excerpt("x" * 40) == repr("x" * 40)
+    assert excerpt("[" * 100000) == repr("[" * 40) + "... (100000 characters)"
+    with pytest.raises(ValueError) as exc:
+        parse_decimal("x" * 100000)
+    assert len(str(exc.value)) < 100

@@ -24,6 +24,7 @@ from xfan import pattern
 
 from oracles import (
     f_polynomial_step,
+    g_matrices,
     labelled_enumeration,
     laurent_mul,
     principal_seed_walk,
@@ -178,18 +179,63 @@ def test_c_matrix_determines_seed_truncated():
         _assert_c_determines_b(enumerate_pattern(validate(rows), max_depth=4, with_polynomials=False))
 
 
+def _ct_times(node, g):
+    """C_t^T.g for a g-matrix given as a list of rows."""
+    return [
+        [sum(c * x for c, x in zip(c_col, g_col)) for g_col in zip(*g)] for c_col in zip(*node.C_t.entries)
+    ]
+
+
 def test_duality_and_sign_coherence_random():
+    # duality against the recurrence G of the oracle, not the library's C_t^-T
     rng = random.Random(60446)
     for _ in range(12):
         rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
         cat = enumerate_pattern(validate(rows), max_depth=5, with_polynomials=False)
+        g = g_matrices(rows, [node.history for node in cat.nodes])
+        n = len(rows)
+        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for node in cat.nodes:
-            n = len(rows)
-            prod = node.G_t.mul(node.C_t.transpose())
-            assert prod == IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+            assert _ct_times(node, g[node.history]) == ident
             for j in range(n):
                 col = [node.C_t.at(i, j) for i in range(n)]
                 assert all(x >= 0 for x in col) or all(x <= 0 for x in col)
+
+
+def _assert_g_is_the_recurrence(rows, depth):
+    cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
+    g = g_matrices(rows, [node.history for node in cat.nodes])
+    n = len(rows)
+    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for node in cat.nodes:
+        assert [list(row) for row in node.G_t.entries] == g[node.history], node.history
+        assert _ct_times(node, g[node.history]) == ident
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [
+        (B_A2, None),
+        (B_A3, None),
+        (B_B3, None),
+        (B_C3, None),
+        (B_G2, None),
+        (B_A4, None),
+        (B_D4, None),
+        (B_F4, None),
+        (B_MARKOV, 5),
+    ],
+    ids=["A2", "A3", "B3", "C3", "G2", "A4", "D4", "F4", "Markov"],
+)
+def test_g_matrix_is_the_g_vector_recurrence(rows, depth):
+    _assert_g_is_the_recurrence(rows, depth)
+
+
+def test_g_matrix_is_the_g_vector_recurrence_on_random_seeds():
+    rng = random.Random(31011)
+    for _ in range(20):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        _assert_g_is_the_recurrence(rows, 5)
 
 
 def test_with_polynomials_flag():
@@ -198,17 +244,22 @@ def test_with_polynomials_flag():
 
 
 def test_duality_violation_fires(monkeypatch):
-    good = pattern._mutate_g
+    good = pattern._mutate_c
 
-    def corrupted(*args):
-        g = good(*args)
-        return IntMatrix([[g.at(0, 0) + 1] + list(g.row(0)[1:])] + list(g.entries[1:]))
+    def doubled(node, kk):
+        # still sign coherent, but det C_t doubles: no integral G_t
+        return IntMatrix([[2 * row[0], *row[1:]] for row in good(node, kk).entries])
 
-    monkeypatch.setattr(pattern, "_mutate_g", corrupted)
+    monkeypatch.setattr(pattern, "_mutate_c", doubled)
+    child = mutate_node(initial_node(validate(B_A3), with_polynomials=False), 2)
     with pytest.raises(DualityViolation):
-        mutate_node(initial_node(validate(B_A3), with_polynomials=False), 2)
-    with pytest.raises(DualityViolation):
-        enumerate_pattern(validate(B_A3), with_polynomials=False)
+        child.G_t
+    # enumeration builds no G_t, so only the read raises
+    cat = enumerate_pattern(validate(B_A3), max_depth=1, with_polynomials=False)
+    assert len(cat) == 4 and cat.nodes[0].G_t == IntMatrix.identity(3)
+    for node in cat.nodes[1:]:
+        with pytest.raises(DualityViolation):
+            node.G_t
 
 
 def test_sign_coherence_violation_fires(monkeypatch):
@@ -443,9 +494,9 @@ def test_one_mutation_per_unlabelled_edge(monkeypatch, rows, edges):
     assert len({(node.history, kk) for node, kk in probes}) == len(probes)
     assert len(probes) == seeds * n - (seeds - 1) == edges
     assert len(_labelled_edges(cat, n)) > edges
-    # the checks run once per seed after the root: n columns plus the g step's pivot
+    # the sign check runs once per column of each seed after the root
     assert len(builds) == seeds - 1
-    assert len(signs) == (n + 1) * (seeds - 1)
+    assert len(signs) == n * (seeds - 1)
 
 
 def test_every_node_its_own_seed_mutates_every_labelled_edge(monkeypatch):

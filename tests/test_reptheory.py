@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 
 from xfan import (
+    DimensionMismatch,
     IntMatrix,
     NotARoot,
     NotAcyclic,
@@ -328,7 +329,7 @@ def test_normal_vector_errors():
         normal_vector(data, (1, -1, 0), slices)
     with pytest.raises(NotARoot):
         normal_vector(data, (2, 0, 0), slices)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="cvec has length 2, expected 3"):
         normal_vector(data, (1, 0), slices)
     # without slice data there is nothing to check roots against
     assert normal_vector(data, (2, 0, 0)) == (0, 2, 0)
