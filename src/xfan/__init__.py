@@ -13,7 +13,6 @@ from .cones import (
     build_system,
     canonical_key,
     classify,
-    contains,
     pointed_rays,
 )
 from .errors import (
@@ -64,7 +63,6 @@ from .reptheory import (
 )
 from .seed import (
     ExchangeMatrix,
-    kernel_of_p_star,
     mutate,
     p_star,
     validate,
@@ -107,7 +105,6 @@ __all__ = [
     "build_system",
     "canonical_key",
     "classify",
-    "contains",
     "divide_exact",
     "enumerate_pattern",
     "g_vector",
@@ -115,7 +112,6 @@ __all__ = [
     "initial_node",
     "integer_kernel_basis",
     "kernel_certificates",
-    "kernel_of_p_star",
     "knit",
     "locate",
     "mutate",

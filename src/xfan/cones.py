@@ -20,7 +20,6 @@ from .intmat import (
     Frozen,
     IntMatrix,
     Value,
-    _exact_int,
     identity_rows,
     integer_kernel_basis,
 )
@@ -150,11 +149,6 @@ def classify(A):
     ambient = tuple(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays)
     dim = len(lineality) + len(basis)
     return ConeDescription(A, implicit, strict, facets, dim, lineality, certificates, ambient)
-
-
-def contains(A, beta):
-    """True iff A.beta >= 0 componentwise; a beta of the wrong length raises ValueError."""
-    return all(x >= 0 for x in A.mul_vec(tuple(_exact_int(x) for x in beta)))
 
 
 def canonical_key(desc):

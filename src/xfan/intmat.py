@@ -95,12 +95,6 @@ class IntMatrix(Value):
             raise ValueError("matrix needs at least one row")
         return cls._trusted(identity_rows(n))
 
-    def at(self, i, j):
-        return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.entries)
 
@@ -123,13 +117,6 @@ class IntMatrix(Value):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, r, vec)) for r in self.entries)
-
-    def is_square(self):
-        return self.rows == self.cols
-
-    def rank(self):
-        """Exact rank over the rationals: columns minus the kernel dimension."""
-        return self.cols - len(integer_kernel_basis(self))
 
 
 @lru_cache(maxsize=None)

@@ -27,8 +27,7 @@ k * r1), so packing the factors in a radix R > 2 * (r1 + r2) keeps every
 digit of every term product in range. Exact division of N by D packs
 both in R > 2 * (reach N + reach D).
 
-A single-term divisor divides term by term. Any other divisor runs
-exact division, which takes the lex-largest remainder term t from a heap
+Exact division takes the lex-largest remainder term t from a heap
 (Monagan-Pearce, "Sparse polynomial division using a heap", J. Symb.
 Comp. 2011): O(T log T) comparisons for the T terms that ever enter the
 remainder, on top of the term products. The quotient term t - lead(D)
@@ -83,23 +82,8 @@ class LaurentPolynomial(Value):
         return self
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, nvars, index):
-        """The single variable y_{index+1} as a polynomial."""
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
 
     def sorted_terms(self):
         """Terms as ((exponents, coeff), ...) in ascending lex order."""
@@ -206,9 +190,7 @@ def _exchange(sides, den):
     ``sides`` holds (mono, powers) pairs, powers as `_product` takes them;
     the polynomials are nonzero. One radix serves the whole relation,
     sized from the sides' reach: a product's reach is at most the sum of
-    its factors'. The Newton box of the sum is only built for the heap
-    division, which a single-term den skips. Raises ArithmeticError when
-    den does not divide the sum.
+    its factors'. Raises ArithmeticError when den does not divide the sum.
     """
     reach = max(_reach([mono]) + sum(e * _reach(p._terms) for p, e in powers) for mono, powers in sides)
     layout = _layout(_bits(reach + _reach(den._terms)), den.nvars)
@@ -216,11 +198,7 @@ def _exchange(sides, den):
     total = {}
     for mono, powers in sides:
         total = _add(total, _packed_product(mono, powers, weights))
-    divisor = _pack(den._terms, weights)
-    if len(divisor) == 1:
-        quotient = _divide_by_term(total, divisor)
-    else:
-        quotient = _divide(total, divisor, layout, _newton_box(sides), _box(den._terms))
+    quotient = _divide(total, _pack(den._terms, weights), layout, _newton_box(sides), _box(den._terms))
     return _unpack(quotient, layout, (0,) * den.nvars)
 
 
@@ -352,22 +330,6 @@ def _pow(a, exponent):
         if exponent:
             a = _square(a)
     return {0: 1} if result is None else result
-
-
-def _divide_by_term(num, den):
-    """Exact quotient of a packed term map by a single term, or ArithmeticError.
-
-    Each term divides on its own, and every quotient term lies in the
-    Newton box, so only the coefficient divisions can fail.
-    """
-    ((lead, lead_coeff),) = den.items()
-    quotient = {}
-    for k, c in num.items():
-        q_coeff, rem = divmod(c, lead_coeff)
-        if rem:
-            raise ArithmeticError("polynomials do not divide exactly")
-        quotient[k - lead] = q_coeff
-    return quotient
 
 
 def _divide(num, den, layout, box_n, box_d):

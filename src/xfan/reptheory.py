@@ -142,6 +142,18 @@ def _tits_form_positive(B):
     return True
 
 
+def _components(arrows):
+    """Vertex lists of the connected components of the quiver, each ascending."""
+    parts = []
+    for v, row in enumerate(arrows.entries):
+        linked = {v}.union(w for w, x in enumerate(row) if x)
+        for part in [p for p in parts if linked & p]:
+            parts.remove(part)
+            linked |= part
+        parts.append(linked)
+    return [sorted(part) for part in parts]
+
+
 def knit(data, window=None):
     """Slices of the translation quiver starting from the projectives.
 
@@ -149,9 +161,12 @@ def knit(data, window=None):
     vertex v; the mesh at (m, v) has middles (m, w) for arrows v -> w and
     (m + 1, u) for arrows u -> v, target (m + 1, v), and dimension vectors
     add up across it by construction. With ``window=None`` the quiver must
-    be of Dynkin type and knitting stops at the first slice without module
-    vertices (that slice, already shifted, is kept as the boundary);
-    otherwise exactly ``window`` translation steps are produced.
+    be of Dynkin type, and each connected component stops at its own first
+    slice without module vertices: that slice, already shifted, is kept as
+    the component's boundary, and meshes lie below it. A component with a
+    smaller Coxeter number would otherwise come back to modules shifted
+    by [2]. With a window, exactly ``window`` translation steps are
+    produced.
 
     Raises NotRepresentationFinite when exhaustive knitting is requested
     outside Dynkin type.
@@ -163,6 +178,7 @@ def knit(data, window=None):
                 "exhaustive knitting needs a Dynkin underlying graph; pass a window"
             )
         exhaustive = True
+        components = _components(data.arrows)
     else:
         window = _exact_int(window)
         if window < 0:
@@ -170,17 +186,23 @@ def knit(data, window=None):
         exhaustive = False
     objects = {}
     current = [data.cartan.col(v) for v in range(n)]
+    last = {}  # vertex -> its last slice
     m = 0
     hard_cap = 4 * n * n + 64
     while True:
         for v, dim in enumerate(current):
-            objects[(m, v)] = dim
+            if v not in last:
+                objects[(m, v)] = dim
         if exhaustive:
-            if not any(min(dim) >= 0 for dim in current):
+            for part in components:
+                if part[0] not in last and not any(min(current[v]) >= 0 for v in part):
+                    last.update(dict.fromkeys(part, m))
+            if len(last) == n:
                 break
             if m > hard_cap:
                 raise ConventionViolation("knitting failed to terminate on a Dynkin quiver")
         elif m >= window:
+            last = dict.fromkeys(range(n), m)
             break
         current = [data.coxeter_inv.mul_vec(dim) for dim in current]
         m += 1
@@ -196,6 +218,7 @@ def knit(data, window=None):
         )
         for i in range(m)
         for v in range(n)
+        if i < last[v]
     )
     for mesh in meshes:
         total = [0] * n

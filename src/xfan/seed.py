@@ -54,7 +54,7 @@ def validate(B, d=None):
     """
     if not isinstance(B, IntMatrix):
         B = IntMatrix(B)
-    if not B.is_square():
+    if B.rows != B.cols:
         raise ValueError("exchange matrix must be square")
     n = B.rows
     e = B.entries
@@ -134,13 +134,4 @@ def p_star(em, beta):
     if len(beta) != em.n:
         raise DimensionMismatch(f"beta has length {len(beta)}, expected {em.n}")
     return em.B.mul_vec(beta)
-
-
-def kernel_of_p_star(em):
-    """Saturated primitive basis of ker(B) over the integers.
-
-    Returned as a tuple of row vectors in Hermite normal form; empty when B
-    is invertible.
-    """
-    return integer_kernel_basis(em.B)
 

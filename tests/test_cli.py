@@ -188,6 +188,26 @@ def test_ar_document(tmp_path):
     assert doc["meshes"][0] == {"source": [0, 1], "middles": [[0, 2]], "target": [1, 1]}
 
 
+def test_ar_document_of_a_disconnected_quiver(tmp_path):
+    # A1 + A2: vertex 1 stops at slice 1, vertices 2 and 3 at slice 2, so
+    # P1[2] = tau^-2 P1 on slice 2 is never listed as a module position
+    p = _run(["ar", "--B", _b_file(tmp_path, {"B": [[0, 0, 0], [0, 0, 1], [0, -1, 0]]})])
+    assert p.returncode == 0
+    assert p.stdout == (
+        '{"exhaustive":true,"meshes":['
+        '{"middles":[],"source":[0,1],"target":[1,1]},'
+        '{"middles":[[0,3]],"source":[0,2],"target":[1,2]},'
+        '{"middles":[[1,2]],"source":[0,3],"target":[1,3]},'
+        '{"middles":[[1,3]],"source":[1,2],"target":[2,2]},'
+        '{"middles":[[2,2]],"source":[1,3],"target":[2,3]}],'
+        '"modules":[[0,0,1],[0,1,0],[0,1,1],[1,0,0]],"positions":['
+        '{"dim":[1,0,0],"slice":0,"vertex":1},{"dim":[0,1,0],"slice":0,"vertex":2},'
+        '{"dim":[0,1,1],"slice":0,"vertex":3},{"dim":[-1,0,0],"slice":1,"vertex":1},'
+        '{"dim":[0,0,1],"slice":1,"vertex":2},{"dim":[0,-1,0],"slice":1,"vertex":3},'
+        '{"dim":[0,-1,-1],"slice":2,"vertex":2},{"dim":[0,0,-1],"slice":2,"vertex":3}]}\n'
+    )
+
+
 def test_ar_window(tmp_path):
     p = _run(["ar", "--B", _b_file(tmp_path, B_KRONECKER), "--window", "3"])
     doc = json.loads(p.stdout)

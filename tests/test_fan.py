@@ -15,7 +15,6 @@ from xfan import (
     build_system,
     canonical_key,
     classify,
-    contains,
     enumerate_pattern,
     initial_node,
     locate,
@@ -178,7 +177,7 @@ def test_locate_and_theta_match_labelled_scan(rows, depth):
                 continue
             node, alpha = expected
             assert hit[0] is node and hit[1] == alpha
-            value = LaurentPolynomial.monomial(n, beta)
+            value = LaurentPolynomial(n, {beta: 1})
             for poly, a in zip(polys[node.history], alpha):
                 value = value * poly ** a
             t = theta(beta, catalog)
@@ -360,7 +359,7 @@ def test_extreme_rays_generate_their_cone():
         rays = cone.description.rays
         A = cone.description.A
         for r in rays:
-            assert contains(A, r)
+            assert min(A.mul_vec(r)) >= 0
         for v in cone.description.lineality_basis:
-            assert contains(A, v)
-            assert contains(A, tuple(-x for x in v))
+            assert min(A.mul_vec(v)) >= 0
+            assert min(A.mul_vec(tuple(-x for x in v))) >= 0

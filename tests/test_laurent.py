@@ -45,8 +45,8 @@ def test_wrong_exponent_length_rejected():
 def test_one_zero_variable_helpers():
     one = LaurentPolynomial.one(3)
     assert one.is_one() and not one.is_zero()
-    assert LaurentPolynomial.zero(3).is_zero()
-    y2 = LaurentPolynomial.variable(3, 1)
+    assert LaurentPolynomial(3).is_zero()
+    y2 = LaurentPolynomial(3, {(0, 1, 0): 1})
     assert y2.sorted_terms() == (((0, 1, 0), 1),)
 
 
@@ -60,12 +60,12 @@ def test_ring_axioms_randomized():
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
-        assert a - a == LaurentPolynomial.zero(nvars)
+        assert a - a == LaurentPolynomial(nvars)
         assert a * LaurentPolynomial.one(nvars) == a
 
 
 def test_pow():
-    y = LaurentPolynomial.variable(1, 0)
+    y = _poly(1, {(1,): 1})
     p = y + LaurentPolynomial.one(1)
     assert p ** 0 == LaurentPolynomial.one(1)
     assert p ** 3 == p * p * p
@@ -96,14 +96,14 @@ def test_divide_exact_roundtrip():
 
 
 def test_divide_exact_rejects_inexact():
-    y = LaurentPolynomial.variable(1, 0)
+    y = _poly(1, {(1,): 1})
     one = LaurentPolynomial.one(1)
     with pytest.raises(ArithmeticError):
         divide_exact(y + one, y - one)
     with pytest.raises(ArithmeticError):  # a single-term divisor whose coefficient does not divide
         divide_exact(y + _poly(1, {(0,): 3}), _poly(1, {(1,): 2}))
     with pytest.raises(ZeroDivisionError):
-        divide_exact(y, LaurentPolynomial.zero(1))
+        divide_exact(y, LaurentPolynomial(1))
 
 
 def test_divide_exact_rejects_mismatched_variable_counts():
@@ -144,7 +144,7 @@ def test_divide_exact_stops_at_lex_bound(monkeypatch):
 def test_divide_exact_laurent_monomial_shift():
     # dividing by a pure monomial shifts exponents, possibly below zero
     p = _poly(1, {(2,): 1, (1,): 1})
-    q = divide_exact(p, LaurentPolynomial.monomial(1, (3,)))
+    q = divide_exact(p, _poly(1, {(3,): 1}))
     assert q.sorted_terms() == (((-2,), 1), ((-1,), 1))
 
 
@@ -152,6 +152,26 @@ def test_hash_consistent_with_eq():
     a = _poly(2, {(1, 1): 2})
     b = _poly(2, [((1, 1), 1), ((1, 1), 1)])
     assert a == b and hash(a) == hash(b)
+
+
+def _one_term(rng, nvars, spread=2):
+    """One term with exponents near 0 or +-spread and coefficient +-1 or +-3."""
+    exps = tuple(rng.choice((0, spread, -spread)) + rng.randint(-2, 2) for _ in range(nvars))
+    return _poly(nvars, {exps: rng.choice((-3, -1, 1, 3))})
+
+
+def _check_one_term_division(num, den):
+    """divide_exact by the one-term den agrees with the oracle; True iff exact."""
+    try:
+        expected = laurent_divide_exact(dict(num._terms), dict(den._terms))
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            divide_exact(num, den)
+        return False
+    q = divide_exact(num, den)
+    assert q._terms == expected
+    _assert_clean(q)
+    return True
 
 
 def _assert_clean(p):
@@ -164,6 +184,7 @@ def _assert_clean(p):
 def test_kernel_matches_dict_oracle():
     rng = random.Random(31337)
     inexact = 0
+    one_term = {True: 0, False: 0}
     for _ in range(80):
         nvars = rng.randint(1, 4)
         a = _random_poly(rng, nvars, allow_negative=True)
@@ -179,6 +200,10 @@ def test_kernel_matches_dict_oracle():
             power = a ** k
             assert dict(power.sorted_terms()) == laurent_pow(ta, k, nvars)
             _assert_clean(power)
+        m = _one_term(rng, nvars)
+        assert _check_one_term_division(a * m, m)
+        assert divide_exact(a * m, m) == a
+        one_term[_check_one_term_division(total, m)] += 1
         if not tb:
             continue
         q = divide_exact(prod, b)
@@ -193,6 +218,7 @@ def test_kernel_matches_dict_oracle():
         else:
             assert dict(divide_exact(total, b).sorted_terms()) == expected
     assert inexact > 30
+    assert min(one_term.values()) > 20
 
 
 def _wide_poly(rng, nvars, spread):
@@ -208,6 +234,7 @@ def _wide_poly(rng, nvars, spread):
 def test_kernels_match_oracles_up_to_six_variables(spread):
     # 10**20 needs digits wider than one 30-bit machine digit of a Python int
     rng = random.Random(2718 + spread % 1000)
+    exact = {True: 0, False: 0}  # one-term divisions of a
     for nvars in range(1, 7):
         for _ in range(6):
             a, b = _wide_poly(rng, nvars, spread), _wide_poly(rng, nvars, spread)
@@ -221,6 +248,11 @@ def test_kernels_match_oracles_up_to_six_variables(spread):
             assert q == a and q._terms == laurent_divide_exact(prod._terms, tb)
             for p in (prod, a * a, a ** 3, q):
                 _assert_clean(p)
+            m = _one_term(rng, nvars, spread)
+            assert _check_one_term_division(a * m, m)
+            assert divide_exact(a * m, m) == a
+            exact[_check_one_term_division(a, m)] += 1
+    assert min(exact.values()) > 5
 
 
 @pytest.mark.parametrize("reach", [0, 1, 2, 3, 4, 7, 8, 2**29, 2**30, 10**20])

@@ -198,7 +198,7 @@ def test_duality_and_sign_coherence_random():
         for node in cat.nodes:
             assert _ct_times(node, g[node.history]) == ident
             for j in range(n):
-                col = [node.C_t.at(i, j) for i in range(n)]
+                col = [node.C_t.entries[i][j] for i in range(n)]
                 assert all(x >= 0 for x in col) or all(x <= 0 for x in col)
 
 
@@ -380,6 +380,40 @@ def test_positive_c_vectors_match_scan_of_all_nodes(rows, depth):
 def test_seeds_are_the_first_nodes_in_order(rows, depth):
     cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
     assert cat.seeds == tuple(dict.fromkeys(node.seed for node in cat.nodes))
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _assert_b_t_closed_form(rows, depth):
+    """B_t = C_t^T.B.(D^-1.C_t.D) on every labelled node, the conjugation exact."""
+    em = validate(rows)
+    d = em.d
+    cat = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
+    for node in cat.nodes:
+        c = node.C_t.entries
+        assert all(x * d[j] % d[i] == 0 for i, row in enumerate(c) for j, x in enumerate(row))
+        conj = [[x * d[j] // d[i] for j, x in enumerate(row)] for i, row in enumerate(c)]
+        b_t = _matmul(_matmul(list(zip(*c)), rows), conj)
+        assert b_t == [list(row) for row in node.B_t.B.entries], node.history
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    CATALOGS + [(B_C3, None), (B_F4, None)],
+    ids=["A2", "B2", "G2", "Kronecker", "A3", "B3", "A4", "D4", "Markov", "C3", "F4"],
+)
+def test_b_t_is_the_closed_form_of_c_t(rows, depth):
+    # the premise of keying a seed by the columns of C_t
+    _assert_b_t_closed_form(rows, depth)
+
+
+def test_b_t_is_the_closed_form_of_c_t_on_random_seeds():
+    rng = random.Random(5151)
+    for _ in range(20):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
+        _assert_b_t_closed_form(rows, 4)
 
 
 @pytest.mark.parametrize(
