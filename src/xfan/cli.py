@@ -30,11 +30,9 @@ from .jsonio import (
     excerpt,
     parse_decimal,
 )
-from .pattern import DEFAULT_DEPTH, _walk, enumerate_pattern
+from .pattern import DEFAULT_DEPTH, NODE_CAP, _walk, enumerate_pattern
 from .reptheory import kernel_certificates, knit, normal_vector, path_algebra_data
 from .seed import mutate, validate
-
-EXHAUSTIVE_CAP = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +88,7 @@ def _enumerate(em, args):
         em,
         max_depth=None if args.exhaustive else args.depth,
         with_polynomials=False,
-        node_cap=EXHAUSTIVE_CAP,
+        node_cap=NODE_CAP,
     )
 
 
@@ -268,12 +266,12 @@ def _build_parser():
             "--depth",
             type=_parse_int,
             default=DEFAULT_DEPTH,
-            help=f"BFS depth bound; exit 3 past {EXHAUSTIVE_CAP} labelled nodes",
+            help=f"BFS depth bound; exit 3 past {NODE_CAP} labelled nodes",
         )
         p.add_argument(
             "--exhaustive",
             action="store_true",
-            help=f"ignore --depth; exit 3 past {EXHAUSTIVE_CAP} labelled nodes or on infinite type",
+            help=f"ignore --depth; exit 3 past {NODE_CAP} labelled nodes or on infinite type",
         )
 
     command("validate", _cmd_validate, "check skew-symmetrizability, report d")

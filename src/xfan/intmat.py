@@ -189,8 +189,13 @@ def integer_kernel_basis(matrix):
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
     m = matrix.rows
+    return tuple(row[m:] for row in _augmented_hnf(matrix) if not any(row[:m]))
+
+
+def _augmented_hnf(matrix):
+    """``hnf_rows`` of [M^T | I] for the ``IntMatrix`` M, I of order M.cols."""
     aug = tuple(col + e for col, e in zip(zip(*matrix.entries), identity_rows(matrix.cols)))
-    return tuple(row[m:] for row in hnf_rows(IntMatrix._trusted(aug)) if not any(row[:m]))
+    return hnf_rows(IntMatrix._trusted(aug))
 
 
 def primitive_vector(vec):

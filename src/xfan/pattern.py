@@ -37,11 +37,12 @@ from functools import lru_cache
 from itertools import chain
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
-from .intmat import Frozen, IntMatrix, _exact_int, hnf_rows, identity_rows
+from .intmat import Frozen, IntMatrix, _augmented_hnf, _exact_int, identity_rows
 from .laurent import LaurentPolynomial, _exchange
 from .seed import ExchangeMatrix, mutate, mutate_rows
 
 DEFAULT_DEPTH = 12
+NODE_CAP = 10**6
 
 
 class PatternNode(Frozen):
@@ -69,7 +70,16 @@ class PatternNode(Frozen):
 
     @property
     def G_t(self):
-        return _g_matrix(self.C_t, self.history)
+        """The right block of the Hermite normal form of [C_t^T | I].
+
+        Its left block is I when C_t is unimodular, as tropical duality
+        guarantees; any other raises DualityViolation, an implementation bug.
+        """
+        n = self.B_t.n
+        form = _augmented_hnf(self.C_t)
+        if tuple(row[:n] for row in form) != identity_rows(n):
+            raise DualityViolation(f"c-matrix at history {self.history} is not unimodular")
+        return IntMatrix._trusted(tuple(row[n:] for row in form))
 
     def __repr__(self):
         return f"PatternNode(history={self.history})"
@@ -82,8 +92,9 @@ class RelabelledNode(Frozen):
     (direction j, 0-based, of this node is direction perm[j] of the seed)
     and ``history``. The PatternNode fields ``B_t``, ``C_t``, ``G_t`` and
     ``F_t`` are the seed's, permuted when read: relabelling permutes the
-    rows and columns of B_t, the columns of C_t and G_t and the entries of
-    F_t, and keeps d.
+    rows and columns of B_t, the columns of C_t and G_t, since
+    (C.P)^-T = C^-T.P for a permutation matrix P, and the entries of F_t,
+    and keeps d. So a DualityViolation names the seed's history.
     """
 
     __slots__ = ("seed", "perm", "history")
@@ -102,7 +113,7 @@ class RelabelledNode(Frozen):
 
     @property
     def G_t(self):
-        return _g_matrix(self.C_t, self.history)
+        return _permute_columns(self.seed.G_t, self.perm)
 
     @property
     def F_t(self):
@@ -121,21 +132,6 @@ def _identity(n):
 def _permute_columns(matrix, perm):
     """Column j of the result is column perm[j] of the matrix."""
     return IntMatrix._trusted(tuple(tuple(map(row.__getitem__, perm)) for row in matrix.entries))
-
-
-def _g_matrix(c_matrix, history):
-    """G_t = (C_t^T)^-1, the right block of the Hermite normal form of [C_t^T | I].
-
-    The left block of the form is I exactly when C_t is unimodular, which
-    tropical duality guarantees; any other left block raises
-    DualityViolation, an implementation bug.
-    """
-    n = c_matrix.rows
-    aug = tuple(col + e for col, e in zip(zip(*c_matrix.entries), identity_rows(n)))
-    form = hnf_rows(IntMatrix._trusted(aug))
-    if tuple(row[:n] for row in form) != identity_rows(n):
-        raise DualityViolation(f"c-matrix at history {history} is not unimodular")
-    return IntMatrix._trusted(tuple(row[n:] for row in form))
 
 
 class PatternCatalog(Frozen):
@@ -282,7 +278,7 @@ def _seed_graph(root, max_depth, node_cap):
             seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), new_c))
             parents.append(s)
             out.append((t, ident))
-            if node_cap is not None and len(seeds) > node_cap:
+            if len(seeds) > node_cap:
                 raise ExhaustionCapExceeded(_cap_message(node_cap))
         edges.append(tuple(out))
     return seeds, edges
@@ -296,7 +292,7 @@ def enumerate_pattern(
     em,
     max_depth=DEFAULT_DEPTH,
     with_polynomials=True,
-    node_cap=None,
+    node_cap=NODE_CAP,
 ):
     """BFS over the labelled mutation tree, deduplicating nodes on C_t.
 
@@ -307,10 +303,11 @@ def enumerate_pattern(
     skipped; ties among directions break by ascending index, so the
     catalog order is deterministic.
 
-    ``max_depth`` of None removes the depth bound (pair it with
-    ``node_cap``); a visited B_t with b_ij.b_ji <= -4 then raises
-    ExhaustionCapExceeded with reason "infinite_type". The cap raises it
-    as soon as the catalog reaches node_cap + 1 nodes, root included.
+    ``max_depth`` of None removes the depth bound; a visited B_t with
+    b_ij.b_ji <= -4 then raises ExhaustionCapExceeded with reason
+    "infinite_type". Every walk has a cap: ``node_cap``, a positive int
+    (default NODE_CAP = 10**6), raises it as soon as the catalog reaches
+    node_cap + 1 nodes, root included.
 
     Returns a PatternCatalog whose ``complete`` flag is set only when a
     frontier emptied before the depth bound, meaning every seed was seen.
@@ -321,10 +318,9 @@ def enumerate_pattern(
         max_depth = _exact_int(max_depth)
         if max_depth < 0:
             raise ValueError("max_depth must be nonnegative or None")
-    if node_cap is not None:
-        node_cap = _exact_int(node_cap)
-        if node_cap < 1:
-            raise ValueError("node_cap must be positive or None")
+    if node_cap is None or _exact_int(node_cap) < 1:
+        raise ValueError("node_cap must be positive")
+    node_cap = _exact_int(node_cap)
     root = initial_node(em, with_polynomials=with_polynomials)
     seeds, edges = _seed_graph(root, max_depth, node_cap)
     n = em.n
@@ -360,7 +356,7 @@ def enumerate_pattern(
                 nodes.append(child)
                 next_frontier.append(child)
                 next_numbers.append(t)
-                if node_cap is not None and len(nodes) > node_cap:
+                if len(nodes) > node_cap:
                     raise ExhaustionCapExceeded(_cap_message(node_cap))
         frontier, numbers = next_frontier, next_numbers
     return PatternCatalog(em, tuple(nodes), depth, not frontier, tuple(seeds))

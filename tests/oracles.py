@@ -401,7 +401,9 @@ def laurent_divide_exact(numerator, denominator):
     Term-order division against the lex-largest denominator term, taking
     the lex-largest remainder term by a full scan at every step. Raises
     ArithmeticError on a nonintegral coefficient quotient or after more
-    steps than an exact quotient can take.
+    steps than its budget of 4(|N|+1)(|D|+1)+1000. The budget, not a
+    Newton box, stops it, so it stays a route independent of
+    ``laurent._divide``; its callers keep their quotients within it.
     """
     if not numerator:
         return {}
@@ -454,6 +456,22 @@ def f_polynomial_step(fpolys, b_rows, c_column, k):
     out = list(fpolys)
     out[k] = laurent_divide_exact(total, fpolys[k])
     return out
+
+
+def tropical_mutation(b_rows, k, beta):
+    """T_k(beta) for the exchange matrix B, k 0-based.
+
+    Every beta_j with j != k stays, and
+    beta'_k = -beta_k + min(sum_j [b_kj]_+ beta_j, sum_j [-b_kj]_+ beta_j),
+    the tropical mutation that carries the cones of B to those of mu_k(B)
+    (GHKK, arXiv:1411.1394).
+    """
+    row = b_rows[k]
+    up = sum(max(b, 0) * x for b, x in zip(row, beta))
+    down = sum(max(-b, 0) * x for b, x in zip(row, beta))
+    out = list(beta)
+    out[k] = -beta[k] + min(up, down)
+    return tuple(out)
 
 
 def locate_labelled(beta, catalog):

@@ -490,7 +490,7 @@ def test_exit_three_on_exhaustion(tmp_path):
         [
             sys.executable,
             "-c",
-            "import sys, xfan.cli as cli; cli.EXHAUSTIVE_CAP = 120;"
+            "import sys, xfan.cli as cli; cli.NODE_CAP = 120;"
             " sys.exit(cli.main(['fan', '--B', sys.argv[1], '--exhaustive']))",
             b,
         ],
@@ -506,7 +506,7 @@ def test_exit_three_on_exhaustion(tmp_path):
 
 def test_exit_three_at_the_cap_without_exhaustive(tmp_path, monkeypatch, capsys):
     # Markov at depth 5 has 1 + 3(2^5 - 1) = 94 labelled nodes
-    monkeypatch.setattr(cli, "EXHAUSTIVE_CAP", 20)
+    monkeypatch.setattr(cli, "NODE_CAP", 20)
     assert cli.main(["fan", "--B", _b_file(tmp_path, B_MARKOV), "--depth", "5"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert sorted(doc) == ["error", "message"]

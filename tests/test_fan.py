@@ -18,11 +18,18 @@ from xfan import (
     enumerate_pattern,
     initial_node,
     locate,
+    mutate,
     theta,
     validate,
 )
 
-from oracles import laurent_mul, laurent_pow, locate_labelled, random_skew_symmetrizable
+from oracles import (
+    laurent_mul,
+    laurent_pow,
+    locate_labelled,
+    random_skew_symmetrizable,
+    tropical_mutation,
+)
 
 B_A2 = [[0, 1], [-1, 0]]
 B_B2 = [[0, 1], [-2, 0]]
@@ -34,6 +41,7 @@ B_C3 = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 B_A4 = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 B_D4 = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 B_MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+B_CYCLE = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 
 
 def _a3_catalog():
@@ -363,3 +371,31 @@ def test_extreme_rays_generate_their_cone():
         for v in cone.description.lineality_basis:
             assert min(A.mul_vec(v)) >= 0
             assert min(A.mul_vec(tuple(-x for x in v))) >= 0
+
+
+def _complete_fan(em):
+    return assemble_fan(enumerate_pattern(em, max_depth=None, with_polynomials=False)).cones
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [B_A2, B_B2, B_G2, B_A3, B_CYCLE, B_B3, B_C3, B_D4],
+    ids=["A2", "B2", "G2", "A3", "cycle", "B3", "C3", "D4"],
+)
+def test_tropical_mutation_carries_cones_to_cones(rows):
+    # T_k maps the relative interior of each cone of B into that of one
+    # cone of mu_k(B), of the same dimension, and this is a bijection
+    em = validate(rows)
+    cones = _complete_fan(em)
+    for k in range(em.n):
+        mutated = _complete_fan(mutate(em, k + 1))
+        images = []
+        for cone in cones:
+            point = tuple(map(sum, zip(*cone.description.rays))) or (0,) * em.n
+            image = tropical_mutation(rows, k, point)
+            holders = [c for c in mutated if min(c.description.A.mul_vec(image)) >= 0]
+            smallest = min(c.dim for c in holders)
+            (target,) = [c for c in holders if c.dim == smallest]
+            assert target.dim == cone.dim, (k, cone.key)
+            images.append(target.key)
+        assert len(set(images)) == len(images) == len(mutated)

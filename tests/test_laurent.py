@@ -117,9 +117,9 @@ def test_divide_exact_rejects_mismatched_variable_counts():
             num * den
 
 
-def test_divide_exact_stops_at_lex_bound(monkeypatch):
+def test_divide_exact_stops_when_a_quotient_term_leaves_the_box(monkeypatch):
     # leading coefficients +-1 keep every coefficient division integral, so
-    # only the lex lower bound of the quotient stops these descents early
+    # only the Newton box of the quotient stops these descents early
     pops = []
     real_pop = laurent.heappop
 
@@ -139,6 +139,25 @@ def test_divide_exact_stops_at_lex_bound(monkeypatch):
         with pytest.raises(ArithmeticError):
             divide_exact(_poly(nvars, num), _poly(nvars, den))
         assert 0 < len(pops) <= 5
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ({(0,): 1, (1037,): -1}, {(0,): 1, (1,): -1}),
+        ({(0,): 1, (2000,): -1}, {(0,): 1, (1,): -1}),
+        ({(0, 0): 1, (1100, 1100): -1}, {(0, 0): 1, (1, 1): -1}),
+    ],
+    ids=["y^1037", "y^2000", "(y1y2)^1100"],
+)
+def test_divide_exact_long_geometric_quotients(num, den):
+    # k quotient terms from a two-term N and D: no step budget in |N| and
+    # |D| alone admits every k
+    nvars = len(next(iter(num)))
+    q = divide_exact(_poly(nvars, num), _poly(nvars, den))
+    k = max(max(e) for e in num)
+    assert len(q.sorted_terms()) == k
+    assert laurent_mul(dict(q.sorted_terms()), den) == num
 
 
 def test_divide_exact_laurent_monomial_shift():

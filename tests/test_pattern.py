@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -326,15 +327,22 @@ def test_node_cap_exhaustion(monkeypatch):
 
 
 def test_node_cap_below_one_rejected():
+    # every walk has a cap, so None is rejected too
     em = validate(B_A2)
-    for cap in (0, -1):
+    for cap in (0, -1, None):
         for depth in (0, 1, None):
-            with pytest.raises(ValueError, match="^node_cap must be positive or None$"):
+            with pytest.raises(ValueError, match="^node_cap must be positive$"):
                 enumerate_pattern(em, max_depth=depth, node_cap=cap)
     # the root alone fits under a cap of one; its first child does not
     assert len(enumerate_pattern(em, max_depth=0, node_cap=1)) == 1
     with pytest.raises(ExhaustionCapExceeded):
         enumerate_pattern(em, max_depth=1, node_cap=1)
+
+
+def test_node_cap_defaults_to_the_one_cap():
+    assert pattern.NODE_CAP == 10**6
+    default = inspect.signature(enumerate_pattern).parameters["node_cap"].default
+    assert default is pattern.NODE_CAP
 
 
 def test_raw_matrix_rejected():
