@@ -5,13 +5,16 @@ for standard input), compute, print a single JSON document on standard
 output. Exit codes: 0 success, 1 malformed input, 2 domain errors (the
 document then describes the error), 3 when an enumeration gives up at
 the node cap or, with --exhaustive and reason "infinite_type", at a seed
-of infinite type.
+of infinite type, and with reason "out_of_memory" when a job runs out of
+memory. An exit-1 message cuts each quoted text, and each other run of
+more than 40 non-blank characters, to its first 40 and its length.
 Directions in --seq and all row/column indices in reports are 1-based.
 Enumeration is single-threaded.
 """
 
 import argparse
 import json
+import re
 import sys
 
 from .cones import build_system, classify
@@ -35,11 +38,40 @@ from .reptheory import kernel_certificates, knit, normal_vector, path_algebra_da
 from .seed import mutate, validate
 
 
+# a quoted text, or a run of characters other than blanks and quotes, of more than 40 characters
+_LONG_RUN = re.compile(r"(['\"])([^'\"\n]{41,})\1|[^\s'\"]{41,}")
+
+
+def _shorten(message):
+    """The message with each long run cut to its first 40 characters and its length."""
+    return _LONG_RUN.sub(_cut_run, message)
+
+
+def _cut_run(match):
+    quote, run = match[1] or "", match[2] or match[0]
+    return f"{quote}{run[:40]}{quote}... ({len(run)} characters)"
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; the contract wants 1."""
+    """argparse exits with status 2 on bad flags; the contract wants 1.
+
+    An argument that argparse echoes whole is quoted, so that ``_shorten``
+    cuts it, blanks included; the ones echoed here are cut already.
+    """
 
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {_shorten(message)}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(map(excerpt, extras))}")
+        return args
+
+    def _check_value(self, action, value):
+        # argparse would list every command, which takes a line past 200 bytes
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {excerpt(value)} (see xfan --help)")
 
 
 def _parse_int(text):
@@ -78,7 +110,7 @@ def _load_exchange(path):
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise ValueError(f"cannot read {path}: {exc}") from None
+            raise ValueError(f"cannot read {excerpt(path)}: {exc.strerror}") from None
     b_rows, d_vec = decode_job_input(text)
     return validate(b_rows, d_vec)
 
@@ -336,7 +368,7 @@ def _main(argv):
     args = parser.parse_args(argv)
     try:
         em = _load_exchange(args.B)
-        doc = args.handler(em, args)
+        text = dumps(args.handler(em, args))
     except XfanError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         if exc.reason is not None:
@@ -344,9 +376,15 @@ def _main(argv):
         print(dumps(doc))
         return 3 if isinstance(exc, ExhaustionCapExceeded) else 2
     except ValueError as exc:
-        print(f"xfan: error: {exc}", file=sys.stderr)
+        print(f"xfan: error: {_shorten(str(exc))}", file=sys.stderr)
         return 1
-    print(dumps(doc))
+    except MemoryError:  # the backstop behind the caps, reported once the job's objects are freed
+        text = None
+    if text is None:
+        doc = {"error": "ExhaustionCapExceeded", "message": "the job ran out of memory", "reason": "out_of_memory"}
+        print(dumps(doc))
+        return 3
+    print(text)
     return 0
 
 

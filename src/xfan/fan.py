@@ -1,12 +1,12 @@
 """Assembly of the cone complex and theta functions on its integral points.
 
-The first node of every seed contributes one row matrix; row matrices
-describing the same point set merge under the canonical key, and each
-merged cone remembers every witnessing node history. Theta evaluation
-picks the first BFS witness containing the point (any witness gives the
-same value, which the tests check) and expands y^beta times the product
-of coefficient polynomials raised to the tropical exponents. It reads F
-at the witness only, so a catalog without F replays that one history.
+Every seed contributes one row matrix; row matrices describing the same
+point set merge under the canonical key, and each merged cone remembers
+every witnessing node history. Theta evaluation picks the first BFS
+witness containing the point (any witness gives the same value, which
+the tests check) and expands y^beta times the product of coefficient
+polynomials raised to the tropical exponents. It reads F at the witness
+only, so a catalog without F replays that one history.
 """
 
 from operator import mul
@@ -52,14 +52,14 @@ def assemble_fan(catalog):
 
     A cone depends only on the set of c-vectors, so nodes sharing a seed
     share a cone and only ``catalog.seeds`` are classified. The first node
-    of every cone is the first node of its seed, so its description is the
-    one kept.
+    of every cone is the first node of its first seed, so that seed's
+    description is the one kept.
     """
     merged = {}
     cone_of_seed = {}
     for node in catalog.seeds:
         desc = classify(build_system(node, catalog.root))
-        key = cone_of_seed[node.seed] = canonical_key(desc)
+        key = cone_of_seed[node] = canonical_key(desc)
         merged.setdefault(key, (desc, []))
     for node in catalog.nodes:
         merged[cone_of_seed[node.seed]][1].append(node.history)
@@ -68,12 +68,13 @@ def assemble_fan(catalog):
 
 
 def locate(beta, catalog):
-    """First BFS node whose cone contains beta, with the exponent vector.
+    """First BFS seed whose cone contains beta, with the exponent vector.
 
-    Returns (node, alpha) where alpha = C_t^T.B.beta, or None when no
-    visited cone contains beta. Nodes sharing a seed share a cone, and
-    the first hit is the first node of its seed, so only ``catalog.seeds``
-    are tested.
+    Returns (seed, alpha) where alpha = C_t^T.B.beta, or None when no
+    visited cone contains beta; the seed is in ``catalog.seeds``, not in
+    ``catalog.nodes``. Nodes sharing a seed share a cone, and a seed's
+    first labelled node has its history and the identity labelling, so
+    only ``catalog.seeds`` are tested.
     """
     image = p_star(catalog.root, beta)
     for node in catalog.seeds:
@@ -86,14 +87,14 @@ def locate(beta, catalog):
 def theta(beta, catalog):
     """The theta function at an integral point of the visited complex.
 
-    Value: y^beta times the product over i of F_i^alpha_i at the witness
-    seed; a catalog without F rebuilds it along the witness's history (F
-    never steers the BFS). `laurent._product` packs the F_i with
-    alpha_i > 0 once and unpacks the value once, moved by beta, so the
-    size of beta never widens the radix. Raises NotInVisitedComplex when
-    no visited cone contains beta; the reason distinguishes a complete
-    catalog (the point is genuinely outside the complex's support) from a
-    truncated one.
+    Value: y^beta times the product over i of F_i^alpha_i at the seed
+    ``locate`` returns, whose history is the witness; a catalog without F
+    rebuilds F along it (F never steers the BFS). `laurent._product`
+    packs the F_i with alpha_i > 0 once and unpacks the value once, moved
+    by beta, so the size of beta never widens the radix. Raises
+    NotInVisitedComplex when no visited cone contains beta; the reason
+    distinguishes a complete catalog (the point is genuinely outside the
+    complex's support) from a truncated one.
     """
     beta = tuple(_exact_int(x) for x in beta)
     hit = locate(beta, catalog)

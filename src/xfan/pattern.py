@@ -22,15 +22,16 @@ unlabelled seed, and relabelling the directions permutes the columns of
 C_t and G_t, the rows and columns of B_t, and the entries of F_t, while
 d stays put.
 
-A labelled node is therefore a seed plus a column permutation. The first
-node of a seed, a PatternNode, holds the matrices; every other node, a
-RelabelledNode, holds that first node, a permutation and its history,
-and builds its matrices by permutation when they are read. The seed
-pass of the enumeration mutates, with every check, once per edge (seed,
-direction) but the edge from a new seed back to its parent, free as
-mutation is an involution. The cover pass walks the labellings: mutating
-a labelled node in direction k is mutating its seed in the permuted
-direction, then relabelling, so it only composes permutations.
+A labelled node is therefore a seed plus a column permutation. A seed, a
+PatternNode, holds the matrices; a labelled node, a RelabelledNode,
+holds its seed, a permutation and its history, and builds its matrices
+by permutation when they are read. The seed pass of the enumeration
+mutates, with every check, once per edge (seed, direction) but the edge
+from a new seed back to its parent, free as mutation is an involution.
+The cover pass walks the labellings and builds every labelled node, the
+root's identity labelling included: mutating a labelled node in
+direction k is mutating its seed in the permuted direction, then
+relabelling, so it only composes permutations.
 """
 
 from functools import lru_cache
@@ -46,27 +47,18 @@ NODE_CAP = 10**6
 
 
 class PatternNode(Frozen):
-    """The first labelled node of a seed, which holds the seed's matrices.
+    """A seed, which holds its matrices in its own labelling.
 
     Fields: ``B_t`` (ExchangeMatrix), ``C_t`` (c-matrix, initial -B^T
     pattern), ``F_t`` (tuple of LaurentPolynomials, or None when
     polynomial tracking was disabled) and ``history`` (1-based directions
-    from the root). C_t determines the rest of the seed: the c-matrix of
-    the B pattern is D^-1.C_t.D, and the property ``G_t`` (g-matrix,
-    initial B pattern) is (C_t^T)^-1. As for a RelabelledNode, ``seed`` is
-    the seed's first node, here the node itself, and ``perm`` its
-    labelling, here the identity.
+    from the root along which the seed was first reached). C_t determines
+    the rest of the seed: the c-matrix of the B pattern is D^-1.C_t.D,
+    and the property ``G_t`` (g-matrix, initial B pattern) is
+    (C_t^T)^-1. A catalog's labelled nodes are RelabelledNodes over it.
     """
 
     __slots__ = ("B_t", "C_t", "F_t", "history")
-
-    @property
-    def seed(self):
-        return self
-
-    @property
-    def perm(self):
-        return _identity(self.B_t.n)
 
     @property
     def G_t(self):
@@ -86,15 +78,16 @@ class PatternNode(Frozen):
 
 
 class RelabelledNode(Frozen):
-    """A labelled node other than the first of its seed.
+    """A labelled node: a seed read through a permutation of its directions.
 
-    Slots: ``seed`` (the seed's first node, a PatternNode), ``perm``
-    (direction j, 0-based, of this node is direction perm[j] of the seed)
-    and ``history``. The PatternNode fields ``B_t``, ``C_t``, ``G_t`` and
-    ``F_t`` are the seed's, permuted when read: relabelling permutes the
-    rows and columns of B_t, the columns of C_t and G_t, since
-    (C.P)^-T = C^-T.P for a permutation matrix P, and the entries of F_t,
-    and keeps d. So a DualityViolation names the seed's history.
+    Slots: ``seed`` (a PatternNode), ``perm`` (direction j, 0-based, of
+    this node is direction perm[j] of the seed; the identity for the
+    seed's own labelling) and ``history``. The PatternNode fields
+    ``B_t``, ``C_t``, ``G_t`` and ``F_t`` are the seed's, permuted when
+    read: relabelling permutes the rows and columns of B_t, the columns of
+    C_t and G_t, since (C.P)^-T = C^-T.P for a permutation matrix P, and
+    the entries of F_t, and keeps d. So a DualityViolation names the
+    seed's history.
     """
 
     __slots__ = ("seed", "perm", "history")
@@ -137,9 +130,12 @@ def _permute_columns(matrix, perm):
 class PatternCatalog(Frozen):
     """All visited nodes of one bounded traversal, in BFS order.
 
-    ``seeds`` holds the first node of each seed (the ``seed`` of its
-    nodes), in BFS order: the one node per unlabelled seed that cone
-    classification and point location look at.
+    ``nodes`` holds the labelled nodes, every one a RelabelledNode, the
+    root's identity labelling first. ``seeds`` holds the seeds, the
+    PatternNodes those nodes read, in BFS order: the one object per
+    unlabelled seed that cone classification and point location look at.
+    A seed's history is that of its first labelled node, whose ``perm``
+    is the identity.
     """
 
     __slots__ = ("root", "nodes", "depth", "complete", "seeds")
@@ -238,14 +234,14 @@ def _mutate_f(polys, b, column, kk, n):
 def _seed_graph(root, max_depth, node_cap):
     """The seed pass: seeds up to max_depth in BFS order, and their edges.
 
-    seeds[s] is the first node of seed s, in the identity labelling;
+    seeds[s] is seed s, a PatternNode in its own labelling;
     edges[s][j] = (t, tau) says seed s mutated in direction j (0-based) is
     seed t relabelled by tau, for every seed above the depth bound.
     Without a depth bound, a B_t with b_ij.b_ji <= -4 ends the walk: it
     makes the exchange graph infinite (Fomin-Zelevinsky II, Thm 1.8).
     """
     n = root.B_t.n
-    ident = root.perm
+    ident = _identity(n)
 
     def key(cols):  # the set of columns of C_t, as a sorted flat tuple
         return tuple(chain.from_iterable(sorted(cols)))
@@ -309,8 +305,9 @@ def enumerate_pattern(
     (default NODE_CAP = 10**6), raises it as soon as the catalog reaches
     node_cap + 1 nodes, root included.
 
-    Returns a PatternCatalog whose ``complete`` flag is set only when a
-    frontier emptied before the depth bound, meaning every seed was seen.
+    Returns a PatternCatalog whose ``nodes`` are RelabelledNodes over its
+    ``seeds``, and whose ``complete`` flag is set only when a frontier
+    emptied before the depth bound, meaning every seed was seen.
     """
     if not isinstance(em, ExchangeMatrix):
         raise ValueError("enumerate_pattern wants a validated ExchangeMatrix")
@@ -324,11 +321,11 @@ def enumerate_pattern(
     root = initial_node(em, with_polynomials=with_polynomials)
     seeds, edges = _seed_graph(root, max_depth, node_cap)
     n = em.n
-    ident = root.perm
+    ident = _identity(n)
     perms = {ident: ident}  # one tuple per permutation
     seen = [{ident}] + [set() for _ in seeds[1:]]  # by seed number, the perms of its nodes
-    nodes = [root]
-    frontier = [root]
+    nodes = [RelabelledNode(root, ident, ())]
+    frontier = nodes[:]
     numbers = [0]
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
@@ -348,11 +345,7 @@ def enumerate_pattern(
                     continue
                 labelled = perms.setdefault(labelled, labelled)
                 seen[t].add(labelled)
-                # a seed's own labelling is first reached along its first node's history
-                if labelled is ident:
-                    child = seeds[t]
-                else:
-                    child = RelabelledNode(seeds[t], labelled, history + (k,))
+                child = RelabelledNode(seeds[t], labelled, history + (k,))
                 nodes.append(child)
                 next_frontier.append(child)
                 next_numbers.append(t)
@@ -367,8 +360,8 @@ def positive_c_vectors(catalog):
 
     Returned sorted. Meaningful as the full positive-root list only when the
     catalog is complete; on a truncated catalog it is just the visited part.
-    Relabelling a seed permutes the columns of C_t, so the first node of
-    each seed carries every column its seed does.
+    Relabelling a seed permutes the columns of C_t, so ``catalog.seeds``
+    carry every column that the labelled nodes do.
     """
     found = {col for node in catalog.seeds for col in zip(*node.C_t.entries) if min(col) >= 0}
     return tuple(sorted(found))

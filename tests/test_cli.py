@@ -324,6 +324,86 @@ def test_malformed_flag_messages_stay_short(tmp_path, capsys, argv):
     assert "100000 characters" in err
 
 
+@pytest.mark.parametrize(
+    "argv, length",
+    [
+        (["x" * 500], 500),
+        (["fan", "--B", "A3", "--bogus" + "z" * 300], 307),
+        (["fan", "--B", "A3", "--x" + "ab " * 100], 303),
+        (["fan", "--B", "A3", "--emit-rays=" + "y" * 300], 300),
+        (["validate", "--B", "/nonexistent/" + "p" * 250], 263),
+        (["validate", "--B", "KEY"], 300),
+    ],
+    ids=["command", "unknown-flag", "blanks", "explicit-argument", "unreadable-file", "unknown-key"],
+)
+def test_exit_one_lines_cut_long_runs(tmp_path, capsys, argv, length):
+    # an echoed argument, or a run of more than 40 non-blank characters, keeps its first 40 and its length
+    files = {"A3": _b_file(tmp_path, B_A3), "KEY": _b_file(tmp_path, {**B_A3, "k" * 300: 1}, "key.json")}
+    try:
+        code = cli.main([files.get(arg, arg) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the arguments itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("xfan") and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
+    assert f"... ({length} characters)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fan", "--depth", "-1"], "max_depth must be nonnegative or None"),
+        (["theta", "--beta", "[1,0,0]", "--depth", "-1"], "max_depth must be nonnegative or None"),
+        (["ar", "--window", "-1"], "window must be nonnegative"),
+        (["normals", "--cvec", "[1,0,0]", "--window", "-1"], "window must be nonnegative"),
+        (["theta", "--beta", '{"a": 1}'], "expected a JSON array of integers"),
+        (["normals", "--cvec", "1"], "expected a JSON array of integers"),
+    ],
+    ids=["fan-depth", "theta-depth", "ar-window", "normals-window", "beta-object", "cvec-number"],
+)
+def test_exit_one_on_flags_the_library_rejects(tmp_path, capsys, argv, message):
+    assert cli.main([*argv, "--B", _b_file(tmp_path, B_A3)]) == 1
+    assert capsys.readouterr() == ("", f"xfan: error: {message}\n")
+
+
+@pytest.mark.parametrize("d", [[1], [1, 0]], ids=["short", "zero"])
+def test_exit_two_on_a_malformed_supplied_symmetrizer(tmp_path, capsys, d):
+    assert cli.main(["validate", "--B", _b_file(tmp_path, {"B": [[0, 1], [-1, 0]], "d": d})]) == 2
+    expected = '{"error":"NotSkewSymmetrizable","message":"supplied d must be n positive integers"}\n'
+    assert capsys.readouterr().out == expected
+
+
+def test_normals_checks_the_mesh_only_inside_the_window(tmp_path, capsys):
+    b = _b_file(tmp_path, B_A3)
+    for window, checked in (("0", False), ("1", True)):
+        assert cli.main(["normals", "--B", b, "--cvec", "[1,0,0]", "--window", window]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"cvec": [1, 0, 0], "mesh_checked": checked, "normal": [0, 1, 0], "primitive": [0, 1, 0]}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("enumerate_pattern", ["fan"]),
+        ("enumerate_pattern", ["theta", "--beta", "[1,0,0]"]),
+        ("knit", ["ar"]),
+        ("knit", ["normals", "--cvec", "[1,0,0]"]),
+    ],
+    ids=["fan", "theta", "ar", "normals"],
+)
+def test_exit_three_when_a_job_runs_out_of_memory(tmp_path, capsys, monkeypatch, name, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, exhausted)
+    assert cli.main([*argv, "--B", _b_file(tmp_path, B_A3)]) == 3
+    assert capsys.readouterr() == (
+        '{"error":"ExhaustionCapExceeded","message":"the job ran out of memory","reason":"out_of_memory"}\n',
+        "",
+    )
+
+
 def _digits_seed(tmp_path, digits, as_string):
     big = "9" * digits
     entry = f'"{big}"' if as_string else big

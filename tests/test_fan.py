@@ -184,7 +184,7 @@ def test_locate_and_theta_match_labelled_scan(rows, depth):
                 assert exc.value.reason == "beyond_depth"
                 continue
             node, alpha = expected
-            assert hit[0] is node and hit[1] == alpha
+            assert hit[0] is node.seed and hit[1] == alpha
             value = LaurentPolynomial(n, {beta: 1})
             for poly, a in zip(polys[node.history], alpha):
                 value = value * poly ** a

@@ -125,6 +125,19 @@ def test_mul_vec_and_transpose():
     assert m.neg().entries == ((-1, -2), (-3, -4))
 
 
+def test_shape_checks():
+    m = IntMatrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="^matrix needs at least one row$"):
+        IntMatrix.identity(0)
+    assert IntMatrix.identity(1).entries == ((1,),)
+    with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+        m.mul(m)
+    assert m.mul(m.transpose()).entries == ((14, 32), (32, 77))
+    for vec in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="^vector length mismatch$"):
+            m.mul_vec(vec)
+
+
 def test_hnf_rows():
     assert hnf_rows([[1, 2], [3, 4]]) == ((1, 0), (0, 2))
     assert hnf_rows([[2, 4]]) == ((2, 4),)
@@ -192,8 +205,8 @@ def _a3_values():
     """One instance of every immutable value class, all built from A3."""
     em = validate(B_A3)
     catalog = enumerate_pattern(em)
-    node = catalog.nodes[1]
-    relabelled = next(other for other in catalog.nodes if other.seed is not other)
+    node = catalog.seeds[1]
+    relabelled = next(other for other in catalog.nodes if other.perm != (0, 1, 2))
     description = classify(build_system(node, em))
     report = assemble_fan(catalog)
     data = _a3_data()

@@ -115,6 +115,12 @@ def test_input_integers_past_the_digit_bound_raise():
     assert parse_decimal("-" + "1" * 4000) == -int("1" * 4000)
 
 
+def test_decode_vector_wants_an_array():
+    for value in ({"a": 1}, 1, "[1, 0]", None):
+        with pytest.raises(ValueError, match="^expected a JSON array of integers$"):
+            decode_vector(value)
+
+
 def test_excerpt_cuts_long_text():
     assert excerpt("[1,0]") == "'[1,0]'"
     assert excerpt("x" * 40) == repr("x" * 40)

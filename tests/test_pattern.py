@@ -13,6 +13,8 @@ from xfan import (
     ExhaustionCapExceeded,
     IntMatrix,
     LaurentPolynomial,
+    PatternNode,
+    RelabelledNode,
     SignCoherenceViolation,
     enumerate_pattern,
     initial_node,
@@ -339,6 +341,14 @@ def test_node_cap_below_one_rejected():
         enumerate_pattern(em, max_depth=1, node_cap=1)
 
 
+def test_negative_depth_rejected():
+    em = validate(B_A2)
+    for depth in (-1, -10**6):
+        with pytest.raises(ValueError, match="^max_depth must be nonnegative or None$"):
+            enumerate_pattern(em, max_depth=depth)
+    assert len(enumerate_pattern(em, max_depth=0)) == 1
+
+
 def test_node_cap_defaults_to_the_one_cap():
     assert pattern.NODE_CAP == 10**6
     default = inspect.signature(enumerate_pattern).parameters["node_cap"].default
@@ -388,6 +398,18 @@ def test_positive_c_vectors_match_scan_of_all_nodes(rows, depth):
 def test_seeds_are_the_first_nodes_in_order(rows, depth):
     cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
     assert cat.seeds == tuple(dict.fromkeys(node.seed for node in cat.nodes))
+    # every labelled node is a RelabelledNode over a seed, the root's included
+    assert all(type(node) is RelabelledNode for node in cat.nodes)
+    assert all(type(seed) is PatternNode for seed in cat.seeds)
+    assert cat.nodes[0].seed is cat.seeds[0] and cat.nodes[0].history == ()
+    # a seed's first labelled node is its own labelling, reached along its history
+    first = {}
+    for node in cat.nodes:
+        first.setdefault(node.seed, node)
+    ident = tuple(range(len(rows)))
+    for seed in cat.seeds:
+        assert first[seed].perm == ident
+        assert first[seed].history == seed.history
 
 
 def _matmul(a, b):

@@ -145,6 +145,21 @@ def test_mesh_additivity():
             assert tuple(s + t for s, t in zip(src, tgt)) == total
 
 
+def test_knit_window_must_be_nonnegative():
+    with pytest.raises(ValueError, match="^window must be nonnegative$"):
+        knit(_data(B_A3), window=-1)
+    # window 0 knits the projectives only, so no mesh is recorded
+    assert knit(_data(B_A3), window=0).meshes == ()
+
+
+def test_mesh_at_is_none_off_the_window():
+    # P1 = (1,0,0) on A3 starts a mesh only once one translation step is knitted
+    assert knit(_data(B_A3), window=0).mesh_at((1, 0, 0)) is None
+    mesh = knit(_data(B_A3), window=1).mesh_at((1, 0, 0))
+    assert mesh is not None and mesh.source == (0, 0)
+    assert knit(_data(B_A3), window=1).mesh_at((5, 5, 5)) is None
+
+
 def test_knit_window_kronecker():
     kron = _data(B_KRONECKER)
     with pytest.raises(NotRepresentationFinite):

@@ -66,6 +66,12 @@ def test_validate_rejects_bad_matrices():
         validate([[0, 1, 0], [-1, 0, 1]])  # not square
 
 
+@pytest.mark.parametrize("d", [[1], [1, 1, 1], [1, 0], [2, -2]], ids=["short", "long", "zero", "negative"])
+def test_validate_rejects_a_malformed_supplied_symmetrizer(d):
+    with pytest.raises(NotSkewSymmetrizable, match="^supplied d must be n positive integers$"):
+        validate([[0, 1], [-1, 0]], d)
+
+
 def test_validate_random_skew_symmetrizable():
     rng = random.Random(1234)
     for _ in range(40):
