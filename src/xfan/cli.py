@@ -2,12 +2,11 @@
 
 Every invocation runs one job: read the seed from --B (a JSON file or -
 for standard input), compute, print a single JSON document on standard
-output. Exit codes: 0 success, 1 malformed input, 2 domain errors (the
-document then describes the error), 3 when an enumeration gives up at
-the node cap or, with --exhaustive and reason "infinite_type", at a seed
-of infinite type, and with reason "out_of_memory" when a job runs out of
-memory. An exit-1 message cuts each quoted text, and each other run of
-more than 40 non-blank characters, to its first 40 and its length.
+output. ``main`` returns the exit code: 0 success, 1 malformed input, 2
+domain errors (the document then describes the error), 3 when a walk or
+a knitting window passes the node cap, with --exhaustive at a seed of
+infinite type (reason "infinite_type"), or when a job runs out of memory
+(reason "out_of_memory"). Exit 1 writes one line, cut by ``_shorten``.
 Directions in --seq and all row/column indices in reports are 1-based.
 Enumeration is single-threaded.
 """
@@ -30,7 +29,6 @@ from .jsonio import (
     encode_matrix,
     encode_polynomial,
     encode_vector,
-    excerpt,
     parse_decimal,
 )
 from .pattern import DEFAULT_DEPTH, NODE_CAP, _walk, enumerate_pattern
@@ -38,13 +36,23 @@ from .reptheory import kernel_certificates, knit, normal_vector, path_algebra_da
 from .seed import mutate, validate
 
 
-# a quoted text, or a run of characters other than blanks and quotes, of more than 40 characters
-_LONG_RUN = re.compile(r"(['\"])([^'\"\n]{41,})\1|[^\s'\"]{41,}")
+# a quoted text as repr writes it, or a run of non-blanks other than quotes, over 40 characters;
+# a quote after a backslash opens no text, which keeps the scan linear in the message
+_LONG_RUN = re.compile(r"""(?<!\\)(['"])((?:\\.|(?!\1)[^\\\n]){41,})\1|[^\s'"]{41,}""")
+_ROOM = 199 - len("xfan: error: \n")  # the bytes of a message on an exit-1 line under 200 bytes
 
 
 def _shorten(message):
-    """The message with each long run cut to its first 40 characters and its length."""
-    return _LONG_RUN.sub(_cut_run, message)
+    """The message as one exit-1 line under 200 bytes in UTF-8, a newline written \\n.
+
+    Each long run keeps its first 40 characters and its length; a message
+    still too long then keeps what fits and the length of the whole.
+    """
+    short = _LONG_RUN.sub(_cut_run, message.replace("\n", "\\n"))
+    if len(short.encode()) <= _ROOM:
+        return short
+    tail = f"... (message of {len(message)} characters)"
+    return short.encode()[: _ROOM - len(tail)].decode(errors="ignore") + tail
 
 
 def _cut_run(match):
@@ -53,25 +61,20 @@ def _cut_run(match):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; the contract wants 1.
+    """Raises ValueError on bad flags, so that ``_main`` writes the exit-1 line.
 
-    An argument that argparse echoes whole is quoted, so that ``_shorten``
-    cuts it, blanks included; the ones echoed here are cut already.
+    ``parse_args`` quotes each unrecognized argument, so that ``_shorten``
+    cuts it as one text, blanks included.
     """
 
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {_shorten(message)}\n")
+        raise ValueError(message)
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
         if extras:
-            self.error(f"unrecognized arguments: {' '.join(map(excerpt, extras))}")
+            self.error(f"unrecognized arguments: {' '.join(map(repr, extras))}")
         return args
-
-    def _check_value(self, action, value):
-        # argparse would list every command, which takes a line past 200 bytes
-        if action.choices is not None and value not in action.choices:
-            raise argparse.ArgumentError(action, f"invalid choice: {excerpt(value)} (see xfan --help)")
 
 
 def _parse_int(text):
@@ -96,9 +99,7 @@ def _parse_json_vector(text, flag):
     try:
         value = json.loads(text, parse_int=bounded_int)
     except (json.JSONDecodeError, RecursionError):
-        raise ValueError(
-            f"{flag} expects a JSON array like [1,0,-1], got {excerpt(text)}"
-        ) from None
+        raise ValueError(f"{flag} expects a JSON array like [1,0,-1], got {text!r}") from None
     return decode_vector(value)
 
 
@@ -110,7 +111,7 @@ def _load_exchange(path):
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise ValueError(f"cannot read {excerpt(path)}: {exc.strerror}") from None
+            raise ValueError(f"cannot read {path!r}: {exc.strerror}") from None
     b_rows, d_vec = decode_job_input(text)
     return validate(b_rows, d_vec)
 
@@ -365,8 +366,8 @@ def main(argv=None):
 
 def _main(argv):
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         em = _load_exchange(args.B)
         text = dumps(args.handler(em, args))
     except XfanError as exc:

@@ -80,7 +80,7 @@ class NotInVisitedComplex(XfanError):
 class ExhaustionCapExceeded(XfanError):
     """An enumeration gave up, with ``reason`` None at node_cap + 1 nodes.
 
-    Every walk has a cap, ``pattern.NODE_CAP`` by default and in the CLI;
-    a walk without a depth bound also raises it, with reason
+    Every walk and knitting window has a cap, ``pattern.NODE_CAP`` by default
+    and in the CLI; a walk without a depth bound also raises it, with reason
     "infinite_type", at a B_t of infinite type.
     """

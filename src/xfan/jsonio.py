@@ -28,13 +28,6 @@ def encode_int(x):
     return str(x)
 
 
-def excerpt(text):
-    """The repr of text, cut to its first 40 characters and its length when longer."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
-
-
 def bounded_int(token):
     """int(token) for a decimal token of at most MAX_DIGITS digits; else ValueError."""
     digits = len(token) - token.startswith("-")
@@ -46,7 +39,7 @@ def bounded_int(token):
 def parse_decimal(text):
     """The integer an optional "-" and ASCII digits spell; else ValueError."""
     if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"not a decimal integer: {excerpt(text)}")
+        raise ValueError(f"not a decimal integer: {text!r}")
     return bounded_int(text)
 
 

@@ -17,6 +17,7 @@ from .cones import relation_rays
 from .errors import (
     ConventionViolation,
     DimensionMismatch,
+    ExhaustionCapExceeded,
     NotAcyclic,
     NotARoot,
     NotPositive,
@@ -24,6 +25,7 @@ from .errors import (
     NotSkewSymmetric,
 )
 from .intmat import Frozen, IntMatrix, _exact_int
+from .pattern import NODE_CAP
 
 
 class PathAlgebraData(Frozen):
@@ -169,7 +171,8 @@ def knit(data, window=None):
     produced.
 
     Raises NotRepresentationFinite when exhaustive knitting is requested
-    outside Dynkin type.
+    outside Dynkin type, and ExhaustionCapExceeded, before knitting, when
+    a window holds more than NODE_CAP positions.
     """
     n = data.exchange.rows
     if window is None:
@@ -183,6 +186,8 @@ def knit(data, window=None):
         window = _exact_int(window)
         if window < 0:
             raise ValueError("window must be nonnegative")
+        if n * (window + 1) > NODE_CAP:
+            raise ExhaustionCapExceeded(f"a window of {n * (window + 1)} positions exceeds {NODE_CAP}")
         exhaustive = False
     objects = {}
     current = [data.cartan.col(v) for v in range(n)]

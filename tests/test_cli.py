@@ -313,41 +313,98 @@ def test_exit_one_on_deeply_nested_json(argv, stdin):
 )
 def test_malformed_flag_messages_stay_short(tmp_path, capsys, argv):
     # the message quotes the first 40 characters and the length, not the argument
-    try:
-        code = cli.main([*argv, "--B", _b_file(tmp_path, B_A3)])
-    except SystemExit as exc:  # argparse rejects the flag itself
-        code = exc.code
-    assert code == 1
+    assert cli.main([*argv, "--B", _b_file(tmp_path, B_A3)]) == 1
     err = capsys.readouterr().err
     assert len(err.encode()) < 200
     assert len(err.splitlines()) == 1
     assert "100000 characters" in err
 
 
+TEN_FLAGS = ["--" + letter * 38 for letter in "abcdefghij"]
+TEN_KEYS = {letter * 20: 1 for letter in "abcdefghij"}
+
+
 @pytest.mark.parametrize(
-    "argv, length",
+    "argv, stated",
     [
-        (["x" * 500], 500),
-        (["fan", "--B", "A3", "--bogus" + "z" * 300], 307),
-        (["fan", "--B", "A3", "--x" + "ab " * 100], 303),
-        (["fan", "--B", "A3", "--emit-rays=" + "y" * 300], 300),
-        (["validate", "--B", "/nonexistent/" + "p" * 250], 263),
-        (["validate", "--B", "KEY"], 300),
+        (["x" * 500], "... (500 characters)"),
+        (["fan", "--B", "A3", "--bogus" + "z" * 300], "... (307 characters)"),
+        (["fan", "--B", "A3", "--x" + "ab " * 100], "... (303 characters)"),
+        (["fan", "--B", "A3", "--emit-rays=" + "y" * 300], "... (300 characters)"),
+        (["validate", "--B", "/nonexistent/" + "p" * 250], "... (263 characters)"),
+        (["validate", "--B", "KEY"], "... (300 characters)"),
+        (["validate", "--B", "A3", *TEN_FLAGS], "... (message of 453 characters)"),
+        (["validate", "--B", "KEYS"], "... (message of 260 characters)"),
     ],
-    ids=["command", "unknown-flag", "blanks", "explicit-argument", "unreadable-file", "unknown-key"],
+    ids=[
+        "command", "unknown-flag", "blanks", "explicit-argument", "unreadable-file", "unknown-key",
+        "ten-flags", "ten-keys",
+    ],
 )
-def test_exit_one_lines_cut_long_runs(tmp_path, capsys, argv, length):
-    # an echoed argument, or a run of more than 40 non-blank characters, keeps its first 40 and its length
-    files = {"A3": _b_file(tmp_path, B_A3), "KEY": _b_file(tmp_path, {**B_A3, "k" * 300: 1}, "key.json")}
-    try:
-        code = cli.main([files.get(arg, arg) for arg in argv])
-    except SystemExit as exc:  # argparse rejects the arguments itself
-        code = exc.code
+def test_exit_one_lines_cut_long_runs(tmp_path, capsys, argv, stated):
+    # an echoed argument, or a run of more than 40 non-blank characters, keeps its first 40 and its
+    # length; a line still 200 bytes or longer keeps what fits and the message's length
+    files = {
+        "A3": _b_file(tmp_path, B_A3),
+        "KEY": _b_file(tmp_path, {**B_A3, "k" * 300: 1}, "key.json"),
+        "KEYS": _b_file(tmp_path, {**B_A3, **TEN_KEYS}, "keys.json"),
+    }
+    code = cli.main([files.get(arg, arg) for arg in argv])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
-    assert err.startswith("xfan") and len(err.splitlines()) == 1
+    assert err.startswith("xfan: error: ") and len(err.splitlines()) == 1
     assert len(err.encode()) < 200
-    assert f"... ({length} characters)" in err
+    assert stated in err
+
+
+def test_exit_one_line_is_cut_in_linear_time(tmp_path, capsys):
+    # argparse echoes an ambiguous option unquoted, escaped quotes included
+    start = time.perf_counter()
+    assert cli.main(["fan", "--B", _b_file(tmp_path, B_A3), "--e=" + '"\\' * 20000]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("xfan: error: ambiguous option: ") and len(err.encode()) < 200
+
+
+HELP = """usage: xfan [-h] command ...
+
+Command-line interface.
+
+positional arguments:
+  command
+    validate  check skew-symmetrizability, report d
+    mutate    mutate the exchange matrix
+    cmatrix   c-matrix of the seed at --seq
+    gmatrix   g-matrix of the seed at --seq
+    fpoly     F-polynomials of the seed at --seq
+    cone      inequality system and cone of the seed at --seq
+    fan       enumerate seeds, merge equal cones
+    theta     theta function at an integral point
+    ar        knit the AR quiver of an acyclic skew-symmetric seed
+    normals   hyperplane normal of a positive c-vector
+    certify   kernel certificates among the c-matrix columns at --seq
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["", "validate", "mutate", "cmatrix", "gmatrix", "fpoly", "cone", "fan", "theta", "ar", "normals", "certify"],
+)
+def test_help_exits_zero(capsys, monkeypatch, command):
+    # --help is the one way out of the parser that is not an exit-1 line
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command:
+        assert out.startswith(f"usage: xfan {command} [-h] --B FILE")
+    else:
+        assert out == HELP
 
 
 @pytest.mark.parametrize(
@@ -380,6 +437,20 @@ def test_normals_checks_the_mesh_only_inside_the_window(tmp_path, capsys):
         assert cli.main(["normals", "--B", b, "--cvec", "[1,0,0]", "--window", window]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"cvec": [1, 0, 0], "mesh_checked": checked, "normal": [0, 1, 0], "primitive": [0, 1, 0]}
+
+
+@pytest.mark.parametrize("argv", [["ar"], ["normals", "--cvec", "[1,0,0]"]], ids=["ar", "normals"])
+def test_exit_three_at_the_window_cap(tmp_path, argv):
+    # 3 * (10**100 + 1) positions: refused before knitting, with their count; a child
+    # process, so that a knit without the cap is killed at the timeout
+    start = time.perf_counter()
+    p = _run([*argv, "--window", str(10**100), "--B", _b_file(tmp_path, B_A3)], timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (p.returncode, p.stderr) == (3, "")
+    assert json.loads(p.stdout) == {
+        "error": "ExhaustionCapExceeded",
+        "message": f"a window of {3 * (10**100 + 1)} positions exceeds 1000000",
+    }
 
 
 @pytest.mark.parametrize(
@@ -433,11 +504,7 @@ def test_input_digit_bound(tmp_path, as_string):
 )
 def test_flag_digit_bound(tmp_path, capsys, argv):
     over = "9" * (MAX_DIGITS + 1)
-    try:
-        code = cli.main([argv[0], argv[1], argv[2].format(over), "--B", _b_file(tmp_path, B_A3)])
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 1
+    assert cli.main([argv[0], argv[1], argv[2].format(over), "--B", _b_file(tmp_path, B_A3)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert f"integer of {MAX_DIGITS + 1} digits exceeds the {MAX_DIGITS}-digit input bound" in err

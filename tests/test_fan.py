@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -399,3 +401,55 @@ def test_tropical_mutation_carries_cones_to_cones(rows):
             assert target.dim == cone.dim, (k, cone.key)
             images.append(target.key)
         assert len(set(images)) == len(images) == len(mutated)
+
+
+def _theta_or_none(beta, catalog):
+    try:
+        return theta(beta, catalog).value
+    except NotInVisitedComplex:
+        return None
+
+
+def _evaluate(poly, point):
+    return sum(coeff * prod(map(pow, point, exps)) for exps, coeff in poly.sorted_terms())
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [
+        (B_A2, None), (B_B2, None), (B_G2, None), (B_A3, None), (B_B3, None), (B_C3, None), (B_D4, None),
+        (B_CYCLE, None), (B_KRONECKER, 4), (B_MARKOV, 3),
+    ],
+    ids=["A2", "B2", "G2", "A3", "B3", "C3", "D4", "cycle", "Kronecker", "Markov"],
+)
+def test_theta_is_a_global_function(rows, depth):
+    # theta_B(beta) = mu_k^*(theta_B'(T_k beta)) with B' = mu_k(B), where mu_k^* substitutes
+    # y_k -> 1/y_k and y_j -> y_j.y_k^[b_kj]_+.(1 + y_k)^-b_kj; both sides are evaluated
+    # exactly at two positive rational points, and only where both catalogs hold the point
+    em = validate(rows)
+    n = em.n
+    rng = random.Random(0)
+    points = [tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)) for _ in range(2)]
+    catalog = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
+    radius = 2 if n < 4 else 1
+    checked = 0
+    for k in range(n):
+        mutated = enumerate_pattern(mutate(em, k + 1), max_depth=depth, with_polynomials=False)
+        images = []
+        for y in points:
+            yk = y[k]
+            images.append(
+                tuple(1 / yk if j == k else y[j] * yk ** max(b, 0) * (1 + yk) ** -b for j, b in enumerate(rows[k]))
+            )
+        for beta in product(range(-radius, radius + 1), repeat=n):
+            value = _theta_or_none(beta, catalog)
+            image = _theta_or_none(tropical_mutation(rows, k, beta), mutated)
+            if catalog.complete:  # T_k carries the support onto the support
+                assert (value is None) == (image is None), (k, beta)
+            if value is None or image is None:
+                continue
+            for y, y_image in zip(points, images):
+                assert _evaluate(value, y) == _evaluate(image, y_image), (k, beta)
+            checked += 1
+    # Markov holds only the multiples of (1, 1, 1) in the box: 5 points for each k
+    assert checked >= 15

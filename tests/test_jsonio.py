@@ -19,7 +19,6 @@ from xfan.jsonio import (
     encode_matrix,
     encode_polynomial,
     encode_vector,
-    excerpt,
     parse_decimal,
 )
 
@@ -119,12 +118,3 @@ def test_decode_vector_wants_an_array():
     for value in ({"a": 1}, 1, "[1, 0]", None):
         with pytest.raises(ValueError, match="^expected a JSON array of integers$"):
             decode_vector(value)
-
-
-def test_excerpt_cuts_long_text():
-    assert excerpt("[1,0]") == "'[1,0]'"
-    assert excerpt("x" * 40) == repr("x" * 40)
-    assert excerpt("[" * 100000) == repr("[" * 40) + "... (100000 characters)"
-    with pytest.raises(ValueError) as exc:
-        parse_decimal("x" * 100000)
-    assert len(str(exc.value)) < 100

@@ -9,6 +9,7 @@ import pytest
 
 from xfan import (
     DimensionMismatch,
+    ExhaustionCapExceeded,
     IntMatrix,
     NotARoot,
     NotAcyclic,
@@ -23,6 +24,7 @@ from xfan import (
     path_algebra_data,
     validate,
 )
+from xfan import reptheory
 from xfan.reptheory import _tits_form_positive, tau_inverse_dim
 
 from oracles import (
@@ -150,6 +152,15 @@ def test_knit_window_must_be_nonnegative():
         knit(_data(B_A3), window=-1)
     # window 0 knits the projectives only, so no mesh is recorded
     assert knit(_data(B_A3), window=0).meshes == ()
+
+
+def test_knit_window_stops_at_the_node_cap(monkeypatch):
+    # A3 knits 3 positions per slice, window + 1 slices
+    monkeypatch.setattr(reptheory, "NODE_CAP", 30)
+    assert len(knit(_data(B_A3), window=9).objects) == 30
+    with pytest.raises(ExhaustionCapExceeded, match="^a window of 33 positions exceeds 30$") as exc:
+        knit(_data(B_A3), window=10)
+    assert exc.value.reason is None
 
 
 def test_mesh_at_is_none_off_the_window():
