@@ -15,8 +15,9 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
-from .cones import build_system, classify
+from .cones import seed_classifier
 from .errors import ExhaustionCapExceeded, NotRepresentationFinite, XfanError
 from .fan import assemble_fan, theta
 from .intmat import primitive_vector
@@ -37,18 +38,21 @@ from .seed import mutate, validate
 
 
 # a quoted text as repr writes it, or a run of non-blanks other than quotes, over 40 characters;
-# a quote after a backslash opens no text, which keeps the scan linear in the message
-_LONG_RUN = re.compile(r"""(?<!\\)(['"])((?:\\.|(?!\1)[^\\\n]){41,})\1|[^\s'"]{41,}""")
+# a quote after a backslash opens no text, which keeps the scan linear in the message. The two
+# patterns are strings, which re compiles on the first exit-1 line rather than in every process
+_LONG_RUN = r"""(?<!\\)(['"])((?:\\.|(?!\1)[^\\\n]){41,})\1|[^\s'"]{41,}"""
+_ESCAPE = r"\\(?:x..|u.{4}|U.{8}|.)"  # one character of a text as repr writes it
 _ROOM = 199 - len("xfan: error: \n")  # the bytes of a message on an exit-1 line under 200 bytes
 
 
 def _shorten(message):
     """The message as one exit-1 line under 200 bytes in UTF-8, a newline written \\n.
 
-    Each long run keeps its first 40 characters and its length; a message
-    still too long then keeps what fits and the length of the whole.
+    Each long run keeps its first 40 characters and its length, for a
+    quoted text the length of the text it quotes; a message still too long
+    then keeps what fits and the length of the whole.
     """
-    short = _LONG_RUN.sub(_cut_run, message.replace("\n", "\\n"))
+    short = re.sub(_LONG_RUN, _cut_run, message.replace("\n", "\\n"))
     if len(short.encode()) <= _ROOM:
         return short
     tail = f"... (message of {len(message)} characters)"
@@ -57,7 +61,8 @@ def _shorten(message):
 
 def _cut_run(match):
     quote, run = match[1] or "", match[2] or match[0]
-    return f"{quote}{run[:40]}{quote}... ({len(run)} characters)"
+    length = len(re.sub(_ESCAPE, "_", run)) if quote else len(run)
+    return f"{quote}{run[:40]}{quote}... ({length} characters)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +178,7 @@ def _cmd_fpoly(em, args):
 
 def _cmd_cone(em, args):
     node = _walk(em, args.seq, with_polynomials=False)
-    description = classify(build_system(node, em))
+    description = seed_classifier(em)(node)
     doc = encode_cone(description)
     doc["history"] = node.history
     return doc
@@ -270,6 +275,7 @@ def _cmd_certify(em, args):
     }
 
 
+@cache  # one parser per process, built by the first job
 def _build_parser():
     parser = _Parser(prog="xfan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -11,6 +11,10 @@ the rank of the implicit rows. The facets of the cone's pointed part are
 its maximal proper faces, so a strict row supports a facet exactly when
 no other strict row vanishes on more of the part's extreme rays. Those
 rays are kept, and with the lineality space they key the cone.
+
+A seed's cone is the p*-preimage of its g-vector cone (tropical duality):
+``seed_classifier`` reads every slot off G_t in closed form when the root
+exchange matrix has corank at most 1, and calls ``classify`` otherwise.
 """
 
 from itertools import combinations
@@ -20,8 +24,10 @@ from .intmat import (
     Frozen,
     IntMatrix,
     Value,
+    adjugate,
     identity_rows,
     integer_kernel_basis,
+    primitive_vector,
 )
 
 
@@ -140,15 +146,66 @@ def classify(A):
     functionals = [tuple(sum(map(mul, rows[j], b)) for b in basis) for j in strict]
     rays = pointed_rays(functionals) if functionals else ()
     faces = [frozenset(y for y in rays if not sum(map(mul, f, y))) for f in functionals]
-    supports = {}
-    for j, face in zip(strict, faces):
-        if not any(face < other for other in faces):
-            supports.setdefault(face, []).append(j)
-    facets = tuple(Facet(members[0], tuple(members)) for members in supports.values())
+    facets = _facets(strict, faces)
     # the basis is in Hermite normal form, so the map keeps the rays sorted
     ambient = tuple(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays)
     dim = len(lineality) + len(basis)
     return ConeDescription(A, implicit, strict, facets, dim, lineality, certificates, ambient)
+
+
+def _facets(strict, faces):
+    """The facets, given the set of rays each strict row vanishes on: the rows of a maximal set."""
+    supports = {}
+    for j, face in zip(strict, faces):
+        if not any(face < other for other in faces):
+            supports.setdefault(face, []).append(j)
+    return tuple(Facet(members[0], tuple(members)) for members in supports.values())
+
+
+def seed_classifier(root_em):
+    """The map node -> ``classify(build_system(node, root_em))`` over one catalog's seeds.
+
+    Tropical duality, C_t^T.G_t = I, maps the cone onto P_t = {lam >= 0 :
+    K.G_t.lam = 0}, K spanning ker B^T, by beta -> lam with B.beta = G_t.lam.
+    With L the lineality basis ker B and M = [B; L], P = adj(M^T.M).B^T
+    sends v to a positive multiple of the beta orthogonal to L with
+    B.beta = v. In corank at most 1, with m = K.G_t (0 in corank 0), P_t has
+    the rays e_i for m_i = 0 and |m_j|.e_i + m_i.e_j for m_i > 0 > m_j, row
+    j vanishing on those without entry j; the relations are the multiples
+    of m, so a nonzero m of one sign makes the rows with m_i != 0 implicit,
+    each certified by |m|, and the dimension n + 1 minus their number.
+    Corank 2 and more go through ``classify``.
+    """
+    B = root_em.B
+    kernel = integer_kernel_basis(B.transpose())
+    if len(kernel) > 1:
+        return lambda node: classify(build_system(node, root_em))
+    lineality = integer_kernel_basis(B)
+    stacked = IntMatrix._trusted(B.entries + lineality)
+    pull = adjugate(stacked.transpose().mul(stacked)).mul(B.transpose())
+    n = B.rows
+
+    def describe(node):
+        G = node.G_t
+        images = tuple(zip(*pull.mul(G).entries))
+        m = G.transpose().mul_vec(kernel[0]) if kernel else (0,) * n
+        # the rays of P_t by support, each with its image
+        rays = {(i,): images[i] for i in range(n) if not m[i]}
+        for i in range(n):
+            for j in range(n):
+                if m[i] > 0 > m[j]:
+                    rays[i, j] = tuple(m[i] * y - m[j] * x for x, y in zip(images[i], images[j]))
+        implicit = tuple(i for i in range(n) if m[i]) if min(m) >= 0 or max(m) <= 0 else ()
+        strict = tuple(j for j in range(n) if j not in implicit)
+        facets = _facets(strict, [frozenset(s for s in rays if j not in s) for j in strict])
+        dim = n + 1 - len(implicit) if implicit else n
+        certificates = dict.fromkeys(implicit, tuple(map(abs, m)))
+        ambient = tuple(sorted(map(primitive_vector, rays.values())))
+        return ConeDescription(
+            build_system(node, root_em), implicit, strict, facets, dim, lineality, certificates, ambient
+        )
+
+    return describe
 
 
 def canonical_key(desc):

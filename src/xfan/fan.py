@@ -1,6 +1,6 @@
 """Assembly of the cone complex and theta functions on its integral points.
 
-Every seed contributes one row matrix; row matrices describing the same
+Every seed contributes one cone, read off its G_t; cones with the same
 point set merge under the canonical key, and each merged cone remembers
 every witnessing node history. Theta evaluation picks the first BFS
 witness containing the point (any witness gives the same value, which
@@ -11,7 +11,7 @@ only, so a catalog without F replays that one history.
 
 from operator import mul
 
-from .cones import build_system, canonical_key, classify
+from .cones import canonical_key, seed_classifier
 from .errors import NotInVisitedComplex
 from .intmat import Frozen, _exact_int
 from .laurent import _product
@@ -51,14 +51,15 @@ def assemble_fan(catalog):
     """Merge the nodes' cones in first-seen order, classifying once per seed.
 
     A cone depends only on the set of c-vectors, so nodes sharing a seed
-    share a cone and only ``catalog.seeds`` are classified. The first node
-    of every cone is the first node of its first seed, so that seed's
-    description is the one kept.
+    share a cone and only ``catalog.seeds`` are classified, by
+    ``seed_classifier``. The first node of every cone is the first node of
+    its first seed, so that seed's description is the one kept.
     """
+    describe = seed_classifier(catalog.root)
     merged = {}
     cone_of_seed = {}
     for node in catalog.seeds:
-        desc = classify(build_system(node, catalog.root))
+        desc = describe(node)
         key = cone_of_seed[node] = canonical_key(desc)
         merged.setdefault(key, (desc, []))
     for node in catalog.nodes:

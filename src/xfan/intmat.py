@@ -1,10 +1,11 @@
 """Exact integer matrices and lattice helpers.
 
-Everything in this module is immutable and arbitrary precision. The one
-exact elimination of the package is the Hermite normal form, and the
-saturated integer kernel is read off it: the kernel gives rank, the
-canonical forms that cone deduplication relies on, and, in the callers,
-extreme rays and skew-symmetrizers.
+Everything in this module is immutable and arbitrary precision. The exact
+elimination of the package is the Hermite normal form, and the saturated
+integer kernel is read off it: the kernel gives rank, the canonical forms
+that cone deduplication relies on, and, in the callers, extreme rays and
+skew-symmetrizers. A fraction-free adjugate inverts one Gram matrix per
+catalog for the cones.
 """
 
 from functools import lru_cache
@@ -196,6 +197,25 @@ def _augmented_hnf(matrix):
     """``hnf_rows`` of [M^T | I] for the ``IntMatrix`` M, I of order M.cols."""
     aug = tuple(col + e for col, e in zip(zip(*matrix.entries), identity_rows(matrix.cols)))
     return hnf_rows(IntMatrix._trusted(aug))
+
+
+def adjugate(matrix):
+    """adj(M) = det(M).M^-1 for a square ``IntMatrix`` M whose leading minors are nonzero.
+
+    A positive definite M qualifies. Fraction-free Gauss-Jordan (Bareiss)
+    on [M | I]: after step k every entry is a minor of order k + 1, so each
+    division by the previous pivot is exact, and the right block ends as adj(M).
+    """
+    n = matrix.rows
+    rows = [row + e for row, e in zip(matrix.entries, identity_rows(n))]
+    previous = 1
+    for k in range(n):
+        p = rows[k]
+        for i, r in enumerate(rows):
+            if i != k:
+                rows[i] = tuple((p[k] * x - r[k] * y) // previous for x, y in zip(r, p))
+        previous = p[k]
+    return IntMatrix._trusted(tuple(row[n:] for row in rows))
 
 
 def primitive_vector(vec):

@@ -330,6 +330,8 @@ TEN_KEYS = {letter * 20: 1 for letter in "abcdefghij"}
         (["x" * 500], "... (500 characters)"),
         (["fan", "--B", "A3", "--bogus" + "z" * 300], "... (307 characters)"),
         (["fan", "--B", "A3", "--x" + "ab " * 100], "... (303 characters)"),
+        # repr writes each ' as \', but the length stated is the argument's
+        (["fan", "--B", "A3", "--x" + "ü\"'" * 100], "... (303 characters)"),
         (["fan", "--B", "A3", "--emit-rays=" + "y" * 300], "... (300 characters)"),
         (["validate", "--B", "/nonexistent/" + "p" * 250], "... (263 characters)"),
         (["validate", "--B", "KEY"], "... (300 characters)"),
@@ -337,8 +339,8 @@ TEN_KEYS = {letter * 20: 1 for letter in "abcdefghij"}
         (["validate", "--B", "KEYS"], "... (message of 260 characters)"),
     ],
     ids=[
-        "command", "unknown-flag", "blanks", "explicit-argument", "unreadable-file", "unknown-key",
-        "ten-flags", "ten-keys",
+        "command", "unknown-flag", "blanks", "escaped-quotes", "explicit-argument", "unreadable-file",
+        "unknown-key", "ten-flags", "ten-keys",
     ],
 )
 def test_exit_one_lines_cut_long_runs(tmp_path, capsys, argv, stated):
@@ -355,6 +357,38 @@ def test_exit_one_lines_cut_long_runs(tmp_path, capsys, argv, stated):
     assert err.startswith("xfan: error: ") and len(err.splitlines()) == 1
     assert len(err.encode()) < 200
     assert stated in err
+
+
+def test_one_parser_serves_every_job(tmp_path, capsys):
+    # the parser is built by the first job of a process and reused, with the output of a fresh process
+    b = _b_file(tmp_path, B_A3)
+    jobs = [
+        ["fan", "--B", b, "--exhaustive"],
+        ["fan", "--B", b, "--bogus"],
+        ["theta", "--B", b, "--beta", "[1,0,1]"],
+        ["fan", "--B", b, "--depth", "2", "--emit-rays"],
+    ]
+    cli._build_parser.cache_clear()
+    for argv in jobs:
+        code = cli.main(argv)
+        fresh = _run(argv)
+        assert (code, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser_and_loads_no_number_tower():
+    # fractions and decimal cost milliseconds in every CLI process
+    p = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, xfan.cli as cli;"
+            " print(sorted({'fractions', 'decimal'} & set(sys.modules)), cli._build_parser.cache_info().currsize)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert (p.returncode, p.stdout) == (0, "[] 0\n")
 
 
 def test_exit_one_line_is_cut_in_linear_time(tmp_path, capsys):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from xfan import (
+    ConeDescription,
     IntMatrix,
     assemble_fan,
     build_system,
@@ -22,7 +26,8 @@ from xfan import (
     primitive_vector,
     validate,
 )
-from xfan.cones import relation_rays
+from xfan.cones import relation_rays, seed_classifier
+from xfan.pattern import NODE_CAP, _seed_graph
 
 from oracles import (
     conic_membership,
@@ -484,3 +489,73 @@ def test_cones_meet_in_common_faces():
             face_sigma = _face_key(a, on_sigma) if on_sigma else sigma.key
             face_tau = _face_key(b, on_tau) if on_tau else tau.key
             assert face_sigma == face_tau == canonical_key(meet)
+
+
+B_E6 = [
+    [0, 1, 0, 0, 0, 0],
+    [-1, 0, 1, 0, 0, 0],
+    [0, -1, 0, 1, 0, 1],
+    [0, 0, -1, 0, 1, 0],
+    [0, 0, 0, -1, 0, 0],
+    [0, 0, -1, 0, 0, 0],
+]
+
+# (rows, depth) of every catalog the suite builds, E6 added for a corank-0 seed
+# of rank 6; None is exhaustive
+SEED_CATALOGS = {
+    "A2": ([[0, 1], [-1, 0]], None),
+    "B2": ([[0, 1], [-2, 0]], None),
+    "G2": ([[0, 1], [-3, 0]], None),
+    "Kronecker": ([[0, 2], [-2, 0]], 9),
+    "A3": (B_A3, None),
+    "B3": (B_B3, None),
+    "C3": ([[0, 1, 0], [-1, 0, 2], [0, -1, 0]], None),
+    "cycle": ([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], None),
+    "Markov": ([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], 6),
+    "A4": ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], None),
+    "D4": (B_D4, None),
+    "F4": ([[0, 1, 0, 0], [-1, 0, 2, 0], [0, -1, 0, 1], [0, 0, -1, 0]], None),
+    "span-bug": (B_SPAN_BUG, 4),
+    "A5": ([[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]], None),
+    "E6": (B_E6, None),
+}
+
+
+def _slots(desc):
+    return tuple(getattr(desc, name) for name in ConeDescription.__slots__)
+
+
+def _seed_route_kinds(em, depth):
+    """Check ``seed_classifier`` against ``classify`` on every seed up to depth; count the kinds.
+
+    The kind of a seed is "orthant" in corank 0, "general" in corank 2 and
+    more, and in corank 1 "one sign" or "both signs" after m = K.G_t, K
+    spanning ker B^T.
+    """
+    seeds, _ = _seed_graph(initial_node(em, with_polynomials=False), depth, NODE_CAP)
+    describe = seed_classifier(em)
+    kernel = integer_kernel_basis(em.B.transpose())
+    kinds = Counter()
+    for node in seeds:
+        assert _slots(describe(node)) == _slots(classify(build_system(node, em))), node.history
+        if len(kernel) == 1:
+            m = node.G_t.transpose().mul_vec(kernel[0])
+            kinds["both signs" if min(m) < 0 < max(m) else "one sign"] += 1
+        else:
+            kinds["general" if kernel else "orthant"] += 1
+    return kinds
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CATALOGS))
+def test_seed_classifier_matches_classify_on_catalogs(name):
+    rows, depth = SEED_CATALOGS[name]
+    _seed_route_kinds(validate(rows), depth)
+
+
+def test_seed_classifier_matches_classify_on_random_seeds():
+    rng = random.Random(2323)
+    kinds = Counter()
+    for _ in range(120):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(1, 5))
+        kinds += _seed_route_kinds(validate(rows), 3)
+    assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds

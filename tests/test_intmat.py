@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+import sympy
 
 from xfan import (
     IntMatrix,
@@ -32,9 +33,9 @@ from xfan import (
     theta,
     validate,
 )
-from xfan.intmat import Frozen, Value
+from xfan.intmat import Frozen, Value, adjugate
 
-from oracles import clear_multipliers, fraction_rank
+from oracles import clear_multipliers, fraction_rank, sympy_inverse
 
 
 def _kernel_rank(rows):
@@ -331,3 +332,17 @@ def test_slot_filler(name):
     for wrong in (fields + [None], fields[:-1]):
         with pytest.raises(TypeError, match=f"^{name} takes {len(fields)} values, got {len(wrong)}$"):
             cls(*wrong)
+
+
+def test_adjugate_matches_the_rational_inverse():
+    # Gram matrices M^T.M of full column rank are positive definite
+    rng = random.Random(5151)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + rng.randint(0, 2))])
+        if integer_kernel_basis(m):
+            continue
+        gram = m.transpose().mul(m)
+        inverse = sympy_inverse(gram.entries)
+        det = int(sympy.Matrix(gram.entries).det())
+        assert adjugate(gram).entries == tuple(tuple(det * x for x in row) for row in inverse)
