@@ -1,23 +1,20 @@
 """Exact polyhedral analysis of the homogeneous systems A.beta >= 0.
 
 A cone is its row matrix A, an ``IntMatrix``: row i is the i-th c-vector
-(transposed) times the root exchange matrix.
-Every question is answered by one primitive, the extreme rays of a pointed
-cone. Implicit equalities come from the homogeneous Farkas criterion read
-through Gale duality: row k holds with equality on the whole solution set
-exactly when a nonnegative row relation uses it, and the relations are the
-image of a pointed cone over the integer kernel of A^T. Dimension drops by
-the rank of the implicit rows. The facets of the cone's pointed part are
-its maximal proper faces, so a strict row supports a facet exactly when
-no other strict row vanishes on more of the part's extreme rays. Those
-rays are kept, and with the lineality space they key the cone.
-
-A seed's cone is the p*-preimage of its g-vector cone (tropical duality):
-``seed_classifier`` reads every slot off G_t in closed form when the root
-exchange matrix has corank at most 1, and calls ``classify`` otherwise.
+(transposed) times the root exchange matrix B. Tropical duality,
+C_t^T.G_t = I, makes the cone the p*-preimage of the seed's g-vector cone,
+so one route reads every cone off G_t: the extreme rays of its pointed
+part are the images of the nonnegative circuits of K.G_t, K spanning
+ker B^T, and an arbitrary A is the case B = A, G = I. Implicit rows are
+the coordinates no ray uses, certified by the nonnegative row relations
+that Gale duality finds over the integer kernel of A^T, and a strict row
+supports a facet when no other strict row vanishes on more rays. The rays
+and the lineality space key the cone.
 """
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
+from math import gcd
 from operator import mul
 
 from .intmat import (
@@ -25,6 +22,8 @@ from .intmat import (
     IntMatrix,
     Value,
     adjugate,
+    det,
+    hnf_rows,
     identity_rows,
     integer_kernel_basis,
     primitive_vector,
@@ -103,7 +102,11 @@ def relation_rays(rows):
     primitive lam. The supports of the rays are the minimal supports of
     nonnegative relations, and on each of them lam is unique up to scale.
     """
-    kernel = integer_kernel_basis(IntMatrix(rows).transpose())
+    return _relations(integer_kernel_basis(IntMatrix(rows).transpose()))
+
+
+def _relations(kernel):
+    """The rays K^T.y of ``relation_rays``, given the kernel basis K in Hermite normal form."""
     if not kernel:
         return ()
     functionals = tuple(zip(*kernel))
@@ -115,97 +118,84 @@ def relation_rays(rows):
 def classify(A):
     """Classify the cone of the ``IntMatrix`` A: implicit rows, dimension, facets, lineality, rays.
 
-    Row k is implicit iff a nonnegative row relation lam.A = 0 has
-    lam_k > 0. Those relations form a pointed cone, so the implicit rows
-    are the union of the supports of its extreme rays, and the certificate
-    of row k is the first ray with lam_k > 0. The dimension is n minus the
-    rank of the implicit rows. The cone is its lineality space plus the
-    pointed cone it cuts out in the space where its span meets the
-    orthogonal complement of the lineality space. That pointed cone is
-    full there, so its facets are its maximal proper faces, each cut out by
-    a strict row: a strict row supports a facet iff the set of extreme
-    rays it vanishes on is maximal among the strict rows' sets. Rows with
-    one such set share a facet, whose representative is the first. The
-    rays are kept in ambient coordinates; the space's basis is a saturated
-    lattice basis, so primitive rays stay primitive.
-    The lineality basis is the saturated integer kernel of A, which
-    ``integer_kernel_basis`` returns in Hermite normal form.
-    A zero matrix yields the whole space: dimension n, no facets, no rays.
+    The frame of B = A at G = I. A zero matrix yields the whole space.
     """
-    rows = A.entries
-    certificates = {}
-    for lam in relation_rays(rows):
-        for k, x in enumerate(lam):
-            if x > 0:
-                certificates.setdefault(k, lam)
-    implicit = tuple(sorted(certificates))
-    strict = tuple(k for k in range(A.rows) if k not in certificates)
-    lineality = integer_kernel_basis(A)
-    constraints = [rows[i] for i in implicit] + list(lineality)
-    basis = integer_kernel_basis(constraints) if constraints else identity_rows(A.cols)
-    functionals = [tuple(sum(map(mul, rows[j], b)) for b in basis) for j in strict]
-    rays = pointed_rays(functionals) if functionals else ()
-    faces = [frozenset(y for y in rays if not sum(map(mul, f, y))) for f in functionals]
-    facets = _facets(strict, faces)
-    # the basis is in Hermite normal form, so the map keeps the rays sorted
-    ambient = tuple(tuple(sum(map(mul, y, col)) for col in zip(*basis)) for y in rays)
-    dim = len(lineality) + len(basis)
-    return ConeDescription(A, implicit, strict, facets, dim, lineality, certificates, ambient)
-
-
-def _facets(strict, faces):
-    """The facets, given the set of rays each strict row vanishes on: the rows of a maximal set."""
-    supports = {}
-    for j, face in zip(strict, faces):
-        if not any(face < other for other in faces):
-            supports.setdefault(face, []).append(j)
-    return tuple(Facet(members[0], tuple(members)) for members in supports.values())
+    return _frame(A)(A, IntMatrix.identity(A.rows))
 
 
 def seed_classifier(root_em):
-    """The map node -> ``classify(build_system(node, root_em))`` over one catalog's seeds.
+    """The map node -> ``classify(build_system(node, root_em))``: one frame, read at each G_t."""
+    describe = _frame(root_em.B)
+    return lambda node: describe(build_system(node, root_em), node.G_t)
 
-    Tropical duality, C_t^T.G_t = I, maps the cone onto P_t = {lam >= 0 :
-    K.G_t.lam = 0}, K spanning ker B^T, by beta -> lam with B.beta = G_t.lam.
-    With L the lineality basis ker B and M = [B; L], P = adj(M^T.M).B^T
-    sends v to a positive multiple of the beta orthogonal to L with
-    B.beta = v. In corank at most 1, with m = K.G_t (0 in corank 0), P_t has
-    the rays e_i for m_i = 0 and |m_j|.e_i + m_i.e_j for m_i > 0 > m_j, row
-    j vanishing on those without entry j; the relations are the multiples
-    of m, so a nonzero m of one sign makes the rows with m_i != 0 implicit,
-    each certified by |m|, and the dimension n + 1 minus their number.
-    Corank 2 and more go through ``classify``.
+
+def _frame(B):
+    """The map (A, G) -> ``ConeDescription`` of A = C^T.B, for C^T.G = I and G unimodular.
+
+    A.beta = lam exactly when B.beta = G.lam, so the cone is L = ker B plus
+    the image of P = {lam >= 0 : m.lam = 0}, m = K.G, K the saturated basis
+    of ker B^T, of k rows. With M = [B; L], the pull-back adj(M^T.M).B^T
+    sends G.lam to a positive multiple of the beta orthogonal to L with
+    B.beta = G.lam. The rays of P are the nonnegative circuits of m: a zero
+    column alone, and the signed k x k minors (Cramer) of k + 1 nonzero
+    columns when nonzero and of one sign. A strict row supports a facet iff
+    the set of rays using it is minimal. The rows of m span the relations
+    lam.A = 0; an implicit row's certificate is the first ray using it.
     """
-    B = root_em.B
     kernel = integer_kernel_basis(B.transpose())
-    if len(kernel) > 1:
-        return lambda node: classify(build_system(node, root_em))
     lineality = integer_kernel_basis(B)
     stacked = IntMatrix._trusted(B.entries + lineality)
     pull = adjugate(stacked.transpose().mul(stacked)).mul(B.transpose())
-    n = B.rows
+    scale = gcd(*chain.from_iterable(pull.entries)) or 1
+    frame = kernel + tuple(tuple(x // scale for x in row) for row in pull.entries)
+    k = len(kernel)
 
-    def describe(node):
-        G = node.G_t
-        images = tuple(zip(*pull.mul(G).entries))
-        m = G.transpose().mul_vec(kernel[0]) if kernel else (0,) * n
-        # the rays of P_t by support, each with its image
-        rays = {(i,): images[i] for i in range(n) if not m[i]}
-        for i in range(n):
-            for j in range(n):
-                if m[i] > 0 > m[j]:
-                    rays[i, j] = tuple(m[i] * y - m[j] * x for x, y in zip(images[i], images[j]))
-        implicit = tuple(i for i in range(n) if m[i]) if min(m) >= 0 or max(m) <= 0 else ()
-        strict = tuple(j for j in range(n) if j not in implicit)
-        facets = _facets(strict, [frozenset(s for s in rays if j not in s) for j in strict])
-        dim = n + 1 - len(implicit) if implicit else n
-        certificates = dict.fromkeys(implicit, tuple(map(abs, m)))
+    @lru_cache(maxsize=None)
+    def column(g):  # m_i over the image of e_i for g = G.e_i, which seeds share
+        return tuple(sum(map(mul, row, g)) for row in frame)
+
+    def describe(A, G):
+        columns = list(map(column, zip(*G.entries)))
+        m = [c[:k] for c in columns]
+        images = [c[k:] for c in columns]
+        # the rays of P by support, each with its image
+        rays = {(i,): images[i] for i in range(A.rows) if not any(m[i])}
+        nonzero = [i for i in range(A.rows) if any(m[i])]
+        minor = {s: det([m[i] for i in s]) for s in combinations(nonzero, k)}
+        for circuit in combinations(nonzero, k + 1):
+            # the subsets drop circuit[k] first and circuit[0] last, so this is
+            # the Cramer vector reversed, up to the sign (-1)^k
+            lam = [(-1) ** q * minor[s] for q, s in enumerate(combinations(circuit, k))]
+            if min(lam) < 0 < max(lam):
+                continue
+            lam = [abs(x) for x in reversed(lam)]
+            support = tuple(i for i, x in zip(circuit, lam) if x)
+            if support and support not in rays:
+                rays[support] = tuple(sum(map(mul, lam, y)) for y in zip(*(images[i] for i in circuit)))
+        uses = {j: frozenset(s for s in rays if j in s) for j in set().union(*rays)}
+        implicit = tuple(i for i in range(A.rows) if i not in uses)
+        strict = tuple(sorted(uses))
+        facets = _facets(strict, [uses[j] for j in strict])
+        dim, certificates = A.cols, {}
+        if implicit:
+            # the relations that vanish on the strict rows J are the y.m with
+            # y.m_J = 0, so the implicit rows have rank |I| - k + rank m_J
+            dim -= len(implicit) - k + len(hnf_rows([m[j] for j in strict]))
+            relations = _relations(hnf_rows(tuple(zip(*m))))
+            certificates = {i: next(lam for lam in relations if lam[i] > 0) for i in implicit}
         ambient = tuple(sorted(map(primitive_vector, rays.values())))
-        return ConeDescription(
-            build_system(node, root_em), implicit, strict, facets, dim, lineality, certificates, ambient
-        )
+        return ConeDescription(A, implicit, strict, facets, dim, lineality, certificates, ambient)
 
     return describe
+
+
+def _facets(strict, uses):
+    """The facets, given the set of rays using each strict row: the rows of a minimal set."""
+    supports = {}
+    for j, used in zip(strict, uses):
+        if not any(other < used for other in uses):
+            supports.setdefault(used, []).append(j)
+    return tuple(Facet(members[0], tuple(members)) for members in supports.values())
 
 
 def canonical_key(desc):
@@ -213,8 +203,8 @@ def canonical_key(desc):
 
     A cone is its lineality space plus the conic hull of the extreme rays
     of its pointed part, and both are intrinsic to the point set. So the
-    key is the ambient dimension, the lineality basis in the Hermite normal
-    form that ``classify`` returns it in, and the sorted primitive rays
-    that ``classify`` kept.
+    key is the ambient dimension, the lineality basis ker B in the Hermite
+    normal form of ``integer_kernel_basis``, and the sorted primitive rays,
+    the images of the nonnegative circuits.
     """
     return (desc.A.cols, desc.lineality_basis, desc.rays)

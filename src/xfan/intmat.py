@@ -4,8 +4,8 @@ Everything in this module is immutable and arbitrary precision. The exact
 elimination of the package is the Hermite normal form, and the saturated
 integer kernel is read off it: the kernel gives rank, the canonical forms
 that cone deduplication relies on, and, in the callers, extreme rays and
-skew-symmetrizers. A fraction-free adjugate inverts one Gram matrix per
-catalog for the cones.
+skew-symmetrizers. A fraction-free determinant gives the cones their minors
+and the adjugate of one Gram matrix per catalog.
 """
 
 from functools import lru_cache
@@ -199,30 +199,38 @@ def _augmented_hnf(matrix):
     return hnf_rows(IntMatrix._trusted(aug))
 
 
-def adjugate(matrix):
-    """adj(M) = det(M).M^-1 for a square ``IntMatrix`` M whose leading minors are nonzero.
+def det(rows):
+    """Determinant of the square integer matrix with the given rows; order 0 gives 1.
 
-    A positive definite M qualifies. Fraction-free Gauss-Jordan (Bareiss)
-    on [M | I]: after step k every entry is a minor of order k + 1, so each
-    division by the previous pivot is exact, and the right block ends as adj(M).
+    Fraction-free elimination (Bareiss) with row swaps: the entries left after
+    each step are minors, so each division by the previous pivot is exact,
+    and the last pivot is the determinant up to the sign of the swaps.
     """
-    n = matrix.rows
-    rows = [row + e for row, e in zip(matrix.entries, identity_rows(n))]
-    previous = 1
-    for k in range(n):
-        p = rows[k]
-        for i, r in enumerate(rows):
-            if i != k:
-                rows[i] = tuple((p[k] * x - r[k] * y) // previous for x, y in zip(r, p))
-        previous = p[k]
-    return IntMatrix._trusted(tuple(row[n:] for row in rows))
+    rows = list(rows)
+    sign = previous = 1
+    while rows:
+        if not rows[0][0]:
+            pivot = next((i for i, r in enumerate(rows) if r[0]), None)
+            if pivot is None:
+                return 0
+            rows[0], rows[pivot] = rows[pivot], rows[0]
+            sign = -sign
+        p, *rows = rows
+        rows = [tuple((p[0] * x - r[0] * y) // previous for x, y in zip(r[1:], p[1:])) for r in rows]
+        previous = p[0]
+    return sign * previous
+
+
+def adjugate(matrix):
+    """adj(M) = det(M).M^-1 for a square ``IntMatrix`` M: entry (i, j) is the cofactor of (j, i)."""
+    rows, n = matrix.entries, matrix.rows
+    cofactor = lambda i, j: (-1) ** (i + j) * det(r[:j] + r[j + 1 :] for r in rows[:i] + rows[i + 1 :])
+    return IntMatrix._trusted(tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)))
 
 
 def primitive_vector(vec):
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)

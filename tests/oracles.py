@@ -671,6 +671,110 @@ def subset_extreme_rays(rows, implicit, facets, lineality):
     return tuple(sorted(rays))
 
 
+def _xgcd(a, b):
+    """(g, s, t) with s.a + t.b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (-a, -s0, -t0) if a < 0 else (a, s0, t0)
+
+
+def hermite_rows(vectors):
+    """Row Hermite normal form of the lattice the integer vectors span.
+
+    Extended-gcd row operations: each column's pivot is the gcd of the
+    entries at and below it, made positive, and the entries above it are
+    reduced into [0, pivot). That form is unique per lattice. Zero rows
+    are dropped.
+    """
+    m = [list(v) for v in vectors if any(v)]
+    top = 0
+    for c in range(len(m[0]) if m else 0):
+        for i in range(top + 1, len(m)):
+            a, b = m[top][c], m[i][c]
+            if b:
+                g, s, t = _xgcd(a, b)
+                m[top], m[i] = (
+                    [s * x + t * y for x, y in zip(m[top], m[i])],
+                    [a // g * y - b // g * x for x, y in zip(m[top], m[i])],
+                )
+        if top < len(m) and m[top][c]:
+            if m[top][c] < 0:
+                m[top] = [-x for x in m[top]]
+            for i in range(top):
+                q = m[i][c] // m[top][c]
+                m[i] = [x - q * y for x, y in zip(m[i], m[top])]
+            top += 1
+    return tuple(tuple(row) for row in m[:top])
+
+
+def saturated_kernel(rows):
+    """Hermite basis of {x in Z^n : rows.x = 0}: the right block of the
+    rows of ``hermite_rows`` of [rows^T | I] whose left block vanishes."""
+    width, n = len(rows), len(rows[0])
+    aug = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*rows))]
+    return tuple(row[width:] for row in hermite_rows(aug) if not any(row[:width]))
+
+
+def _pointed_scan(functionals):
+    """Sorted primitive extreme rays of the pointed cone {y : f.y >= 0}:
+    both directions of each line cut out by r - 1 of the functionals."""
+    rays = set()
+    for subset in combinations(functionals, len(functionals[0]) - 1):
+        line = saturated_kernel(subset) if subset else ((1,),)
+        if len(line) == 1:
+            for y in (line[0], tuple(-x for x in line[0])):
+                if all(_dot(f, y) >= 0 for f in functionals):
+                    rays.add(y)
+    return sorted(rays)
+
+
+def gale_classify(rows):
+    """Cone classification of {x : rows.x >= 0} by Gale duality and subset scans.
+
+    The route the library took before it read cones off the g-vectors.
+    Returns (implicit, strict, facets, dim, lineality, certificates, rays)
+    with facets as (representative, supporting rows) pairs. The nonnegative
+    relations lam.rows = 0 are K^T.y, for K the Hermite basis of the integer
+    kernel of rows^T and y in the pointed cone that the columns of K cut
+    out; row k is implicit iff an extreme relation has lam_k > 0, and its
+    certificate is the first such relation in the order of y. The pointed
+    part lies in the lattice where the implicit rows and the lineality
+    space vanish; its rays come from a subset scan in the Hermite basis of
+    that lattice, and a strict row supports a facet iff the set of rays it
+    vanishes on is maximal.
+    """
+    rows = [tuple(row) for row in rows]
+    n = len(rows[0])
+    certificates = {}
+    relations = saturated_kernel(list(zip(*rows)))
+    for y in _pointed_scan(list(zip(*relations))) if relations else ():
+        lam = tuple(_dot(y, f) for f in zip(*relations))
+        for k, x in enumerate(lam):
+            if x > 0:
+                certificates.setdefault(k, lam)
+    implicit = tuple(sorted(certificates))
+    strict = tuple(k for k in range(len(rows)) if k not in certificates)
+    lineality = saturated_kernel(rows)
+    constraints = [rows[i] for i in implicit] + list(lineality)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    basis = saturated_kernel(constraints) if constraints else identity
+    functionals = [tuple(_dot(rows[j], b) for b in basis) for j in strict]
+    pointed = _pointed_scan(functionals) if functionals else []
+    rays = tuple(sorted(tuple(_dot(y, col) for col in zip(*basis)) for y in pointed))
+    faces = [frozenset(r for r in rays if not _dot(rows[j], r)) for j in strict]
+    groups = {}
+    for j, face in zip(strict, faces):
+        if not any(face < other for other in faces):
+            groups.setdefault(face, []).append(j)
+    facets = [(members[0], tuple(members)) for members in groups.values()]
+    dim = n - fraction_rank([rows[i] for i in implicit])
+    return implicit, strict, facets, dim, lineality, certificates, rays
+
+
 def knitted_meshes(n, arrows, window):
     """(source, middles, target) of every mesh in a knitted window.
 
@@ -866,6 +970,11 @@ def _self_check():
     assert subset_extreme_rays(ray, (0, 1), (2,), ()) == ((0, 1),)
     assert span_canonical_key(ray, (0, 1), (2,), ()) == (2, ((0, 1),), ((1,),), ())
     assert subset_extreme_rays([(1, 0), (0, 1)], (), (0, 1), ()) == ((0, 1), (1, 0))
+    assert hermite_rows([(0, 2, 4), (0, 3, 5)]) == ((0, 1, 1), (0, 0, 2))
+    assert saturated_kernel([(2, 4)]) == ((2, -1),)
+    # the ray above, with row 0 + row 1 = 0 certifying rows 0 and 1
+    certificates = {0: (1, 1, 0, 0), 1: (1, 1, 0, 0)}
+    assert gale_classify(ray) == ((0, 1), (2, 3), [(2, (2, 3))], 1, (), certificates, ((0, 1),))
     assert kahn_topological_order(3, [(2, 0, 1), (0, 1, 2)]) == [2, 0, 1]
     assert kahn_topological_order(2, [(0, 1, 1), (1, 0, 1)]) is None
     assert knitted_meshes(3, [(2, 0, 1), (0, 1, 2)], 1) == [

@@ -32,6 +32,7 @@ from xfan.pattern import NODE_CAP, _seed_graph
 from oracles import (
     conic_membership,
     fraction_rank,
+    gale_classify,
     kernel_rref,
     random_skew_symmetrizable,
     rref,
@@ -440,11 +441,14 @@ def test_classify_matches_caratheodory_scan_on_random_systems():
         rows = _random_system(rng)
         desc = classify(IntMatrix(rows))
         pairs.append(_assert_matches_scan(desc))
+        _assert_matches_oracle(desc)
         scales = [other_rng.randint(1, 3) for _ in rows]
         again = [tuple(c * x for x in row) for c, row in zip(scales, rows)]
         again.append(tuple(map(sum, zip(other_rng.choice(rows), other_rng.choice(rows)))))
         other_rng.shuffle(again)
-        pairs.append(_keys(classify(IntMatrix(again))))
+        other = classify(IntMatrix(again))
+        pairs.append(_keys(other))
+        _assert_matches_oracle(other)
         assert pairs[-1] == pairs[-2], (rows, again)
         kinds["implicit"] += bool(desc.implicit)
         kinds["redundant"] += sum(len(f.supporting) for f in desc.facets) < len(desc.strict)
@@ -500,8 +504,21 @@ B_E6 = [
     [0, 0, -1, 0, 0, 0],
 ]
 
+
+def _disjoint(*blocks):
+    """The exchange matrix of a disjoint union: the blocks on the diagonal."""
+    n = sum(map(len, blocks))
+    rows, offset = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[offset + i][offset : offset + len(row)] = row
+        offset += len(block)
+    return rows
+
+
 # (rows, depth) of every catalog the suite builds, E6 added for a corank-0 seed
-# of rank 6; None is exhaustive
+# of rank 6, A3 + A3 and A1 + A1 + A3 for coranks 2 and 3, and a seed with a
+# 1,000-digit entry; None is exhaustive
 SEED_CATALOGS = {
     "A2": ([[0, 1], [-1, 0]], None),
     "B2": ([[0, 1], [-2, 0]], None),
@@ -518,7 +535,24 @@ SEED_CATALOGS = {
     "span-bug": (B_SPAN_BUG, 4),
     "A5": ([[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]], None),
     "E6": (B_E6, None),
+    "A3+A3": (_disjoint(B_A3, B_A3), None),
+    "A1+A1+A3": (_disjoint([[0]], [[0]], B_A3), None),
+    "thousand-digit": ([[0, 10**1000 - 1, 0], [1 - 10**1000, 0, 1], [0, -1, 0]], 2),
 }
+
+
+def _assert_matches_oracle(desc):
+    """Every slot of ``desc`` equals the one ``gale_classify`` computes from its rows."""
+    slots = (
+        desc.implicit,
+        desc.strict,
+        [(f.representative, f.supporting) for f in desc.facets],
+        desc.dim,
+        desc.lineality_basis,
+        desc.implicit_certificates,
+        desc.rays,
+    )
+    assert slots == gale_classify(desc.A.entries), desc.A
 
 
 def _slots(desc):
@@ -526,7 +560,8 @@ def _slots(desc):
 
 
 def _seed_route_kinds(em, depth):
-    """Check ``seed_classifier`` against ``classify`` on every seed up to depth; count the kinds.
+    """Check ``seed_classifier`` against ``gale_classify`` and ``classify`` on every
+    seed up to depth; count the kinds.
 
     The kind of a seed is "orthant" in corank 0, "general" in corank 2 and
     more, and in corank 1 "one sign" or "both signs" after m = K.G_t, K
@@ -537,7 +572,9 @@ def _seed_route_kinds(em, depth):
     kernel = integer_kernel_basis(em.B.transpose())
     kinds = Counter()
     for node in seeds:
-        assert _slots(describe(node)) == _slots(classify(build_system(node, em))), node.history
+        desc = describe(node)
+        _assert_matches_oracle(desc)
+        assert _slots(desc) == _slots(classify(build_system(node, em))), node.history
         if len(kernel) == 1:
             m = node.G_t.transpose().mul_vec(kernel[0])
             kinds["both signs" if min(m) < 0 < max(m) else "one sign"] += 1

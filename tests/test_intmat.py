@@ -33,7 +33,7 @@ from xfan import (
     theta,
     validate,
 )
-from xfan.intmat import Frozen, Value, adjugate
+from xfan.intmat import Frozen, Value, adjugate, det
 
 from oracles import clear_multipliers, fraction_rank, sympy_inverse
 
@@ -346,3 +346,41 @@ def test_adjugate_matches_the_rational_inverse():
         inverse = sympy_inverse(gram.entries)
         det = int(sympy.Matrix(gram.entries).det())
         assert adjugate(gram).entries == tuple(tuple(det * x for x in row) for row in inverse)
+
+
+def _random_square(rng, n, kind):
+    """A random integer matrix of order n: small entries, singular, with a
+    zero (1, 1) entry, or with entries of up to 300 digits."""
+    bound = 10**300 if kind == "huge" else 3
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    if n and kind == "singular":
+        rows[-1] = [a - b for a, b in zip(rows[0], rows[n // 2])]
+    if n and kind == "zero corner":
+        rows[0][0] = 0
+    return rows
+
+
+KINDS = ("small", "singular", "zero corner", "huge")
+
+
+def test_det_matches_sympy():
+    rng = random.Random(2401)
+    swapped = 0
+    for trial in range(400):
+        n = rng.randint(0, 6)
+        rows = _random_square(rng, n, KINDS[trial % 4])
+        expected = int(sympy.Matrix(n, n, sum(rows, [])).det())
+        assert det(rows) == expected, rows
+        swapped += bool(n > 1 and not rows[0][0] and expected)
+    # a zero pivot with a nonzero determinant takes the row swap
+    assert swapped >= 20
+
+
+def test_adjugate_is_the_cofactor_matrix_of_sympy():
+    # an IntMatrix has order 1 at least
+    rng = random.Random(2402)
+    for trial in range(100):
+        n = rng.randint(1, 6)
+        rows = _random_square(rng, n, KINDS[trial % 4])
+        expected = sympy.Matrix(rows).adjugate().tolist()
+        assert adjugate(IntMatrix(rows)).entries == tuple(tuple(map(int, row)) for row in expected), rows
