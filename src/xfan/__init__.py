@@ -13,7 +13,6 @@ from .cones import (
     build_system,
     canonical_key,
     classify,
-    pointed_rays,
 )
 from .errors import (
     ConventionViolation,
@@ -119,7 +118,6 @@ __all__ = [
     "normal_vector",
     "p_star",
     "path_algebra_data",
-    "pointed_rays",
     "positive_c_vectors",
     "primitive_vector",
     "tau_inverse_dim",

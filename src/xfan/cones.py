@@ -6,10 +6,10 @@ C_t^T.G_t = I, makes the cone the p*-preimage of the seed's g-vector cone,
 so one route reads every cone off G_t: the extreme rays of its pointed
 part are the images of the nonnegative circuits of K.G_t, K spanning
 ker B^T, and an arbitrary A is the case B = A, G = I. Implicit rows are
-the coordinates no ray uses, certified by the nonnegative row relations
-that Gale duality finds over the integer kernel of A^T, and a strict row
-supports a facet when no other strict row vanishes on more rays. The rays
-and the lineality space key the cone.
+the coordinates no ray uses, certified by the one-signed cocircuits of
+K.G_t, the extreme nonnegative row relations, read off the same minors;
+a strict row supports a facet when no other strict row vanishes on more
+rays. The rays and the lineality space key the cone.
 """
 
 from functools import lru_cache
@@ -24,7 +24,6 @@ from .intmat import (
     adjugate,
     det,
     hnf_rows,
-    identity_rows,
     integer_kernel_basis,
     primitive_vector,
 )
@@ -71,50 +70,6 @@ def build_system(node, root_em):
     return node.C_t.transpose().mul(root_em.B)
 
 
-def pointed_rays(functionals):
-    """Primitive generators of the extreme rays of {y : f.y >= 0 for every f}.
-
-    The cone must be pointed, that is the functionals span the dual space.
-    Each extreme ray is the line cut out by r - 1 independent functionals,
-    r the ambient dimension, so scanning the subsets of that size and
-    keeping the feasible kernel directions finds them all. Returns a sorted
-    tuple; the functionals go through ``IntMatrix``.
-    """
-    functionals = IntMatrix(functionals).entries
-    rays = set()
-    for subset in combinations(functionals, len(functionals[0]) - 1):
-        # r = 1: the empty subset cuts out the whole line
-        line = integer_kernel_basis(subset) if subset else identity_rows(1)
-        if len(line) != 1:
-            continue
-        for y in (line[0], tuple(-x for x in line[0])):
-            if all(sum(map(mul, f, y)) >= 0 for f in functionals):
-                rays.add(y)
-    return tuple(sorted(rays))
-
-
-def relation_rays(rows):
-    """Primitive extreme rays of the cone {lam >= 0 : sum_k lam_k rows[k] = 0}.
-
-    Gale duality: the relations are lam = K^T.y for K the saturated integer
-    kernel basis of the transposed rows, so the cone is the image of the
-    pointed cone that the columns of K cut out, and a primitive y gives a
-    primitive lam. The supports of the rays are the minimal supports of
-    nonnegative relations, and on each of them lam is unique up to scale.
-    """
-    return _relations(integer_kernel_basis(IntMatrix(rows).transpose()))
-
-
-def _relations(kernel):
-    """The rays K^T.y of ``relation_rays``, given the kernel basis K in Hermite normal form."""
-    if not kernel:
-        return ()
-    functionals = tuple(zip(*kernel))
-    return tuple(
-        tuple(sum(map(mul, y, f)) for f in functionals) for y in pointed_rays(functionals)
-    )
-
-
 def classify(A):
     """Classify the cone of the ``IntMatrix`` A: implicit rows, dimension, facets, lineality, rays.
 
@@ -136,11 +91,11 @@ def _frame(B):
     the image of P = {lam >= 0 : m.lam = 0}, m = K.G, K the saturated basis
     of ker B^T, of k rows. With M = [B; L], the pull-back adj(M^T.M).B^T
     sends G.lam to a positive multiple of the beta orthogonal to L with
-    B.beta = G.lam. The rays of P are the nonnegative circuits of m: a zero
-    column alone, and the signed k x k minors (Cramer) of k + 1 nonzero
-    columns when nonzero and of one sign. A strict row supports a facet iff
-    the set of rays using it is minimal. The rows of m span the relations
-    lam.A = 0; an implicit row's certificate is the first ray using it.
+    B.beta = G.lam. The rays of P are the nonnegative circuits of m
+    (``_circuits``). A strict row supports a facet iff the set of rays
+    using it is minimal. The rows of m span the relations lam.A = 0, whose
+    rays are the one-signed cocircuits of m; an implicit row's certificate
+    is the lexicographically least ray using it.
     """
     kernel = integer_kernel_basis(B.transpose())
     lineality = integer_kernel_basis(B)
@@ -158,21 +113,8 @@ def _frame(B):
         columns = list(map(column, zip(*G.entries)))
         m = [c[:k] for c in columns]
         images = [c[k:] for c in columns]
-        # the rays of P by support, each with its image
-        rays = {(i,): images[i] for i in range(A.rows) if not any(m[i])}
-        nonzero = [i for i in range(A.rows) if any(m[i])]
-        minor = {s: det([m[i] for i in s]) for s in combinations(nonzero, k)}
-        for circuit in combinations(nonzero, k + 1):
-            # the subsets drop circuit[k] first and circuit[0] last, so this is
-            # the Cramer vector reversed, up to the sign (-1)^k
-            lam = [(-1) ** q * minor[s] for q, s in enumerate(combinations(circuit, k))]
-            if min(lam) < 0 < max(lam):
-                continue
-            lam = [abs(x) for x in reversed(lam)]
-            support = tuple(i for i, x in zip(circuit, lam) if x)
-            if support and support not in rays:
-                rays[support] = tuple(sum(map(mul, lam, y)) for y in zip(*(images[i] for i in circuit)))
-        uses = {j: frozenset(s for s in rays if j in s) for j in set().union(*rays)}
+        circuits, minor = _circuits(m, k)
+        uses = {j: frozenset(s for s in circuits if j in s) for j in set().union(*circuits)}
         implicit = tuple(i for i in range(A.rows) if i not in uses)
         strict = tuple(sorted(uses))
         facets = _facets(strict, [uses[j] for j in strict])
@@ -181,12 +123,52 @@ def _frame(B):
             # the relations that vanish on the strict rows J are the y.m with
             # y.m_J = 0, so the implicit rows have rank |I| - k + rank m_J
             dim -= len(implicit) - k + len(hnf_rows([m[j] for j in strict]))
-            relations = _relations(hnf_rows(tuple(zip(*m))))
-            certificates = {i: next(lam for lam in relations if lam[i] > 0) for i in implicit}
-        ambient = tuple(sorted(map(primitive_vector, rays.values())))
+            # the relation rays are the one-signed cocircuits y.m, y normal to
+            # k - 1 columns: lam_i is the minor of those columns and column i,
+            # signed by the position of i among them (zero when i is one of them)
+            nonzero = [i for i, c in enumerate(m) if any(c)]
+            relations = []
+            for cols in combinations(nonzero, k - 1):
+                lam = [0] * A.rows
+                for i in nonzero:
+                    subset = tuple(sorted((*cols, i)))
+                    lam[i] = (-1) ** subset.index(i) * minor.get(subset, 0)
+                if not min(lam) < 0 < max(lam):
+                    relations.append(primitive_vector([abs(x) for x in lam]))
+            certificates = {i: min(lam for lam in relations if lam[i] > 0) for i in implicit}
+        # a zero column's ray is its image as it stands
+        rays = (
+            images[s[0]] if len(s) == 1 else tuple(sum(map(mul, lam, y)) for y in zip(*(images[i] for i in s)))
+            for s, lam in circuits.items()
+        )
+        ambient = tuple(sorted(map(primitive_vector, rays)))
         return ConeDescription(A, implicit, strict, facets, dim, lineality, certificates, ambient)
 
     return describe
+
+
+def _circuits(m, k):
+    """The nonnegative circuits of the k-row matrix of full row rank whose columns are m.
+
+    Returns ({support: lam on the support}, {S: det m_S}), S running over
+    the k-subsets of nonzero columns. A zero column is a circuit alone; the
+    others are the signed k x k minors (Cramer) of k + 1 nonzero columns,
+    kept when nonzero and of one sign, with lam > 0 on the support.
+    """
+    circuits = {(i,): (1,) for i, c in enumerate(m) if not any(c)}
+    nonzero = [i for i, c in enumerate(m) if any(c)]
+    minor = {s: det([m[i] for i in s]) for s in combinations(nonzero, k)}
+    for circuit in combinations(nonzero, k + 1):
+        # the subsets drop circuit[k] first and circuit[0] last, so this is
+        # the Cramer vector reversed, up to the sign (-1)^k
+        lam = [(-1) ** q * minor[s] for q, s in enumerate(combinations(circuit, k))]
+        if min(lam) < 0 < max(lam):
+            continue
+        lam = [abs(x) for x in reversed(lam)]
+        support = tuple(i for i, x in zip(circuit, lam) if x)
+        if support and support not in circuits:
+            circuits[support] = tuple(x for x in lam if x)
+    return circuits, minor
 
 
 def _facets(strict, uses):

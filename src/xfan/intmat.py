@@ -1,11 +1,13 @@
 """Exact integer matrices and lattice helpers.
 
 Everything in this module is immutable and arbitrary precision. The exact
-elimination of the package is the Hermite normal form, and the saturated
-integer kernel is read off it: the kernel gives rank, the canonical forms
-that cone deduplication relies on, and, in the callers, extreme rays and
-skew-symmetrizers. A fraction-free determinant gives the cones their minors
-and the adjugate of one Gram matrix per catalog.
+elimination of the package is the Hermite normal form: it gives ranks,
+full-rank bases of row lattices and the g-matrices, and the saturated
+integer kernel is read off it, for the canonical forms that cone
+deduplication relies on and, in the callers, the cone frames and
+skew-symmetrizers. The one fraction-free elimination is the determinant:
+the callers read extreme rays, certificates and Sylvester's test off its
+minors, and it gives the adjugate of one Gram matrix per catalog.
 """
 
 from functools import lru_cache

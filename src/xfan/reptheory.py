@@ -13,7 +13,7 @@ kernel certificates read B and nothing else.
 
 from operator import add
 
-from .cones import relation_rays
+from .cones import _circuits
 from .errors import (
     ConventionViolation,
     DimensionMismatch,
@@ -24,7 +24,7 @@ from .errors import (
     NotRepresentationFinite,
     NotSkewSymmetric,
 )
-from .intmat import Frozen, IntMatrix, _exact_int
+from .intmat import Frozen, IntMatrix, _exact_int, det, hnf_rows, primitive_vector
 from .pattern import NODE_CAP
 
 
@@ -111,14 +111,22 @@ def path_algebra_data(em):
     return PathAlgebraData(arrows, cartan, cartan_inv, coxeter_inv, em.B)
 
 
+def _vector(data, vec, name):
+    """``vec`` as a tuple of ints; DimensionMismatch unless its length is the rank."""
+    v = tuple(_exact_int(x) for x in vec)
+    if len(v) != data.exchange.rows:
+        raise DimensionMismatch(f"{name} has length {len(v)}, expected {data.exchange.rows}")
+    return v
+
+
 def g_vector(data, dim):
-    """g = inverse Cartan times the dimension vector (as a column)."""
-    return data.cartan_inv.mul_vec(tuple(_exact_int(x) for x in dim))
+    """g = inverse Cartan times the dimension vector (as a column), of length n."""
+    return data.cartan_inv.mul_vec(_vector(data, dim, "dim"))
 
 
 def tau_inverse_dim(data, dim):
-    """Inverse AR translate on classes: inverse Coxeter times the dim column."""
-    return data.coxeter_inv.mul_vec(tuple(_exact_int(x) for x in dim))
+    """Inverse AR translate on classes: inverse Coxeter times the dim column, of length n."""
+    return data.coxeter_inv.mul_vec(_vector(data, dim, "dim"))
 
 
 def _tits_form_positive(B):
@@ -126,22 +134,12 @@ def _tits_form_positive(B):
 
     For a skew-symmetric B, |B| = A + A^T with A the arrow matrix. By
     Gabriel's theorem the form is positive definite exactly when every
-    component of the underlying graph is simply laced Dynkin. A pivot-sign
-    test, not a solve: each fraction-free (Bareiss) pivot is a leading
-    principal minor and must be positive (Sylvester).
+    component of the underlying graph is simply laced Dynkin, and by
+    Sylvester's criterion exactly when every leading principal minor is
+    positive.
     """
     q = [[2 * (i == j) - abs(x) for j, x in enumerate(row)] for i, row in enumerate(B.entries)]
-    n = len(q)
-    prev = 1
-    for k in range(n):
-        p = q[k][k]
-        if p <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q[i][j] = (p * q[i][j] - q[i][k] * q[k][j]) // prev
-        prev = p
-    return True
+    return all(det(row[:k] for row in q[:k]) > 0 for k in range(1, len(q) + 1))
 
 
 def _components(arrows):
@@ -247,9 +245,7 @@ def normal_vector(data, cvec, slice_data=None):
     dimension vectors (NotARoot otherwise). A c-vector of the wrong length
     raises DimensionMismatch.
     """
-    c = tuple(_exact_int(x) for x in cvec)
-    if len(c) != data.exchange.rows:
-        raise DimensionMismatch(f"cvec has length {len(c)}, expected {data.exchange.rows}")
+    c = _vector(data, cvec, "cvec")
     if not any(c) or any(x < 0 for x in c):
         raise NotPositive(f"{c} is not a positive c-vector")
     if slice_data is not None and c not in slice_data.module_dimension_vectors():
@@ -266,19 +262,19 @@ def kernel_certificates(data, cvectors):
     minimal subset H of the positive inputs admitting strictly positive
     multipliers lambda with sum over H of lambda_k B.c_k = 0, as (indices
     into the input, integer lambda) pairs, ordered by size and then by
-    subset. Non-positive inputs are skipped (mixed-sign systems belong to
-    the Farkas route in the cone module). The minimal subsets are the
-    supports of the extreme rays of {lambda >= 0 : sum lambda_k B.c_k = 0},
-    and lambda is the primitive ray.
+    subset. Non-positive inputs are skipped; an input of the wrong length
+    raises DimensionMismatch. The minimal subsets are the supports of the
+    extreme rays of {lambda >= 0 : sum lambda_k B.c_k = 0}, the nonnegative
+    circuits of any full-rank basis of the row space of the matrix with
+    columns B.c_k, and lambda is the primitive ray.
     """
-    vectors = [tuple(_exact_int(x) for x in c) for c in cvectors]
+    vectors = [_vector(data, c, "cvector") for c in cvectors]
     positive = [
         i for i, c in enumerate(vectors) if any(c) and all(x >= 0 for x in c)
     ]
     if not positive:
         return []
-    certificates = []
-    for lam in relation_rays([data.exchange.mul_vec(vectors[i]) for i in positive]):
-        support = [k for k, x in enumerate(lam) if x]
-        certificates.append((tuple(positive[k] for k in support), tuple(lam[k] for k in support)))
+    basis = hnf_rows(tuple(zip(*(data.exchange.mul_vec(vectors[i]) for i in positive))))
+    circuits, _ = _circuits([tuple(row[k] for row in basis) for k in range(len(positive))], len(basis))
+    certificates = [(tuple(positive[k] for k in s), primitive_vector(lam)) for s, lam in circuits.items()]
     return sorted(certificates, key=lambda item: (len(item[0]), item[0]))

@@ -972,6 +972,16 @@ def _self_check():
     assert subset_extreme_rays([(1, 0), (0, 1)], (), (0, 1), ()) == ((0, 1), (1, 0))
     assert hermite_rows([(0, 2, 4), (0, 3, 5)]) == ((0, 1, 1), (0, 0, 2))
     assert saturated_kernel([(2, 4)]) == ((2, -1),)
+    assert _pointed_scan([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
+    # a redundant functional changes nothing
+    assert _pointed_scan([(1, 0), (1, 1), (0, 1)]) == [(0, 1), (1, 0)]
+    # the cone over a square
+    square = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    assert _pointed_scan(square) == [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
+    assert _pointed_scan([(2,), (3,)]) == [(1,)]
+    assert _pointed_scan([(1,), (-1,)]) == []
+    # rays come out primitive
+    assert _pointed_scan([(2, -1), (-1, 2)]) == [(1, 2), (2, 1)]
     # the ray above, with row 0 + row 1 = 0 certifying rows 0 and 1
     certificates = {0: (1, 1, 0, 0), 1: (1, 1, 0, 0)}
     assert gale_classify(ray) == ((0, 1), (2, 3), [(2, (2, 3))], 1, (), certificates, ((0, 1),))

@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -22,14 +23,14 @@ from xfan import (
     initial_node,
     integer_kernel_basis,
     mutate_node,
-    pointed_rays,
     primitive_vector,
     validate,
 )
-from xfan.cones import relation_rays, seed_classifier
+from xfan.cones import _circuits, seed_classifier
 from xfan.pattern import NODE_CAP, _seed_graph
 
 from oracles import (
+    _pointed_scan,
     conic_membership,
     fraction_rank,
     gale_classify,
@@ -37,6 +38,7 @@ from oracles import (
     random_skew_symmetrizable,
     rref,
     sampled_cone_dimension,
+    saturated_kernel,
     scan_classify,
     span_canonical_key,
     subset_extreme_rays,
@@ -287,25 +289,22 @@ def test_canonical_key_ignores_row_presentation():
     assert canonical_key(classify(base)) == canonical_key(classify(doubled))
 
 
-def test_pointed_rays_frozen():
-    assert pointed_rays([(1, 0), (0, 1)]) == ((0, 1), (1, 0))
-    # a redundant functional changes nothing
-    assert pointed_rays([(1, 0), (1, 1), (0, 1)]) == ((0, 1), (1, 0))
-    # the cone over a square
-    square = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
-    assert pointed_rays(square) == ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
-    assert pointed_rays([(2,), (3,)]) == ((1,),)
-    assert pointed_rays([(1,), (-1,)]) == ()
-    # rays come out primitive
-    assert pointed_rays([(2, -1), (-1, 2)]) == ((1, 2), (2, 1))
+def test_circuits_frozen():
+    # the nonnegative relations among the rows are the circuits of the
+    # transposed rows, taken in a basis of full row rank
+    def relations(rows):
+        basis = hnf_rows(list(zip(*rows)))
+        return _circuits([tuple(r[i] for r in basis) for i in range(len(rows))], len(basis))[0]
 
-
-def test_relation_rays_frozen():
-    assert relation_rays([(1, 0), (-1, 0), (0, 1)]) == ((1, 1, 0),)
-    assert relation_rays([(1, 0), (0, 1)]) == ()
-    # two minimal supports through the same row; each ray is primitive
-    assert relation_rays([(2, 0), (-1, 0), (-1, 0)]) == ((1, 0, 2), (1, 2, 0))
-    assert relation_rays([(0, 0), (1, 1)]) == ((1, 0),)
+    assert relations([(1, 0), (-1, 0), (0, 1)]) == {(0, 1): (1, 1)}
+    assert relations([(1, 0), (0, 1)]) == {}
+    # two minimal supports through the same row
+    assert relations([(2, 0), (-1, 0), (-1, 0)]) == {(0, 1): (1, 2), (0, 2): (1, 2)}
+    # a zero row is a circuit alone
+    assert relations([(0, 0), (1, 1)]) == {(0,): (1,)}
+    # lam is positive on the support but not made primitive
+    assert relations([(2,), (-2,)]) == {(0, 1): (2, 2)}
+    assert _circuits([(0,), (1,)], 1) == ({(0,): (1,)}, {(1,): 1})
 
 
 B_SPAN_BUG = [[0, -1, 0, 1], [1, 0, -1, -2], [0, 1, 0, -1], [-1, 2, 1, 0]]
@@ -337,11 +336,25 @@ def test_canonical_key_separates_a_ray_from_its_mirror():
 
 def _assert_certificates(desc):
     a = desc.A.entries
-    assert sorted(desc.implicit_certificates) == list(desc.implicit)
+    # the certificates iterate in row order
+    assert list(desc.implicit_certificates) == list(desc.implicit)
     for k, lam in desc.implicit_certificates.items():
         assert all(type(c) is int and c >= 0 for c in lam) and lam[k] >= 1
         assert gcd(*lam) == 1
         assert all(sum(c * row[i] for c, row in zip(lam, a)) == 0 for i in range(len(a[0])))
+
+
+def _assert_least_certificates(desc):
+    """Each implicit row's certificate is the lexicographically least extreme
+    relation lam >= 0, lam.A = 0, with a positive entry there, the relations
+    taken from the oracles' subset scan over the kernel of A^T. Returns
+    whether some implicit row has more than one such relation to choose from."""
+    rows = desc.A.entries
+    kernel = saturated_kernel(list(zip(*rows)))
+    relations = [tuple(sum(map(mul, y, f)) for f in zip(*kernel)) for y in _pointed_scan(list(zip(*kernel)))] if kernel else []
+    choices = [[r for r in relations if r[i] > 0] for i in desc.implicit]
+    assert list(desc.implicit_certificates.values()) == [min(c) for c in choices], rows
+    return any(len(c) > 1 for c in choices)
 
 
 def _keys(desc):
@@ -435,13 +448,14 @@ def test_classify_matches_caratheodory_scan_on_random_systems():
     # point set: rows shuffled and rescaled, plus the sum of two rows.
     rng = random.Random(3116)
     other_rng = random.Random(6113)
-    kinds = {"implicit": 0, "redundant": 0, "shared": 0}
+    kinds = {"implicit": 0, "redundant": 0, "shared": 0, "certificate choice": 0}
     pairs = []
     for _ in range(300):
         rows = _random_system(rng)
         desc = classify(IntMatrix(rows))
         pairs.append(_assert_matches_scan(desc))
         _assert_matches_oracle(desc)
+        kinds["certificate choice"] += _assert_least_certificates(desc)
         scales = [other_rng.randint(1, 3) for _ in rows]
         again = [tuple(c * x for x in row) for c, row in zip(scales, rows)]
         again.append(tuple(map(sum, zip(other_rng.choice(rows), other_rng.choice(rows)))))
@@ -574,6 +588,7 @@ def _seed_route_kinds(em, depth):
     for node in seeds:
         desc = describe(node)
         _assert_matches_oracle(desc)
+        _assert_least_certificates(desc)
         assert _slots(desc) == _slots(classify(build_system(node, em))), node.history
         if len(kernel) == 1:
             m = node.G_t.transpose().mul_vec(kernel[0])
@@ -596,3 +611,4 @@ def test_seed_classifier_matches_classify_on_random_seeds():
         rows, _ = random_skew_symmetrizable(rng, rng.randint(1, 5))
         kinds += _seed_route_kinds(validate(rows), 3)
     assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds
+

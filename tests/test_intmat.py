@@ -27,7 +27,6 @@ from xfan import (
     normal_vector,
     p_star,
     path_algebra_data,
-    pointed_rays,
     primitive_vector,
     tau_inverse_dim,
     theta,
@@ -89,7 +88,6 @@ def _a3_data():
         lambda: p_star(validate(B_A2), BETA),
         lambda: locate(BETA, _a2_catalog()),
         lambda: theta(BETA, _a2_catalog()),
-        lambda: pointed_rays([(1, 0), BETA]),
         lambda: LaurentPolynomial(1, {(1.5,): 2}),
         lambda: LaurentPolynomial(1, {(1,): 2.5}),
         lambda: LaurentPolynomial(2, {BETA: 1}),
@@ -107,7 +105,6 @@ def _a3_data():
     ],
     ids=[
         "IntMatrix", "validate-d", "p_star", "locate", "theta",
-        "pointed_rays",
         "laurent-exponent", "laurent-coefficient", "laurent-monomial", "laurent-pow",
         "g_vector", "tau_inverse_dim", "normal_vector", "kernel_certificates", "mesh_at",
         "integer_kernel_basis", "hnf_rows",

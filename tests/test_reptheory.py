@@ -395,12 +395,31 @@ def test_normal_vector_errors():
     assert normal_vector(data, (2, 0, 0)) == (0, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda data: g_vector(data, (1, 0)), "dim has length 2, expected 3"),
+        (lambda data: tau_inverse_dim(data, (1, 0, 0, 0)), "dim has length 4, expected 3"),
+        # a zero vector is skipped, but not one of the wrong length
+        (lambda data: kernel_certificates(data, [(0, 0)]), "cvector has length 2, expected 3"),
+    ],
+    ids=["g_vector", "tau_inverse_dim", "kernel_certificates"],
+)
+def test_wrong_length_raises_dimension_mismatch(call, message):
+    # normal_vector's case is in test_normal_vector_errors
+    with pytest.raises(DimensionMismatch, match=message):
+        call(_data(B_A3))
+
+
 def test_kernel_certificates_frozen_cases():
     a3 = _data(B_A3)
     assert kernel_certificates(a3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == []
     # two simples whose images cancel: the pair is a minimal certificate
     paired = _data([[0, 0, -1], [0, 0, 1], [1, -1, 0]])
     assert kernel_certificates(paired, [(1, 0, 0), (0, 1, 0)]) == [((0, 1), (1, 1))]
+    # double arrows: the images (0, -2, 0) and (0, 2, 0) cancel, lambda primitive
+    doubled = _data([[0, 2, 0], [-2, 0, 2], [0, -2, 0]])
+    assert kernel_certificates(doubled, [(1, 0, 0), (0, 0, 1)]) == [((0, 1), (1, 1))]
     # no arrows: every summand is zero, so every singleton certifies
     arrowless = _data([[0, 0], [0, 0]])
     assert kernel_certificates(arrowless, [(1, 0), (0, 1)]) == [((0,), (1,)), ((1,), (1,))]
