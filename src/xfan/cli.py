@@ -263,7 +263,7 @@ def _cmd_normals(em, args):
 def _cmd_certify(em, args):
     data = path_algebra_data(em)
     node = _walk(em, args.seq, with_polynomials=False)
-    cvectors = [node.C_t.col(j) for j in range(em.n)]
+    cvectors = node.c_vectors
     certificates = kernel_certificates(data, cvectors)
     return {
         "history": node.history,

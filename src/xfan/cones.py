@@ -66,8 +66,8 @@ class ConeDescription(Frozen):
 
 
 def build_system(node, root_em):
-    """The row matrix A = C_t^T . B of the cone, for the root exchange matrix B."""
-    return node.C_t.transpose().mul(root_em.B)
+    """The row matrix A = C_t^T . B of the cone, for the root exchange matrix B: row i is c_i^T.B."""
+    return IntMatrix._trusted(node.c_vectors).mul(root_em.B)
 
 
 def classify(A):

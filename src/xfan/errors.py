@@ -40,11 +40,7 @@ class NotAcyclic(XfanError):
 
 
 class DualityViolation(XfanError):
-    """C_t is not unimodular, or a mutated F lost its constant term 1.
-
-    The first is found when G_t = (C_t^T)^-1 is read; either indicates an
-    implementation bug.
-    """
+    """A mutated F lost its constant term 1; indicates an implementation bug."""
 
 
 class SignCoherenceViolation(XfanError):

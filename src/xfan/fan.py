@@ -57,13 +57,13 @@ def assemble_fan(catalog):
     """
     describe = seed_classifier(catalog.root)
     merged = {}
-    cone_of_seed = {}
+    by_seed = []  # by seed number, the witness list of its cone
     for node in catalog.seeds:
         desc = describe(node)
-        key = cone_of_seed[node] = canonical_key(desc)
-        merged.setdefault(key, (desc, []))
-    for node in catalog.nodes:
-        merged[cone_of_seed[node.seed]][1].append(node.history)
+        by_seed.append(merged.setdefault(canonical_key(desc), (desc, []))[1])
+    nodes = catalog.nodes
+    for s, history in zip(nodes.seed_of, nodes.histories):
+        by_seed[s].append(history)
     cones = [XCone(key, desc, witnesses) for key, (desc, witnesses) in merged.items()]
     return XFanReport(cones, catalog.complete)
 
@@ -79,9 +79,9 @@ def locate(beta, catalog):
     """
     image = p_star(catalog.root, beta)
     for node in catalog.seeds:
-        alpha = tuple(sum(map(mul, col, image)) for col in zip(*node.C_t.entries))
-        if min(alpha) >= 0:
-            return node, alpha
+        cols = node.c_vectors
+        if all(sum(map(mul, col, image)) >= 0 for col in cols):
+            return node, tuple(sum(map(mul, col, image)) for col in cols)
     return None
 
 

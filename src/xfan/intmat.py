@@ -1,13 +1,13 @@
 """Exact integer matrices and lattice helpers.
 
 Everything in this module is immutable and arbitrary precision. The exact
-elimination of the package is the Hermite normal form: it gives ranks,
-full-rank bases of row lattices and the g-matrices, and the saturated
-integer kernel is read off it, for the canonical forms that cone
-deduplication relies on and, in the callers, the cone frames and
-skew-symmetrizers. The one fraction-free elimination is the determinant:
-the callers read extreme rays, certificates and Sylvester's test off its
-minors, and it gives the adjugate of one Gram matrix per catalog.
+elimination of the package is the Hermite normal form: it gives ranks
+and full-rank bases of row lattices, and the saturated integer kernel is
+read off it, for the canonical forms that cone deduplication relies on
+and, in the callers, the cone frames and skew-symmetrizers. The one
+fraction-free elimination is the determinant: the callers read extreme
+rays, certificates and Sylvester's test off its minors, and it gives the
+adjugate of one Gram matrix per catalog.
 """
 
 from functools import lru_cache
@@ -112,7 +112,7 @@ class IntMatrix(Value):
             raise ValueError("shape mismatch in matrix product")
         cols = tuple(zip(*other.entries))
         return IntMatrix._trusted(
-            tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.entries)
+            tuple(tuple([sum(map(mul, r, c)) for c in cols]) for r in self.entries)
         )
 
     def mul_vec(self, vec):
@@ -192,13 +192,8 @@ def integer_kernel_basis(matrix):
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
     m = matrix.rows
-    return tuple(row[m:] for row in _augmented_hnf(matrix) if not any(row[:m]))
-
-
-def _augmented_hnf(matrix):
-    """``hnf_rows`` of [M^T | I] for the ``IntMatrix`` M, I of order M.cols."""
     aug = tuple(col + e for col, e in zip(zip(*matrix.entries), identity_rows(matrix.cols)))
-    return hnf_rows(IntMatrix._trusted(aug))
+    return tuple(row[m:] for row in hnf_rows(IntMatrix._trusted(aug)) if not any(row[:m]))
 
 
 def det(rows):

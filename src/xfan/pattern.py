@@ -1,26 +1,30 @@
 """Mutation-tree traversal carrying tropical and polynomial seed data.
 
 Each node of the n-regular tree holds the mutated exchange matrix B_t, the
-c-matrix C_t of the pattern whose initial matrix is -B^T (the one whose rows
-cut out the cones downstream) and the coefficient polynomials F_t, and
-reads the g-matrix G_t of the pattern for B itself off C_t.
+c-vectors (the columns of the c-matrix C_t) of the pattern whose initial
+matrix is -B^T, the ones whose rows cut out the cones downstream, the
+g-matrix G_t of the pattern for B itself and the coefficient polynomials
+F_t.
+
+Mutation in direction k multiplies C_t on the right by E_k, the identity
+but for row k, which is t with -1 at k: t_j = [-eps.b_jk]_+, eps the sign
+of column k of C_t. So c_k flips, c_j picks up t_j.c_k, and only the
+columns with t_j > 0 change. E_k^2 = I, so tropical duality
+(Nakanishi-Zelevinsky), G_t = (C_t^T)^-1, carries G_t along by G_t.E_k^T:
+g_k becomes -g_k + sum_j t_j.g_j, one t for both matrices.
 
 The F recurrence reads the c-matrix of the pattern for B, which is
-D^-1.C_t.D for the skew-symmetrizer D = diag(d). Both c-matrices start at I
-and mutate row by row against a pivot row: C_t against row k of -B_t^T,
-with entries -b_jk, and the other against row k of B_t, with entries b_kj.
-Since d_k.b_kj = -d_j.b_jk for every B_t, row i of the second recurrence is
-d_j/d_i times row i of the first, entry by entry, at every step.
+D^-1.C_t.D for the skew-symmetrizer D = diag(d): since
+d_k.b_kj = -d_j.b_jk for every B_t, row i of that c-matrix is d_j/d_i
+times row i of C_t, entry by entry, at every step.
 
-Every c-matrix column must be sign coherent; a violation raises at once,
-since the supporting theory guarantees coherence. Tropical duality
-(Nakanishi-Zelevinsky) gives G_t = (C_t^T)^-1, so G_t is read off the
-Hermite normal form of [C_t^T | I] when it is asked for, never during
-the walk. A c-matrix determines its whole seed, B_t and G_t included
-(Nakanishi-Zelevinsky), so the set of columns of C_t is the key of the
-unlabelled seed, and relabelling the directions permutes the columns of
-C_t and G_t, the rows and columns of B_t, and the entries of F_t, while
-d stays put.
+Every c-matrix column must be sign coherent; a changed column is checked
+when its seed is built, and a violation raises at once, since the
+supporting theory guarantees coherence. A c-matrix determines its whole
+seed, B_t and G_t included (Nakanishi-Zelevinsky), so the set of
+c-vectors is the key of the unlabelled seed, and relabelling the
+directions permutes the columns of C_t and G_t, the rows and columns of
+B_t, and the entries of F_t, while d stays put.
 
 A labelled node is therefore a seed plus a column permutation. A seed, a
 PatternNode, holds the matrices; a labelled node, a RelabelledNode,
@@ -28,19 +32,19 @@ holds its seed, a permutation and its history, and builds its matrices
 by permutation when they are read. The seed pass of the enumeration
 mutates, with every check, once per edge (seed, direction) but the edge
 from a new seed back to its parent, free as mutation is an involution.
-The cover pass walks the labellings and builds every labelled node, the
-root's identity labelling included: mutating a labelled node in
-direction k is mutating its seed in the permuted direction, then
-relabelling, so it only composes permutations.
+The cover pass walks the labellings as integers: mutating a labelled node
+in direction k is mutating its seed in the permuted direction, then
+relabelling, so it only composes permutations, numbered on first sight.
 """
 
 from functools import lru_cache
 from itertools import chain
+from operator import mul, neg
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
-from .intmat import Frozen, IntMatrix, _augmented_hnf, _exact_int, identity_rows
+from .intmat import Frozen, IntMatrix, _exact_int, identity_rows
 from .laurent import LaurentPolynomial, _exchange
-from .seed import ExchangeMatrix, mutate, mutate_rows
+from .seed import ExchangeMatrix, mutate
 
 DEFAULT_DEPTH = 12
 NODE_CAP = 10**6
@@ -49,29 +53,21 @@ NODE_CAP = 10**6
 class PatternNode(Frozen):
     """A seed, which holds its matrices in its own labelling.
 
-    Fields: ``B_t`` (ExchangeMatrix), ``C_t`` (c-matrix, initial -B^T
-    pattern), ``F_t`` (tuple of LaurentPolynomials, or None when
-    polynomial tracking was disabled) and ``history`` (1-based directions
-    from the root along which the seed was first reached). C_t determines
-    the rest of the seed: the c-matrix of the B pattern is D^-1.C_t.D,
-    and the property ``G_t`` (g-matrix, initial B pattern) is
-    (C_t^T)^-1. A catalog's labelled nodes are RelabelledNodes over it.
+    Fields: ``B_t`` (ExchangeMatrix), ``c_vectors`` (the columns of the
+    c-matrix, initial -B^T pattern, as a tuple of tuples), ``G_t``
+    (g-matrix, initial B pattern, (C_t^T)^-1), ``F_t`` (tuple of
+    LaurentPolynomials, or None when polynomial tracking was disabled) and
+    ``history`` (1-based directions from the root along which the seed was
+    first reached). The property ``C_t`` is the c-matrix, built from the
+    c-vectors when read; the c-matrix of the B pattern is D^-1.C_t.D. A
+    catalog's labelled nodes are RelabelledNodes over it.
     """
 
-    __slots__ = ("B_t", "C_t", "F_t", "history")
+    __slots__ = ("B_t", "c_vectors", "G_t", "F_t", "history")
 
     @property
-    def G_t(self):
-        """The right block of the Hermite normal form of [C_t^T | I].
-
-        Its left block is I when C_t is unimodular, as tropical duality
-        guarantees; any other raises DualityViolation, an implementation bug.
-        """
-        n = self.B_t.n
-        form = _augmented_hnf(self.C_t)
-        if tuple(row[:n] for row in form) != identity_rows(n):
-            raise DualityViolation(f"c-matrix at history {self.history} is not unimodular")
-        return IntMatrix._trusted(tuple(row[n:] for row in form))
+    def C_t(self):
+        return IntMatrix._trusted(tuple(zip(*self.c_vectors)))
 
     def __repr__(self):
         return f"PatternNode(history={self.history})"
@@ -83,14 +79,15 @@ class RelabelledNode(Frozen):
     Slots: ``seed`` (a PatternNode), ``perm`` (direction j, 0-based, of
     this node is direction perm[j] of the seed; the identity for the
     seed's own labelling) and ``history``. The PatternNode fields
-    ``B_t``, ``C_t``, ``G_t`` and ``F_t`` are the seed's, permuted when
-    read: relabelling permutes the rows and columns of B_t, the columns of
-    C_t and G_t, since (C.P)^-T = C^-T.P for a permutation matrix P, and
-    the entries of F_t, and keeps d. So a DualityViolation names the
-    seed's history.
+    ``B_t``, ``c_vectors``, ``C_t``, ``G_t`` and ``F_t`` are the seed's,
+    permuted when read: relabelling permutes the rows and columns of B_t,
+    the columns of C_t and G_t, since (C.P)^-T = C^-T.P for a permutation
+    matrix P, and the entries of F_t, and keeps d.
     """
 
     __slots__ = ("seed", "perm", "history")
+
+    C_t = PatternNode.C_t
 
     @property
     def B_t(self):
@@ -101,12 +98,13 @@ class RelabelledNode(Frozen):
         )
 
     @property
-    def C_t(self):
-        return _permute_columns(self.seed.C_t, self.perm)
+    def c_vectors(self):
+        return tuple(map(self.seed.c_vectors.__getitem__, self.perm))
 
     @property
     def G_t(self):
-        return _permute_columns(self.seed.G_t, self.perm)
+        perm = self.perm
+        return IntMatrix._trusted(tuple(tuple(map(row.__getitem__, perm)) for row in self.seed.G_t.entries))
 
     @property
     def F_t(self):
@@ -117,21 +115,37 @@ class RelabelledNode(Frozen):
         return f"RelabelledNode(history={self.history})"
 
 
+class LabelledNodes(Frozen):
+    """The labelled nodes of a catalog, in BFS order, as flat data.
+
+    Node i is seed ``seed_of[i]`` of ``seeds`` read through permutation
+    ``perms[perm_of[i]]``, reached along ``histories[i]``. A read-only
+    sequence: length, int and negative indices, slices (a tuple) and
+    iteration build each RelabelledNode when it is read, so two reads of
+    one node give two objects with the same seed, perm and history.
+    """
+
+    __slots__ = ("seeds", "perms", "seed_of", "perm_of", "histories")
+
+    def __len__(self):
+        return len(self.histories)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        return RelabelledNode(self.seeds[self.seed_of[i]], self.perms[self.perm_of[i]], self.histories[i])
+
+
 @lru_cache(maxsize=None)
 def _identity(n):
     return tuple(range(n))
 
 
-def _permute_columns(matrix, perm):
-    """Column j of the result is column perm[j] of the matrix."""
-    return IntMatrix._trusted(tuple(tuple(map(row.__getitem__, perm)) for row in matrix.entries))
-
-
 class PatternCatalog(Frozen):
     """All visited nodes of one bounded traversal, in BFS order.
 
-    ``nodes`` holds the labelled nodes, every one a RelabelledNode, the
-    root's identity labelling first. ``seeds`` holds the seeds, the
+    ``nodes`` holds the labelled nodes, a LabelledNodes of RelabelledNodes,
+    the root's identity labelling first. ``seeds`` holds the seeds, the
     PatternNodes those nodes read, in BFS order: the one object per
     unlabelled seed that cone classification and point location look at.
     A seed's history is that of its first labelled node, whose ``perm``
@@ -149,21 +163,28 @@ class PatternCatalog(Frozen):
 
 
 def initial_node(em, with_polynomials=True):
-    """The root: C = identity, every F = 1, empty history."""
+    """The root: C = G = identity, every F = 1, empty history."""
     n = em.n
     polys = tuple(LaurentPolynomial.one(n) for _ in range(n)) if with_polynomials else None
-    return PatternNode(em, IntMatrix.identity(n), polys, ())
+    return PatternNode(em, identity_rows(n), IntMatrix.identity(n), polys, ())
 
 
 def _mutate_c(node, kk):
-    """C_t of the node mutated in direction kk (0-based), unchecked.
+    """The c-vectors of the node mutated in direction kk (0-based), unchecked, and t.
 
-    The coefficient column kk flips, every other column picks up a rectified
-    multiple of column kk. The exchange entries belong to the same pattern
-    as the c-matrix, so C_t (initial -B^T) pivots on row kk of -B_t^T.
+    t_j = [-eps.b_jk]_+ for the entries b_jk of B_t and eps the sign of
+    c_kk: c_kk flips and every c_j with t_j > 0 picks up t_j.c_kk.
     """
-    pivot = tuple(-row[kk] for row in node.B_t.B.entries)
-    return IntMatrix._trusted(tuple(mutate_rows(node.C_t.entries, kk, pivot)))
+    cols = node.c_vectors
+    pivot = cols[kk]
+    eps = 1 if max(pivot) > 0 else -1
+    t = tuple([max(-eps * row[kk], 0) for row in node.B_t.B.entries])
+    new = list(cols)
+    new[kk] = tuple(map(neg, pivot))
+    for j, tj in enumerate(t):
+        if tj:
+            new[j] = tuple([x + tj * y for x, y in zip(cols[j], pivot)])
+    return tuple(new), t
 
 
 def mutate_node(node, k):
@@ -173,7 +194,7 @@ def mutate_node(node, k):
     signs, or DualityViolation when a mutated F loses its constant term 1;
     both indicate an implementation bug, not bad input.
     """
-    return _child(node, k, mutate(node.B_t, k), _mutate_c(node, k - 1))
+    return _child(node, k, mutate(node.B_t, k), *_mutate_c(node, k - 1))
 
 
 def _walk(em, history, with_polynomials=True):
@@ -184,23 +205,26 @@ def _walk(em, history, with_polynomials=True):
     return node
 
 
-def _child(node, k, new_em, new_c):
-    """The child in direction k, built around its mutated B_t and C_t.
+def _child(node, k, new_em, cols, t):
+    """The child in direction k, from its mutated B_t and the c-vectors and t of ``_mutate_c``.
 
-    Checks that every column of new_c is sign coherent; F follows, when it
-    is tracked. The child is the first node of a seed.
+    Checks that every changed column, c_j with t_j > 0, is sign coherent
+    (c_k only flips); carries G_t by g_k -> -g_k + sum_j t_j.g_j; F
+    follows, when it is tracked. The child is the first node of a seed.
     """
-    for j, col in enumerate(zip(*new_c.entries)):
-        _column_sign(col, j)
+    for j, tj in enumerate(t):
+        if tj:
+            _column_sign(cols[j], j)
+    kk = k - 1
+    g = tuple(row[:kk] + (sum(map(mul, t, row)) - row[kk],) + row[k:] for row in node.G_t.entries)
     new_f = None
     if node.F_t is not None:
         em = node.B_t
-        kk = k - 1
         d = em.d
         # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
-        column = tuple(row[kk] * d[kk] // di for row, di in zip(node.C_t.entries, d))
+        column = tuple(c * d[kk] // di for c, di in zip(node.c_vectors[kk], d))
         new_f = _mutate_f(node.F_t, em.B.entries, column, kk, em.n)
-    return PatternNode(new_em, new_c, new_f, node.history + (k,))
+    return PatternNode(new_em, cols, IntMatrix._trusted(g), new_f, node.history + (k,))
 
 
 def _column_sign(col, kk):
@@ -243,13 +267,13 @@ def _seed_graph(root, max_depth, node_cap):
     n = root.B_t.n
     ident = _identity(n)
 
-    def key(cols):  # the set of columns of C_t, as a sorted flat tuple
+    def key(cols):  # the set of c-vectors, as a sorted flat tuple
         return tuple(chain.from_iterable(sorted(cols)))
 
     seeds = [root]
     parents = [None]
     edges = []
-    number = {key(zip(*root.C_t.entries)): 0}
+    number = {key(root.c_vectors): 0}
     for s, node in enumerate(seeds):  # seeds grows as the walk finds them
         if max_depth is not None and len(node.history) >= max_depth:
             break
@@ -265,13 +289,12 @@ def _seed_graph(root, max_depth, node_cap):
             if j == back:  # mutation is an involution: back to the parent, unrelabelled
                 out.append((parents[s], ident))
                 continue
-            new_c = _mutate_c(node, j)
-            cols = tuple(zip(*new_c.entries))
+            cols, t_vector = _mutate_c(node, j)
             t = number.setdefault(key(cols), len(seeds))
             if t < len(seeds):  # a known seed: column i is its column tau[i]
-                out.append((t, tuple(map(tuple(zip(*seeds[t].C_t.entries)).index, cols))))
+                out.append((t, tuple(map(seeds[t].c_vectors.index, cols))))
                 continue
-            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), new_c))
+            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector))
             parents.append(s)
             out.append((t, ident))
             if len(seeds) > node_cap:
@@ -305,9 +328,10 @@ def enumerate_pattern(
     (default NODE_CAP = 10**6), raises it as soon as the catalog reaches
     node_cap + 1 nodes, root included.
 
-    Returns a PatternCatalog whose ``nodes`` are RelabelledNodes over its
-    ``seeds``, and whose ``complete`` flag is set only when a frontier
-    emptied before the depth bound, meaning every seed was seen.
+    Returns a PatternCatalog whose ``nodes`` (a LabelledNodes) read as
+    RelabelledNodes over its ``seeds``, and whose ``complete`` flag is set
+    only when a frontier emptied before the depth bound, meaning every
+    seed was seen.
     """
     if not isinstance(em, ExchangeMatrix):
         raise ValueError("enumerate_pattern wants a validated ExchangeMatrix")
@@ -321,38 +345,47 @@ def enumerate_pattern(
     root = initial_node(em, with_polynomials=with_polynomials)
     seeds, edges = _seed_graph(root, max_depth, node_cap)
     n = em.n
-    ident = _identity(n)
-    perms = {ident: ident}  # one tuple per permutation
-    seen = [{ident}] + [set() for _ in seeds[1:]]  # by seed number, the perms of its nodes
-    nodes = [RelabelledNode(root, ident, ())]
-    frontier = nodes[:]
-    numbers = [0]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
+    taus = {_identity(n): 0}  # the edge relabellings, numbered; 0 is the identity
+    edges = [tuple((t, taus.setdefault(tau, len(taus))) for t, tau in out) for out in edges]
+    taus, width = list(taus), len(taus)
+    perms = [_identity(n)]  # the node relabellings, numbered on first sight
+    perm_number = {perms[0]: 0}
+    composed = {}  # perm id * width + tau id -> perm id of tau.perm
+    seen = [{0}] + [set() for _ in seeds[1:]]  # by seed number, the perm ids of its nodes
+    seed_of, perm_of, histories = [0], [0], [()]
+    start = depth = 0
+    while start < len(histories) and (max_depth is None or depth < max_depth):
         depth += 1
-        next_frontier, next_numbers = [], []
-        for parent, s in zip(frontier, numbers):
-            perm = parent.perm
-            history = parent.history
+        end = len(histories)
+        for i in range(start, end):
+            p, history = perm_of[i], histories[i]
+            perm, out = perms[p], edges[seed_of[i]]
             last = history[-1] if history else 0
-            out = edges[s]
             for k in range(1, n + 1):
                 if k == last:
                     continue
                 t, tau = out[perm[k - 1]]
-                labelled = perm if tau is ident else tuple(map(tau.__getitem__, perm))
-                if labelled in seen[t]:
+                q = p
+                if tau:
+                    c = p * width + tau
+                    q = composed.get(c)
+                    if q is None:
+                        labelled = tuple(map(taus[tau].__getitem__, perm))
+                        q = composed[c] = perm_number.setdefault(labelled, len(perms))
+                        if q == len(perms):
+                            perms.append(labelled)
+                if q in seen[t]:
                     continue
-                labelled = perms.setdefault(labelled, labelled)
-                seen[t].add(labelled)
-                child = RelabelledNode(seeds[t], labelled, history + (k,))
-                nodes.append(child)
-                next_frontier.append(child)
-                next_numbers.append(t)
-                if len(nodes) > node_cap:
+                seen[t].add(q)
+                seed_of.append(t)
+                perm_of.append(q)
+                histories.append(history + (k,))
+                if len(histories) > node_cap:
                     raise ExhaustionCapExceeded(_cap_message(node_cap))
-        frontier, numbers = next_frontier, next_numbers
-    return PatternCatalog(em, tuple(nodes), depth, not frontier, tuple(seeds))
+        start = end
+    del seen, composed  # before the tuples below, for a lower peak
+    nodes = LabelledNodes(tuple(seeds), tuple(perms), tuple(seed_of), tuple(perm_of), tuple(histories))
+    return PatternCatalog(em, nodes, depth, start == len(histories), nodes.seeds)
 
 
 def positive_c_vectors(catalog):
@@ -363,5 +396,5 @@ def positive_c_vectors(catalog):
     Relabelling a seed permutes the columns of C_t, so ``catalog.seeds``
     carry every column that the labelled nodes do.
     """
-    found = {col for node in catalog.seeds for col in zip(*node.C_t.entries) if min(col) >= 0}
+    found = {col for node in catalog.seeds for col in node.c_vectors if min(col) >= 0}
     return tuple(sorted(found))

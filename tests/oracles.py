@@ -854,6 +854,58 @@ def labelled_enumeration(root, mutate, max_depth):
     return nodes, depth, complete
 
 
+def labelled_cover(edges, n, max_depth):
+    """The labelled nodes over a seed graph, in BFS order, as plain tuples.
+
+    The cover pass the library ran before it numbered permutations.
+    ``edges[s][j] = (t, tau)`` says seed s mutated in direction j (0-based)
+    is seed t relabelled by tau, for every seed the walk expands. The node
+    (seed s, perm) mutated in direction k (1-based) is the node
+    (t, tau.perm) for (t, tau) = edges[s][perm[k - 1]], kept on first
+    sight; directions ascend and immediate back-mutation is skipped.
+    Returns (nodes, depth, complete), each node a (history, seed, perm)
+    triple, the root ((), 0, identity) first.
+    """
+    ident = tuple(range(n))
+    nodes = [((), 0, ident)]
+    seen = {0: {ident}}  # by seed, the perms of its nodes
+    frontier = nodes[:]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        next_frontier = []
+        for history, s, perm in frontier:
+            last = history[-1] if history else 0
+            for k in range(1, n + 1):
+                if k == last:
+                    continue
+                t, tau = edges[s][perm[k - 1]]
+                labelled = tuple(map(tau.__getitem__, perm))
+                perms = seen.setdefault(t, set())
+                if labelled in perms:
+                    continue
+                perms.add(labelled)
+                nodes.append((history + (k,), t, labelled))
+                next_frontier.append(nodes[-1])
+        frontier = next_frontier
+    return nodes, depth, not frontier
+
+
+def hermite_g_matrix(c_rows):
+    """(C^T)^-1 by the Hermite route, as rows, or None when C is not unimodular.
+
+    The library's reading of G_t before it carried G_t along the walk:
+    ``hermite_rows`` of [C^T | I] has the identity as its left block
+    exactly when C is unimodular, and then its right block is (C^T)^-1.
+    """
+    n = len(c_rows)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    form = hermite_rows([col + e for col, e in zip(zip(*c_rows), ident)])
+    if tuple(row[:n] for row in form) != ident:
+        return None
+    return tuple(row[n:] for row in form)
+
+
 def minimal_positive_relations(vectors):
     """Minimal index subsets H with strictly positive lam, sum_H lam_k v_k = 0.
 
@@ -994,6 +1046,11 @@ def _self_check():
     ]
     assert fraction_symmetrizer([[0, 1], [-2, 0]]) == (2, 1)
     assert fraction_symmetrizer([[0, 1, 1], [-1, 0, 1], [-2, -1, 0]]) is None
+    assert hermite_g_matrix([[1, 0], [1, 1]]) == ((1, -1), (0, 1))
+    assert hermite_g_matrix([[2, 0], [0, 1]]) is None
+    # two seeds, swapped by direction 1 (0-based 0) with their columns exchanged
+    swap = [((1, (1, 0)), (0, (0, 1))), ((0, (1, 0)), (1, (0, 1)))]
+    assert labelled_cover(swap, 2, None) == ([((), 0, (0, 1)), ((1,), 1, (1, 0))], 2, True)
 
 
 _self_check()

@@ -210,7 +210,7 @@ def _a3_values():
     data = _a3_data()
     slice_data = knit(data)
     values = (
-        data.arrows, LaurentPolynomial.one(3), em, node, relabelled, catalog,
+        data.arrows, LaurentPolynomial.one(3), em, node, relabelled, catalog.nodes, catalog,
         description.facets[0], description, report.cones[0], report,
         theta((3, -1, 0), catalog), data, slice_data.meshes[0], slice_data,
     )
@@ -219,7 +219,7 @@ def _a3_values():
 
 VALUE_CLASSES = (
     "IntMatrix", "LaurentPolynomial", "ExchangeMatrix", "PatternNode", "RelabelledNode",
-    "PatternCatalog", "Facet", "ConeDescription", "XCone",
+    "LabelledNodes", "PatternCatalog", "Facet", "ConeDescription", "XCone",
     "XFanReport", "ThetaFunction", "PathAlgebraData", "Mesh", "ARQuiverSlice",
 )
 
@@ -314,8 +314,8 @@ def test_sequence_fields_are_tuples(name):
 
 # classes whose only constructor is the slot filler of Frozen
 FILLED_CLASSES = (
-    "PatternNode", "RelabelledNode", "PatternCatalog", "Facet", "ConeDescription", "ThetaFunction",
-    "PathAlgebraData", "Mesh", "ARQuiverSlice",
+    "PatternNode", "RelabelledNode", "LabelledNodes", "PatternCatalog", "Facet", "ConeDescription",
+    "ThetaFunction", "PathAlgebraData", "Mesh", "ARQuiverSlice",
 )
 
 

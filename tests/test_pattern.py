@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import random
+from operator import eq
 
 import pytest
 
@@ -28,12 +29,15 @@ from xfan import pattern
 from oracles import (
     f_polynomial_step,
     g_matrices,
+    hermite_g_matrix,
+    labelled_cover,
     labelled_enumeration,
     laurent_mul,
     principal_seed_walk,
     random_skew_symmetrizable,
     seed_orbit_count,
 )
+from test_cones import SEED_CATALOGS
 
 B_A2 = [[0, 1], [-1, 0]]
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
@@ -212,7 +216,20 @@ def _assert_g_is_the_recurrence(rows, depth):
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for node in cat.nodes:
         assert [list(row) for row in node.G_t.entries] == g[node.history], node.history
+        assert hermite_g_matrix(node.C_t.entries) == node.G_t.entries
         assert _ct_times(node, g[node.history]) == ident
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CATALOGS))
+def test_carried_g_is_the_hermite_inverse(name):
+    # the G_t the seed pass carries is the (C_t^T)^-1 of the Hermite route on every seed
+    rows, depth = SEED_CATALOGS[name]
+    seeds, _ = pattern._seed_graph(initial_node(validate(rows), with_polynomials=False), depth, pattern.NODE_CAP)
+    n = len(rows)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    for seed in seeds:
+        assert hermite_g_matrix(seed.C_t.entries) == seed.G_t.entries, seed.history
+        assert _ct_times(seed, seed.G_t.entries) == ident
 
 
 @pytest.mark.parametrize(
@@ -250,32 +267,39 @@ def test_duality_violation_fires(monkeypatch):
     good = pattern._mutate_c
 
     def doubled(node, kk):
-        # still sign coherent, but det C_t doubles: no integral G_t
-        return IntMatrix([[2 * row[0], *row[1:]] for row in good(node, kk).entries])
+        # still sign coherent, but det C_t doubles: no integral (C_t^T)^-1
+        cols, t = good(node, kk)
+        return (tuple(2 * x for x in cols[0]),) + cols[1:], t
 
     monkeypatch.setattr(pattern, "_mutate_c", doubled)
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
     child = mutate_node(initial_node(validate(B_A3), with_polynomials=False), 2)
-    with pytest.raises(DualityViolation):
-        child.G_t
-    # enumeration builds no G_t, so only the read raises
+    # reading the carried G_t does not raise; the Hermite oracle and duality catch it
+    assert hermite_g_matrix(child.C_t.entries) is None
+    assert _ct_times(child, child.G_t.entries) != ident
     cat = enumerate_pattern(validate(B_A3), max_depth=1, with_polynomials=False)
     assert len(cat) == 4 and cat.nodes[0].G_t == IntMatrix.identity(3)
     for node in cat.nodes[1:]:
-        with pytest.raises(DualityViolation):
-            node.G_t
+        assert hermite_g_matrix(node.C_t.entries) is None
+    # a mutated F that loses its constant term 1 still raises DualityViolation:
+    # test_exchange_losing_constant_term_fires
 
 
 def test_sign_coherence_violation_fires(monkeypatch):
     good = pattern._mutate_c
 
     def corrupted(node, kk):
-        rows = [list(row) for row in good(node, kk).entries]
-        rows[0][0], rows[1][0] = 1, -1
-        return IntMatrix(rows)
+        # the first changed column, c_j with t_j > 0, gets mixed signs
+        cols, t = good(node, kk)
+        j = next((j for j, tj in enumerate(t) if tj), None)
+        if j is None:
+            return cols, t
+        return cols[:j] + ((1, -1) + cols[j][2:],) + cols[j + 1 :], t
 
     monkeypatch.setattr(pattern, "_mutate_c", corrupted)
+    # direction 1 of A3 changes column 2
     with pytest.raises(SignCoherenceViolation):
-        mutate_node(initial_node(validate(B_A3), with_polynomials=False), 2)
+        mutate_node(initial_node(validate(B_A3), with_polynomials=False), 1)
     with pytest.raises(SignCoherenceViolation):
         enumerate_pattern(validate(B_A3), with_polynomials=False)
 
@@ -518,6 +542,52 @@ def test_enumeration_matches_labelled_enumeration_on_random_seeds():
         _assert_matches_labelled_enumeration(validate(rows), rng.randint(0, 3), rng.random() < 0.5)
 
 
+def _assert_cover_matches_oracle(em, depth):
+    """(history, seed, perm) of every labelled node, in order, equals ``labelled_cover``'s."""
+    cat = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
+    _, edges = pattern._seed_graph(initial_node(em, with_polynomials=False), depth, pattern.NODE_CAP)
+    expected, walked, complete = labelled_cover(edges, em.n, depth)
+    nodes = cat.nodes
+    got = zip(nodes.histories, nodes.seed_of, map(nodes.perms.__getitem__, nodes.perm_of))
+    assert len(nodes) == len(expected) and all(map(eq, got, expected))
+    assert (cat.depth, cat.complete) == (walked, complete)
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CATALOGS))
+def test_cover_matches_labelled_cover(name):
+    rows, depth = SEED_CATALOGS[name]
+    _assert_cover_matches_oracle(validate(rows), depth)
+
+
+@pytest.mark.parametrize("rows, depth", [(B_MARKOV, 8), ([[0, 2], [-2, 0]], 12)], ids=["Markov", "Kronecker"])
+def test_cover_matches_labelled_cover_depth_bounded(rows, depth):
+    _assert_cover_matches_oracle(validate(rows), depth)
+
+
+def test_cover_matches_labelled_cover_on_random_seeds():
+    rng = random.Random(2626)
+    for _ in range(40):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 5), max_entry=2)
+        _assert_cover_matches_oracle(validate(rows), rng.randint(0, 5))
+
+
+def test_labelled_nodes_are_a_read_only_sequence():
+    nodes = enumerate_pattern(validate(B_A3), with_polynomials=False).nodes
+    fields = lambda node: (node.seed, node.perm, node.history)
+    listed = list(map(fields, nodes))
+    assert len(listed) == len(nodes) == 84
+    assert [fields(nodes[i]) for i in range(-84, 0)] == listed
+    for part in (slice(1, 5), slice(None, None, -7), slice(80, 90)):
+        assert type(nodes[part]) is tuple and list(map(fields, nodes[part])) == listed[part]
+    # each read builds a new node
+    assert nodes[3] is not nodes[3] and fields(nodes[3]) == fields(nodes[3])
+    for i in (84, -85):
+        with pytest.raises(IndexError):
+            nodes[i]
+    with pytest.raises(AttributeError):
+        nodes.histories = ()
+
+
 def _record_calls(monkeypatch, name):
     calls = []
     inner = getattr(pattern, name)
@@ -558,9 +628,10 @@ def test_one_mutation_per_unlabelled_edge(monkeypatch, rows, edges):
     assert len({(node.history, kk) for node, kk in probes}) == len(probes)
     assert len(probes) == seeds * n - (seeds - 1) == edges
     assert len(_labelled_edges(cat, n)) > edges
-    # the sign check runs once per column of each seed after the root
+    # the sign check runs on the changed columns, c_j with t_j > 0, of each seed after the root
     assert len(builds) == seeds - 1
-    assert len(signs) == n * (seeds - 1)
+    changed = [(cols[j], j) for _, _, _, cols, t in builds for j, tj in enumerate(t) if tj]
+    assert signs == changed and 0 < len(signs) < n * (seeds - 1)
 
 
 def test_every_node_its_own_seed_mutates_every_labelled_edge(monkeypatch):
