@@ -75,13 +75,23 @@ def locate(beta, catalog):
     visited cone contains beta; the seed is in ``catalog.seeds``, not in
     ``catalog.nodes``. Nodes sharing a seed share a cone, and a seed's
     first labelled node has its history and the identity labelling, so
-    only ``catalog.seeds`` are tested.
+    only ``catalog.seeds`` are tested, each up to its first negative
+    entry. Seeds share c-vectors, so each c-vector is paired with B.beta
+    once per call, memoised by its value.
     """
     image = p_star(catalog.root, beta)
+    pairing = {}
     for node in catalog.seeds:
-        cols = node.c_vectors
-        if all(sum(map(mul, col, image)) >= 0 for col in cols):
-            return node, tuple(sum(map(mul, col, image)) for col in cols)
+        alpha = []
+        for col in node.c_vectors:
+            a = pairing.get(col)
+            if a is None:
+                a = pairing[col] = sum(map(mul, col, image))
+            if a < 0:
+                break
+            alpha.append(a)
+        else:
+            return node, tuple(alpha)
     return None
 
 

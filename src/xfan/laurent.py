@@ -17,9 +17,12 @@ monomials, so a term product is one integer addition instead of a new
 exponent tuple (Monagan-Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007). Two chains
 call the kernels: `_product`, y^origin times a product of powers (``*``,
-``**`` and theta), and `_exchange`, a sum of such products divided
-exactly by a polynomial (`divide_exact` and the F-polynomial mutation).
-Each packs its inputs once, in one radix, and unpacks its result once.
+``**`` and theta), and `_Packing.exchange`, a sum of such products
+divided exactly by a polynomial (`divide_exact` and the F-polynomial
+mutation). Each packs its inputs in one radix and unpacks its result
+once. A `_Packing` context packs each input and each power of it once
+per radix, and the enumeration gives each expanded seed one context for
+the relations of all its children, whose F_i it shares.
 
 Sizing R. The reach of a term map is its largest |exponent|. A product
 of maps with reaches r1 and r2 has reach at most r1 + r2 (a k-th power,
@@ -43,10 +46,10 @@ division raises ArithmeticError, at a quotient term outside the box or at
 an inexact coefficient division.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .errors import ExponentNegative
 from .intmat import Value, _exact_int
@@ -172,7 +175,7 @@ def divide_exact(numerator, denominator):
         raise ZeroDivisionError("division by the zero polynomial")
     if numerator.is_zero():
         return numerator
-    return _exchange([((0,) * numerator.nvars, [(numerator, 1)])], denominator)
+    return _Packing((numerator, denominator)).exchange([((0,) * numerator.nvars, [(0, 1)])], 1)
 
 
 def _product(origin, powers):
@@ -183,56 +186,71 @@ def _product(origin, powers):
     moved by ``origin``, so origin never widens the radix.
     """
     layout = _layout(_bits(sum(e * _reach(p._terms) for p, e in powers)), len(origin))
-    return _unpack(_packed_product((0,) * len(origin), powers, layout[0]), layout, origin)
+    value = reduce(_mul, [_pow(_pack(p._terms, layout[0]), e) for p, e in powers], {0: 1})
+    return _unpack(value, layout, origin)
 
 
-def _exchange(sides, den):
-    """The exact quotient by den of the sum over sides of y^mono * prod p**e.
+class _Packing:
+    """The context of exchange relations over some polynomials, read by index.
 
-    ``sides`` holds (mono, powers) pairs, powers as `_product` takes them;
-    the polynomials are nonzero. One radix serves the whole relation,
-    sized from the sides' reach: a product's reach is at most the sum of
-    its factors'. Raises ArithmeticError when den does not divide the sum.
+    It takes each one's Newton box once, and packs each and computes each
+    power of it once per radix, keeping them until it is dropped.
     """
-    reach = max(_reach([mono]) + sum(e * _reach(p._terms) for p, e in powers) for mono, powers in sides)
-    layout = _layout(_bits(reach + _reach(den._terms)), den.nvars)
-    weights = layout[0]
-    total = {}
-    for mono, powers in sides:
-        total = _add(total, _packed_product(mono, powers, weights))
-    quotient = _divide(total, _pack(den._terms, weights), layout, _newton_box(sides), _box(den._terms))
-    return _unpack(quotient, layout, (0,) * den.nvars)
+
+    __slots__ = ("polys", "boxes", "packed")
+
+    def __init__(self, polys):
+        self.polys, self.boxes, self.packed = polys, {}, {}
+
+    def bound(self, mono, powers):
+        """Reach and Newton box of y^mono * prod polys[i]**e: reaches and Newton boxes add."""
+        reach, lo, hi = max(map(abs, mono), default=0), mono, mono
+        for i, e in powers:
+            if i not in self.boxes:
+                self.boxes[i] = _box(self.polys[i]._terms)
+            p_lo, p_hi = self.boxes[i]
+            reach += e * max(map(abs, p_lo + p_hi), default=0)
+            lo, hi = [a + e * b for a, b in zip(lo, p_lo)], [a + e * b for a, b in zip(hi, p_hi)]
+        return reach, lo, hi
+
+    def power(self, i, e, bits):
+        """polys[i] ** e, e >= 0, packed in the radix 2**bits."""
+        key = (i, e, bits)
+        if key not in self.packed:
+            if e == 1:
+                p = self.polys[i]
+                self.packed[key] = _pack(p._terms, _layout(bits, p.nvars)[0])
+            else:
+                self.packed[key] = _pow(self.power(i, 1, bits), e)
+        return self.packed[key]
+
+    def side(self, mono, powers, bits):
+        """y^mono * prod polys[i]**e over the (i, e) in powers, packed in the radix 2**bits."""
+        shift = sum(map(mul, mono, _layout(bits, len(mono))[0]))
+        return reduce(_mul, [self.power(i, e, bits) for i, e in powers], {shift: 1})
+
+    def exchange(self, sides, k):
+        """The exact quotient by polys[k] of the sum over sides of y^mono * prod polys[i]**e.
+
+        ``sides`` holds (mono, powers) pairs, powers as `side` takes them;
+        the polynomials are nonzero. One radix serves the whole relation,
+        R > 2 * (reach N + reach D), and the sum lies in the hull of the
+        sides' Newton boxes. Raises ArithmeticError when polys[k] does not
+        divide the sum.
+        """
+        n = self.polys[k].nvars
+        reaches, los, his = zip(*[self.bound(mono, powers) for mono, powers in sides])
+        reach_d, *box_d = self.bound((0,) * n, [(k, 1)])
+        bits = _bits(max(reaches) + reach_d)
+        total = reduce(_add, [self.side(mono, powers, bits) for mono, powers in sides])
+        box_n = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+        layout = _layout(bits, n)
+        return _unpack(_divide(total, self.power(k, 1, bits), layout, box_n, box_d), layout, (0,) * n)
 
 
-def _newton_box(sides):
-    """A box holding the sum over sides of y^mono * prod p**e.
-
-    A side's box is its monomial plus e times the box of each factor
-    (Newton polytopes add), and the sum lies in the hull of the sides'.
-    """
-    los, his = [], []
-    for mono, powers in sides:
-        lo = hi = mono
-        for p, e in powers:
-            p_lo, p_hi = _box(p._terms)
-            lo = list(map(add, lo, map(e.__mul__, p_lo)))
-            hi = list(map(add, hi, map(e.__mul__, p_hi)))
-        los.append(lo)
-        his.append(hi)
-    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
-
-
-def _packed_product(mono, powers, weights):
-    """y^mono * prod p**e over the (p, e) in powers, as a packed term map."""
-    value = {sum(map(mul, mono, weights)): 1}
-    for p, e in powers:
-        value = _mul(value, _pow(_pack(p._terms, weights), e))
-    return value
-
-
-def _reach(vectors):
-    """The largest |entry| of some exponent vectors (0 for none)."""
-    return max(map(abs, chain.from_iterable(vectors)), default=0)
+def _reach(terms):
+    """The largest |exponent| of a term map (0 for none)."""
+    return max(map(abs, chain.from_iterable(terms)), default=0)
 
 
 def _box(terms):

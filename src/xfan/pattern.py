@@ -43,7 +43,7 @@ from operator import mul, neg
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
 from .intmat import Frozen, IntMatrix, _exact_int, identity_rows
-from .laurent import LaurentPolynomial, _exchange
+from .laurent import LaurentPolynomial, _Packing
 from .seed import ExchangeMatrix, mutate
 
 DEFAULT_DEPTH = 12
@@ -205,12 +205,13 @@ def _walk(em, history, with_polynomials=True):
     return node
 
 
-def _child(node, k, new_em, cols, t):
+def _child(node, k, new_em, cols, t, packing=None):
     """The child in direction k, from its mutated B_t and the c-vectors and t of ``_mutate_c``.
 
     Checks that every changed column, c_j with t_j > 0, is sign coherent
     (c_k only flips); carries G_t by g_k -> -g_k + sum_j t_j.g_j; F
-    follows, when it is tracked. The child is the first node of a seed.
+    follows, when it is tracked, through ``packing``, the node's exchange
+    context (a new one when None). The child is the first node of a seed.
     """
     for j, tj in enumerate(t):
         if tj:
@@ -223,7 +224,7 @@ def _child(node, k, new_em, cols, t):
         d = em.d
         # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
         column = tuple(c * d[kk] // di for c, di in zip(node.c_vectors[kk], d))
-        new_f = _mutate_f(node.F_t, em.B.entries, column, kk, em.n)
+        new_f = _mutate_f(packing or _Packing(node.F_t), em.B.entries, column, kk, em.n)
     return PatternNode(new_em, cols, IntMatrix._trusted(g), new_f, node.history + (k,))
 
 
@@ -232,24 +233,25 @@ def _column_sign(col, kk):
         raise SignCoherenceViolation(f"c-matrix column {kk + 1} has mixed signs")
 
 
-def _mutate_f(polys, b, column, kk, n):
-    """F_t mutated in direction k = kk + 1: F_k is exchanged, the others stay.
+def _mutate_f(packing, b, column, kk, n):
+    """F_t, the polynomials of ``packing``, mutated in direction k = kk + 1.
 
     The exchange relation (Fomin-Zelevinsky IV) reads
     F_k.F'_k = y^[c]+ prod F_i^[b_ik]+ + y^[-c]+ prod F_i^[-b_ik]+, c being
     column k of the B-pattern c-matrix; a factor F_i = 1 is left out.
-    `laurent._exchange` packs the F_i it reads once, in one radix for the
-    whole relation, divides the sum by F_k and unpacks only F'_k, which
-    must keep constant term 1.
+    The seed's context packs each F_i and each power once per radix for
+    all its relations; the exchange divides the sum by F_k and unpacks
+    only F'_k, which must keep constant term 1. The others stay.
     """
+    polys = packing.polys
     sides = [
         (
             tuple(max(sign * c, 0) for c in column),
-            [(polys[i], sign * row[kk]) for i, row in enumerate(b) if sign * row[kk] > 0 and not polys[i].is_one()],
+            [(i, sign * row[kk]) for i, row in enumerate(b) if sign * row[kk] > 0 and not polys[i].is_one()],
         )
         for sign in (1, -1)
     ]
-    exchanged = _exchange(sides, polys[kk])
+    exchanged = packing.exchange(sides, kk)
     if exchanged.constant_term() != 1:
         raise DualityViolation("mutated coefficient polynomial lost its constant term 1")
     return tuple(exchanged if i == kk else polys[i] for i in range(n))
@@ -284,6 +286,7 @@ def _seed_graph(root, max_depth, node_cap):
                     f"B_t at history {node.history} has b_ij*b_ji <= -4: infinite type", "infinite_type"
                 )
         back = node.history[-1] - 1 if node.history else None
+        packing = None  # the seed's exchange context, made for its first new child
         out = []
         for j in range(n):
             if j == back:  # mutation is an involution: back to the parent, unrelabelled
@@ -294,7 +297,9 @@ def _seed_graph(root, max_depth, node_cap):
             if t < len(seeds):  # a known seed: column i is its column tau[i]
                 out.append((t, tuple(map(seeds[t].c_vectors.index, cols))))
                 continue
-            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector))
+            if packing is None and node.F_t is not None:
+                packing = _Packing(node.F_t)
+            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector, packing))
             parents.append(s)
             out.append((t, ident))
             if len(seeds) > node_cap:

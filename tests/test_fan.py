@@ -196,6 +196,35 @@ def test_locate_and_theta_match_labelled_scan(rows, depth):
         assert misses > 0 if depth else misses == 0
 
 
+def test_locate_and_theta_match_labelled_scan_random():
+    # seed and alpha from the scan over every labelled node, and the value
+    # from the tuple-keyed oracle product of that node's F
+    rng = random.Random(4099)
+    raised = 0  # values that raise some F other than 1
+    for _ in range(20):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=3)
+        catalog = enumerate_pattern(validate(rows), max_depth=3)
+        n = len(rows)
+        for beta in product(range(-2, 3), repeat=n):
+            expected = locate_labelled(beta, catalog)
+            if expected is None:
+                assert locate(beta, catalog) is None
+                with pytest.raises(NotInVisitedComplex) as exc:
+                    theta(beta, catalog)
+                assert exc.value.reason == ("outside_complex" if catalog.complete else "beyond_depth")
+                continue
+            node, alpha = expected
+            assert locate(beta, catalog) == (node.seed, alpha)
+            value = {beta: 1}
+            for poly, a in zip(node.F_t, alpha):
+                value = laurent_mul(value, laurent_pow(dict(poly.sorted_terms()), a, n))
+            t = theta(beta, catalog)
+            assert (t.witness, t.alpha) == (node.history, alpha)
+            assert dict(t.value.sorted_terms()) == value
+            raised += any(a and not f.is_one() for f, a in zip(node.F_t, alpha))
+    assert raised > 1000
+
+
 def _theta_or_reason(beta, catalog):
     try:
         t = theta(beta, catalog)

@@ -24,7 +24,7 @@ from xfan import (
     validate,
 )
 
-from xfan import pattern
+from xfan import laurent, pattern
 
 from oracles import (
     f_polynomial_step,
@@ -630,7 +630,7 @@ def test_one_mutation_per_unlabelled_edge(monkeypatch, rows, edges):
     assert len(_labelled_edges(cat, n)) > edges
     # the sign check runs on the changed columns, c_j with t_j > 0, of each seed after the root
     assert len(builds) == seeds - 1
-    changed = [(cols[j], j) for _, _, _, cols, t in builds for j, tj in enumerate(t) if tj]
+    changed = [(cols[j], j) for _, _, _, cols, t, *_ in builds for j, tj in enumerate(t) if tj]
     assert signs == changed and 0 < len(signs) < n * (seeds - 1)
 
 
@@ -642,31 +642,45 @@ def test_every_node_its_own_seed_mutates_every_labelled_edge(monkeypatch):
     assert len(builds) == len(cat) - 1
 
 
+def _without_constant_term(poly):
+    terms = dict(poly.sorted_terms())
+    terms.pop((0,) * poly.nvars, None)
+    return LaurentPolynomial(poly.nvars, terms)
+
+
 def test_exchange_losing_constant_term_fires(monkeypatch):
-    good = pattern._exchange
+    # F'_k comes out of an exchange context, one per relation for
+    # mutate_node and one per expanded seed for the seed pass
+    good = laurent._Packing.exchange
 
-    def lossy(sides, den):
-        q = good(sides, den)
-        terms = dict(q.sorted_terms())
-        terms.pop((0,) * q.nvars, None)
-        return LaurentPolynomial(q.nvars, terms)
+    def lossy(context, sides, k):
+        return _without_constant_term(good(context, sides, k))
 
-    monkeypatch.setattr(pattern, "_exchange", lossy)
+    monkeypatch.setattr(laurent._Packing, "exchange", lossy)
     with pytest.raises(DualityViolation):
         mutate_node(initial_node(validate(B_A3)), 2)
+    with pytest.raises(DualityViolation):
+        enumerate_pattern(validate(B_A3), max_depth=1, with_polynomials=True)
+    assert len(enumerate_pattern(validate(B_A3), max_depth=1, with_polynomials=False)) == 4
+
+    def lossy_when_shared(context, sides, k):
+        # only a relation after the first of its context loses the term
+        shared = bool(context.packed)
+        q = good(context, sides, k)
+        return _without_constant_term(q) if shared else q
+
+    monkeypatch.setattr(laurent._Packing, "exchange", lossy_when_shared)
+    assert mutate_node(mutate_node(initial_node(validate(B_A3)), 2), 1).F_t is not None
+    with pytest.raises(DualityViolation):
+        enumerate_pattern(validate(B_A3), max_depth=1, with_polynomials=True)
 
 
 def _plain(polys):
     return [dict(p.sorted_terms()) for p in polys]
 
 
-@pytest.mark.parametrize(
-    "rows, depth",
-    [(B_A3, None), (B_B3, None), (B_A4, None), (B_D4, None), (B_MARKOV, 5)],
-    ids=["A3", "B3", "A4", "D4", "Markov"],
-)
-def test_f_polynomials_match_dict_oracle(rows, depth):
-    cat = enumerate_pattern(validate(rows), max_depth=depth)
+def _assert_f_polynomials_match_oracle(em, depth):
+    cat = enumerate_pattern(em, max_depth=depth)
     by_history = {node.history: node for node in cat.nodes}
     for node in cat.nodes[1:]:
         parent = by_history[node.history[:-1]]
@@ -674,6 +688,46 @@ def test_f_polynomials_match_dict_oracle(rows, depth):
         column = [row[k] for row in _companion(parent)]
         expected = f_polynomial_step(_plain(parent.F_t), parent.B_t.B.entries, column, k)
         assert _plain(node.F_t) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [
+        (B_A3, None),
+        (B_B3, None),
+        (B_A4, None),
+        (B_D4, None),
+        (B_MARKOV, 5),
+        (B_G2, None),
+        ([[0, 2], [-2, 0]], 6),
+        (B_C3, None),
+    ],
+    ids=["A3", "B3", "A4", "D4", "Markov", "G2", "Kronecker", "C3"],
+)
+def test_f_polynomials_match_dict_oracle(rows, depth):
+    _assert_f_polynomials_match_oracle(validate(rows), depth)
+
+
+def test_f_polynomials_match_dict_oracle_random(monkeypatch):
+    # seeds whose relations read one F_i in several radices and powers
+    contexts = {}
+    good = laurent._Packing.exchange
+
+    def recorded(context, sides, k):
+        contexts[id(context)] = context
+        return good(context, sides, k)
+
+    monkeypatch.setattr(laurent._Packing, "exchange", recorded)
+    rng = random.Random(2027)
+    for _ in range(20):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=3)
+        _assert_f_polynomials_match_oracle(validate(rows), 3)
+    packed = {}  # (context, F index) -> the (power, radix bits) it was packed in
+    for key, context in contexts.items():
+        for i, e, bits in context.packed:
+            packed.setdefault((key, i), set()).add((e, bits))
+    assert sum(len({bits for _, bits in v}) > 1 for v in packed.values()) > 10
+    assert sum(len({e for e, _ in v if e > 1}) > 1 for v in packed.values()) > 10
 
 
 def test_exchange_relation_holds_on_markov_depth_6():
