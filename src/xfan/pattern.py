@@ -35,10 +35,12 @@ from a new seed back to its parent, free as mutation is an involution.
 The cover pass walks the labellings as integers: mutating a labelled node
 in direction k is mutating its seed in the permuted direction, then
 relabelling, so it only composes permutations, numbered on first sight.
+An automorphism of (B, d) commutes with mutation, so a new seed that one
+maps onto a built seed reads F'_k off it, variables permuted, not dividing.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from operator import mul, neg
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
@@ -205,27 +207,25 @@ def _walk(em, history, with_polynomials=True):
     return node
 
 
-def _child(node, k, new_em, cols, t, packing=None):
+def _child(node, k, new_em, cols, t, packing=None, f_k=None):
     """The child in direction k, from its mutated B_t and the c-vectors and t of ``_mutate_c``.
 
     Checks that every changed column, c_j with t_j > 0, is sign coherent
-    (c_k only flips); carries G_t by g_k -> -g_k + sum_j t_j.g_j; F
-    follows, when it is tracked, through ``packing``, the node's exchange
-    context (a new one when None). The child is the first node of a seed.
+    (c_k only flips); carries G_t by g_k -> -g_k + sum_j t_j.g_j; F'_k,
+    when F is tracked, is ``f_k`` or comes through ``packing``, the node's
+    exchange context (a new one when None). The child is a seed's first node.
     """
     for j, tj in enumerate(t):
         if tj:
             _column_sign(cols[j], j)
     kk = k - 1
     g = tuple(row[:kk] + (sum(map(mul, t, row)) - row[kk],) + row[k:] for row in node.G_t.entries)
-    new_f = None
-    if node.F_t is not None:
-        em = node.B_t
-        d = em.d
+    f = node.F_t  # None without F
+    if f is not None and f_k is None:
         # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
-        column = tuple(c * d[kk] // di for c, di in zip(node.c_vectors[kk], d))
-        new_f = _mutate_f(packing or _Packing(node.F_t), em.B.entries, column, kk, em.n)
-    return PatternNode(new_em, cols, IntMatrix._trusted(g), new_f, node.history + (k,))
+        column = tuple(c * node.B_t.d[kk] // di for c, di in zip(node.c_vectors[kk], node.B_t.d))
+        f_k = _mutate_f(packing or _Packing(f), node.B_t.B.entries, column, kk)
+    return PatternNode(new_em, cols, IntMatrix._trusted(g), f and f[:kk] + (f_k,) + f[k:], node.history + (k,))
 
 
 def _column_sign(col, kk):
@@ -233,15 +233,15 @@ def _column_sign(col, kk):
         raise SignCoherenceViolation(f"c-matrix column {kk + 1} has mixed signs")
 
 
-def _mutate_f(packing, b, column, kk, n):
-    """F_t, the polynomials of ``packing``, mutated in direction k = kk + 1.
+def _mutate_f(packing, b, column, kk):
+    """F'_k, for the polynomials F_t of ``packing`` mutated in direction k = kk + 1.
 
     The exchange relation (Fomin-Zelevinsky IV) reads
     F_k.F'_k = y^[c]+ prod F_i^[b_ik]+ + y^[-c]+ prod F_i^[-b_ik]+, c being
     column k of the B-pattern c-matrix; a factor F_i = 1 is left out.
     The seed's context packs each F_i and each power once per radix for
     all its relations; the exchange divides the sum by F_k and unpacks
-    only F'_k, which must keep constant term 1. The others stay.
+    only F'_k, which must keep constant term 1.
     """
     polys = packing.polys
     sides = [
@@ -254,7 +254,7 @@ def _mutate_f(packing, b, column, kk, n):
     exchanged = packing.exchange(sides, kk)
     if exchanged.constant_term() != 1:
         raise DualityViolation("mutated coefficient polynomial lost its constant term 1")
-    return tuple(exchanged if i == kk else polys[i] for i in range(n))
+    return exchanged
 
 
 def _seed_graph(root, max_depth, node_cap):
@@ -263,6 +263,7 @@ def _seed_graph(root, max_depth, node_cap):
     seeds[s] is seed s, a PatternNode in its own labelling;
     edges[s][j] = (t, tau) says seed s mutated in direction j (0-based) is
     seed t relabelled by tau, for every seed above the depth bound.
+    With F, a new seed that `_automorphisms` maps onto a built one relabels its F'_k.
     Without a depth bound, a B_t with b_ij.b_ji <= -4 ends the walk: it
     makes the exchange graph infinite (Fomin-Zelevinsky II, Thm 1.8).
     """
@@ -275,7 +276,7 @@ def _seed_graph(root, max_depth, node_cap):
     seeds = [root]
     parents = [None]
     edges = []
-    number = {key(root.c_vectors): 0}
+    number, autos = {key(root.c_vectors): 0}, None
     for s, node in enumerate(seeds):  # seeds grows as the walk finds them
         if max_depth is not None and len(node.history) >= max_depth:
             break
@@ -297,15 +298,64 @@ def _seed_graph(root, max_depth, node_cap):
             if t < len(seeds):  # a known seed: column i is its column tau[i]
                 out.append((t, tuple(map(seeds[t].c_vectors.index, cols))))
                 continue
-            if packing is None and node.F_t is not None:
+            f_k = None
+            if node.F_t and not all(node.F_t[i].is_one() for i in range(n) if i == j or node.B_t.B.entries[i][j]):
+                if autos is None:  # automorphisms of (B, d), found at the first relation with an F other than 1
+                    autos = [(a, tuple(sorted(ident, key=a.__getitem__))) for a in _automorphisms(root.B_t)]
+                for sigma, inverse in autos:  # sigma.v has (sigma.v)_sigma(i) = v_i; is sigma.(new seed) built?
+                    pushed = list(zip(*map(list(zip(*cols)).__getitem__, inverse)))
+                    if (u := number.get(key(pushed), t)) < t:
+                        terms = seeds[u].F_t[seeds[u].c_vectors.index(pushed[j])]._terms.items()
+                        f_k = LaurentPolynomial._trusted(n, {tuple(map(e.__getitem__, sigma)): c for e, c in terms})
+                        break
+            if packing is None and f_k is None and node.F_t is not None:
                 packing = _Packing(node.F_t)
-            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector, packing))
+            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector, packing, f_k))
             parents.append(s)
             out.append((t, ident))
             if len(seeds) > node_cap:
                 raise ExhaustionCapExceeded(_cap_message(node_cap))
         edges.append(tuple(out))
     return seeds, edges
+
+
+def _automorphisms(em, budget=None):
+    """Automorphisms sigma of (B, d), sigma[v] = sigma(v), that generate its group, and their inverses.
+
+    For each point i, from the last in DFS order over b != 0, and each later j
+    outside its orbit so far, a backtrack seeks sigma fixing the points before
+    i with sigma(i) = j (Schreier-Sims). It puts a point on a neighbour of its
+    parent's image where d, sorted rows and b on placed pairs agree, and stops
+    after ``budget`` tries (4n^2): any subset is safe, a missed lookup exchanges.
+    """
+    b, d, n = em.B.entries, em.d, em.n
+    kind = [(d[v], sorted(b[v])) for v in range(n)]  # kept by every automorphism
+    parent, stack = {}, [(r, None) for r in reversed(range(n))]
+    while stack:  # DFS: each point but a component's first follows its parent
+        v, p = stack.pop()
+        if v not in parent:
+            parent[v] = p
+            stack += [(u, v) for u in range(n) if b[v][u]]
+    order, found, budget = list(parent), [], 4 * n * n if budget is None else budget
+    for i in reversed(range(n)):
+        reached = {order[i]}  # its orbit under those found so far, which fix order[:i]
+        for j in (j for j in order[i + 1:] if j not in reached and budget > 0):  # both change as it runs
+            sigma, tries = dict(zip(order[:i], order[:i])), [iter([j])]  # sigma: the images of order[:len(sigma)]
+            while tries and len(sigma) < n and budget > 0:
+                v = order[len(sigma)]
+                if len(tries) == len(sigma) - i:  # v's candidates: v first if it has no parent
+                    tries += [chain([v], range(n)) if parent[v] is None else compress(range(n), b[sigma[parent[v]]])]
+                w, budget = next(tries[-1], None), budget - 1
+                if w is None:  # back to the point before v, if any
+                    tries.pop()
+                    sigma.pop(order[len(sigma) - 1], None)
+                elif kind[w] == kind[v] and w not in sigma.values() and all(b[v][u] == b[w][sigma[u]] for u in sigma):
+                    sigma[v] = w
+            if len(sigma) == n:
+                found.append(tuple(map(sigma.__getitem__, range(n))))
+                while new := {g[x] for x in reached for g in found} - reached:
+                    reached |= new
+    return tuple(dict.fromkeys(found + [tuple(sorted(range(n), key=g.__getitem__)) for g in found]))
 
 
 def _cap_message(node_cap):
@@ -320,12 +370,12 @@ def enumerate_pattern(
 ):
     """BFS over the labelled mutation tree, deduplicating nodes on C_t.
 
-    After the seed pass, the labelled node (s, pi) mutated in direction k
-    is the edge (s, pi(k)) = (t, tau) followed by the state (t, tau.pi),
-    which stands for the labelled c-matrix. A relabelled node passes the
-    checks exactly when its seed does. Immediate back-mutation is
-    skipped; ties among directions break by ascending index, so the
-    catalog order is deterministic.
+    After the seed pass, the labelled node (s, pi) mutated in direction k is
+    the edge (s, pi(k)) = (t, tau) followed by the state (t, tau.pi), which
+    stands for the labelled c-matrix. A relabelled node passes the checks
+    exactly when its seed does. Every seed holds its F_t, relabelled off a
+    symmetric seed where it can. Immediate back-mutation is skipped; ties
+    among directions break by ascending index, so the order is deterministic.
 
     ``max_depth`` of None removes the depth bound; a visited B_t with
     b_ij.b_ji <= -4 then raises ExhaustionCapExceeded with reason

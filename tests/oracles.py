@@ -291,6 +291,17 @@ def arrows_to_b(n, arrows):
     return rows
 
 
+def seed_automorphisms(b_rows, d):
+    """Every permutation sigma with b_sigma(i)sigma(j) = b_ij and d_sigma(i) = d_i, by trying all n!."""
+    n = len(b_rows)
+    return {
+        sigma
+        for sigma in permutations(range(n))
+        if all(d[sigma[i]] == d[i] for i in range(n))
+        and all(b_rows[sigma[i]][sigma[j]] == b_rows[i][j] for i in range(n) for j in range(n))
+    }
+
+
 def seed_orbit_count(pairs):
     """Number of seeds up to relabelling among raw (B_t, C_t) matrix pairs.
 
@@ -993,6 +1004,9 @@ def _self_check():
     assert len(positive_roots({0: [1], 1: [0, 2], 2: [1]})) == 6
     assert dynkin_graph(4, [(0, 3, 1), (1, 3, 1), (2, 3, 1)])
     assert not dynkin_graph(5, [(0, 4, 1), (1, 4, 1), (2, 4, 1), (3, 4, 1)])
+    # the swap keeps B = 0 but moves d
+    assert seed_automorphisms([[0, 0], [0, 0]], [1, 2]) == {(0, 1)}
+    assert len(seed_automorphisms([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], [1, 1, 1])) == 3
     assert seed_orbit_count([([[0, 1], [-1, 0]], [[1, 0], [0, 1]]), ([[0, -1], [1, 0]], [[0, 1], [1, 0]])]) == 1
     assert path_counts(3, [(0, 1, 2), (1, 2, 1)]) == [[1, 2, 2], [0, 1, 1], [0, 0, 1]]
     assert sympy_inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]

@@ -336,12 +336,15 @@ def test_theta_far_on_the_lineality():
 def test_theta_matches_oracle_product(rows, depth):
     # y^beta . prod F_i^alpha_i from the tuple-keyed oracle at four located
     # points, each raising an F-polynomial other than 1; the visited Markov
-    # cones hold such small points only where alpha = 0
+    # cones hold such small points only where alpha = 0. Markov needs 224
+    # draws; the bound makes a broken locate fail instead of loop
     catalog = enumerate_pattern(validate(rows), max_depth=depth)
     n = len(rows)
     rng = random.Random(1729)
-    checked = 0
+    checked = draws = 0
     while checked < 4:
+        draws += 1
+        assert draws <= 1000, f"only {checked} of 4 points checked in 1000 draws of beta"
         beta = tuple(rng.randint(-3, 3) for _ in range(n))
         hit = locate(beta, catalog)
         if hit is None:

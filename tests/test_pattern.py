@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import time
 from operator import eq
 
 import pytest
@@ -35,9 +36,10 @@ from oracles import (
     laurent_mul,
     principal_seed_walk,
     random_skew_symmetrizable,
+    seed_automorphisms,
     seed_orbit_count,
 )
-from test_cones import SEED_CATALOGS
+from test_cones import SEED_CATALOGS, _disjoint
 
 B_A2 = [[0, 1], [-1, 0]]
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
@@ -49,6 +51,8 @@ B_A5 = [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [
 B_C3 = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 B_G2 = [[0, 1], [-3, 0]]
 B_F4 = [[0, 1, 0, 0], [-1, 0, 2, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+# D4 with every arrow into the centre: S3 permutes the three leaves
+B_D4_S3 = [[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [-1, -1, -1, 0]]
 
 
 def test_initial_node_identities():
@@ -701,11 +705,186 @@ def _assert_f_polynomials_match_oracle(em, depth):
         (B_G2, None),
         ([[0, 2], [-2, 0]], 6),
         (B_C3, None),
+        (_disjoint(B_A3, B_A3), 3),
+        (B_D4_S3, None),
     ],
-    ids=["A3", "B3", "A4", "D4", "Markov", "G2", "Kronecker", "C3"],
+    ids=["A3", "B3", "A4", "D4", "Markov", "G2", "Kronecker", "C3", "A3+A3", "D4-S3"],
 )
 def test_f_polynomials_match_dict_oracle(rows, depth):
     _assert_f_polynomials_match_oracle(validate(rows), depth)
+
+
+def _generated(perms, n):
+    """The group generated by permutations of range(n), by closure under composition."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        new = {tuple(map(g.__getitem__, s)) for g in frontier for s in perms} - group
+        group |= new
+        frontier = list(new)
+    return group
+
+
+def _assert_automorphisms_generate(em):
+    n = em.n
+    autos = pattern._automorphisms(em)
+    group = seed_automorphisms(em.B.entries, em.d)
+    assert set(autos) <= group and len(autos) == len(set(autos)) <= n * (n - 1)
+    assert _generated(autos, n) == group
+    return len(group)
+
+
+@pytest.mark.parametrize(
+    "em, order",
+    [
+        (validate(B_MARKOV), 3),
+        (validate(B_D4), 2),
+        (validate(B_A3), 2),
+        (validate(B_D4_S3), 6),
+        (validate(_disjoint(B_A3, B_A3)), 8),
+        (validate([[0] * 6 for _ in range(6)]), 720),
+        # the swap keeps B but moves d, so it is not an automorphism
+        (validate([[0, 0], [0, 0]], d=[1, 2]), 1),
+        (validate(B_B3), 1),
+    ],
+    ids=["Markov", "D4", "A3", "D4-S3", "A3+A3", "zero6", "zero-d12", "B3"],
+)
+def test_automorphisms_generate_the_oracle_group(em, order):
+    assert _assert_automorphisms_generate(em) == order
+    assert (order == 1) == (pattern._automorphisms(em) == ())
+
+
+def test_automorphisms_generate_the_oracle_group_random():
+    rng = random.Random(2828)
+    orders = []
+    for _ in range(150):
+        rows, d = random_skew_symmetrizable(rng, rng.randint(1, 6), max_entry=2)
+        orders.append(_assert_automorphisms_generate(validate(rows, d=d)))
+    assert sum(order > 1 for order in orders) > 30 and max(orders) >= 6
+
+
+def _count_exchanges(monkeypatch):
+    calls = []
+    good = laurent._Packing.exchange
+
+    def counted(context, sides, k):
+        calls.append(k)
+        return good(context, sides, k)
+
+    monkeypatch.setattr(laurent._Packing, "exchange", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rows, depth, exchanges", [(B_MARKOV, 6, 65), (B_B3, None, 19), (B_A4, None, 41)], ids=["Markov", "B3", "A4"]
+)
+def test_symmetric_seeds_relabel_f_instead_of_exchanging(monkeypatch, rows, depth, exchanges):
+    # a new seed sigma^-1.u, u built and sigma an automorphism of (B, d),
+    # reads its new F off u: Markov has |Aut| = 3 and its 189 new seeds run
+    # 65 exchanges, 63 for the orbits below depth 1 and 2 for the root's
+    # children, whose relations hold only F = 1 and are not looked up;
+    # B3 and A4 have no automorphism and exchange for each
+    calls = _count_exchanges(monkeypatch)
+    enumerate_pattern(validate(rows), max_depth=depth)
+    assert len(calls) == exchanges
+
+
+@pytest.mark.parametrize("rows", [B_D4, B_D4_S3], ids=["D4", "D4-S3"])
+def test_d4_relabels_some_f(monkeypatch, rows):
+    calls = _count_exchanges(monkeypatch)
+    cat = enumerate_pattern(validate(rows), max_depth=None)
+    assert len(calls) < len(cat.seeds) - 1 == 49
+
+
+def _zero(n):
+    return [[0] * n for _ in range(n)]
+
+
+def _path(labels, alternating=False):
+    """A path through the points in the order of ``labels``; its arrows all
+    point forward, or alternate when ``alternating``."""
+    rows = _zero(len(labels))
+    for p, (u, v) in enumerate(zip(labels, labels[1:])):
+        sign = -1 if alternating and p % 2 else 1
+        rows[u][v], rows[v][u] = sign, -sign
+    return rows
+
+
+def _evens_first(n):
+    # position p of the path gets label p // 2 when p is even and
+    # ceil(n / 2) + p // 2 when odd, so the first labels are pairwise apart
+    return [p // 2 if p % 2 == 0 else (n + 1) // 2 + p // 2 for p in range(n)]
+
+
+def _spy_automorphisms(monkeypatch, budget=None):
+    calls = []
+    good = pattern._automorphisms
+
+    def spied(em):
+        calls.append(em)
+        return good(em, budget)
+
+    monkeypatch.setattr(pattern, "_automorphisms", spied)
+    return calls
+
+
+def test_relations_that_hold_only_f_one_are_not_looked_up(monkeypatch):
+    # B = 0 at n = 12 has 12! automorphisms, and every relation of its walk
+    # holds only F = 1, which an exchange handles at once: the walk looks
+    # nothing up and never searches for automorphisms
+    searches, calls = _spy_automorphisms(monkeypatch), _count_exchanges(monkeypatch)
+    start = time.perf_counter()
+    cat = enumerate_pattern(validate(_zero(12)), max_depth=2)
+    assert time.perf_counter() - start < 10  # loose: it catches only a search that blows up
+    assert len(cat.seeds) == 1 + 12 + 66 and len(calls) == 12 + 66 and searches == []
+    # Markov searches once, at the first relation that holds an F other than 1
+    enumerate_pattern(validate(B_MARKOV), max_depth=3)
+    assert len(searches) == 1
+
+
+def test_automorphism_search_work_is_bounded():
+    # B = 0: n - 1 transpositions within n^2 tries, about n per search
+    autos = pattern._automorphisms(validate(_zero(12)), budget=12 * 12)
+    moved = [{p for p in range(12) if g[p] != p} for g in autos]
+    assert len(autos) == 11 and all(len(m) == 2 for m in moved)
+    # 11 transpositions that join all 12 points generate every permutation
+    reached = {0}
+    while new := set().union(*(m for m in moved if m & reached)) - reached:
+        reached |= new
+    assert reached == set(range(12))
+    # a path labelled evens first, so that no label below n/2 is next to
+    # another: the search follows the path from a neighbour's image, so an
+    # alternating path finds its reversal within 2n^2 tries, where a search
+    # in label order lists the independent sets of the path
+    n = 31
+    labels = _evens_first(n)
+    autos = pattern._automorphisms(validate(_path(labels, alternating=True)), budget=2 * n * n)
+    assert autos == (tuple(labels[n - 1 - labels.index(v)] for v in range(n)),)
+    assert pattern._automorphisms(validate(_path(_evens_first(30))), budget=2 * 30 * 30) == ()
+    # a spent budget keeps what was found: here nothing
+    assert pattern._automorphisms(validate(B_MARKOV), budget=0) == ()
+
+
+def test_evens_first_path_with_f(monkeypatch):
+    # the rigid directed path of 30 points labelled evens first, with F:
+    # depth 1 never searches, depth 2 searches once and finds nothing
+    searches = _spy_automorphisms(monkeypatch)
+    rows = _path(_evens_first(30))
+    enumerate_pattern(validate(rows), max_depth=1)
+    assert searches == []
+    start = time.perf_counter()
+    _assert_f_polynomials_match_oracle(validate(rows), 2)
+    assert time.perf_counter() - start < 10  # loose: it catches only a search that blows up
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("budget, exchanges", [(0, 49), (6, 36), (None, 30)], ids=["none", "one", "all"])
+def test_any_subset_of_automorphisms_gives_the_same_f(monkeypatch, budget, exchanges):
+    # a search stopped early looks up under fewer sigma, and F stays exact:
+    # D4-S3 keeps no sigma, one transposition, or two that generate S3
+    _spy_automorphisms(monkeypatch, budget)
+    calls = _count_exchanges(monkeypatch)
+    _assert_f_polynomials_match_oracle(validate(B_D4_S3), None)
+    assert len(calls) == exchanges
 
 
 def test_f_polynomials_match_dict_oracle_random(monkeypatch):
