@@ -35,13 +35,15 @@ from a new seed back to its parent, free as mutation is an involution.
 The cover pass walks the labellings as integers: mutating a labelled node
 in direction k is mutating its seed in the permuted direction, then
 relabelling, so it only composes permutations, numbered on first sight.
-An automorphism of (B, d) commutes with mutation, so a new seed that one
-maps onto a built seed reads F'_k off it, variables permuted, not dividing.
+The F pass follows. A signed symmetry sigma, b_sigma(i)sigma(j) = eps.b_ij
+and d_sigma(i) = d_i, takes eps.B at history sigma^-1(h) to B at h, and F of
+-B is y^M.F(y^-1), M the top exponents of F of B (Fomin-Zelevinsky IV, Prop.
+5.3): a new seed that sigma maps a built seed onto reads F'_k off that one.
 """
 
 from functools import lru_cache
 from itertools import chain, compress
-from operator import mul, neg
+from operator import itemgetter, mul, neg, sub
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
 from .intmat import Frozen, IntMatrix, _exact_int, identity_rows
@@ -207,13 +209,12 @@ def _walk(em, history, with_polynomials=True):
     return node
 
 
-def _child(node, k, new_em, cols, t, packing=None, f_k=None):
+def _child(node, k, new_em, cols, t):
     """The child in direction k, from its mutated B_t and the c-vectors and t of ``_mutate_c``.
 
     Checks that every changed column, c_j with t_j > 0, is sign coherent
-    (c_k only flips); carries G_t by g_k -> -g_k + sum_j t_j.g_j; F'_k,
-    when F is tracked, is ``f_k`` or comes through ``packing``, the node's
-    exchange context (a new one when None). The child is a seed's first node.
+    (c_k only flips); carries G_t by g_k -> -g_k + sum_j t_j.g_j; exchanges
+    for F'_k in a new context when F is tracked. It is a seed's first node.
     """
     for j, tj in enumerate(t):
         if tj:
@@ -221,11 +222,8 @@ def _child(node, k, new_em, cols, t, packing=None, f_k=None):
     kk = k - 1
     g = tuple(row[:kk] + (sum(map(mul, t, row)) - row[kk],) + row[k:] for row in node.G_t.entries)
     f = node.F_t  # None without F
-    if f is not None and f_k is None:
-        # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
-        column = tuple(c * node.B_t.d[kk] // di for c, di in zip(node.c_vectors[kk], node.B_t.d))
-        f_k = _mutate_f(packing or _Packing(f), node.B_t.B.entries, column, kk)
-    return PatternNode(new_em, cols, IntMatrix._trusted(g), f and f[:kk] + (f_k,) + f[k:], node.history + (k,))
+    f = f and f[:kk] + (_mutate_f(_Packing(f), node, kk),) + f[k:]
+    return PatternNode(new_em, cols, IntMatrix._trusted(g), f, node.history + (k,))
 
 
 def _column_sign(col, kk):
@@ -233,8 +231,8 @@ def _column_sign(col, kk):
         raise SignCoherenceViolation(f"c-matrix column {kk + 1} has mixed signs")
 
 
-def _mutate_f(packing, b, column, kk):
-    """F'_k, for the polynomials F_t of ``packing`` mutated in direction k = kk + 1.
+def _mutate_f(packing, node, kk):
+    """F'_k, for the polynomials F_t of ``packing`` at ``node`` mutated in direction k = kk + 1.
 
     The exchange relation (Fomin-Zelevinsky IV) reads
     F_k.F'_k = y^[c]+ prod F_i^[b_ik]+ + y^[-c]+ prod F_i^[-b_ik]+, c being
@@ -243,7 +241,9 @@ def _mutate_f(packing, b, column, kk):
     all its relations; the exchange divides the sum by F_k and unpacks
     only F'_k, which must keep constant term 1.
     """
-    polys = packing.polys
+    polys, b, d = packing.polys, node.B_t.B.entries, node.B_t.d
+    # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
+    column = tuple(c * d[kk] // di for c, di in zip(node.c_vectors[kk], d))
     sides = [
         (
             tuple(max(sign * c, 0) for c in column),
@@ -257,26 +257,25 @@ def _mutate_f(packing, b, column, kk):
     return exchanged
 
 
-def _seed_graph(root, max_depth, node_cap):
+def _seed_graph(em, max_depth, node_cap):
     """The seed pass: seeds up to max_depth in BFS order, and their edges.
 
     seeds[s] is seed s, a PatternNode in its own labelling;
     edges[s][j] = (t, tau) says seed s mutated in direction j (0-based) is
-    seed t relabelled by tau, for every seed above the depth bound.
-    With F, a new seed that `_automorphisms` maps onto a built one relabels its F'_k.
+    seed t relabelled by tau, for every seed above the depth bound. It
+    tracks no F and searches no symmetry: `_f_pass` fills F in afterwards.
     Without a depth bound, a B_t with b_ij.b_ji <= -4 ends the walk: it
     makes the exchange graph infinite (Fomin-Zelevinsky II, Thm 1.8).
     """
-    n = root.B_t.n
-    ident = _identity(n)
+    n, ident = em.n, _identity(em.n)
 
     def key(cols):  # the set of c-vectors, as a sorted flat tuple
         return tuple(chain.from_iterable(sorted(cols)))
 
-    seeds = [root]
+    seeds = [initial_node(em, with_polynomials=False)]
     parents = [None]
     edges = []
-    number, autos = {key(root.c_vectors): 0}, None
+    number = {key(seeds[0].c_vectors): 0}
     for s, node in enumerate(seeds):  # seeds grows as the walk finds them
         if max_depth is not None and len(node.history) >= max_depth:
             break
@@ -287,7 +286,6 @@ def _seed_graph(root, max_depth, node_cap):
                     f"B_t at history {node.history} has b_ij*b_ji <= -4: infinite type", "infinite_type"
                 )
         back = node.history[-1] - 1 if node.history else None
-        packing = None  # the seed's exchange context, made for its first new child
         out = []
         for j in range(n):
             if j == back:  # mutation is an involution: back to the parent, unrelabelled
@@ -298,19 +296,7 @@ def _seed_graph(root, max_depth, node_cap):
             if t < len(seeds):  # a known seed: column i is its column tau[i]
                 out.append((t, tuple(map(seeds[t].c_vectors.index, cols))))
                 continue
-            f_k = None
-            if node.F_t and not all(node.F_t[i].is_one() for i in range(n) if i == j or node.B_t.B.entries[i][j]):
-                if autos is None:  # automorphisms of (B, d), found at the first relation with an F other than 1
-                    autos = [(a, tuple(sorted(ident, key=a.__getitem__))) for a in _automorphisms(root.B_t)]
-                for sigma, inverse in autos:  # sigma.v has (sigma.v)_sigma(i) = v_i; is sigma.(new seed) built?
-                    pushed = list(zip(*map(list(zip(*cols)).__getitem__, inverse)))
-                    if (u := number.get(key(pushed), t)) < t:
-                        terms = seeds[u].F_t[seeds[u].c_vectors.index(pushed[j])]._terms.items()
-                        f_k = LaurentPolynomial._trusted(n, {tuple(map(e.__getitem__, sigma)): c for e, c in terms})
-                        break
-            if packing is None and f_k is None and node.F_t is not None:
-                packing = _Packing(node.F_t)
-            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector, packing, f_k))
+            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector))
             parents.append(s)
             out.append((t, ident))
             if len(seeds) > node_cap:
@@ -319,17 +305,57 @@ def _seed_graph(root, max_depth, node_cap):
     return seeds, edges
 
 
-def _automorphisms(em, budget=None):
-    """Automorphisms sigma of (B, d), sigma[v] = sigma(v), that generate its group, and their inverses.
+def _f_pass(em, seeds, edges):
+    """The seeds of `_seed_graph` with F_t: new seed s at history h, child of p
+    in direction k, reads F'_k = F_u[pi(sigma^-1(k))], e -> M - e if eps = -1,
+    y_i renamed y_sigma(i), when the walk of sigma^-1(h) ends at (u, pi) with
+    u < s. Otherwise, or when its relation holds only F = 1, p's context exchanges.
+    """
+    n, ident = em.n, _identity(em.n)
+    polys, signed = [initial_node(em).F_t], None
+    for p, out in enumerate(edges):
+        node, f, packing = seeds[p], polys[p], None
+        for j, (s, _) in enumerate(out):
+            if s < len(polys):  # not a new seed
+                continue
+            f_k = None
+            if not all(f[i].is_one() for i in range(n) if i == j or node.B_t.B.entries[i][j]):
+                if signed is None:  # searched at the first relation with an F other than 1
+                    signed = [(list(map(g.index, ident)), e) for e in (1, -1) for g in _automorphisms(em, sign=e)]
+                for inverse, eps in signed:
+                    u, pi = 0, ident
+                    for k in seeds[s].history:
+                        u, tau = edges[u][pi[inverse[k - 1]]]
+                        pi = tuple(map(tau.__getitem__, pi))
+                    if u < s:  # n >= 2 here, so rename gives tuples: at n = 1 every relation holds only F = 1
+                        rename, terms = itemgetter(*inverse), polys[u][pi[inverse[j]]]._terms
+                        top = eps < 0 and rename(tuple(map(max, zip(*terms))))
+                        f_k = {tuple(map(sub, top, rename(e))) if top else rename(e): c for e, c in terms.items()}
+                        if (f_k := LaurentPolynomial._trusted(n, f_k)).constant_term() != 1:
+                            raise DualityViolation("relabelled coefficient polynomial lost its constant term 1")
+                        break
+            if f_k is None:
+                packing = packing or _Packing(f)
+                f_k = _mutate_f(packing, node, j)
+            polys.append(f[:j] + (f_k,) + f[j + 1:])
+    return [PatternNode(x.B_t, x.c_vectors, x.G_t, f, x.history) for x, f in zip(seeds, polys)]
 
-    For each point i, from the last in DFS order over b != 0, and each later j
-    outside its orbit so far, a backtrack seeks sigma fixing the points before
-    i with sigma(i) = j (Schreier-Sims). It puts a point on a neighbour of its
-    parent's image where d, sorted rows and b on placed pairs agree, and stops
-    after ``budget`` tries (4n^2): any subset is safe, a missed lookup exchanges.
+
+def _automorphisms(em, budget=None, sign=1):
+    """Permutations sigma, sigma[v] = sigma(v), with b_sigma(i)sigma(j) = sign.b_ij and d_sigma(i) = d_i.
+
+    Sign 1: generators of Aut(B, d) and their inverses: for each point i, from
+    the last in DFS order over b != 0, and each later j outside its orbit so
+    far, a backtrack seeks sigma fixing the points before i with sigma(i) = j
+    (Schreier-Sims). Sign -1: one backtrack's tau (all others are tau.Aut) and
+    its inverse. A backtrack puts a point on a neighbour of its parent's image
+    where d, sorted rows and b on placed pairs agree; the search stops after
+    ``budget`` tries (4n^2): any subset is safe, a missed lookup exchanges.
     """
     b, d, n = em.B.entries, em.d, em.n
     kind = [(d[v], sorted(b[v])) for v in range(n)]  # kept by every automorphism
+    sb = [[sign * x for x in row] for row in b]  # sign.B
+    want = [(d[v], sorted(sb[v])) for v in range(n)]  # the kind of sigma(v)
     parent, stack = {}, [(r, None) for r in reversed(range(n))]
     while stack:  # DFS: each point but a component's first follows its parent
         v, p = stack.pop()
@@ -337,10 +363,10 @@ def _automorphisms(em, budget=None):
             parent[v] = p
             stack += [(u, v) for u in range(n) if b[v][u]]
     order, found, budget = list(parent), [], 4 * n * n if budget is None else budget
-    for i in reversed(range(n)):
+    for i in reversed(range(n)) if sign == 1 else [0]:
         reached = {order[i]}  # its orbit under those found so far, which fix order[:i]
-        for j in (j for j in order[i + 1:] if j not in reached and budget > 0):  # both change as it runs
-            sigma, tries = dict(zip(order[:i], order[:i])), [iter([j])]  # sigma: the images of order[:len(sigma)]
+        for images in ([j] for j in order[i + 1:] if j not in reached and budget > 0) if sign == 1 else [range(n)]:
+            sigma, tries = dict(zip(order[:i], order[:i])), [iter(images)]  # sigma: the images of order[:len(sigma)]
             while tries and len(sigma) < n and budget > 0:
                 v = order[len(sigma)]
                 if len(tries) == len(sigma) - i:  # v's candidates: v first if it has no parent
@@ -349,7 +375,7 @@ def _automorphisms(em, budget=None):
                 if w is None:  # back to the point before v, if any
                     tries.pop()
                     sigma.pop(order[len(sigma) - 1], None)
-                elif kind[w] == kind[v] and w not in sigma.values() and all(b[v][u] == b[w][sigma[u]] for u in sigma):
+                elif kind[w] == want[v] and w not in sigma.values() and all(sb[v][u] == b[w][sigma[u]] for u in sigma):
                     sigma[v] = w
             if len(sigma) == n:
                 found.append(tuple(map(sigma.__getitem__, range(n))))
@@ -373,9 +399,11 @@ def enumerate_pattern(
     After the seed pass, the labelled node (s, pi) mutated in direction k is
     the edge (s, pi(k)) = (t, tau) followed by the state (t, tau.pi), which
     stands for the labelled c-matrix. A relabelled node passes the checks
-    exactly when its seed does. Every seed holds its F_t, relabelled off a
-    symmetric seed where it can. Immediate back-mutation is skipped; ties
-    among directions break by ascending index, so the order is deterministic.
+    exactly when its seed does. With polynomials, the F pass gives each new
+    seed its F'_k off a built seed that a signed symmetry of (B, d) maps onto
+    it where it can (Prop. 5.3 of Fomin-Zelevinsky IV for the sign -1), else
+    by an exchange. Immediate back-mutation is skipped; ties among
+    directions break by ascending index, so the order is deterministic.
 
     ``max_depth`` of None removes the depth bound; a visited B_t with
     b_ij.b_ji <= -4 then raises ExhaustionCapExceeded with reason
@@ -397,8 +425,8 @@ def enumerate_pattern(
     if node_cap is None or _exact_int(node_cap) < 1:
         raise ValueError("node_cap must be positive")
     node_cap = _exact_int(node_cap)
-    root = initial_node(em, with_polynomials=with_polynomials)
-    seeds, edges = _seed_graph(root, max_depth, node_cap)
+    seeds, edges = _seed_graph(em, max_depth, node_cap)
+    seeds = _f_pass(em, seeds, edges) if with_polynomials else seeds
     n = em.n
     taus = {_identity(n): 0}  # the edge relabellings, numbered; 0 is the identity
     edges = [tuple((t, taus.setdefault(tau, len(taus))) for t, tau in out) for out in edges]

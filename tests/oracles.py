@@ -291,14 +291,17 @@ def arrows_to_b(n, arrows):
     return rows
 
 
-def seed_automorphisms(b_rows, d):
-    """Every permutation sigma with b_sigma(i)sigma(j) = b_ij and d_sigma(i) = d_i, by trying all n!."""
+def seed_automorphisms(b_rows, d, sign=1):
+    """Every permutation sigma with b_sigma(i)sigma(j) = sign.b_ij and d_sigma(i) = d_i, by trying all n!.
+
+    sign 1 gives the automorphisms of (B, d), sign -1 its anti-automorphisms.
+    """
     n = len(b_rows)
     return {
         sigma
         for sigma in permutations(range(n))
         if all(d[sigma[i]] == d[i] for i in range(n))
-        and all(b_rows[sigma[i]][sigma[j]] == b_rows[i][j] for i in range(n) for j in range(n))
+        and all(b_rows[sigma[i]][sigma[j]] == sign * b_rows[i][j] for i in range(n) for j in range(n))
     }
 
 
@@ -1007,6 +1010,8 @@ def _self_check():
     # the swap keeps B = 0 but moves d
     assert seed_automorphisms([[0, 0], [0, 0]], [1, 2]) == {(0, 1)}
     assert len(seed_automorphisms([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], [1, 1, 1])) == 3
+    # the reversal of a directed path turns every arrow around
+    assert seed_automorphisms([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [1, 1, 1], sign=-1) == {(2, 1, 0)}
     assert seed_orbit_count([([[0, 1], [-1, 0]], [[1, 0], [0, 1]]), ([[0, -1], [1, 0]], [[0, 1], [1, 0]])]) == 1
     assert path_counts(3, [(0, 1, 2), (1, 2, 1)]) == [[1, 2, 2], [0, 1, 1], [0, 0, 1]]
     assert sympy_inverse([[2, 0], [0, 1]]) == [[Fraction(1, 2), 0], [0, 1]]

@@ -581,7 +581,7 @@ def _seed_route_kinds(em, depth):
     more, and in corank 1 "one sign" or "both signs" after m = K.G_t, K
     spanning ker B^T.
     """
-    seeds, _ = _seed_graph(initial_node(em, with_polynomials=False), depth, NODE_CAP)
+    seeds, _ = _seed_graph(em, depth, NODE_CAP)
     describe = seed_classifier(em)
     kernel = integer_kernel_basis(em.B.transpose())
     kinds = Counter()

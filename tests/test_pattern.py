@@ -53,6 +53,7 @@ B_G2 = [[0, 1], [-3, 0]]
 B_F4 = [[0, 1, 0, 0], [-1, 0, 2, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 # D4 with every arrow into the centre: S3 permutes the three leaves
 B_D4_S3 = [[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [-1, -1, -1, 0]]
+B_D212 = [[0, 1, 0], [-2, 0, 2], [0, -1, 0]]
 
 
 def test_initial_node_identities():
@@ -228,7 +229,7 @@ def _assert_g_is_the_recurrence(rows, depth):
 def test_carried_g_is_the_hermite_inverse(name):
     # the G_t the seed pass carries is the (C_t^T)^-1 of the Hermite route on every seed
     rows, depth = SEED_CATALOGS[name]
-    seeds, _ = pattern._seed_graph(initial_node(validate(rows), with_polynomials=False), depth, pattern.NODE_CAP)
+    seeds, _ = pattern._seed_graph(validate(rows), depth, pattern.NODE_CAP)
     n = len(rows)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     for seed in seeds:
@@ -549,7 +550,7 @@ def test_enumeration_matches_labelled_enumeration_on_random_seeds():
 def _assert_cover_matches_oracle(em, depth):
     """(history, seed, perm) of every labelled node, in order, equals ``labelled_cover``'s."""
     cat = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
-    _, edges = pattern._seed_graph(initial_node(em, with_polynomials=False), depth, pattern.NODE_CAP)
+    _, edges = pattern._seed_graph(em, depth, pattern.NODE_CAP)
     expected, walked, complete = labelled_cover(edges, em.n, depth)
     nodes = cat.nodes
     got = zip(nodes.histories, nodes.seed_of, map(nodes.perms.__getitem__, nodes.perm_of))
@@ -679,6 +680,14 @@ def test_exchange_losing_constant_term_fires(monkeypatch):
         enumerate_pattern(validate(B_A3), max_depth=1, with_polynomials=True)
 
 
+def test_relabelled_f_losing_constant_term_fires(monkeypatch):
+    # a reflected F, off the anti-automorphism of the A4 path, is checked too
+    enumerate_pattern(validate(B_A4), max_depth=None)
+    monkeypatch.setattr(pattern, "sub", lambda top, e: top - e + 1)
+    with pytest.raises(DualityViolation):
+        enumerate_pattern(validate(B_A4), max_depth=None)
+
+
 def _plain(polys):
     return [dict(p.sorted_terms()) for p in polys]
 
@@ -707,11 +716,50 @@ def _assert_f_polynomials_match_oracle(em, depth):
         (B_C3, None),
         (_disjoint(B_A3, B_A3), 3),
         (B_D4_S3, None),
+        (B_A5, None),
+        # d = (2, 1, 2): the swap of the ends is an anti-automorphism, and no automorphism is
+        (B_D212, 5),
     ],
-    ids=["A3", "B3", "A4", "D4", "Markov", "G2", "Kronecker", "C3", "A3+A3", "D4-S3"],
+    ids=["A3", "B3", "A4", "D4", "Markov", "G2", "Kronecker", "C3", "A3+A3", "D4-S3", "A5", "d212"],
 )
 def test_f_polynomials_match_dict_oracle(rows, depth):
     _assert_f_polynomials_match_oracle(validate(rows), depth)
+
+
+def _reflected(poly):
+    """y^M.F(y^-1) as a term dict, M the largest exponent of each variable in F."""
+    terms = dict(poly.sorted_terms())
+    top = tuple(map(max, zip(*terms)))
+    return {tuple(m - e for m, e in zip(top, exps)): c for exps, c in terms.items()}
+
+
+def _assert_reflection(rows, d, history):
+    # F of -B at any history is y^M.F(y^-1) of F of B there (Fomin-Zelevinsky IV, Prop. 5.3)
+    plus = pattern._walk(validate(rows, d=d), history)
+    minus = pattern._walk(validate([[-x for x in row] for row in rows], d=d), history)
+    for f, g in zip(plus.F_t, minus.F_t):
+        reflected = _reflected(f)
+        assert dict(g.sorted_terms()) == reflected
+        assert reflected[(0,) * len(rows)] == 1
+
+
+@pytest.mark.parametrize("rows", [B_MARKOV, B_B3, B_G2], ids=["Markov", "B3", "G2"])
+def test_minus_b_reflects_f(rows):
+    n = len(rows)
+    for history in [(), (1,), (2, 1), (1, 2, 1, 2), tuple(range(1, n + 1)) * 2]:
+        _assert_reflection(rows, None, history)
+
+
+def test_minus_b_reflects_f_on_random_seeds():
+    rng = random.Random(2929)
+    changed = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows, d = random_skew_symmetrizable(rng, n, max_entry=2)
+        history = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
+        _assert_reflection(rows, d, history)
+        changed += any(not f.is_one() for f in pattern._walk(validate(rows, d=d), history).F_t)
+    assert changed > 20
 
 
 def _generated(perms, n):
@@ -725,32 +773,47 @@ def _generated(perms, n):
 
 
 def _assert_automorphisms_generate(em):
+    """The orders of the automorphism group of (B, d) and of its signed group, which the search generates."""
     n = em.n
-    autos = pattern._automorphisms(em)
-    group = seed_automorphisms(em.B.entries, em.d)
+    autos, anti = pattern._automorphisms(em), pattern._automorphisms(em, sign=-1)
+    group, coset = (seed_automorphisms(em.B.entries, em.d, sign) for sign in (1, -1))
     assert set(autos) <= group and len(autos) == len(set(autos)) <= n * (n - 1)
     assert _generated(autos, n) == group
-    return len(group)
+    # signed permutations (sigma, eps) compose as (sigma.rho, eps.delta); the
+    # anti-automorphisms are the coset tau.Aut of the one tau the search returns
+    assert len(anti) == (len(coset) > 0) and set(anti) <= coset
+    signed = [(a, 1) for a in autos] + [(a, -1) for a in anti]
+    closure, frontier = {(tuple(range(n)), 1)}, [(tuple(range(n)), 1)]
+    while frontier:
+        frontier = {(tuple(map(g.__getitem__, s)), e * f) for g, e in frontier for s, f in signed} - closure
+        closure |= frontier
+    assert closure == {(g, 1) for g in group} | {(g, -1) for g in coset}
+    return len(group), len(group) + len(coset)
 
 
 @pytest.mark.parametrize(
-    "em, order",
+    "em, order, signed",
     [
-        (validate(B_MARKOV), 3),
-        (validate(B_D4), 2),
-        (validate(B_A3), 2),
-        (validate(B_D4_S3), 6),
-        (validate(_disjoint(B_A3, B_A3)), 8),
-        (validate([[0] * 6 for _ in range(6)]), 720),
-        # the swap keeps B but moves d, so it is not an automorphism
-        (validate([[0, 0], [0, 0]], d=[1, 2]), 1),
-        (validate(B_B3), 1),
+        (validate(B_MARKOV), 3, 6),
+        (validate(B_D4), 2, 2),
+        (validate(B_A3), 2, 2),
+        # the reversal of the directed path turns its arrows around
+        (validate(B_A4), 1, 2),
+        (validate(B_D4_S3), 6, 6),
+        (validate(_disjoint(B_A3, B_A3)), 8, 8),
+        # on B = 0 every permutation is both
+        (validate([[0] * 6 for _ in range(6)]), 720, 1440),
+        # the swap keeps B but moves d, so it is neither
+        (validate([[0, 0], [0, 0]], d=[1, 2]), 1, 2),
+        (validate(B_B3), 1, 1),
+        (validate(B_D212), 1, 2),
     ],
-    ids=["Markov", "D4", "A3", "D4-S3", "A3+A3", "zero6", "zero-d12", "B3"],
+    ids=["Markov", "D4", "A3", "A4", "D4-S3", "A3+A3", "zero6", "zero-d12", "B3", "d212"],
 )
-def test_automorphisms_generate_the_oracle_group(em, order):
-    assert _assert_automorphisms_generate(em) == order
+def test_automorphisms_generate_the_oracle_group(em, order, signed):
+    assert _assert_automorphisms_generate(em) == (order, signed)
     assert (order == 1) == (pattern._automorphisms(em) == ())
+    assert (signed == order) == (pattern._automorphisms(em, sign=-1) == ())
 
 
 def test_automorphisms_generate_the_oracle_group_random():
@@ -759,7 +822,8 @@ def test_automorphisms_generate_the_oracle_group_random():
     for _ in range(150):
         rows, d = random_skew_symmetrizable(rng, rng.randint(1, 6), max_entry=2)
         orders.append(_assert_automorphisms_generate(validate(rows, d=d)))
-    assert sum(order > 1 for order in orders) > 30 and max(orders) >= 6
+    assert sum(order > 1 for order, _ in orders) > 30 and max(order for order, _ in orders) >= 6
+    assert sum(signed > order for order, signed in orders) > 30
 
 
 def _count_exchanges(monkeypatch):
@@ -775,14 +839,16 @@ def _count_exchanges(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rows, depth, exchanges", [(B_MARKOV, 6, 65), (B_B3, None, 19), (B_A4, None, 41)], ids=["Markov", "B3", "A4"]
+    "rows, depth, exchanges",
+    [(B_MARKOV, 6, 34), (B_B3, None, 19), (B_A4, None, 25), (B_A5, None, 80)],
+    ids=["Markov", "B3", "A4", "A5"],
 )
 def test_symmetric_seeds_relabel_f_instead_of_exchanging(monkeypatch, rows, depth, exchanges):
-    # a new seed sigma^-1.u, u built and sigma an automorphism of (B, d),
-    # reads its new F off u: Markov has |Aut| = 3 and its 189 new seeds run
-    # 65 exchanges, 63 for the orbits below depth 1 and 2 for the root's
-    # children, whose relations hold only F = 1 and are not looked up;
-    # B3 and A4 have no automorphism and exchange for each
+    # a new seed at history h reads its new F off a built seed at sigma^-1(h),
+    # sigma a signed symmetry of (B, d): Markov has 3 automorphisms and 3
+    # anti-automorphisms, and its 189 new seeds run 34 exchanges (65 under
+    # the automorphisms alone); the A4 and A5 paths have only their reversal,
+    # an anti-automorphism (41 and 131 alone), and B3 has no symmetry
     calls = _count_exchanges(monkeypatch)
     enumerate_pattern(validate(rows), max_depth=depth)
     assert len(calls) == exchanges
@@ -819,9 +885,9 @@ def _spy_automorphisms(monkeypatch, budget=None):
     calls = []
     good = pattern._automorphisms
 
-    def spied(em):
-        calls.append(em)
-        return good(em, budget)
+    def spied(em, sign=1):
+        calls.append(sign)
+        return good(em, budget, sign)
 
     monkeypatch.setattr(pattern, "_automorphisms", spied)
     return calls
@@ -836,9 +902,12 @@ def test_relations_that_hold_only_f_one_are_not_looked_up(monkeypatch):
     cat = enumerate_pattern(validate(_zero(12)), max_depth=2)
     assert time.perf_counter() - start < 10  # loose: it catches only a search that blows up
     assert len(cat.seeds) == 1 + 12 + 66 and len(calls) == 12 + 66 and searches == []
-    # Markov searches once, at the first relation that holds an F other than 1
+    # Markov searches once for each sign, at the first relation that holds an
+    # F other than 1, and the seed pass alone never searches
+    enumerate_pattern(validate(B_MARKOV), max_depth=3, with_polynomials=False)
+    assert searches == []
     enumerate_pattern(validate(B_MARKOV), max_depth=3)
-    assert len(searches) == 1
+    assert searches == [1, -1]
 
 
 def test_automorphism_search_work_is_bounded():
@@ -865,26 +934,30 @@ def test_automorphism_search_work_is_bounded():
 
 
 def test_evens_first_path_with_f(monkeypatch):
-    # the rigid directed path of 30 points labelled evens first, with F:
-    # depth 1 never searches, depth 2 searches once and finds nothing
-    searches = _spy_automorphisms(monkeypatch)
+    # the directed path of 30 points labelled evens first, with F: depth 1
+    # never searches; depth 2 searches once for each sign and finds only the
+    # reversal, an anti-automorphism, which spares half of the 58 exchanges
+    # whose relations hold an F other than 1
+    searches, calls = _spy_automorphisms(monkeypatch), _count_exchanges(monkeypatch)
     rows = _path(_evens_first(30))
     enumerate_pattern(validate(rows), max_depth=1)
-    assert searches == []
+    assert searches == [] and len(calls) == 30
+    calls.clear()
     start = time.perf_counter()
     _assert_f_polynomials_match_oracle(validate(rows), 2)
     assert time.perf_counter() - start < 10  # loose: it catches only a search that blows up
-    assert len(searches) == 1
+    assert searches == [1, -1] and len(calls) == 494 - 29
 
 
 @pytest.mark.parametrize("budget, exchanges", [(0, 49), (6, 36), (None, 30)], ids=["none", "one", "all"])
 def test_any_subset_of_automorphisms_gives_the_same_f(monkeypatch, budget, exchanges):
     # a search stopped early looks up under fewer sigma, and F stays exact:
-    # D4-S3 keeps no sigma, one transposition, or two that generate S3
-    _spy_automorphisms(monkeypatch, budget)
+    # D4-S3 keeps no sigma, one transposition, or two that generate S3, and
+    # has no anti-automorphism
+    searches = _spy_automorphisms(monkeypatch, budget)
     calls = _count_exchanges(monkeypatch)
     _assert_f_polynomials_match_oracle(validate(B_D4_S3), None)
-    assert len(calls) == exchanges
+    assert len(calls) == exchanges and searches == [1, -1]
 
 
 def test_f_polynomials_match_dict_oracle_random(monkeypatch):
