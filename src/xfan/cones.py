@@ -4,16 +4,16 @@ A cone is its row matrix A, an ``IntMatrix``: row i is the i-th c-vector
 (transposed) times the root exchange matrix B. Tropical duality,
 C_t^T.G_t = I, makes the cone the p*-preimage of the seed's g-vector cone,
 so one route reads every cone off G_t: the extreme rays of its pointed
-part are the images of the nonnegative circuits of K.G_t, K spanning
+part are the images of those of {lam >= 0 : K.G_t.lam = 0}, K spanning
 ker B^T, and an arbitrary A is the case B = A, G = I. Implicit rows are
-the coordinates no ray uses, certified by the one-signed cocircuits of
-K.G_t, the extreme nonnegative row relations, read off the same minors;
-a strict row supports a facet when no other strict row vanishes on more
-rays. The rays and the lineality space key the cone.
+the coordinates no ray uses, each certified by an extreme nonnegative row
+relation; one double description routine gives both kinds of extreme
+ray. A strict row supports a facet when no other strict row vanishes on
+more rays. The rays and the lineality space key the cone.
 """
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, compress
 from math import gcd
 from operator import mul
 
@@ -22,8 +22,8 @@ from .intmat import (
     IntMatrix,
     Value,
     adjugate,
-    det,
     hnf_rows,
+    identity_rows,
     integer_kernel_basis,
     primitive_vector,
 )
@@ -91,11 +91,11 @@ def _frame(B):
     the image of P = {lam >= 0 : m.lam = 0}, m = K.G, K the saturated basis
     of ker B^T, of k rows. With M = [B; L], the pull-back adj(M^T.M).B^T
     sends G.lam to a positive multiple of the beta orthogonal to L with
-    B.beta = G.lam. The rays of P are the nonnegative circuits of m
-    (``_circuits``). A strict row supports a facet iff the set of rays
-    using it is minimal. The rows of m span the relations lam.A = 0, whose
-    rays are the one-signed cocircuits of m; an implicit row's certificate
-    is the lexicographically least ray using it.
+    B.beta = G.lam. The rays of P are the extreme rays of the rows of m
+    (``_extreme_rays``). A strict row supports a facet iff the set of rays
+    using it is minimal. A relation lam >= 0 with lam.A = 0 vanishes off
+    the implicit rows, and certifies them: each gets the lexicographically
+    least relation ray using it.
     """
     kernel = integer_kernel_basis(B.transpose())
     lineality = integer_kernel_basis(B)
@@ -109,66 +109,63 @@ def _frame(B):
     def column(g):  # m_i over the image of e_i for g = G.e_i, which seeds share
         return tuple(sum(map(mul, row, g)) for row in frame)
 
+    @lru_cache(maxsize=None)
+    def pointed(m):  # what m alone decides, for the m that seeds share
+        rays = {tuple(compress(range(B.rows), r)): tuple(filter(None, r)) for r in _extreme_rays(zip(*m), B.rows)}
+        uses = {j: frozenset(s for s in rays if j in s) for j in set().union(*rays)}
+        implicit = tuple(i for i in range(B.rows) if i not in uses)
+        strict = tuple(sorted(uses))
+        # the relations that vanish on the strict rows J are the y.m with
+        # y.m_J = 0, so the implicit rows have rank |I| - k + rank m_J
+        rank = len(implicit) - k + len(hnf_rows([m[j] for j in strict])) if implicit else 0
+        return tuple(rays.items()), implicit, strict, _facets(strict, [uses[j] for j in strict]), rank
+
+    @lru_cache(maxsize=None)
+    def certify(implicit, rows):  # the certificates of implicit rows, which seeds share
+        place = dict(zip(implicit, range(len(implicit))))
+        lams = _extreme_rays(zip(*rows), len(rows))
+        relations = [tuple(lam[place[i]] if i in place else 0 for i in range(B.rows)) for lam in lams]
+        return tuple(min(lam for lam in relations if lam[i]) for i in implicit)
+
     def describe(A, G):
         columns = list(map(column, zip(*G.entries)))
-        m = [c[:k] for c in columns]
+        rays, implicit, strict, facets, rank = pointed(tuple(c[:k] for c in columns))
+        certificates = dict(zip(implicit, certify(implicit, tuple(A.entries[i] for i in implicit))))
         images = [c[k:] for c in columns]
-        circuits, minor = _circuits(m, k)
-        uses = {j: frozenset(s for s in circuits if j in s) for j in set().union(*circuits)}
-        implicit = tuple(i for i in range(A.rows) if i not in uses)
-        strict = tuple(sorted(uses))
-        facets = _facets(strict, [uses[j] for j in strict])
-        dim, certificates = A.cols, {}
-        if implicit:
-            # the relations that vanish on the strict rows J are the y.m with
-            # y.m_J = 0, so the implicit rows have rank |I| - k + rank m_J
-            dim -= len(implicit) - k + len(hnf_rows([m[j] for j in strict]))
-            # the relation rays are the one-signed cocircuits y.m, y normal to
-            # k - 1 columns: lam_i is the minor of those columns and column i,
-            # signed by the position of i among them (zero when i is one of them)
-            nonzero = [i for i, c in enumerate(m) if any(c)]
-            relations = []
-            for cols in combinations(nonzero, k - 1):
-                lam = [0] * A.rows
-                for i in nonzero:
-                    subset = tuple(sorted((*cols, i)))
-                    lam[i] = (-1) ** subset.index(i) * minor.get(subset, 0)
-                if not min(lam) < 0 < max(lam):
-                    relations.append(primitive_vector([abs(x) for x in lam]))
-            certificates = {i: min(lam for lam in relations if lam[i] > 0) for i in implicit}
-        # a zero column's ray is its image as it stands
+        # a unit ray is its column's image as it stands
         rays = (
             images[s[0]] if len(s) == 1 else tuple(sum(map(mul, lam, y)) for y in zip(*(images[i] for i in s)))
-            for s, lam in circuits.items()
+            for s, lam in rays
         )
         ambient = tuple(sorted(map(primitive_vector, rays)))
-        return ConeDescription(A, implicit, strict, facets, dim, lineality, certificates, ambient)
+        return ConeDescription(A, implicit, strict, facets, A.cols - rank, lineality, certificates, ambient)
 
     return describe
 
 
-def _circuits(m, k):
-    """The nonnegative circuits of the k-row matrix of full row rank whose columns are m.
+def _extreme_rays(rows, width):
+    """The primitive extreme rays of {lam >= 0 : rows.lam = 0}, lam of length ``width``.
 
-    Returns ({support: lam on the support}, {S: det m_S}), S running over
-    the k-subsets of nonzero columns. A zero column is a circuit alone; the
-    others are the signed k x k minors (Cramer) of k + 1 nonzero columns,
-    kept when nonzero and of one sign, with lam > 0 on the support.
+    Double description (Fukuda-Prodon, 1996): from the unit rays, each row a
+    keeps the rays with a.r = 0 and adds (a.p).q - (a.q).p, made primitive,
+    for each pair a.p > 0 > a.q that is adjacent: no third ray vanishes
+    wherever both vanish. A ray carries its zero coordinates as a bit mask,
+    and a combined ray vanishes exactly where both parents do.
     """
-    circuits = {(i,): (1,) for i, c in enumerate(m) if not any(c)}
-    nonzero = [i for i, c in enumerate(m) if any(c)]
-    minor = {s: det([m[i] for i in s]) for s in combinations(nonzero, k)}
-    for circuit in combinations(nonzero, k + 1):
-        # the subsets drop circuit[k] first and circuit[0] last, so this is
-        # the Cramer vector reversed, up to the sign (-1)^k
-        lam = [(-1) ** q * minor[s] for q, s in enumerate(combinations(circuit, k))]
-        if min(lam) < 0 < max(lam):
-            continue
-        lam = [abs(x) for x in reversed(lam)]
-        support = tuple(i for i, x in zip(circuit, lam) if x)
-        if support and support not in circuits:
-            circuits[support] = tuple(x for x in lam if x)
-    return circuits, minor
+    full = (1 << width) - 1
+    rays = [(e, full ^ (1 << i)) for i, e in enumerate(identity_rows(width))]
+    for a in rows:
+        values = [(sum(map(mul, a, ray[0])), ray) for ray in rays]
+        zero = [ray for v, ray in values if not v]
+        minus = [(v, ray) for v, ray in values if v < 0]
+        masks = [mask for _, mask in rays]
+        for vp, (p, zp) in ((v, ray) for v, ray in values if v > 0):
+            for vq, (q, zq) in minus:
+                common = zp & zq
+                if len([z for z in masks if z & common == common]) == 2:  # only p and q: adjacent
+                    zero.append((primitive_vector(tuple(vp * y - vq * x for x, y in zip(p, q))), common))
+        rays = zero
+    return [lam for lam, _ in rays]
 
 
 def _facets(strict, uses):
@@ -186,7 +183,6 @@ def canonical_key(desc):
     A cone is its lineality space plus the conic hull of the extreme rays
     of its pointed part, and both are intrinsic to the point set. So the
     key is the ambient dimension, the lineality basis ker B in the Hermite
-    normal form of ``integer_kernel_basis``, and the sorted primitive rays,
-    the images of the nonnegative circuits.
+    normal form of ``integer_kernel_basis``, and the sorted primitive rays.
     """
     return (desc.A.cols, desc.lineality_basis, desc.rays)

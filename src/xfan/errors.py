@@ -78,5 +78,7 @@ class ExhaustionCapExceeded(XfanError):
 
     Every walk and knitting window has a cap, ``pattern.NODE_CAP`` by default
     and in the CLI; a walk without a depth bound also raises it, with reason
-    "infinite_type", at a B_t of infinite type.
+    "infinite_type", at a B_t of infinite type, and an F exchange relation
+    with a side whose Newton box holds more than NODE_CAP lattice points
+    raises it with reason "f_polynomial_budget".
     """

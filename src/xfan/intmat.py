@@ -5,9 +5,8 @@ elimination of the package is the Hermite normal form: it gives ranks
 and full-rank bases of row lattices, and the saturated integer kernel is
 read off it, for the canonical forms that cone deduplication relies on
 and, in the callers, the cone frames and skew-symmetrizers. The one
-fraction-free elimination is the determinant: the callers read extreme
-rays, certificates and Sylvester's test off its minors, and it gives the
-adjugate of one Gram matrix per catalog.
+fraction-free elimination is the determinant: it gives Sylvester's test
+in the callers and the adjugate of one Gram matrix per catalog.
 """
 
 from functools import lru_cache

@@ -43,6 +43,7 @@ and d_sigma(i) = d_i, takes eps.B at history sigma^-1(h) to B at h, and F of
 
 from functools import lru_cache
 from itertools import chain, compress
+from math import prod
 from operator import itemgetter, mul, neg, sub
 
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
@@ -239,7 +240,9 @@ def _mutate_f(packing, node, kk):
     column k of the B-pattern c-matrix; a factor F_i = 1 is left out.
     The seed's context packs each F_i and each power once per radix for
     all its relations; the exchange divides the sum by F_k and unpacks
-    only F'_k, which must keep constant term 1.
+    only F'_k, which must keep constant term 1. A side whose Newton box
+    holds more than NODE_CAP lattice points raises ExhaustionCapExceeded
+    with reason "f_polynomial_budget" before any product is formed.
     """
     polys, b, d = packing.polys, node.B_t.B.entries, node.B_t.d
     # column k of the B-pattern c-matrix D^-1.C_t.D; the division is exact
@@ -251,6 +254,13 @@ def _mutate_f(packing, node, kk):
         )
         for sign in (1, -1)
     ]
+    for mono, powers in sides:
+        _, lo, hi = packing.bound(mono, powers)
+        if prod(high - low + 1 for low, high in zip(lo, hi)) > NODE_CAP:
+            raise ExhaustionCapExceeded(
+                f"F'_{kk + 1} at history {node.history} spans a Newton box of more than {NODE_CAP} lattice points",
+                "f_polynomial_budget",
+            )
     exchanged = packing.exchange(sides, kk)
     if exchanged.constant_term() != 1:
         raise DualityViolation("mutated coefficient polynomial lost its constant term 1")

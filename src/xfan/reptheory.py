@@ -11,9 +11,10 @@ AR translation acts on classes through the inverse Coxeter matrix
 kernel certificates read B and nothing else.
 """
 
+from itertools import compress
 from operator import add
 
-from .cones import _circuits
+from .cones import _extreme_rays
 from .errors import (
     ConventionViolation,
     DimensionMismatch,
@@ -24,7 +25,7 @@ from .errors import (
     NotRepresentationFinite,
     NotSkewSymmetric,
 )
-from .intmat import Frozen, IntMatrix, _exact_int, det, hnf_rows, primitive_vector
+from .intmat import Frozen, IntMatrix, _exact_int, det
 from .pattern import NODE_CAP
 
 
@@ -264,9 +265,8 @@ def kernel_certificates(data, cvectors):
     into the input, integer lambda) pairs, ordered by size and then by
     subset. Non-positive inputs are skipped; an input of the wrong length
     raises DimensionMismatch. The minimal subsets are the supports of the
-    extreme rays of {lambda >= 0 : sum lambda_k B.c_k = 0}, the nonnegative
-    circuits of any full-rank basis of the row space of the matrix with
-    columns B.c_k, and lambda is the primitive ray.
+    extreme rays of {lambda >= 0 : sum lambda_k B.c_k = 0}, and lambda is
+    the primitive ray.
     """
     vectors = [_vector(data, c, "cvector") for c in cvectors]
     positive = [
@@ -274,7 +274,6 @@ def kernel_certificates(data, cvectors):
     ]
     if not positive:
         return []
-    basis = hnf_rows(tuple(zip(*(data.exchange.mul_vec(vectors[i]) for i in positive))))
-    circuits, _ = _circuits([tuple(row[k] for row in basis) for k in range(len(positive))], len(basis))
-    certificates = [(tuple(positive[k] for k in s), primitive_vector(lam)) for s, lam in circuits.items()]
+    rays = _extreme_rays(zip(*(data.exchange.mul_vec(vectors[i]) for i in positive)), len(positive))
+    certificates = [(tuple(compress(positive, lam)), tuple(filter(None, lam))) for lam in rays]
     return sorted(certificates, key=lambda item: (len(item[0]), item[0]))

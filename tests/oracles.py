@@ -746,6 +746,50 @@ def _pointed_scan(functionals):
     return sorted(rays)
 
 
+def fraction_det(rows):
+    """Determinant of a square integer matrix by Gaussian elimination over Fraction; order 0 gives 1."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    value = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            value = -value
+        value *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return int(value)
+
+
+def _circuits(m, k):
+    """The nonnegative circuits of the k-row matrix of full row rank whose columns are m.
+
+    Returns ({support: lam on the support}, {S: det m_S}), S running over
+    the k-subsets of nonzero columns. A zero column is a circuit alone; the
+    others are the signed k x k minors (Cramer) of k + 1 nonzero columns,
+    kept when nonzero and of one sign, with lam > 0 on the support. The
+    route the library took to rays and certificates before double
+    description; it tries every subset of k + 1 columns.
+    """
+    circuits = {(i,): (1,) for i, c in enumerate(m) if not any(c)}
+    nonzero = [i for i, c in enumerate(m) if any(c)]
+    minor = {s: fraction_det([m[i] for i in s]) for s in combinations(nonzero, k)}
+    for circuit in combinations(nonzero, k + 1):
+        # the subsets drop circuit[k] first and circuit[0] last, so this is
+        # the Cramer vector reversed, up to the sign (-1)^k
+        lam = [(-1) ** q * minor[s] for q, s in enumerate(combinations(circuit, k))]
+        if min(lam) < 0 < max(lam):
+            continue
+        lam = [abs(x) for x in reversed(lam)]
+        support = tuple(i for i, x in zip(circuit, lam) if x)
+        if support and support not in circuits:
+            circuits[support] = tuple(x for x in lam if x)
+    return circuits, minor
+
+
 def gale_classify(rows):
     """Cone classification of {x : rows.x >= 0} by Gale duality and subset scans.
 
@@ -1041,6 +1085,8 @@ def _self_check():
     assert subset_extreme_rays(ray, (0, 1), (2,), ()) == ((0, 1),)
     assert span_canonical_key(ray, (0, 1), (2,), ()) == (2, ((0, 1),), ((1,),), ())
     assert subset_extreme_rays([(1, 0), (0, 1)], (), (0, 1), ()) == ((0, 1), (1, 0))
+    assert fraction_det([]) == 1 and fraction_det([(0, 1), (1, 0)]) == -1
+    assert fraction_det([(2, 4), (1, 2)]) == 0
     assert hermite_rows([(0, 2, 4), (0, 3, 5)]) == ((0, 1, 1), (0, 0, 2))
     assert saturated_kernel([(2, 4)]) == ((2, -1),)
     assert _pointed_scan([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]

@@ -685,6 +685,21 @@ def test_exit_three_on_exhaustion(tmp_path):
     assert doc["message"] == "more than 120 labelled nodes before the frontier emptied"
 
 
+def test_exit_three_when_an_f_polynomial_outgrows_the_budget(tmp_path):
+    # F'_2 at history (1,) is (1 + y_1)^(10**1000 - 1) + ...: its Newton box is refused
+    # before any power is formed; a child process, so that a hang is killed at the timeout
+    b = _b_file(tmp_path, {"B": [[0, 10**1000 - 1, 0], [1 - 10**1000, 0, 1], [0, -1, 0]]})
+    start = time.perf_counter()
+    p = _run(["fpoly", "--B", b, "--seq", "1,2"], timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (p.returncode, p.stderr) == (3, "")
+    assert json.loads(p.stdout) == {
+        "error": "ExhaustionCapExceeded",
+        "message": "F'_2 at history (1,) spans a Newton box of more than 1000000 lattice points",
+        "reason": "f_polynomial_budget",
+    }
+
+
 def test_exit_three_at_the_cap_without_exhaustive(tmp_path, monkeypatch, capsys):
     # Markov at depth 5 has 1 + 3(2^5 - 1) = 94 labelled nodes
     monkeypatch.setattr(cli, "NODE_CAP", 20)

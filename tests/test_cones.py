@@ -26,10 +26,11 @@ from xfan import (
     primitive_vector,
     validate,
 )
-from xfan.cones import _circuits, seed_classifier
+from xfan.cones import _extreme_rays, seed_classifier
 from xfan.pattern import NODE_CAP, _seed_graph
 
 from oracles import (
+    _circuits,
     _pointed_scan,
     conic_membership,
     fraction_rank,
@@ -289,22 +290,85 @@ def test_canonical_key_ignores_row_presentation():
     assert canonical_key(classify(base)) == canonical_key(classify(doubled))
 
 
-def test_circuits_frozen():
-    # the nonnegative relations among the rows are the circuits of the
-    # transposed rows, taken in a basis of full row rank
-    def relations(rows):
-        basis = hnf_rows(list(zip(*rows)))
-        return _circuits([tuple(r[i] for r in basis) for i in range(len(rows))], len(basis))[0]
+def _dd_relations(rows):
+    """{support: lam on the support} of the extreme rays of {lam >= 0 : lam.rows = 0}."""
+    rays = _extreme_rays(list(zip(*rows)), len(rows))
+    return {tuple(i for i, x in enumerate(lam) if x): tuple(x for x in lam if x) for lam in rays}
 
-    assert relations([(1, 0), (-1, 0), (0, 1)]) == {(0, 1): (1, 1)}
-    assert relations([(1, 0), (0, 1)]) == {}
-    # two minimal supports through the same row
-    assert relations([(2, 0), (-1, 0), (-1, 0)]) == {(0, 1): (1, 2), (0, 2): (1, 2)}
-    # a zero row is a circuit alone
-    assert relations([(0, 0), (1, 1)]) == {(0,): (1,)}
-    # lam is positive on the support but not made primitive
-    assert relations([(2,), (-2,)]) == {(0, 1): (2, 2)}
+
+def _circuit_relations(rows):
+    """The same relations as the oracle's circuits of the transposed rows, in a
+    basis of full row rank; lam is not made primitive."""
+    basis = hnf_rows(list(zip(*rows)))
+    return _circuits([tuple(r[i] for r in basis) for i in range(len(rows))], len(basis))[0]
+
+
+def test_circuits_frozen():
+    # the nonnegative relations among the rows, by double description and by
+    # the circuits of the transposed rows
+    cases = [
+        ([(1, 0), (-1, 0), (0, 1)], {(0, 1): (1, 1)}),
+        ([(1, 0), (0, 1)], {}),
+        # two minimal supports through the same row
+        ([(2, 0), (-1, 0), (-1, 0)], {(0, 1): (1, 2), (0, 2): (1, 2)}),
+        # a zero row is a relation alone
+        ([(0, 0), (1, 1)], {(0,): (1,)}),
+        ([(2,), (-2,)], {(0, 1): (1, 1)}),
+    ]
+    for rows, expected in cases:
+        assert _dd_relations(rows) == expected, rows
+        assert {s: primitive_vector(lam) for s, lam in _circuit_relations(rows).items()} == expected, rows
+    # the circuits keep lam positive on the support but not primitive
+    assert _circuit_relations([(2,), (-2,)]) == {(0, 1): (2, 2)}
     assert _circuits([(0,), (1,)], 1) == ({(0,): (1,)}, {(1,): 1})
+
+
+def test_extreme_rays_match_circuits_on_random_systems():
+    # {lam >= 0 : rows.lam = 0}, sometimes with a dependent or a zero row
+    rng = random.Random(3030)
+    found = 0
+    for _ in range(300):
+        width = rng.randint(1, 8)
+        rows = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(rng.randint(1, 3))]
+        rows += [[sum(col) for col in zip(*rows)], [0] * width][: rng.randint(0, 2)]
+        vectors = list(zip(*rows))
+        expected = {s: primitive_vector(lam) for s, lam in _circuit_relations(vectors).items()}
+        assert _dd_relations(vectors) == expected, rows
+        found += len(expected)
+    assert found > 500
+
+
+def _tree_with_leaves(path):
+    """A path of ``path`` vertices, each with three leaves: n = 4.path, corank 2.path."""
+    n = 4 * path
+    rows = [[0] * n for _ in range(n)]
+    arrows = [(v, v + 1) for v in range(path - 1)] + [(v, path + 3 * v + i) for v in range(path) for i in range(3)]
+    for i, j in arrows:
+        rows[i][j], rows[j][i] = 1, -1
+    return rows
+
+
+def test_high_corank_tree_cone_pinned():
+    # n = 24, corank 12, where a subset route tries every 13 of the nonzero columns of m
+    em = validate(_tree_with_leaves(6))
+    desc = seed_classifier(em)(mutate_node(initial_node(em, with_polynomials=False), 1))
+    assert (desc.dim, desc.implicit, len(desc.facets)) == (24, (), 12)
+    leaves = lambda v, x: {6 + 3 * v: x, 7 + 3 * v: x, 8 + 3 * v: x}
+    sparse = [
+        {0: -3, **leaves(0, -1)},
+        {0: -3, **leaves(1, -1)},
+        {1: -3, **leaves(0, 1), **leaves(2, -1)},
+        {2: -3, **leaves(1, 1), **leaves(3, -1)},
+        {3: -3, **leaves(2, 1), **leaves(4, -1)},
+        {4: -3, **leaves(3, 1), **leaves(5, -1)},
+        {5: -3, **leaves(4, 1)},
+        leaves(5, 1),
+        leaves(4, 1),
+        leaves(3, 1),
+        leaves(2, 1),
+        leaves(1, 1),
+    ]
+    assert desc.rays == tuple(tuple(ray.get(i, 0) for i in range(24)) for ray in sparse)
 
 
 B_SPAN_BUG = [[0, -1, 0, 1], [1, 0, -1, -2], [0, 1, 0, -1], [-1, 2, 1, 0]]

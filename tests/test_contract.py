@@ -26,6 +26,11 @@ CAP = 2000
 A3 = '{"B": [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]}'
 A5 = json.dumps({"B": [[(j == i + 1) - (i == j + 1) for j in range(5)] for i in range(5)]})
 MARKOV = '{"B": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]}'
+# three leaves on each vertex of a path of three: n = 12, corank 6
+TREE_ARROWS = {0: (1, 3, 4, 5), 1: (2, 6, 7, 8), 2: (9, 10, 11)}
+TREE = json.dumps(
+    {"B": [[int(j in TREE_ARROWS.get(i, ())) - int(i in TREE_ARROWS.get(j, ())) for j in range(12)] for i in range(12)]}
+)
 RARELY = st.sampled_from((False,) * 9 + (True,))
 PRINTABLE = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"), include_characters=" ")
 TEXT = st.one_of(st.text(PRINTABLE, max_size=40), st.text(PRINTABLE, min_size=41, max_size=300))
@@ -33,7 +38,17 @@ TEXT = st.one_of(st.text(PRINTABLE, max_size=40), st.text(PRINTABLE, min_size=41
 
 @st.composite
 def seed_documents(draw):
-    """B with 1-6 rows and entries -3..3, skew-symmetrizable or not, sometimes with d or stray keys."""
+    """B with 1-6 rows and entries -3..3, skew-symmetrizable or not, sometimes with d or stray keys;
+    or, one time in ten, a quiver of leaves on a short path, of up to 12 vertices and corank up to 6."""
+    if draw(RARELY):
+        path, leaves = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        n = path * (leaves + 1)
+        rows = [[0] * n for _ in range(n)]
+        edges = [(v, v + 1) for v in range(path - 1)] + [(v, path + leaves * v + i) for v in range(path) for i in range(leaves)]
+        for i, j in edges:
+            sign = draw(st.sampled_from((1, -1)))
+            rows[i][j], rows[j][i] = sign, -sign
+        return json.dumps({"B": rows}), n
     n = draw(st.integers(1, 6))
     if draw(st.booleans()):  # B = S.D with S skew-symmetric is skew-symmetrized by D
         d = [1] * n if draw(st.booleans()) else draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -140,6 +155,8 @@ def _run(argv, stdin):
 @example(job=(["fan", "--B", "-", "--depth", "2", "--emit-rays"], A3))
 @example(job=(["theta", "--B", "-", "--beta", "[1,0,0]", "--exhaustive"], A3))
 @example(job=(["normals", "--B", "-", "--cvec", "[1,1,0]", "--window", "3"], A3))
+@example(job=(["cone", "--B", "-", "--seq", "1,5,2"], TREE))
+@example(job=(["fan", "--B", "-", "--depth", "2", "--emit-rays"], TREE))
 def test_every_job_keeps_the_exit_code_contract(job):
     code, out, err = _run(*job)
     assert code in (0, 1, 2, 3)

@@ -357,6 +357,22 @@ def test_node_cap_exhaustion(monkeypatch):
     assert len(enumerate_pattern(validate(B_A3), max_depth=None, node_cap=84)) == 84
 
 
+def test_f_polynomial_budget(monkeypatch):
+    # each side y^a * prod F_i^e of an exchange relation is refused from its Newton box
+    # before any product; Markov to depth 4 reads boxes of up to 135 points
+    monkeypatch.setattr(pattern, "NODE_CAP", 135)
+    assert len(enumerate_pattern(validate(B_MARKOV), max_depth=4).seeds) == 46
+    monkeypatch.setattr(pattern, "NODE_CAP", 134)
+    with pytest.raises(ExhaustionCapExceeded) as exc:
+        enumerate_pattern(validate(B_MARKOV), max_depth=4)
+    assert exc.value.reason == "f_polynomial_budget"
+    assert str(exc.value) == "F'_1 at history (1, 2, 3) spans a Newton box of more than 134 lattice points"
+    # only F is budgeted: the thousand-digit seed, whose F'_2 at history (1,) would raise
+    # 1 + y_1 to the power 10**1000 - 1, enumerates without F (tests/test_cli.py runs it with F)
+    em = validate([[0, 10**1000 - 1, 0], [1 - 10**1000, 0, 1], [0, -1, 0]])
+    assert len(enumerate_pattern(em, max_depth=2, with_polynomials=False).seeds) == 9
+
+
 def test_node_cap_below_one_rejected():
     # every walk has a cap, so None is rejected too
     em = validate(B_A2)
