@@ -14,14 +14,14 @@ more rays. The rays and the lineality space key the cone.
 
 from functools import lru_cache
 from itertools import chain, compress
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .intmat import (
     Frozen,
     IntMatrix,
     Value,
-    adjugate,
+    gauss_jordan,
     hnf_rows,
     identity_rows,
     integer_kernel_basis,
@@ -89,20 +89,16 @@ def _frame(B):
 
     A.beta = lam exactly when B.beta = G.lam, so the cone is L = ker B plus
     the image of P = {lam >= 0 : m.lam = 0}, m = K.G, K the saturated basis
-    of ker B^T, of k rows. With M = [B; L], the pull-back adj(M^T.M).B^T
-    sends G.lam to a positive multiple of the beta orthogonal to L with
-    B.beta = G.lam. The rays of P are the extreme rays of the rows of m
-    (``_extreme_rays``). A strict row supports a facet iff the set of rays
-    using it is minimal. A relation lam >= 0 with lam.A = 0 vanishes off
-    the implicit rows, and certifies them: each gets the lexicographically
-    least relation ray using it.
+    of ker B^T, of k rows. ``_pull_back`` sends G.lam to a positive multiple
+    of the beta orthogonal to L with B.beta = G.lam. The rays of P are the
+    extreme rays of the rows of m (``_extreme_rays``). A strict row supports
+    a facet iff the set of rays using it is minimal. A relation lam >= 0
+    with lam.A = 0 vanishes off the implicit rows, and certifies them: each
+    gets the lexicographically least relation ray using it.
     """
     kernel = integer_kernel_basis(B.transpose())
     lineality = integer_kernel_basis(B)
-    stacked = IntMatrix._trusted(B.entries + lineality)
-    pull = adjugate(stacked.transpose().mul(stacked)).mul(B.transpose())
-    scale = gcd(*chain.from_iterable(pull.entries)) or 1
-    frame = kernel + tuple(tuple(x // scale for x in row) for row in pull.entries)
+    frame = kernel + _pull_back(B, lineality)
     k = len(kernel)
 
     @lru_cache(maxsize=None)
@@ -141,6 +137,20 @@ def _frame(B):
         return ConeDescription(A, implicit, strict, facets, A.cols - rank, lineality, certificates, ambient)
 
     return describe
+
+
+def _pull_back(B, lineality):
+    """The primitive positive multiple of (M^T.M)^-1.B^T for M = [B; L], L spanning ker B.
+
+    M^T.M is positive definite: ``gauss_jordan`` of [M^T.M | B^T] leaves row
+    i as d_i.[e_i | X_i], X the solution, and row i times lcm(d)/d_i as lcm(d).X_i.
+    """
+    stacked = IntMatrix._trusted(B.entries + lineality)
+    _, rows = gauss_jordan([g + b for g, b in zip(stacked.transpose().mul(stacked).entries, zip(*B.entries))], B.cols)
+    common = lcm(*(row[i] for i, row in enumerate(rows)))
+    pull = [[common // row[i] * x for x in row[B.cols :]] for i, row in enumerate(rows)]
+    scale = gcd(*chain.from_iterable(pull)) or 1
+    return tuple(tuple(x // scale for x in row) for row in pull)
 
 
 def _extreme_rays(rows, width):

@@ -1,12 +1,10 @@
 """Exact integer matrices and lattice helpers.
 
-Everything in this module is immutable and arbitrary precision. The exact
-elimination of the package is the Hermite normal form: it gives ranks
-and full-rank bases of row lattices, and the saturated integer kernel is
-read off it, for the canonical forms that cone deduplication relies on
-and, in the callers, the cone frames and skew-symmetrizers. The one
-fraction-free elimination is the determinant: it gives Sylvester's test
-in the callers and the adjugate of one Gram matrix per catalog.
+Everything in this module is immutable and arbitrary precision. The
+Hermite normal form serves lattices: ranks, row lattice bases and the
+saturated integer kernel, for cone deduplication's canonical forms and
+the callers' cone frames and skew-symmetrizers. One integer Gauss-Jordan
+serves solves and signs: each cone frame's pull-back and Sylvester's test.
 """
 
 from functools import lru_cache
@@ -195,33 +193,24 @@ def integer_kernel_basis(matrix):
     return tuple(row[m:] for row in hnf_rows(IntMatrix._trusted(aug)) if not any(row[:m]))
 
 
-def det(rows):
-    """Determinant of the square integer matrix with the given rows; order 0 gives 1.
+def gauss_jordan(rows, n):
+    """Gauss-Jordan on the first n columns of integer rows, down the diagonal while the pivot is positive.
 
-    Fraction-free elimination (Bareiss) with row swaps: the entries left after
-    each step are minors, so each division by the previous pivot is exact,
-    and the last pivot is the determinant up to the sign of the swaps.
+    Returns the count k of positive pivots and the rows they left. Pivot p
+    turns a row x with f in its column into primitive(p.x - f.y), y the pivot
+    row: a positive multiple of its rational counterpart. So pivot k has the
+    sign of D(k + 1)/D(k), D(j) the leading minor of order j, and for k = n
+    row i of [A | R] is a positive multiple of [e_i | (A^-1.R)_i].
     """
     rows = list(rows)
-    sign = previous = 1
-    while rows:
-        if not rows[0][0]:
-            pivot = next((i for i, r in enumerate(rows) if r[0]), None)
-            if pivot is None:
-                return 0
-            rows[0], rows[pivot] = rows[pivot], rows[0]
-            sign = -sign
-        p, *rows = rows
-        rows = [tuple((p[0] * x - r[0] * y) // previous for x, y in zip(r[1:], p[1:])) for r in rows]
-        previous = p[0]
-    return sign * previous
-
-
-def adjugate(matrix):
-    """adj(M) = det(M).M^-1 for a square ``IntMatrix`` M: entry (i, j) is the cofactor of (j, i)."""
-    rows, n = matrix.entries, matrix.rows
-    cofactor = lambda i, j: (-1) ** (i + j) * det(r[:j] + r[j + 1 :] for r in rows[:i] + rows[i + 1 :])
-    return IntMatrix._trusted(tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)))
+    for k in range(n):
+        pivot, p = rows[k], rows[k][k]
+        if p <= 0:
+            return k, rows
+        for i, row in enumerate(rows):
+            if row[k] and i != k:
+                rows[i] = primitive_vector([p * x - row[k] * y for x, y in zip(row, pivot)])
+    return n, rows
 
 
 def primitive_vector(vec):

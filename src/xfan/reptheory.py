@@ -25,7 +25,7 @@ from .errors import (
     NotRepresentationFinite,
     NotSkewSymmetric,
 )
-from .intmat import Frozen, IntMatrix, _exact_int, det
+from .intmat import Frozen, IntMatrix, _exact_int, gauss_jordan
 from .pattern import NODE_CAP
 
 
@@ -136,11 +136,11 @@ def _tits_form_positive(B):
     For a skew-symmetric B, |B| = A + A^T with A the arrow matrix. By
     Gabriel's theorem the form is positive definite exactly when every
     component of the underlying graph is simply laced Dynkin, and by
-    Sylvester's criterion exactly when every leading principal minor is
-    positive.
+    Sylvester's criterion exactly when ``gauss_jordan`` takes all n pivots:
+    pivot k has the sign of D(k + 1)/D(k), D(j) the leading minor of order j.
     """
     q = [[2 * (i == j) - abs(x) for j, x in enumerate(row)] for i, row in enumerate(B.entries)]
-    return all(det(row[:k] for row in q[:k]) > 0 for k in range(1, len(q) + 1))
+    return gauss_jordan(q, B.rows)[0] == B.rows
 
 
 def _components(arrows):

@@ -759,9 +759,30 @@ def fraction_det(rows):
             value = -value
         value *= m[c][c]
         for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+            if m[i][c]:  # skipping zeros keeps the sparse tree Grams cheap
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return int(value)
+
+
+def cofactor_adjugate(rows):
+    """adj(M) = det(M).M^-1 of a square integer matrix of order 1 at least, by
+    cofactors: entry (i, j) is (-1)^(i + j) times the minor that drops row j
+    and column i. The route the library took to its cone frames before one
+    Gauss-Jordan solve."""
+    rows, n = [list(r) for r in rows], len(rows)
+    minor = lambda i, j: fraction_det([r[:j] + r[j + 1 :] for r in rows[:i] + rows[i + 1 :]])
+    return [[(-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)]
+
+
+def cofactor_pull_back(b_rows):
+    """The cone frame's pull-back by cofactors: adj(M^T.M).B^T for M = [B; L],
+    L the saturated basis of ker B, divided by the gcd of its entries."""
+    stacked = [list(r) for r in b_rows] + [list(r) for r in saturated_kernel(b_rows)]
+    gram = [[_dot(a, b) for b in zip(*stacked)] for a in zip(*stacked)]
+    pull = [[_dot(row, b) for b in b_rows] for row in cofactor_adjugate(gram)]
+    scale = gcd(*(x for row in pull for x in row)) or 1
+    return tuple(tuple(x // scale for x in row) for row in pull)
 
 
 def _circuits(m, k):
@@ -1087,6 +1108,9 @@ def _self_check():
     assert subset_extreme_rays([(1, 0), (0, 1)], (), (0, 1), ()) == ((0, 1), (1, 0))
     assert fraction_det([]) == 1 and fraction_det([(0, 1), (1, 0)]) == -1
     assert fraction_det([(2, 4), (1, 2)]) == 0
+    assert cofactor_adjugate([(1, 2), (3, 4)]) == [[4, -2], [-3, 1]]
+    # B = [[0, 1], [-1, 0]]: M^T.M = I, so the pull-back is B^T
+    assert cofactor_pull_back([(0, 1), (-1, 0)]) == ((0, -1), (1, 0))
     assert hermite_rows([(0, 2, 4), (0, 3, 5)]) == ((0, 1, 1), (0, 0, 2))
     assert saturated_kernel([(2, 4)]) == ((2, -1),)
     assert _pointed_scan([(1, 0), (0, 1)]) == [(0, 1), (1, 0)]

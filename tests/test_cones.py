@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,12 +28,14 @@ from xfan import (
     primitive_vector,
     validate,
 )
-from xfan.cones import _extreme_rays, seed_classifier
+from xfan import cli
+from xfan.cones import _extreme_rays, _pull_back, seed_classifier
 from xfan.pattern import NODE_CAP, _seed_graph
 
 from oracles import (
     _circuits,
     _pointed_scan,
+    cofactor_pull_back,
     conic_membership,
     fraction_rank,
     gale_classify,
@@ -371,6 +375,22 @@ def test_high_corank_tree_cone_pinned():
     assert desc.rays == tuple(tuple(ray.get(i, 0) for i in range(24)) for ray in sparse)
 
 
+@pytest.mark.parametrize(
+    "path, digest",
+    [
+        (6, "3e27bf15215d3907c52eb689e3f82ca7044e8bb3684d03adbd7499c1d7a2bd5c"),
+        (7, "187047f15a62b682817f956f2a8b6567391208f29b4491e1bc1703845f77616f"),
+        (8, "7ec7e47f504e43c41d1e3530be201e3126016ee840c84c0620ca6037b4919a64"),
+    ],
+    ids=["n=24", "n=28", "n=32"],
+)
+def test_tree_cone_documents_pinned(tmp_path, capsys, path, digest):
+    seed = tmp_path / "b.json"
+    seed.write_text(json.dumps({"B": _tree_with_leaves(path)}))
+    assert cli.main(["cone", "--B", str(seed), "--seq", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 B_SPAN_BUG = [[0, -1, 0, 1], [1, 0, -1, -2], [0, 1, 0, -1], [-1, 2, 1, 0]]
 
 
@@ -617,6 +637,19 @@ SEED_CATALOGS = {
     "A1+A1+A3": (_disjoint([[0]], [[0]], B_A3), None),
     "thousand-digit": ([[0, 10**1000 - 1, 0], [1 - 10**1000, 0, 1], [0, -1, 0]], 2),
 }
+
+
+def test_pull_back_matches_the_cofactor_route():
+    # the matrix itself: the rays read through it are made primitive anyway
+    rng = random.Random(3131)
+    seeds = [rows for rows, _ in SEED_CATALOGS.values()] + [_tree_with_leaves(6)]
+    seeds += [random_skew_symmetrizable(rng, n)[0] for n in range(1, 13)]
+    # classify(A) frames a rectangular A as its own B
+    for width in (rng.randint(1, 5) for _ in range(10)):
+        seeds.append([[rng.randint(-2, 2) for _ in range(width)] for _ in range(rng.randint(1, 5))])
+    for rows in seeds:
+        B = IntMatrix(rows)
+        assert _pull_back(B, integer_kernel_basis(B)) == cofactor_pull_back(rows), rows
 
 
 def _assert_matches_oracle(desc):

@@ -31,6 +31,7 @@ TREE_ARROWS = {0: (1, 3, 4, 5), 1: (2, 6, 7, 8), 2: (9, 10, 11)}
 TREE = json.dumps(
     {"B": [[int(j in TREE_ARROWS.get(i, ())) - int(i in TREE_ARROWS.get(j, ())) for j in range(12)] for i in range(12)]}
 )
+HUGE = json.dumps({"B": [[0, 10**999 - 1, 0], [1 - 10**999, 0, 1], [0, -1, 0]]})
 RARELY = st.sampled_from((False,) * 9 + (True,))
 PRINTABLE = st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"), include_characters=" ")
 TEXT = st.one_of(st.text(PRINTABLE, max_size=40), st.text(PRINTABLE, min_size=41, max_size=300))
@@ -157,6 +158,7 @@ def _run(argv, stdin):
 @example(job=(["normals", "--B", "-", "--cvec", "[1,1,0]", "--window", "3"], A3))
 @example(job=(["cone", "--B", "-", "--seq", "1,5,2"], TREE))
 @example(job=(["fan", "--B", "-", "--depth", "2", "--emit-rays"], TREE))
+@example(job=(["cone", "--B", "-", "--seq", "1,2"], HUGE))  # the frame's elimination on thousand-digit entries
 def test_every_job_keeps_the_exit_code_contract(job):
     code, out, err = _run(*job)
     assert code in (0, 1, 2, 3)

@@ -26,6 +26,7 @@ from xfan import (
 )
 
 from oracles import (
+    gale_classify,
     laurent_mul,
     laurent_pow,
     locate_labelled,
@@ -392,6 +393,23 @@ def test_extreme_rays_frozen():
     assert a3_root.rays == ((-1, 0, -1), (0, 1, 0))
     line = [c for c in assemble_fan(cat).cones if c.dim == 1][0]
     assert line.description.rays == ()
+
+
+def test_markov_complex_is_one_line():
+    # observed, not proved: to depth 8 every seed gives the multiples of
+    # (1, 1, 1), with all three rows implicit
+    em = validate(B_MARKOV)
+    for depth in range(1, 9):
+        catalog = enumerate_pattern(em, max_depth=depth, with_polynomials=False)
+        (cone,) = assemble_fan(catalog).cones
+        desc = cone.description
+        assert (desc.dim, desc.lineality_basis, desc.rays, desc.implicit) == (1, ((1, 1, 1),), (), (0, 1, 2)), depth
+        if depth == 4:
+            for node in catalog.seeds:
+                desc = classify(build_system(node, em))
+                facets = [(f.representative, f.supporting) for f in desc.facets]
+                slots = (desc.implicit, desc.strict, facets, desc.dim, desc.lineality_basis, desc.implicit_certificates)
+                assert slots + (desc.rays,) == gale_classify(desc.A.entries), node.history
 
 
 def test_extreme_rays_generate_their_cone():

@@ -7,6 +7,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 import sympy
@@ -32,9 +33,9 @@ from xfan import (
     theta,
     validate,
 )
-from xfan.intmat import Frozen, Value, adjugate, det
+from xfan.intmat import Frozen, Value, gauss_jordan
 
-from oracles import clear_multipliers, fraction_rank, sympy_inverse
+from oracles import clear_multipliers, cofactor_adjugate, fraction_det, fraction_rank, sympy_inverse
 
 
 def _kernel_rank(rows):
@@ -331,18 +332,37 @@ def test_slot_filler(name):
             cls(*wrong)
 
 
-def test_adjugate_matches_the_rational_inverse():
-    # Gram matrices M^T.M of full column rank are positive definite
-    rng = random.Random(5151)
-    for _ in range(200):
+def _positive_definite_grams(rng, count):
+    """Gram matrices M^T.M of full column rank, which are positive definite, of order 1 to 6."""
+    while count:
         n = rng.randint(1, 6)
         m = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + rng.randint(0, 2))])
-        if integer_kernel_basis(m):
-            continue
-        gram = m.transpose().mul(m)
-        inverse = sympy_inverse(gram.entries)
-        det = int(sympy.Matrix(gram.entries).det())
-        assert adjugate(gram).entries == tuple(tuple(det * x for x in row) for row in inverse)
+        if not integer_kernel_basis(m):
+            count -= 1
+            yield m.transpose().mul(m).entries
+
+
+def test_cofactor_adjugate_matches_the_rational_inverse():
+    for gram in _positive_definite_grams(random.Random(5151), 150):
+        inverse = sympy_inverse(gram)
+        det = int(sympy.Matrix(gram).det())
+        assert cofactor_adjugate(gram) == [[det * x for x in row] for row in inverse]
+
+
+def test_gauss_jordan_solves_positive_definite_grams():
+    # [A | R] ends with row i a positive multiple of [d.e_i | d.(A^-1.R)_i], d = det A
+    rng = random.Random(5152)
+    for gram in _positive_definite_grams(rng, 150):
+        n, width = len(gram), rng.randint(0, 4)
+        rhs = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(n)]
+        pivots, rows = gauss_jordan([g + tuple(r) for g, r in zip(gram, rhs)], n)
+        assert pivots == n
+        det = int(sympy.Matrix(gram).det())
+        inverse = sympy_inverse(gram)
+        for i, row in enumerate(rows):
+            solution = [sum(det * a * r[j] for a, r in zip(inverse[i], rhs)) for j in range(width)]
+            expected = [det * (i == j) for j in range(n)] + solution
+            assert row[i] > 0 and [row[i] * x for x in expected] == [det * x for x in row], (gram, rhs)
 
 
 def _random_square(rng, n, kind):
@@ -360,24 +380,58 @@ def _random_square(rng, n, kind):
 KINDS = ("small", "singular", "zero corner", "huge")
 
 
-def test_det_matches_sympy():
+def test_fraction_det_matches_sympy():
     rng = random.Random(2401)
     swapped = 0
     for trial in range(400):
         n = rng.randint(0, 6)
         rows = _random_square(rng, n, KINDS[trial % 4])
         expected = int(sympy.Matrix(n, n, sum(rows, [])).det())
-        assert det(rows) == expected, rows
+        assert fraction_det(rows) == expected, rows
         swapped += bool(n > 1 and not rows[0][0] and expected)
     # a zero pivot with a nonzero determinant takes the row swap
     assert swapped >= 20
 
 
-def test_adjugate_is_the_cofactor_matrix_of_sympy():
-    # an IntMatrix has order 1 at least
+def test_cofactor_adjugate_is_the_cofactor_matrix_of_sympy():
     rng = random.Random(2402)
     for trial in range(100):
         n = rng.randint(1, 6)
         rows = _random_square(rng, n, KINDS[trial % 4])
         expected = sympy.Matrix(rows).adjugate().tolist()
-        assert adjugate(IntMatrix(rows)).entries == tuple(tuple(map(int, row)) for row in expected), rows
+        assert cofactor_adjugate(rows) == [list(map(int, row)) for row in expected], rows
+
+
+def _random_symmetric(rng, n, kind):
+    """A symmetric version of ``_random_square``: R + R^T, whose corner stays
+    zero for that kind, or R^T.diag(+-1).R, singular with R, for the singular kind."""
+    rows = _random_square(rng, n, kind)
+    if kind == "singular":
+        signs = [rng.choice((-1, 1)) for _ in range(n)]
+        return [[sum(s * r[i] * r[j] for s, r in zip(signs, rows)) for j in range(n)] for i in range(n)]
+    return [[a + b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+
+
+def test_gauss_jordan_counts_the_positive_leading_minors():
+    # Sylvester: pivot k has the sign of minor(k + 1) / minor(k)
+    rng = random.Random(2403)
+    counts = set()
+    for trial in range(400):
+        n = rng.randint(0, 6)
+        rows = _random_symmetric(rng, n, KINDS[trial % 4])
+        minors = [sympy.Matrix([row[:k] for row in rows[:k]]).det() for k in range(1, n + 1)]
+        expected = next((k for k, minor in enumerate(minors) if minor <= 0), n)
+        assert gauss_jordan(rows, n)[0] == expected, rows
+        counts.add((expected, n))
+    # pivot counts that stop early, in the middle and at the end
+    assert {k for k, n in counts} >= {0, 1, 2, 3} and any(0 < k < n for k, n in counts)
+    assert any(0 < k == n for k, n in counts)
+
+
+def test_gauss_jordan_rows_are_primitive():
+    # rows that start primitive stay so: each changed row is divided by its gcd
+    rng = random.Random(2404)
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        rows = [primitive_vector(row) for row in _random_symmetric(rng, n, KINDS[trial % 4])]
+        assert all(gcd(*row) in (0, 1) for row in gauss_jordan(rows, n)[1]), rows
