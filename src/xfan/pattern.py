@@ -30,8 +30,8 @@ A labelled node is therefore a seed plus a column permutation. A seed, a
 PatternNode, holds the matrices; a labelled node, a RelabelledNode,
 holds its seed, a permutation and its history, and builds its matrices
 by permutation when they are read. The seed pass of the enumeration
-mutates, with every check, once per edge (seed, direction) but the edge
-from a new seed back to its parent, free as mutation is an involution.
+mutates, with every check, each edge once, from its lower-numbered end:
+mutation is an involution, so the other end reads the edge reversed.
 The cover pass walks the labellings as integers: mutating a labelled node
 in direction k is mutating its seed in the permuted direction, then
 relabelling, so it only composes permutations, numbered on first sight.
@@ -270,10 +270,11 @@ def _mutate_f(packing, node, kk):
 def _seed_graph(em, max_depth, node_cap):
     """The seed pass: seeds up to max_depth in BFS order, and their edges.
 
-    seeds[s] is seed s, a PatternNode in its own labelling;
-    edges[s][j] = (t, tau) says seed s mutated in direction j (0-based) is
-    seed t relabelled by tau, for every seed above the depth bound. It
-    tracks no F and searches no symmetry: `_f_pass` fills F in afterwards.
+    seeds[s] is seed s, a PatternNode in its own labelling; edges[s][j] =
+    (t, tau) says seed s mutated in direction j (0-based) is seed t
+    relabelled by tau, for every seed above the depth bound. Only s < t
+    mutates: as mutation is an involution, t pops edge tau[j] = (s, tau^-1).
+    No F is tracked and no symmetry sought: `_f_pass` fills F in afterwards.
     Without a depth bound, a B_t with b_ij.b_ji <= -4 ends the walk: it
     makes the exchange graph infinite (Fomin-Zelevinsky II, Thm 1.8).
     """
@@ -283,34 +284,33 @@ def _seed_graph(em, max_depth, node_cap):
         return tuple(chain.from_iterable(sorted(cols)))
 
     seeds = [initial_node(em, with_polynomials=False)]
-    parents = [None]
     edges = []
+    pending = {}  # t*n + tau[j] -> s*n + j: the edge (s, j) = (t, tau), s < t, waits for t
     number = {key(seeds[0].c_vectors): 0}
     for s, node in enumerate(seeds):  # seeds grows as the walk finds them
         if max_depth is not None and len(node.history) >= max_depth:
             break
-        if max_depth is None:
-            b = node.B_t.B.entries
-            if min((b[i][j] * b[j][i] for i in range(n) for j in range(i)), default=0) <= -4:
-                raise ExhaustionCapExceeded(
-                    f"B_t at history {node.history} has b_ij*b_ji <= -4: infinite type", "infinite_type"
-                )
-        back = node.history[-1] - 1 if node.history else None
+        b = node.B_t.B.entries
+        if max_depth is None and min((b[i][j] * b[j][i] for i in range(n) for j in range(i)), default=0) <= -4:
+            raise ExhaustionCapExceeded(
+                f"B_t at history {node.history} has b_ij*b_ji <= -4: infinite type", "infinite_type"
+            )
         out = []
         for j in range(n):
-            if j == back:  # mutation is an involution: back to the parent, unrelabelled
-                out.append((parents[s], ident))
+            if (back := pending.pop(s * n + j, None)) is not None:  # the edge (back // n, back % n), reversed
+                tau = edges[back // n][back % n][1]
+                out.append((back // n, tau if tau is ident else tuple(map(tau.index, ident))))
                 continue
             cols, t_vector = _mutate_c(node, j)
-            t = number.setdefault(key(cols), len(seeds))
-            if t < len(seeds):  # a known seed: column i is its column tau[i]
-                out.append((t, tuple(map(seeds[t].c_vectors.index, cols))))
-                continue
-            seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector))
-            parents.append(s)
-            out.append((t, ident))
-            if len(seeds) > node_cap:
-                raise ExhaustionCapExceeded(_cap_message(node_cap))
+            t, tau = number.setdefault(key(cols), len(seeds)), ident
+            if t < len(seeds):  # a known seed, t > s: column i is its column tau[i]
+                tau = tuple(map(seeds[t].c_vectors.index, cols))
+            else:
+                seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector))
+                if len(seeds) > node_cap:
+                    raise ExhaustionCapExceeded(_cap_message(node_cap))
+            pending[t * n + tau[j]] = s * n + j
+            out.append((t, tau))
         edges.append(tuple(out))
     return seeds, edges
 

@@ -970,6 +970,35 @@ def labelled_cover(edges, n, max_depth):
     return nodes, depth, not frontier
 
 
+def seed_graph_both_ends(root, mutate, max_depth):
+    """The seed graph by mutating every edge from both of its ends.
+
+    The seed pass the library ran before it read each edge's reverse off
+    the involution, here without its one use of it, the edge back to a
+    parent: ``mutate(node, k)`` builds the whole child in direction k
+    (1-based) for every seed and direction, and the child is dropped when
+    its set of c-vectors was seen. Seeds are expanded in BFS order while
+    their history is shorter than ``max_depth`` (None: all). Returns
+    (seeds, edges), ``edges[s][j] = (t, tau)`` saying seed s mutated in
+    direction j (0-based) is seed t relabelled by tau: column i is column
+    tau[i] of t.
+    """
+    seeds, edges = [root], []
+    number = {frozenset(root.c_vectors): 0}
+    for node in seeds:
+        if max_depth is not None and len(node.history) >= max_depth:
+            break
+        out = []
+        for k in range(1, len(root.c_vectors) + 1):
+            child = mutate(node, k)
+            t = number.setdefault(frozenset(child.c_vectors), len(seeds))
+            if t == len(seeds):
+                seeds.append(child)
+            out.append((t, tuple(map(seeds[t].c_vectors.index, child.c_vectors))))
+        edges.append(tuple(out))
+    return seeds, edges
+
+
 def hermite_g_matrix(c_rows):
     """(C^T)^-1 by the Hermite route, as rows, or None when C is not unimodular.
 

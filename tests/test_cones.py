@@ -576,21 +576,42 @@ def _face_key(rows, implicit):
     return canonical_key(classify(IntMatrix(rows + tuple(tuple(-x for x in rows[i]) for i in implicit))))
 
 
+def _assert_meet_in_a_common_face(sigma, tau):
+    """The cones of two descriptions meet in a face of each, the same one."""
+    a, b = sigma.A.entries, tau.A.entries
+    meet = classify(IntMatrix(a + b))
+    m = len(a)
+    on_sigma = tuple(i for i in meet.implicit if i < m)
+    on_tau = tuple(i - m for i in meet.implicit if i >= m)
+    # rows implicit on the intersection cut out the smallest face containing it
+    face_sigma = _face_key(a, on_sigma) if on_sigma else canonical_key(sigma)
+    face_tau = _face_key(b, on_tau) if on_tau else canonical_key(tau)
+    assert face_sigma == face_tau == canonical_key(meet)
+    for desc, on in ((sigma, on_sigma), (tau, on_tau)):
+        # a proper face lies in a facet, whose supporting rows all vanish on it
+        assert meet.dim == desc.dim or any(f.representative in on for f in desc.facets)
+
+
 def test_cones_meet_in_common_faces():
     # 45, 78 and 78 pairs of cones
     for rows, count in ((B_A3, 10), (B_B3, 13), (B_D4, 13)):
         report = assemble_fan(enumerate_pattern(validate(rows), max_depth=None, with_polynomials=False))
         assert len(report.cones) == count
         for sigma, tau in combinations(report.cones, 2):
-            a, b = sigma.description.A.entries, tau.description.A.entries
-            meet = classify(IntMatrix(a + b))
-            m = len(a)
-            on_sigma = tuple(i for i in meet.implicit if i < m)
-            on_tau = tuple(i - m for i in meet.implicit if i >= m)
-            # rows implicit on the intersection cut out the smallest face containing it
-            face_sigma = _face_key(a, on_sigma) if on_sigma else sigma.key
-            face_tau = _face_key(b, on_tau) if on_tau else tau.key
-            assert face_sigma == face_tau == canonical_key(meet)
+            _assert_meet_in_a_common_face(sigma.description, tau.description)
+
+
+@pytest.mark.parametrize("name, pairs", [("A4", 84), ("A5", 330)])
+def test_cones_joined_by_an_edge_meet_in_common_faces(name, pairs):
+    # the fan property at scale, on the pairs of seeds that the exchange graph joins
+    em = validate(SEED_CATALOGS[name][0])
+    seeds, edges = _seed_graph(em, None, NODE_CAP)
+    describe = seed_classifier(em)
+    cones = [describe(node) for node in seeds]
+    joined = [(s, t) for s, out in enumerate(edges) for t, _ in out if s < t]
+    assert len(joined) == pairs
+    for s, t in joined:
+        _assert_meet_in_a_common_face(cones[s], cones[t])
 
 
 B_E6 = [

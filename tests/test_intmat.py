@@ -367,11 +367,13 @@ def test_gauss_jordan_solves_positive_definite_grams():
 
 def _random_square(rng, n, kind):
     """A random integer matrix of order n: small entries, singular, with a
-    zero (1, 1) entry, or with entries of up to 300 digits."""
+    zero (1, 1) entry, or with entries of up to 300 digits. A singular one's
+    last row is row 0 minus row (n - 1) // 2: two earlier rows from n = 3,
+    the zero row below."""
     bound = 10**300 if kind == "huge" else 3
     rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
     if n and kind == "singular":
-        rows[-1] = [a - b for a, b in zip(rows[0], rows[n // 2])]
+        rows[-1] = [a - b for a, b in zip(rows[0], rows[(n - 1) // 2])]
     if n and kind == "zero corner":
         rows[0][0] = 0
     return rows
@@ -388,6 +390,7 @@ def test_fraction_det_matches_sympy():
         rows = _random_square(rng, n, KINDS[trial % 4])
         expected = int(sympy.Matrix(n, n, sum(rows, [])).det())
         assert fraction_det(rows) == expected, rows
+        assert expected == 0 or not n or KINDS[trial % 4] != "singular", rows
         swapped += bool(n > 1 and not rows[0][0] and expected)
     # a zero pivot with a nonzero determinant takes the row swap
     assert swapped >= 20
@@ -420,6 +423,7 @@ def test_gauss_jordan_counts_the_positive_leading_minors():
         n = rng.randint(0, 6)
         rows = _random_symmetric(rng, n, KINDS[trial % 4])
         minors = [sympy.Matrix([row[:k] for row in rows[:k]]).det() for k in range(1, n + 1)]
+        assert minors[-1:] in ([], [0]) or KINDS[trial % 4] != "singular", rows
         expected = next((k for k, minor in enumerate(minors) if minor <= 0), n)
         assert gauss_jordan(rows, n)[0] == expected, rows
         counts.add((expected, n))

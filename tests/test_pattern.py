@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import sys
 import time
 from operator import eq
 
@@ -37,9 +38,10 @@ from oracles import (
     principal_seed_walk,
     random_skew_symmetrizable,
     seed_automorphisms,
+    seed_graph_both_ends,
     seed_orbit_count,
 )
-from test_cones import SEED_CATALOGS, _disjoint
+from test_cones import B_E6, SEED_CATALOGS, _disjoint
 
 B_A2 = [[0, 1], [-1, 0]]
 B_A3 = [[0, 1, 0], [-1, 0, -1], [0, 1, 0]]
@@ -632,27 +634,99 @@ def _labelled_edges(catalog, n):
 
 
 @pytest.mark.parametrize(
-    "rows, edges", [(B_A3, 29), (B_D4, 151), (B_A5, 529)], ids=["A3", "D4", "A5"]
+    "rows, edges", [(B_A3, 21), (B_D4, 100), (B_A5, 330)], ids=["A3", "D4", "A5"]
 )
 def test_one_mutation_per_unlabelled_edge(monkeypatch, rows, edges):
+    _, graph = pattern._seed_graph(validate(rows), None, pattern.NODE_CAP)
     probes, builds, signs = (
         _record_calls(monkeypatch, name) for name in ("_mutate_c", "_child", "_column_sign")
     )
     cat = enumerate_pattern(validate(rows), max_depth=None, with_polynomials=False)
     n = len(rows)
     seeds = cat.seed_class_count()
-    # each probe mutates the first node of a seed, and each edge (seed, j) once,
-    # except a first node's edge back to its parent, free as mutation is an involution
-    firsts = {node.history for node in cat.seeds}
-    assert all(node.history in firsts for node, _ in probes)
-    assert all(node.history[-1:] != (kk + 1,) for node, kk in probes)
-    assert len({(node.history, kk) for node, kk in probes}) == len(probes)
-    assert len(probes) == seeds * n - (seeds - 1) == edges
+    # each probe mutates the first node of a seed, and each unordered edge {s, t}
+    # once, from its lower-numbered end s: t reads the edge reversed
+    number = {node.history: s for s, node in enumerate(cat.seeds)}
+    probed = [(number[node.history], kk) for node, kk in probes]
+    lower = [(s, j) for s, out in enumerate(graph) for j, (t, _) in enumerate(out) if s < t]
+    assert probed == lower
+    assert len({(s, graph[s][j][0]) for s, j in lower}) == len(probed) == seeds * n // 2 == edges
     assert len(_labelled_edges(cat, n)) > edges
     # the sign check runs on the changed columns, c_j with t_j > 0, of each seed after the root
     assert len(builds) == seeds - 1
     changed = [(cols[j], j) for _, _, _, cols, t, *_ in builds for j, tj in enumerate(t) if tj]
     assert signs == changed and 0 < len(signs) < n * (seeds - 1)
+
+
+def test_e6_seed_pass_mutates_each_edge_once(monkeypatch):
+    probes = _record_calls(monkeypatch, "_mutate_c")
+    seeds, _ = pattern._seed_graph(validate(B_E6), None, pattern.NODE_CAP)
+    assert len(probes) == 6 * len(seeds) // 2 == 2499
+
+
+def _assert_seed_graph_matches_both_ends(monkeypatch, em, depth):
+    """Seeds and edges of the seed pass equal the walk that mutates every edge from both ends,
+    and the pass mutates each edge once, from its lower-numbered end."""
+    seeds, edges = seed_graph_both_ends(initial_node(em, with_polynomials=False), mutate_node, depth)
+    with monkeypatch.context() as patched:
+        probes = _record_calls(patched, "_mutate_c")
+        got, got_edges = pattern._seed_graph(em, depth, pattern.NODE_CAP)
+    fields = lambda seed: (seed.history, seed.c_vectors, seed.B_t, seed.G_t, seed.F_t)
+    assert list(map(fields, got)) == list(map(fields, seeds))
+    assert got_edges == edges
+    assert len(probes) == sum(s < t for s, out in enumerate(edges) for t, _ in out)
+    if len(edges) == len(seeds):  # every seed expanded
+        assert 2 * len(probes) == em.n * len(seeds)
+
+
+@pytest.mark.parametrize("name", sorted(SEED_CATALOGS))
+def test_seed_graph_matches_both_ends(monkeypatch, name):
+    rows, depth = SEED_CATALOGS[name]
+    _assert_seed_graph_matches_both_ends(monkeypatch, validate(rows), depth)
+
+
+@pytest.mark.parametrize("rows", [B_MARKOV, [[0, 2], [-2, 0]]], ids=["Markov", "Kronecker"])
+def test_seed_graph_matches_both_ends_depth_bounded(monkeypatch, rows):
+    _assert_seed_graph_matches_both_ends(monkeypatch, validate(rows), 8)
+
+
+def test_seed_graph_matches_both_ends_on_random_seeds(monkeypatch):
+    rng = random.Random(3232)
+    for _ in range(100):
+        rows, _ = random_skew_symmetrizable(rng, rng.randint(1, 6), max_entry=2)
+        _assert_seed_graph_matches_both_ends(monkeypatch, validate(rows), rng.randint(0, 4))
+
+
+@pytest.mark.parametrize(
+    "name, count", [("A3", 4), ("D4", 24), ("A3+A3", 112), ("cycle", 4), ("E6", 1124)]
+)
+def test_some_edge_relabellings_are_not_involutions(name, count):
+    # there, an edge read off the wrong end would carry tau for tau^-1
+    rows, depth = SEED_CATALOGS[name]
+    _, edges = pattern._seed_graph(validate(rows), depth, pattern.NODE_CAP)
+    taus = [tau for out in edges for _, tau in out]
+    assert sum(tau != tuple(map(tau.index, range(len(tau)))) for tau in taus) == count
+
+
+@pytest.mark.parametrize("rows, depth", [(B_A4, None), (B_D4, None), (B_MARKOV, 4)], ids=["A4", "D4", "Markov"])
+def test_expanded_seeds_pop_their_pending_edges(rows, depth):
+    # a reverse edge waits in the seed pass's `pending` only until its seed is expanded
+    left = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is pattern._seed_graph.__code__:
+            left.append(dict(frame.f_locals["pending"]))
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        seeds, edges = pattern._seed_graph(validate(rows), depth, pattern.NODE_CAP)
+    finally:
+        sys.setprofile(outer)
+    n = len(rows)
+    waiting = {t * n + tau[j] for out in edges for j, (t, tau) in enumerate(out) if t >= len(edges)}
+    assert len(left) == 1 and set(left[0]) == waiting
+    assert bool(waiting) == (len(edges) < len(seeds))
 
 
 def test_every_node_its_own_seed_mutates_every_labelled_edge(monkeypatch):
