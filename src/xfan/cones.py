@@ -75,17 +75,17 @@ def classify(A):
 
     The frame of B = A at G = I. A zero matrix yields the whole space.
     """
-    return _frame(A)(A, IntMatrix.identity(A.rows))
+    return _frame(A)(A, identity_rows(A.rows))
 
 
 def seed_classifier(root_em):
-    """The map node -> ``classify(build_system(node, root_em))``: one frame, read at each G_t."""
+    """The map node -> ``classify(build_system(node, root_em))``: one frame, read at each seed's g-vectors."""
     describe = _frame(root_em.B)
-    return lambda node: describe(build_system(node, root_em), node.G_t)
+    return lambda node: describe(build_system(node, root_em), node.g_vectors)
 
 
 def _frame(B):
-    """The map (A, G) -> ``ConeDescription`` of A = C^T.B, for C^T.G = I and G unimodular.
+    """The map (A, g) -> ``ConeDescription`` of A = C^T.B, g the columns of G, C^T.G = I, G unimodular.
 
     A.beta = lam exactly when B.beta = G.lam, so the cone is L = ker B plus
     the image of P = {lam >= 0 : m.lam = 0}, m = K.G, K the saturated basis
@@ -123,8 +123,8 @@ def _frame(B):
         relations = [tuple(lam[place[i]] if i in place else 0 for i in range(B.rows)) for lam in lams]
         return tuple(min(lam for lam in relations if lam[i]) for i in implicit)
 
-    def describe(A, G):
-        columns = list(map(column, zip(*G.entries)))
+    def describe(A, g):
+        columns = list(map(column, g))
         rays, implicit, strict, facets, rank = pointed(tuple(c[:k] for c in columns))
         certificates = dict(zip(implicit, certify(implicit, tuple(A.entries[i] for i in implicit))))
         images = [c[k:] for c in columns]

@@ -14,7 +14,7 @@ from operator import mul
 from .cones import canonical_key, seed_classifier
 from .errors import NotInVisitedComplex
 from .intmat import Frozen, _exact_int
-from .laurent import _product
+from .laurent import _Packing
 from .pattern import _walk
 from .seed import p_star
 
@@ -100,7 +100,7 @@ def theta(beta, catalog):
 
     Value: y^beta times the product over i of F_i^alpha_i at the seed
     ``locate`` returns, whose history is the witness; a catalog without F
-    rebuilds F along it (F never steers the BFS). `laurent._product`
+    rebuilds F along it (F never steers the BFS). `laurent._Packing.product`
     packs the F_i with alpha_i > 0 once and unpacks the value once, moved
     by beta, so the size of beta never widens the radix. Raises
     NotInVisitedComplex when no visited cone contains beta; the reason
@@ -119,6 +119,6 @@ def theta(beta, catalog):
         )
     node, alpha = hit
     polys = node.F_t if node.F_t is not None else _walk(catalog.root, node.history).F_t
-    value = _product(beta, [(poly, a) for poly, a in zip(polys, alpha) if a and not poly.is_one()])
+    value = _Packing(polys).product(beta, [(i, a) for i, a in enumerate(alpha) if a and not polys[i].is_one()])
     return ThetaFunction(beta, value, node.history, alpha)
 

@@ -15,14 +15,14 @@ every digit has |e_i| < R/2 the packing is one to one, integer order is
 lex order, and the sum of two keys is the key of the product of their
 monomials, so a term product is one integer addition instead of a new
 exponent tuple (Monagan-Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007). Two chains
-call the kernels: `_product`, y^origin times a product of powers (``*``,
-``**`` and theta), and `_Packing.exchange`, a sum of such products
-divided exactly by a polynomial (`divide_exact` and the F-polynomial
-mutation). Each packs its inputs in one radix and unpacks its result
-once. A `_Packing` context packs each input and each power of it once
-per radix, and the enumeration gives each expanded seed one context for
-the relations of all its children, whose F_i it shares.
+arrays, heaps, and packed exponent vectors", CASC 2007). One context
+calls them: a `_Packing` over some polynomials forms `product`, y^origin
+times a product of their powers (``*``, ``**`` and theta), and `exchange`,
+a sum of such products divided exactly by one of them (`divide_exact` and
+the F-polynomial mutation), each in one radix and unpacked once. It packs
+each input and each power of it once per radix, and the enumeration gives
+each expanded seed one context for the relations of all its children,
+whose F_i it shares.
 
 Sizing R. The reach of a term map is its largest |exponent|. A product
 of maps with reaches r1 and r2 has reach at most r1 + r2 (a k-th power,
@@ -121,7 +121,7 @@ class LaurentPolynomial(Value):
 
     def __mul__(self, other):
         self._check(other)
-        return _product((0,) * self.nvars, [(self, 2)] if other is self else [(self, 1), (other, 1)])
+        return _Packing((self, other)).product((0,) * self.nvars, [(0, 2)] if other is self else [(0, 1), (1, 1)])
 
     def __pow__(self, exponent):
         exponent = _exact_int(exponent)
@@ -135,7 +135,7 @@ class LaurentPolynomial(Value):
             raise ExponentNegative(
                 "negative power is only defined for monomials with coefficient +-1"
             )
-        return _product((0,) * self.nvars, [(self, exponent)])
+        return _Packing((self,)).product((0,) * self.nvars, [(0, exponent)])
 
     def _check(self, other):
         if not isinstance(other, LaurentPolynomial) or other.nvars != self.nvars:
@@ -178,20 +178,8 @@ def divide_exact(numerator, denominator):
     return _Packing((numerator, denominator)).exchange([((0,) * numerator.nvars, [(0, 1)])], 1)
 
 
-def _product(origin, powers):
-    """y^origin * prod p**e over the (p, e) in powers, every e >= 0.
-
-    The factors are packed once, in a radix sized from the sum of e times
-    their reach, and the product is unpacked once with its exponents
-    moved by ``origin``, so origin never widens the radix.
-    """
-    layout = _layout(_bits(sum(e * _reach(p._terms) for p, e in powers)), len(origin))
-    value = reduce(_mul, [_pow(_pack(p._terms, layout[0]), e) for p, e in powers], {0: 1})
-    return _unpack(value, layout, origin)
-
-
 class _Packing:
-    """The context of exchange relations over some polynomials, read by index.
+    """The context of products and exchange relations over some polynomials, read by index.
 
     It takes each one's Newton box once, and packs each and computes each
     power of it once per radix, keeping them until it is dropped.
@@ -228,6 +216,16 @@ class _Packing:
         """y^mono * prod polys[i]**e over the (i, e) in powers, packed in the radix 2**bits."""
         shift = sum(map(mul, mono, _layout(bits, len(mono))[0]))
         return reduce(_mul, [self.power(i, e, bits) for i, e in powers], {shift: 1})
+
+    def product(self, origin, powers):
+        """y^origin * prod polys[i]**e over the (i, e) in powers, every e >= 0.
+
+        The powers are packed in a radix sized from the sum of e times the
+        reach of polys[i], and the product is unpacked once with its
+        exponents moved by ``origin``, so origin never widens the radix.
+        """
+        bits = _bits(sum(e * _reach(self.polys[i]._terms) for i, e in powers))
+        return _unpack(self.side((0,) * len(origin), powers, bits), _layout(bits, len(origin)), origin)
 
     def exchange(self, sides, k):
         """The exact quotient by polys[k] of the sum over sides of y^mono * prod polys[i]**e.

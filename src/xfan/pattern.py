@@ -3,15 +3,16 @@
 Each node of the n-regular tree holds the mutated exchange matrix B_t, the
 c-vectors (the columns of the c-matrix C_t) of the pattern whose initial
 matrix is -B^T, the ones whose rows cut out the cones downstream, the
-g-matrix G_t of the pattern for B itself and the coefficient polynomials
-F_t.
+g-vectors (the columns of the g-matrix G_t) of the pattern for B itself
+and the coefficient polynomials F_t.
 
 Mutation in direction k multiplies C_t on the right by E_k, the identity
 but for row k, which is t with -1 at k: t_j = [-eps.b_jk]_+, eps the sign
 of column k of C_t. So c_k flips, c_j picks up t_j.c_k, and only the
 columns with t_j > 0 change. E_k^2 = I, so tropical duality
 (Nakanishi-Zelevinsky), G_t = (C_t^T)^-1, carries G_t along by G_t.E_k^T:
-g_k becomes -g_k + sum_j t_j.g_j, one t for both matrices.
+only g_k changes, to -g_k + sum_j t_j.g_j, one t for both matrices, and a
+child shares every other column with its parent.
 
 The F recurrence reads the c-matrix of the pattern for B, which is
 D^-1.C_t.D for the skew-symmetrizer D = diag(d): since
@@ -27,7 +28,7 @@ directions permutes the columns of C_t and G_t, the rows and columns of
 B_t, and the entries of F_t, while d stays put.
 
 A labelled node is therefore a seed plus a column permutation. A seed, a
-PatternNode, holds the matrices; a labelled node, a RelabelledNode,
+PatternNode, holds B_t, columns and F_t; a labelled node, a RelabelledNode,
 holds its seed, a permutation and its history, and builds its matrices
 by permutation when they are read. The seed pass of the enumeration
 mutates, with every check, each edge once, from its lower-numbered end:
@@ -49,7 +50,7 @@ from operator import itemgetter, mul, neg, sub
 from .errors import DualityViolation, ExhaustionCapExceeded, SignCoherenceViolation
 from .intmat import Frozen, IntMatrix, _exact_int, identity_rows
 from .laurent import LaurentPolynomial, _Packing
-from .seed import ExchangeMatrix, mutate
+from .seed import ExchangeMatrix, _direction, mutate
 
 DEFAULT_DEPTH = 12
 NODE_CAP = 10**6
@@ -58,21 +59,25 @@ NODE_CAP = 10**6
 class PatternNode(Frozen):
     """A seed, which holds its matrices in its own labelling.
 
-    Fields: ``B_t`` (ExchangeMatrix), ``c_vectors`` (the columns of the
-    c-matrix, initial -B^T pattern, as a tuple of tuples), ``G_t``
-    (g-matrix, initial B pattern, (C_t^T)^-1), ``F_t`` (tuple of
+    Fields: ``B_t`` (ExchangeMatrix), ``c_vectors`` and ``g_vectors`` (the
+    columns of the c-matrix, initial -B^T pattern, and of the g-matrix,
+    initial B pattern, (C_t^T)^-1, as tuples of tuples), ``F_t`` (tuple of
     LaurentPolynomials, or None when polynomial tracking was disabled) and
     ``history`` (1-based directions from the root along which the seed was
-    first reached). The property ``C_t`` is the c-matrix, built from the
-    c-vectors when read; the c-matrix of the B pattern is D^-1.C_t.D. A
-    catalog's labelled nodes are RelabelledNodes over it.
+    first reached). The properties ``C_t`` and ``G_t`` build those matrices
+    from the columns when read; the c-matrix of the B pattern is D^-1.C_t.D.
+    A catalog's labelled nodes are RelabelledNodes over it.
     """
 
-    __slots__ = ("B_t", "c_vectors", "G_t", "F_t", "history")
+    __slots__ = ("B_t", "c_vectors", "g_vectors", "F_t", "history")
 
     @property
     def C_t(self):
         return IntMatrix._trusted(tuple(zip(*self.c_vectors)))
+
+    @property
+    def G_t(self):
+        return IntMatrix._trusted(tuple(zip(*self.g_vectors)))
 
     def __repr__(self):
         return f"PatternNode(history={self.history})"
@@ -84,15 +89,15 @@ class RelabelledNode(Frozen):
     Slots: ``seed`` (a PatternNode), ``perm`` (direction j, 0-based, of
     this node is direction perm[j] of the seed; the identity for the
     seed's own labelling) and ``history``. The PatternNode fields
-    ``B_t``, ``c_vectors``, ``C_t``, ``G_t`` and ``F_t`` are the seed's,
-    permuted when read: relabelling permutes the rows and columns of B_t,
-    the columns of C_t and G_t, since (C.P)^-T = C^-T.P for a permutation
-    matrix P, and the entries of F_t, and keeps d.
+    ``B_t``, ``c_vectors``, ``g_vectors``, ``C_t``, ``G_t`` and ``F_t``
+    are the seed's, permuted when read: relabelling permutes the rows and
+    columns of B_t, the c- and g-vectors alike, since (C.P)^-T = C^-T.P
+    for a permutation matrix P, and the entries of F_t, and keeps d.
     """
 
     __slots__ = ("seed", "perm", "history")
 
-    C_t = PatternNode.C_t
+    C_t, G_t = PatternNode.C_t, PatternNode.G_t
 
     @property
     def B_t(self):
@@ -107,9 +112,8 @@ class RelabelledNode(Frozen):
         return tuple(map(self.seed.c_vectors.__getitem__, self.perm))
 
     @property
-    def G_t(self):
-        perm = self.perm
-        return IntMatrix._trusted(tuple(tuple(map(row.__getitem__, perm)) for row in self.seed.G_t.entries))
+    def g_vectors(self):
+        return tuple(map(self.seed.g_vectors.__getitem__, self.perm))
 
     @property
     def F_t(self):
@@ -171,7 +175,7 @@ def initial_node(em, with_polynomials=True):
     """The root: C = G = identity, every F = 1, empty history."""
     n = em.n
     polys = tuple(LaurentPolynomial.one(n) for _ in range(n)) if with_polynomials else None
-    return PatternNode(em, identity_rows(n), IntMatrix.identity(n), polys, ())
+    return PatternNode(em, identity_rows(n), identity_rows(n), polys, ())
 
 
 def _mutate_c(node, kk):
@@ -195,11 +199,11 @@ def _mutate_c(node, kk):
 def mutate_node(node, k):
     """Mutate every field of a node in direction k (1-based).
 
-    Raises SignCoherenceViolation when a mutated c-matrix column has mixed
-    signs, or DualityViolation when a mutated F loses its constant term 1;
-    both indicate an implementation bug, not bad input.
+    Raises IndexOutOfRange for k outside 1..n. SignCoherenceViolation (a
+    mutated c-matrix column of mixed signs) and DualityViolation (a mutated F
+    without constant term 1) indicate an implementation bug, not bad input.
     """
-    return _child(node, k, mutate(node.B_t, k), *_mutate_c(node, k - 1))
+    return _child(node, k, *_mutate_c(node, _direction(node.B_t, k)))
 
 
 def _walk(em, history, with_polynomials=True):
@@ -210,21 +214,23 @@ def _walk(em, history, with_polynomials=True):
     return node
 
 
-def _child(node, k, new_em, cols, t):
-    """The child in direction k, from its mutated B_t and the c-vectors and t of ``_mutate_c``.
+def _child(node, k, cols, t):
+    """The child in direction k, from the c-vectors and t of ``_mutate_c``.
 
     Checks that every changed column, c_j with t_j > 0, is sign coherent
-    (c_k only flips); carries G_t by g_k -> -g_k + sum_j t_j.g_j; exchanges
-    for F'_k in a new context when F is tracked. It is a seed's first node.
+    (c_k only flips); builds the one new g-vector, g_k -> -g_k + sum_j
+    t_j.g_j, and shares every other column with the node; exchanges for
+    F'_k in a new context when F is tracked. It is a seed's first node.
     """
     for j, tj in enumerate(t):
         if tj:
             _column_sign(cols[j], j)
     kk = k - 1
-    g = tuple(row[:kk] + (sum(map(mul, t, row)) - row[kk],) + row[k:] for row in node.G_t.entries)
+    g = node.g_vectors
+    g = g[:kk] + (tuple(sum(map(mul, t, row)) - x for row, x in zip(zip(*g), g[kk])),) + g[k:]
     f = node.F_t  # None without F
     f = f and f[:kk] + (_mutate_f(_Packing(f), node, kk),) + f[k:]
-    return PatternNode(new_em, cols, IntMatrix._trusted(g), f, node.history + (k,))
+    return PatternNode(mutate(node.B_t, k), cols, g, f, node.history + (k,))
 
 
 def _column_sign(col, kk):
@@ -273,7 +279,8 @@ def _seed_graph(em, max_depth, node_cap):
     seeds[s] is seed s, a PatternNode in its own labelling; edges[s][j] =
     (t, tau) says seed s mutated in direction j (0-based) is seed t
     relabelled by tau, for every seed above the depth bound. Only s < t
-    mutates: as mutation is an involution, t pops edge tau[j] = (s, tau^-1).
+    mutates: as mutation is an involution, t pops edge tau[j] = (s, tau^-1),
+    stored only when t lies above the depth bound and so will be expanded.
     No F is tracked and no symmetry sought: `_f_pass` fills F in afterwards.
     Without a depth bound, a B_t with b_ij.b_ji <= -4 ends the walk: it
     makes the exchange graph infinite (Fomin-Zelevinsky II, Thm 1.8).
@@ -306,10 +313,11 @@ def _seed_graph(em, max_depth, node_cap):
             if t < len(seeds):  # a known seed, t > s: column i is its column tau[i]
                 tau = tuple(map(seeds[t].c_vectors.index, cols))
             else:
-                seeds.append(_child(node, j + 1, mutate(node.B_t, j + 1), cols, t_vector))
+                seeds.append(_child(node, j + 1, cols, t_vector))
                 if len(seeds) > node_cap:
                     raise ExhaustionCapExceeded(_cap_message(node_cap))
-            pending[t * n + tau[j]] = s * n + j
+            if max_depth is None or len(seeds[t].history) < max_depth:
+                pending[t * n + tau[j]] = s * n + j
             out.append((t, tau))
         edges.append(tuple(out))
     return seeds, edges
@@ -348,7 +356,7 @@ def _f_pass(em, seeds, edges):
                 packing = packing or _Packing(f)
                 f_k = _mutate_f(packing, node, j)
             polys.append(f[:j] + (f_k,) + f[j + 1:])
-    return [PatternNode(x.B_t, x.c_vectors, x.G_t, f, x.history) for x, f in zip(seeds, polys)]
+    return [PatternNode(x.B_t, x.c_vectors, x.g_vectors, f, x.history) for x, f in zip(seeds, polys)]
 
 
 def _automorphisms(em, budget=None, sign=1):

@@ -96,36 +96,28 @@ def validate(B, d=None):
 
 
 def mutate(em, k):
-    """Matrix mutation in direction k (1-based); involution, preserves d."""
-    n = em.n
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"direction {k} outside 1..{n}")
-    kk = k - 1
-    e = em.B.entries
-    rows = mutate_rows(e, kk, e[kk])
-    rows[kk] = tuple(-x for x in e[kk])
+    """Matrix mutation in direction k (1-based); involution, preserves d.
+
+    Row and column k are negated; every other b_ij gains sgn(b_ik) [b_ik b_kj]_+.
+    """
+    kk = _direction(em, k)
+    rows = list(em.B.entries)
+    pivot = rows[kk]
+    for i, row in enumerate(rows):
+        if b_ik := row[kk]:
+            s = 1 if b_ik > 0 else -1
+            row = [x + s * max(b_ik * y, 0) for x, y in zip(row, pivot)]
+            row[kk] = -b_ik
+            rows[i] = tuple(row)
+    rows[kk] = tuple(-x for x in pivot)
     return ExchangeMatrix(IntMatrix._trusted(tuple(rows)), em.d)
 
 
-def mutate_rows(rows, kk, pivot):
-    """Rows of a matrix mutated in column kk (0-based) against a pivot row.
-
-    Row i becomes r_ij + sgn(r_ik) [r_ik pivot_j]_+ off column kk, and -r_ik
-    in it: the rule for every row of an extended exchange matrix other than
-    row kk itself, with ``pivot`` the exchange row b_k. Returns a list of
-    tuples; a row with r_ik = 0 is returned unchanged.
-    """
-    out = []
-    for row in rows:
-        r_ik = row[kk]
-        if r_ik == 0:
-            out.append(row)
-            continue
-        s = 1 if r_ik > 0 else -1
-        new = [x + s * max(r_ik * y, 0) for x, y in zip(row, pivot)]
-        new[kk] = -r_ik
-        out.append(tuple(new))
-    return out
+def _direction(em, k):
+    """The 0-based index of direction k (1-based), or IndexOutOfRange."""
+    if not 1 <= k <= em.n:
+        raise IndexOutOfRange(f"direction {k} outside 1..{em.n}")
+    return k - 1
 
 
 def p_star(em, beta):

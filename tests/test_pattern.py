@@ -14,6 +14,7 @@ from xfan import (
     DEFAULT_DEPTH,
     DualityViolation,
     ExhaustionCapExceeded,
+    IndexOutOfRange,
     IntMatrix,
     LaurentPolynomial,
     PatternNode,
@@ -263,6 +264,36 @@ def test_g_matrix_is_the_g_vector_recurrence_on_random_seeds():
     for _ in range(20):
         rows, _ = random_skew_symmetrizable(rng, rng.randint(2, 4), max_entry=2)
         _assert_g_is_the_recurrence(rows, 5)
+
+
+@pytest.mark.parametrize("rows, depth", [(B_A3, 3), (B_MARKOV, 3), (B_G2, 4)], ids=["A3", "Markov", "G2"])
+def test_child_shares_every_g_vector_but_g_k(rows, depth):
+    # the columns a mutation leaves alone are the parent's own tuples, not copies
+    cat = enumerate_pattern(validate(rows), max_depth=depth, with_polynomials=False)
+    for node in cat.seeds:
+        assert type(node.g_vectors) is tuple and all(type(g) is tuple for g in node.g_vectors)
+        for k in range(1, len(rows) + 1):
+            child = mutate_node(node, k)
+            kept = [a is b for a, b in zip(child.g_vectors, node.g_vectors)]
+            assert kept == [j != k - 1 for j in range(len(rows))], (node.history, k)
+            assert child.G_t.entries == tuple(zip(*child.g_vectors))
+
+
+def test_relabelled_g_vectors_are_the_seeds_columns_in_perm_order():
+    cat = enumerate_pattern(validate(B_D4), max_depth=None, with_polynomials=False)
+    moved = 0
+    for node in cat.nodes:
+        seed = node.seed
+        assert node.g_vectors == tuple(seed.g_vectors[p] for p in node.perm)
+        assert node.G_t.entries == tuple(zip(*node.g_vectors))
+        moved += node.perm != tuple(sorted(node.perm))
+    assert moved
+
+
+@pytest.mark.parametrize("rows, k", [(B_A3, 0), (B_A3, -1), (B_A3, 4), (B_A3, 10**100), ([[0]], -1)])
+def test_mutate_node_rejects_a_direction_out_of_range(rows, k):
+    with pytest.raises(IndexOutOfRange):
+        mutate_node(initial_node(validate(rows)), k)
 
 
 def test_with_polynomials_flag():
@@ -654,7 +685,7 @@ def test_one_mutation_per_unlabelled_edge(monkeypatch, rows, edges):
     assert len(_labelled_edges(cat, n)) > edges
     # the sign check runs on the changed columns, c_j with t_j > 0, of each seed after the root
     assert len(builds) == seeds - 1
-    changed = [(cols[j], j) for _, _, _, cols, t, *_ in builds for j, tj in enumerate(t) if tj]
+    changed = [(cols[j], j) for _, _, cols, t in builds for j, tj in enumerate(t) if tj]
     assert signs == changed and 0 < len(signs) < n * (seeds - 1)
 
 
@@ -710,7 +741,8 @@ def test_some_edge_relabellings_are_not_involutions(name, count):
 
 @pytest.mark.parametrize("rows, depth", [(B_A4, None), (B_D4, None), (B_MARKOV, 4)], ids=["A4", "D4", "Markov"])
 def test_expanded_seeds_pop_their_pending_edges(rows, depth):
-    # a reverse edge waits in the seed pass's `pending` only until its seed is expanded
+    # a reverse edge waits in the seed pass's `pending` only until its seed is expanded,
+    # and none is stored for a seed at the depth bound, which is never expanded
     left = []
 
     def profile(frame, event, arg):
@@ -723,10 +755,8 @@ def test_expanded_seeds_pop_their_pending_edges(rows, depth):
         seeds, edges = pattern._seed_graph(validate(rows), depth, pattern.NODE_CAP)
     finally:
         sys.setprofile(outer)
-    n = len(rows)
-    waiting = {t * n + tau[j] for out in edges for j, (t, tau) in enumerate(out) if t >= len(edges)}
-    assert len(left) == 1 and set(left[0]) == waiting
-    assert bool(waiting) == (len(edges) < len(seeds))
+    assert left == [{}]
+    assert (depth is None) == (len(edges) == len(seeds))
 
 
 def test_every_node_its_own_seed_mutates_every_labelled_edge(monkeypatch):
