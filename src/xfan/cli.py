@@ -275,86 +275,75 @@ def _cmd_certify(em, args):
     }
 
 
-@cache  # one parser per process, built by the first job
-def _build_parser():
+_SEQ = ("--seq", {"type": _parse_seq, "default": (), "metavar": "K1,K2,..", "help": "1-based mutation directions applied left to right"})
+_DEPTH = (
+    ("--depth", {"type": _parse_int, "default": DEFAULT_DEPTH, "help": f"BFS depth bound; exit 3 past {NODE_CAP} labelled nodes"}),
+    ("--exhaustive", {"action": "store_true", "help": f"ignore --depth; exit 3 past {NODE_CAP} labelled nodes or on infinite type"}),
+)
+# one definition per command: its handler, its line in the top-level help, and its flags after --B, each a flag and the
+# keywords of add_argument
+_COMMANDS = {
+    "validate": (_cmd_validate, "check skew-symmetrizability, report d"),
+    "mutate": (_cmd_mutate, "mutate the exchange matrix", _SEQ),
+    "cmatrix": (_cmd_cmatrix, "c-matrix of the seed at --seq", _SEQ),
+    "gmatrix": (_cmd_gmatrix, "g-matrix of the seed at --seq", _SEQ),
+    "fpoly": (_cmd_fpoly, "F-polynomials of the seed at --seq", _SEQ),
+    "cone": (_cmd_cone, "inequality system and cone of the seed at --seq", _SEQ),
+    "fan": (
+        _cmd_fan,
+        "enumerate seeds, merge equal cones",
+        *_DEPTH,
+        ("--emit-rays", {"action": "store_true", "help": "include primitive extreme rays per cone for external plotting"}),
+    ),
+    "theta": (
+        _cmd_theta,
+        "theta function at an integral point",
+        ("--beta", {"required": True, "metavar": "[..]", "help": "integral point, JSON array"}),
+        *_DEPTH,
+    ),
+    "ar": (
+        _cmd_ar,
+        "knit the AR quiver of an acyclic skew-symmetric seed",
+        ("--window", {"type": _parse_int, "default": None, "help": "number of translation steps; omit for exhaustive Dynkin knitting"}),
+    ),
+    "normals": (
+        _cmd_normals,
+        "hyperplane normal of a positive c-vector",
+        ("--cvec", {"required": True, "metavar": "[..]", "help": "positive c-vector, JSON array"}),
+        (
+            "--window",
+            {"type": _parse_int, "default": None, "help": "knitting window for the root and mesh check on non-Dynkin quivers"},
+        ),
+    ),
+    "certify": (_cmd_certify, "kernel certificates among the c-matrix columns at --seq", _SEQ),
+}
+
+
+def _define(parser, name):
+    """The parser with the flags of command ``name``: a subparser of the full parser, or standalone."""
+    handler, _, *flags = _COMMANDS[name]
+    parser.set_defaults(handler=handler)
+    parser.add_argument(
+        "--B", required=True, metavar="FILE", help='seed input {"B": [[..]], "d": [..]?}; - reads standard input'
+    )
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
+    return parser
+
+
+@cache  # per process, one parser per command name its jobs name, built by the first of them
+def _parser(name):
+    """The parser of command ``name``, or for None the full parser, which names every command.
+
+    A command's parser reads what follows its name, as the full parser's
+    subparser of that name would, and prints the same help and errors.
+    """
+    if name is not None:
+        return _define(_Parser(prog=f"xfan {name}"), name)
     parser = _Parser(prog="xfan", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--B",
-            required=True,
-            metavar="FILE",
-            help='seed input {"B": [[..]], "d": [..]?}; - reads standard input',
-        )
-        p.set_defaults(handler=handler)
-        return p
-
-    def seq_flag(p):
-        p.add_argument(
-            "--seq",
-            type=_parse_seq,
-            default=(),
-            metavar="K1,K2,..",
-            help="1-based mutation directions applied left to right",
-        )
-
-    def depth_flags(p):
-        p.add_argument(
-            "--depth",
-            type=_parse_int,
-            default=DEFAULT_DEPTH,
-            help=f"BFS depth bound; exit 3 past {NODE_CAP} labelled nodes",
-        )
-        p.add_argument(
-            "--exhaustive",
-            action="store_true",
-            help=f"ignore --depth; exit 3 past {NODE_CAP} labelled nodes or on infinite type",
-        )
-
-    command("validate", _cmd_validate, "check skew-symmetrizability, report d")
-    seq_flag(command("mutate", _cmd_mutate, "mutate the exchange matrix"))
-    seq_flag(command("cmatrix", _cmd_cmatrix, "c-matrix of the seed at --seq"))
-    seq_flag(command("gmatrix", _cmd_gmatrix, "g-matrix of the seed at --seq"))
-    seq_flag(command("fpoly", _cmd_fpoly, "F-polynomials of the seed at --seq"))
-    seq_flag(command("cone", _cmd_cone, "inequality system and cone of the seed at --seq"))
-
-    fan_p = command("fan", _cmd_fan, "enumerate seeds, merge equal cones")
-    depth_flags(fan_p)
-    fan_p.add_argument(
-        "--emit-rays",
-        action="store_true",
-        dest="emit_rays",
-        help="include primitive extreme rays per cone for external plotting",
-    )
-
-    theta_p = command("theta", _cmd_theta, "theta function at an integral point")
-    theta_p.add_argument("--beta", required=True, metavar="[..]", help="integral point, JSON array")
-    depth_flags(theta_p)
-
-    ar_p = command("ar", _cmd_ar, "knit the AR quiver of an acyclic skew-symmetric seed")
-    ar_p.add_argument(
-        "--window",
-        type=_parse_int,
-        default=None,
-        help="number of translation steps; omit for exhaustive Dynkin knitting",
-    )
-
-    normals_p = command("normals", _cmd_normals, "hyperplane normal of a positive c-vector")
-    normals_p.add_argument("--cvec", required=True, metavar="[..]", help="positive c-vector, JSON array")
-    normals_p.add_argument(
-        "--window",
-        type=_parse_int,
-        default=None,
-        help="knitting window for the root and mesh check on non-Dynkin quivers",
-    )
-
-    certify_p = command(
-        "certify", _cmd_certify, "kernel certificates among the c-matrix columns at --seq"
-    )
-    seq_flag(certify_p)
-
+    sub = parser.add_subparsers(required=True, metavar="command")
+    for command, (_, help_text, *_) in _COMMANDS.items():
+        _define(sub.add_parser(command, help=help_text), command)
     return parser
 
 
@@ -371,9 +360,10 @@ def main(argv=None):
 
 
 def _main(argv):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv and argv[0] in _COMMANDS else None  # else the full parser reads every argument
     try:
-        args = parser.parse_args(argv)
+        args = _parser(name).parse_args(argv[1:] if name else argv)
         em = _load_exchange(args.B)
         text = dumps(args.handler(em, args))
     except XfanError as exc:

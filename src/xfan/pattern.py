@@ -36,10 +36,14 @@ mutation is an involution, so the other end reads the edge reversed.
 The cover pass walks the labellings as integers: mutating a labelled node
 in direction k is mutating its seed in the permuted direction, then
 relabelling, so it only composes permutations, numbered on first sight.
-The F pass follows. A signed symmetry sigma, b_sigma(i)sigma(j) = eps.b_ij
-and d_sigma(i) = d_i, takes eps.B at history sigma^-1(h) to B at h, and F of
--B is y^M.F(y^-1), M the top exponents of F of B (Fomin-Zelevinsky IV, Prop.
-5.3): a new seed that sigma maps a built seed onto reads F'_k off that one.
+The F pass follows. A cluster variable is determined by its g-vector
+(Gross-Hacking-Keel-Kontsevich), and its F is that variable at x = 1, so a
+new seed whose new g-vector some built F has reads F'_k off it. Else a
+signed symmetry sigma, b_sigma(i)sigma(j) = eps.b_ij and d_sigma(i) = d_i,
+takes eps.B at history sigma^-1(h) to B at h, and F of -B is y^M.F(y^-1), M
+the top exponents of F of B (Fomin-Zelevinsky IV, Prop. 5.3): a new seed
+that sigma maps a built seed onto reads F'_k off that one. So the pass forms
+one F per cluster variable it meets, by an exchange or by a relabel.
 """
 
 from functools import lru_cache
@@ -325,19 +329,23 @@ def _seed_graph(em, max_depth, node_cap):
 
 def _f_pass(em, seeds, edges):
     """The seeds of `_seed_graph` with F_t: new seed s at history h, child of p
-    in direction k, reads F'_k = F_u[pi(sigma^-1(k))], e -> M - e if eps = -1,
-    y_i renamed y_sigma(i), when the walk of sigma^-1(h) ends at (u, pi) with
-    u < s. Otherwise, or when its relation holds only F = 1, p's context exchanges.
+    in direction k, reads F'_k off the F formed for its new g-vector g_k, the
+    root's F = 1 for a g-vector e_i, if any; else F'_k = F_u[pi(sigma^-1(k))],
+    e -> M - e if eps = -1, y_i renamed y_sigma(i), when the walk of
+    sigma^-1(h) ends at (u, pi) with u < s. Otherwise, or when its relation
+    holds only F = 1, p's context exchanges. Every F'_k formed is kept by g_k.
     """
     n, ident = em.n, _identity(em.n)
     polys, signed = [initial_node(em).F_t], None
+    formed = dict(zip(seeds[0].g_vectors, polys[0]))  # g-vector -> F of its cluster variable
     for p, out in enumerate(edges):
         node, f, packing = seeds[p], polys[p], None
         for j, (s, _) in enumerate(out):
             if s < len(polys):  # not a new seed
                 continue
-            f_k = None
-            if not all(f[i].is_one() for i in range(n) if i == j or node.B_t.B.entries[i][j]):
+            g_k = seeds[s].g_vectors[j]
+            f_k = formed.get(g_k)
+            if f_k is None and not all(f[i].is_one() for i in range(n) if i == j or node.B_t.B.entries[i][j]):
                 if signed is None:  # searched at the first relation with an F other than 1
                     signed = [(list(map(g.index, ident)), e) for e in (1, -1) for g in _automorphisms(em, sign=e)]
                 for inverse, eps in signed:
@@ -355,6 +363,7 @@ def _f_pass(em, seeds, edges):
             if f_k is None:
                 packing = packing or _Packing(f)
                 f_k = _mutate_f(packing, node, j)
+            formed[g_k] = f_k
             polys.append(f[:j] + (f_k,) + f[j + 1:])
     return [PatternNode(x.B_t, x.c_vectors, x.g_vectors, f, x.history) for x, f in zip(seeds, polys)]
 
@@ -418,10 +427,11 @@ def enumerate_pattern(
     the edge (s, pi(k)) = (t, tau) followed by the state (t, tau.pi), which
     stands for the labelled c-matrix. A relabelled node passes the checks
     exactly when its seed does. With polynomials, the F pass gives each new
-    seed its F'_k off a built seed that a signed symmetry of (B, d) maps onto
-    it where it can (Prop. 5.3 of Fomin-Zelevinsky IV for the sign -1), else
-    by an exchange. Immediate back-mutation is skipped; ties among
-    directions break by ascending index, so the order is deterministic.
+    seed its F'_k off the F already formed for its new g-vector, else off a
+    built seed that a signed symmetry of (B, d) maps onto it where it can
+    (Prop. 5.3 of Fomin-Zelevinsky IV for the sign -1), else by an
+    exchange. Immediate back-mutation is skipped; ties among directions
+    break by ascending index, so the order is deterministic.
 
     ``max_depth`` of None removes the depth bound; a visited B_t with
     b_ij.b_ji <= -4 then raises ExhaustionCapExceeded with reason

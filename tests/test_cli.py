@@ -360,7 +360,7 @@ def test_exit_one_lines_cut_long_runs(tmp_path, capsys, argv, stated):
 
 
 def test_one_parser_serves_every_job(tmp_path, capsys):
-    # the parser is built by the first job of a process and reused, with the output of a fresh process
+    # a command's parser is built by its first job in a process and reused, with the output of a fresh process
     b = _b_file(tmp_path, B_A3)
     jobs = [
         ["fan", "--B", b, "--exhaustive"],
@@ -368,12 +368,29 @@ def test_one_parser_serves_every_job(tmp_path, capsys):
         ["theta", "--B", b, "--beta", "[1,0,1]"],
         ["fan", "--B", b, "--depth", "2", "--emit-rays"],
     ]
-    cli._build_parser.cache_clear()
+    cli._parser.cache_clear()
     for argv in jobs:
         code = cli.main(argv)
         fresh = _run(argv)
         assert (code, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr)
-    assert cli._build_parser.cache_info().misses == 1
+    assert cli._parser.cache_info().misses == len({argv[0] for argv in jobs}) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, built", [(["validate", "--B", "b.json"], 0, 1), (["bogus"], 1, 12)], ids=["command", "full"]
+)
+def test_a_job_builds_only_its_commands_parser(tmp_path, argv, code, built):
+    # parsers counted by a wrapper around ArgumentParser.__init__, installed before xfan is imported: a
+    # job builds its command's parser alone, and the full parser, with a subparser per command, only
+    # when the first argument names no command
+    (tmp_path / "b.json").write_text(json.dumps(B_A3))
+    script = (
+        "import argparse, sys; built = []; init = argparse.ArgumentParser.__init__;"
+        " argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(self) or init(self, *a, **k);"
+        " from xfan import cli; code = cli.main(sys.argv[1:]); print(code, len(built), file=sys.stderr)"
+    )
+    p = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, cwd=tmp_path)
+    assert p.stderr.splitlines()[-1] == f"{code} {built}"
 
 
 def test_import_builds_no_parser_and_loads_no_number_tower():
@@ -383,7 +400,7 @@ def test_import_builds_no_parser_and_loads_no_number_tower():
             sys.executable,
             "-c",
             "import sys, xfan.cli as cli;"
-            " print(sorted({'fractions', 'decimal'} & set(sys.modules)), cli._build_parser.cache_info().currsize)",
+            " print(sorted({'fractions', 'decimal'} & set(sys.modules)), cli._parser.cache_info().currsize)",
         ],
         capture_output=True,
         text=True,
@@ -423,22 +440,77 @@ options:
 """
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["", "validate", "mutate", "cmatrix", "gmatrix", "fpoly", "cone", "fan", "theta", "ar", "normals", "certify"],
-)
+COMMANDS = ["validate", "mutate", "cmatrix", "gmatrix", "fpoly", "cone", "fan", "theta", "ar", "normals", "certify"]
+
+
+@pytest.mark.parametrize("command", ["", *COMMANDS])
 def test_help_exits_zero(capsys, monkeypatch, command):
-    # --help is the one way out of the parser that is not an exit-1 line
+    # --help is the one way out of the parser that is not an exit-1 line; a job prints the help of
+    # its command's own parser, which is the full parser's help for that command, byte for byte
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--help"] if command else ["--help"])
-    assert exc.value.code == 0
-    out, err = capsys.readouterr()
-    assert err == ""
+    argv = [command, "--help"] if command else ["--help"]
+    printed = []
+    for parse in (cli.main, cli._parser(None).parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        printed.append(out)
+    assert printed[0] == printed[1] == cli._parser(command or None).format_help()
     if command:
-        assert out.startswith(f"usage: xfan {command} [-h] --B FILE")
+        assert printed[0].startswith(f"usage: xfan {command} [-h] --B FILE")
     else:
-        assert out == HELP
+        assert printed[0] == HELP
+
+
+@pytest.mark.parametrize(
+    "rest",
+    [
+        ["--B", "b.json", "--bogus"],
+        ["--B", "b.json", "--e"],
+        ["--B", "b.json", "--seq", "1,x"],
+        ["--seq", "1"],
+        ["--B", "b.json", "a word"],
+        ["--B", "b.json", "-h=1"],
+    ],
+    ids=["unknown-flag", "ambiguous", "bad-seq", "missing-B", "stray-word", "help-with-value"],
+)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_fails_as_the_full_parser(capsys, command, rest):
+    # the same message, so the same exit-1 line, whether the command's own parser or the full one reads it
+    messages = []
+    for parse, argv in ((cli._parser(command).parse_args, rest), (cli._parser(None).parse_args, [command, *rest])):
+        with pytest.raises(ValueError) as exc:
+            parse(argv)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert cli.main([command, *rest]) == 1
+    assert capsys.readouterr() == ("", f"xfan: error: {messages[0]}\n")
+
+
+WELL_FORMED = {
+    "validate": ["--B", "b.json"],
+    "fan": ["--B", "b.json", "--depth", "2", "--emit-rays"],
+    "theta": ["--beta", "[1,0,1]", "--exhaustive", "--B", "b.json"],
+    "ar": ["--B", "b.json", "--window", "4"],
+    "normals": ["--cvec", "[1,0,0]", "--B=-", "--window", "2"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_reads_as_the_full_parser(command):
+    rest = WELL_FORMED.get(command, ["--B", "-", "--seq", "1,3"])
+    assert cli._parser(command).parse_args(rest) == cli._parser(None).parse_args([command, *rest])
+
+
+def test_a_leading_double_dash_goes_to_the_full_parser(tmp_path, capsys):
+    # "--" names no command, so the full parser reads the arguments, and takes "--" for the command
+    cli._parser.cache_clear()
+    assert cli.main(["--", "fan", "--B", _b_file(tmp_path, B_A3)]) == 1
+    choices = ", ".join(map(repr, COMMANDS))
+    assert capsys.readouterr() == ("", f"xfan: error: argument command: invalid choice: '--' (choose from {choices})\n")
+    cli._parser(None)  # built by the job, so read from the cache
+    assert cli._parser.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 @pytest.mark.parametrize(

@@ -958,27 +958,77 @@ def _count_exchanges(monkeypatch):
     return calls
 
 
+def _count_relabels(monkeypatch):
+    # the F pass renames the variables of a built F once per F'_k it reads off a symmetric seed
+    calls = []
+    good = pattern.itemgetter
+
+    def counted(*items):
+        calls.append(items)
+        return good(*items)
+
+    monkeypatch.setattr(pattern, "itemgetter", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "rows, depth, exchanges",
-    [(B_MARKOV, 6, 34), (B_B3, None, 19), (B_A4, None, 25), (B_A5, None, 80)],
+    "rows, depth, exchanges, relabels",
+    [(B_MARKOV, 6, 34, 155), (B_B3, None, 9, 0), (B_A4, None, 9, 1), (B_A5, None, 12, 3)],
     ids=["Markov", "B3", "A4", "A5"],
 )
-def test_symmetric_seeds_relabel_f_instead_of_exchanging(monkeypatch, rows, depth, exchanges):
-    # a new seed at history h reads its new F off a built seed at sigma^-1(h),
-    # sigma a signed symmetry of (B, d): Markov has 3 automorphisms and 3
-    # anti-automorphisms, and its 189 new seeds run 34 exchanges (65 under
-    # the automorphisms alone); the A4 and A5 paths have only their reversal,
-    # an anti-automorphism (41 and 131 alone), and B3 has no symmetry
-    calls = _count_exchanges(monkeypatch)
+def test_symmetric_seeds_relabel_f_instead_of_exchanging(monkeypatch, rows, depth, exchanges, relabels):
+    # a new F'_k whose g-vector no built F has is read off a built seed at
+    # sigma^-1(h), sigma a signed symmetry of (B, d), where it can: Markov has
+    # 3 automorphisms and 3 anti-automorphisms, no two of its 189 new seeds
+    # share their new g-vector, and they run 34 exchanges (65 under the
+    # automorphisms alone); the A4 and A5 paths have only their reversal, an
+    # anti-automorphism, and B3 has no symmetry
+    calls, renamed = _count_exchanges(monkeypatch), _count_relabels(monkeypatch)
     enumerate_pattern(validate(rows), max_depth=depth)
-    assert len(calls) == exchanges
+    assert (len(calls), len(renamed)) == (exchanges, relabels)
 
 
-@pytest.mark.parametrize("rows", [B_D4, B_D4_S3], ids=["D4", "D4-S3"])
-def test_d4_relabels_some_f(monkeypatch, rows):
-    calls = _count_exchanges(monkeypatch)
+@pytest.mark.parametrize("rows, exchanges", [(B_D4, 10), (B_D4_S3, 9)], ids=["D4", "D4-S3"])
+def test_d4_relabels_some_f(monkeypatch, rows, exchanges):
+    # D4 has 12 positive roots, so 12 F other than the initial ones; a relabel forms the rest
+    calls, renamed = _count_exchanges(monkeypatch), _count_relabels(monkeypatch)
     cat = enumerate_pattern(validate(rows), max_depth=None)
-    assert len(calls) < len(cat.seeds) - 1 == 49
+    assert len(cat.seeds) - 1 == 49 and len(calls) == exchanges and len(renamed) == 12 - exchanges
+
+
+def _f_pass_counts(monkeypatch, rows):
+    """Exchanges, relabels and positive c-vectors of the exhaustive seed and F passes, and the seeds."""
+    calls, renamed = _count_exchanges(monkeypatch), _count_relabels(monkeypatch)
+    em = validate(rows)
+    seeds = pattern._f_pass(em, *pattern._seed_graph(em, None, pattern.NODE_CAP))
+    positive = {col for seed in seeds for col in seed.c_vectors if min(col) >= 0}
+    return len(calls), len(renamed), len(positive), seeds
+
+
+FINITE_TYPE = {name: rows for name, (rows, depth) in SEED_CATALOGS.items() if depth is None}
+FINITE_TYPE.update({"D4-S3": B_D4_S3})
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TYPE))
+def test_f_pass_forms_one_f_per_cluster_variable(monkeypatch, name):
+    # a cluster variable is determined by its g-vector (Gross-Hacking-Keel-Kontsevich), so the F
+    # pass forms one F'_k per non-initial cluster variable, by an exchange or a relabel; in finite
+    # type those are as many as the positive roots, which are the positive c-vectors
+    exchanges, relabels, positive, _ = _f_pass_counts(monkeypatch, FINITE_TYPE[name])
+    assert exchanges + relabels == positive
+
+
+def test_e6_f_pass_exchanges_once_per_positive_root(monkeypatch):
+    # E6 has no signed symmetry in this orientation: each of its 36 positive roots is one exchange,
+    # and every seed's F is the exchange relation of the seed it was first reached from
+    assert FINITE_TYPE["E6"] == B_E6
+    exchanges, relabels, positive, seeds = _f_pass_counts(monkeypatch, B_E6)
+    assert (exchanges, relabels, positive, len(seeds)) == (36, 0, 36, 833)
+    by_history = {seed.history: seed for seed in seeds}
+    for seed in seeds[1:]:
+        parent, k = by_history[seed.history[:-1]], seed.history[-1] - 1
+        column = [row[k] for row in _companion(parent)]
+        assert _plain(seed.F_t) == f_polynomial_step(_plain(parent.F_t), parent.B_t.B.entries, column, k)
 
 
 def _zero(n):
@@ -1015,13 +1065,14 @@ def _spy_automorphisms(monkeypatch, budget=None):
 
 def test_relations_that_hold_only_f_one_are_not_looked_up(monkeypatch):
     # B = 0 at n = 12 has 12! automorphisms, and every relation of its walk
-    # holds only F = 1, which an exchange handles at once: the walk looks
-    # nothing up and never searches for automorphisms
+    # holds only F = 1: the walk never searches for automorphisms. Each
+    # direction exchanges once, at depth 1, and its 66 relations at depth 2
+    # make the same variables, g-vector -e_k, so they read the F built then
     searches, calls = _spy_automorphisms(monkeypatch), _count_exchanges(monkeypatch)
     start = time.perf_counter()
     cat = enumerate_pattern(validate(_zero(12)), max_depth=2)
     assert time.perf_counter() - start < 10  # loose: it catches only a search that blows up
-    assert len(cat.seeds) == 1 + 12 + 66 and len(calls) == 12 + 66 and searches == []
+    assert len(cat.seeds) == 1 + 12 + 66 and len(calls) == 12 and searches == []
     # Markov searches once for each sign, at the first relation that holds an
     # F other than 1, and the seed pass alone never searches
     enumerate_pattern(validate(B_MARKOV), max_depth=3, with_polynomials=False)
@@ -1055,9 +1106,11 @@ def test_automorphism_search_work_is_bounded():
 
 def test_evens_first_path_with_f(monkeypatch):
     # the directed path of 30 points labelled evens first, with F: depth 1
-    # never searches; depth 2 searches once for each sign and finds only the
-    # reversal, an anti-automorphism, which spares half of the 58 exchanges
-    # whose relations hold an F other than 1
+    # never searches; depth 2 searches once for each sign, at its first
+    # relation that holds an F other than 1 and makes a new variable, and
+    # finds only the reversal, an anti-automorphism. The 58 such relations,
+    # one for each order of two neighbours, make 29 variables, one per pair,
+    # so 29 exchange and the rest read those F by their g-vectors
     searches, calls = _spy_automorphisms(monkeypatch), _count_exchanges(monkeypatch)
     rows = _path(_evens_first(30))
     enumerate_pattern(validate(rows), max_depth=1)
@@ -1066,18 +1119,18 @@ def test_evens_first_path_with_f(monkeypatch):
     start = time.perf_counter()
     _assert_f_polynomials_match_oracle(validate(rows), 2)
     assert time.perf_counter() - start < 10  # loose: it catches only a search that blows up
-    assert searches == [1, -1] and len(calls) == 494 - 29
+    assert searches == [1, -1] and len(calls) == 30 + 29
 
 
-@pytest.mark.parametrize("budget, exchanges", [(0, 49), (6, 36), (None, 30)], ids=["none", "one", "all"])
+@pytest.mark.parametrize("budget, exchanges", [(0, 12), (6, 10), (None, 9)], ids=["none", "one", "all"])
 def test_any_subset_of_automorphisms_gives_the_same_f(monkeypatch, budget, exchanges):
     # a search stopped early looks up under fewer sigma, and F stays exact:
     # D4-S3 keeps no sigma, one transposition, or two that generate S3, and
-    # has no anti-automorphism
+    # has no anti-automorphism; a relabel forms each of its 12 F the exchanges do not
     searches = _spy_automorphisms(monkeypatch, budget)
-    calls = _count_exchanges(monkeypatch)
+    calls, renamed = _count_exchanges(monkeypatch), _count_relabels(monkeypatch)
     _assert_f_polynomials_match_oracle(validate(B_D4_S3), None)
-    assert len(calls) == exchanges and searches == [1, -1]
+    assert (len(calls), len(renamed), searches) == (exchanges, 12 - exchanges, [1, -1])
 
 
 def test_f_polynomials_match_dict_oracle_random(monkeypatch):
